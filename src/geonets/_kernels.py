@@ -1,67 +1,52 @@
-"""Numeric kernels with selectable backend.
+"""Numeric kernels: balance residuals, total length, gradient descent and
+balanced-subset enumeration, vectorized with numpy.
 
-Two implementations of the hot loops (balance residuals, total length,
-gradient descent, balanced-subset enumeration): a numba-compiled scalar
-version and a vectorized pure-numpy fallback. The backend is chosen at
-import from the optional GEONETS_BACKEND environment variable ("numba" or
-"numpy"); unset picks numba when importable.
+A net enters as a (V, 2) float64 position array and an (E, 2) int64 array
+of vertex-index pairs, as held by `Net.arrays`.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict
-
 import numpy as np
+
+BACKEND = "numpy"
 
 _MAX_HALVINGS = 60
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    HAS_NUMBA = False
-
-_requested = os.environ.get("GEONETS_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"GEONETS_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-if _requested == "numba" and not HAS_NUMBA:
-    raise ValueError("GEONETS_BACKEND=numba but numba is not importable")
-BACKEND: str = _requested or ("numba" if HAS_NUMBA else "numpy")
+def unit_vectors(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Unit vector of each edge, from its first endpoint toward its second."""
+    d = pos[edges[:, 1]] - pos[edges[:, 0]]
+    ln = np.sqrt((d * d).sum(axis=1))
+    return d / ln[:, None]
 
 
-# ---------------------------------------------------------------- numpy ---
-
-def _residuals_np(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sum of the unit vectors along the edges leaving each vertex."""
     out = np.zeros_like(pos)
     if edges.shape[0] == 0:
         return out
-    d = pos[edges[:, 1]] - pos[edges[:, 0]]
-    ln = np.sqrt((d * d).sum(axis=1))
-    u = d / ln[:, None]
+    u = unit_vectors(pos, edges)
     np.add.at(out, edges[:, 0], u)
     np.add.at(out, edges[:, 1], -u)
     return out
 
 
-def _net_length_np(pos: np.ndarray, edges: np.ndarray) -> float:
+def net_length(pos: np.ndarray, edges: np.ndarray) -> float:
     if edges.shape[0] == 0:
         return 0.0
     d = pos[edges[:, 1]] - pos[edges[:, 0]]
     return float(np.sqrt((d * d).sum(axis=1)).sum())
 
 
-def _min_edge_np(pos: np.ndarray, edges: np.ndarray) -> float:
+def _min_edge(pos: np.ndarray, edges: np.ndarray) -> float:
     if edges.shape[0] == 0:
         return np.inf
     d = pos[edges[:, 1]] - pos[edges[:, 0]]
     return float(np.sqrt((d * d).sum(axis=1)).min())
 
 
-def _decrease_np(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
+def _decrease(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
     # total_length(pos) - total_length(pos + delta), summed per edge in a
     # cancellation-free form. With a the old edge vector and w the change
     # (difference of endpoint displacements), |b|^2 = |a|^2 + 2 a.w + |w|^2,
@@ -78,15 +63,19 @@ def _decrease_np(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float
     return float((num / (la + lb)).sum())
 
 
-def _descend_np(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
+def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
+    """Armijo gradient descent on total length over the rows in free.
+
+    Returns (positions, accepted steps, converged, length trace, collided).
+    """
     pos = pos.copy()
     trace = np.empty(max_iter + 1, dtype=np.float64)
-    trace[0] = _net_length_np(pos, edges)
+    trace[0] = net_length(pos, edges)
     accepted = 0
     converged = False
     collided = False
     while accepted < max_iter:
-        r = _residuals_np(pos, edges)
+        r = residuals(pos, edges)
         rf = r[free]
         if rf.size == 0:
             converged = True
@@ -101,7 +90,7 @@ def _descend_np(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         delta = np.zeros_like(pos)
         for _ in range(_MAX_HALVINGS):
             delta[free] = step * rf
-            if _decrease_np(pos, delta, edges) >= c_armijo * step * gnorm2:
+            if _decrease(pos, delta, edges) >= c_armijo * step * gnorm2:
                 took = True
                 break
             step *= 0.5
@@ -109,14 +98,16 @@ def _descend_np(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             break
         pos = pos + delta
         accepted += 1
-        trace[accepted] = _net_length_np(pos, edges)
-        if _min_edge_np(pos, edges) < min_sep:
+        trace[accepted] = net_length(pos, edges)
+        if _min_edge(pos, edges) < min_sep:
             collided = True
             break
     return pos, accepted, converged, trace[: accepted + 1], collided
 
 
-def _balanced_masks_np(vecs: np.ndarray, tol: float) -> np.ndarray:
+def balanced_masks(vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Bit masks of the subsets of the rows of vecs that sum to within tol
+    of zero, in ascending order."""
     d = vecs.shape[0]
     total = 1 << d
     bits = np.int64(1) << np.arange(d, dtype=np.int64)
@@ -129,164 +120,3 @@ def _balanced_masks_np(vecs: np.ndarray, tol: float) -> np.ndarray:
         ok = (sums * sums).sum(axis=1) <= tol * tol
         hits.append(masks[ok])
     return np.concatenate(hits)
-
-
-# ---------------------------------------------------------------- numba ---
-
-def _residuals_sc(pos, edges):
-    out = np.zeros_like(pos)
-    for k in range(edges.shape[0]):
-        i = edges[k, 0]
-        j = edges[k, 1]
-        dx = pos[j, 0] - pos[i, 0]
-        dy = pos[j, 1] - pos[i, 1]
-        ln = np.sqrt(dx * dx + dy * dy)
-        ux = dx / ln
-        uy = dy / ln
-        out[i, 0] += ux
-        out[i, 1] += uy
-        out[j, 0] -= ux
-        out[j, 1] -= uy
-    return out
-
-
-def _net_length_sc(pos, edges):
-    total = 0.0
-    for k in range(edges.shape[0]):
-        i = edges[k, 0]
-        j = edges[k, 1]
-        dx = pos[j, 0] - pos[i, 0]
-        dy = pos[j, 1] - pos[i, 1]
-        total += np.sqrt(dx * dx + dy * dy)
-    return total
-
-
-def _min_edge_sc(pos, edges):
-    best = np.inf
-    for k in range(edges.shape[0]):
-        i = edges[k, 0]
-        j = edges[k, 1]
-        dx = pos[j, 0] - pos[i, 0]
-        dy = pos[j, 1] - pos[i, 1]
-        ln = np.sqrt(dx * dx + dy * dy)
-        if ln < best:
-            best = ln
-    return best
-
-
-def _decrease_sc(pos, delta, edges):
-    # See _decrease_np: same cancellation-free per-edge drop, w taken from
-    # the displacement field rather than candidate-minus-current positions.
-    total = 0.0
-    for k in range(edges.shape[0]):
-        i = edges[k, 0]
-        j = edges[k, 1]
-        ax = pos[j, 0] - pos[i, 0]
-        ay = pos[j, 1] - pos[i, 1]
-        wx = delta[j, 0] - delta[i, 0]
-        wy = delta[j, 1] - delta[i, 1]
-        la = np.sqrt(ax * ax + ay * ay)
-        bx = ax + wx
-        by = ay + wy
-        lb = np.sqrt(bx * bx + by * by)
-        total -= (2.0 * (ax * wx + ay * wy) + (wx * wx + wy * wy)) / (la + lb)
-    return total
-
-
-def _balanced_masks_sc(vecs, tol):
-    d = vecs.shape[0]
-    total = np.int64(1) << d
-    out = np.empty(total, dtype=np.int64)
-    cnt = 0
-    t2 = tol * tol
-    for mask in range(total):
-        sx = 0.0
-        sy = 0.0
-        for i in range(d):
-            if mask & (1 << i):
-                sx += vecs[i, 0]
-                sy += vecs[i, 1]
-        if sx * sx + sy * sy <= t2:
-            out[cnt] = mask
-            cnt += 1
-    return out[:cnt]
-
-
-def get_impls(backend: str) -> Dict[str, Callable]:
-    """Kernel table for an explicit backend name."""
-    if backend == "numpy":
-        return {
-            "residuals": _residuals_np,
-            "net_length": _net_length_np,
-            "descend": _descend_np,
-            "balanced_masks": _balanced_masks_np,
-        }
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        jit = numba.njit(cache=True)
-        res = jit(_residuals_sc)
-        length = jit(_net_length_sc)
-        min_edge = jit(_min_edge_sc)
-        decrease = jit(_decrease_sc)
-        masks = jit(_balanced_masks_sc)
-
-        @numba.njit(cache=True)
-        def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
-            pos = pos.copy()
-            trace = np.empty(max_iter + 1, dtype=np.float64)
-            trace[0] = length(pos, edges)
-            accepted = 0
-            converged = False
-            collided = False
-            nfree = free.shape[0]
-            while accepted < max_iter:
-                r = res(pos, edges)
-                res_inf = 0.0
-                gnorm2 = 0.0
-                for a in range(nfree):
-                    v = free[a]
-                    m2 = r[v, 0] * r[v, 0] + r[v, 1] * r[v, 1]
-                    gnorm2 += m2
-                    m = np.sqrt(m2)
-                    if m > res_inf:
-                        res_inf = m
-                if res_inf <= tol:
-                    converged = True
-                    break
-                step = step0
-                took = False
-                delta = np.zeros_like(pos)
-                for _ in range(_MAX_HALVINGS):
-                    for a in range(nfree):
-                        v = free[a]
-                        delta[v, 0] = step * r[v, 0]
-                        delta[v, 1] = step * r[v, 1]
-                    if decrease(pos, delta, edges) >= c_armijo * step * gnorm2:
-                        took = True
-                        break
-                    step *= 0.5
-                if not took:
-                    break
-                pos = pos + delta
-                accepted += 1
-                trace[accepted] = length(pos, edges)
-                if min_edge(pos, edges) < min_sep:
-                    collided = True
-                    break
-            return pos, accepted, converged, trace[: accepted + 1], collided
-
-        return {
-            "residuals": res,
-            "net_length": length,
-            "descend": descend,
-            "balanced_masks": masks,
-        }
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-_IMPL = get_impls(BACKEND)
-residuals = _IMPL["residuals"]
-net_length = _IMPL["net_length"]
-descend = _IMPL["descend"]
-balanced_masks = _IMPL["balanced_masks"]

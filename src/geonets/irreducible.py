@@ -22,8 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, VertexKind, edge_key, verify
-from .geom import unit_vector
+from .net import DEFAULT_TOL, Edge, Net, VertexKind, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -39,19 +38,13 @@ class SearchBudgetExceeded(RuntimeError):
     """Subnet search exceeded its node budget."""
 
 
-def _incident_unit_rows(net: Net, vid: str) -> Tuple[List[Edge], np.ndarray]:
-    v = net.vertex(vid)
-    incident = [edge_key(vid, w) for w in net.adjacency[vid]]
-    vecs = np.empty((len(incident), 2), dtype=np.float64)
-    for i, w in enumerate(net.adjacency[vid]):
-        u = unit_vector(v.pos, net.by_id[w].pos)
-        vecs[i, 0] = u.dx
-        vecs[i, 1] = u.dy
-    return incident, vecs
-
-
 def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray]:
-    incident, vecs = _incident_unit_rows(net, vid)
+    a = net.arrays
+    incident = list(net.incident_edges(vid))
+    rows = np.array([a.edge_index[e] for e in incident], dtype=np.int64)
+    # Rows point away from vid: flip the edges that end there.
+    sign = np.where(a.edges[rows, 0] == a.index[vid], 1.0, -1.0)
+    vecs = a.units[rows] * sign[:, None]
     if len(incident) > MAX_SUBSET_DEGREE:
         raise DegreeTooLarge(
             f"vertex {vid} has degree {len(incident)} > {MAX_SUBSET_DEGREE}"
@@ -135,7 +128,7 @@ class _Ctx:
 
     def __init__(self, net: Net, tol: float):
         self.edges: List[Edge] = list(net.edges)
-        self.eidx: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
+        self.eidx: Dict[Edge, int] = net.arrays.edge_index
         self.balanced: List[str] = [
             v.id for v in net.vertices if v.kind is VertexKind.BALANCED
         ]

@@ -11,12 +11,16 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from . import _kernels
 from .geom import (
     COINCIDENCE_EPS,
     PARAM_EPS,
     CollinearOverlap,
+    Disjoint,
     EndpointOnInterior,
     IntersectionKind,
     Point,
@@ -26,7 +30,6 @@ from .geom import (
     distance,
     intersect,
     rotate,
-    unit_vector,
 )
 
 Edge = Tuple[str, str]
@@ -39,6 +42,14 @@ DEFAULT_TOL = 1e-9
 
 class InvariantViolation(ValueError):
     """A net-level structural invariant is broken."""
+
+
+class CoincidentVertices(InvariantViolation):
+    """Two vertices lie within COINCIDENCE_EPS of each other."""
+
+    def __init__(self, a: str, b: str):
+        super().__init__(f"vertices {a} and {b} coincide within {COINCIDENCE_EPS}")
+        self.ids = (a, b)
 
 
 class UnknownVertex(KeyError):
@@ -102,9 +113,7 @@ class Net:
         for i, a in enumerate(verts):
             for b in verts[i + 1:]:
                 if distance(a.pos, b.pos) <= COINCIDENCE_EPS:
-                    raise InvariantViolation(
-                        f"vertices {a.id} and {b.id} coincide within {COINCIDENCE_EPS}"
-                    )
+                    raise CoincidentVertices(a.id, b.id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
@@ -119,6 +128,10 @@ class Net:
             adj[u].append(v)
             adj[v].append(u)
         return {k: tuple(sorted(vs)) for k, vs in adj.items()}
+
+    @cached_property
+    def arrays(self) -> "NetArrays":
+        return NetArrays.of(self)
 
     def vertex(self, vid: str) -> Vertex:
         try:
@@ -138,21 +151,59 @@ class Net:
         return Segment(self.vertex(e[0]).pos, self.vertex(e[1]).pos)
 
 
+@dataclass(frozen=True, eq=False)
+class NetArrays:
+    """Read-only index view of a net for the numeric kernels.
+
+    Row k of pos is net.vertices[k] and row i of edges and units is
+    net.edges[i]; units[i] points from edges[i, 0] toward edges[i, 1].
+    """
+
+    ids: Tuple[str, ...]
+    index: Dict[str, int]
+    edge_index: Dict[Edge, int]
+    pos: np.ndarray
+    edges: np.ndarray
+    free: np.ndarray
+    units: np.ndarray
+
+    @classmethod
+    def of(cls, net: Net) -> "NetArrays":
+        ids = tuple(v.id for v in net.vertices)
+        index = {vid: k for k, vid in enumerate(ids)}
+        pos = np.array([[v.pos.x, v.pos.y] for v in net.vertices], dtype=np.float64)
+        pos = pos.reshape(len(ids), 2)
+        edges = np.array([[index[u], index[v]] for u, v in net.edges], dtype=np.int64)
+        edges = edges.reshape(len(net.edges), 2)
+        free = np.array(
+            [k for k, v in enumerate(net.vertices) if v.kind is VertexKind.BALANCED],
+            dtype=np.int64,
+        )
+        units = _kernels.unit_vectors(pos, edges)
+        for a in (pos, edges, free, units):
+            a.setflags(write=False)
+        edge_index = {e: i for i, e in enumerate(net.edges)}
+        return cls(ids, index, edge_index, pos, edges, free, units)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """Balance residual of every vertex, row k for vertex k."""
+        res = _kernels.residuals(self.pos, self.edges)
+        res.setflags(write=False)
+        return res
+
+
 def balance_residual(net: Net, vid: str) -> Vec:
     """Sum of unit vectors along all edges leaving vid.
 
     Zero (within tolerance) exactly at balanced vertices of a valid net.
     """
-    v = net.vertex(vid)
-    nbrs = net.adjacency[vid]
-    if not nbrs:
+    net.vertex(vid)
+    if not net.adjacency[vid]:
         raise IsolatedVertex(f"vertex {vid} has no incident edges")
-    sx = sy = 0.0
-    for w in nbrs:
-        u = unit_vector(v.pos, net.by_id[w].pos)
-        sx += u.dx
-        sy += u.dy
-    return (sx, sy)
+    a = net.arrays
+    rx, ry = a.residuals[a.index[vid]]
+    return (float(rx), float(ry))
 
 
 def _connected(net: Net) -> bool:
@@ -195,29 +246,26 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     relaxes it to 1 because collinear pass-through vertices of degree 2
     are legitimate there (their residual check still applies).
     """
+    a = net.arrays
+    res = a.residuals
     residuals: Dict[str, float] = {}
     degree_violations: List[Tuple[str, int]] = []
-    for v in net.vertices:
-        if v.kind is not VertexKind.BALANCED:
-            continue
-        deg = len(net.adjacency[v.id])
+    for k in a.free:
+        vid = a.ids[k]
+        deg = len(net.adjacency[vid])
         if deg < min_balanced_degree:
-            degree_violations.append((v.id, deg))
+            degree_violations.append((vid, deg))
         if deg >= 1:
-            rx, ry = balance_residual(net, v.id)
-            residuals[v.id] = math.hypot(rx, ry)
+            residuals[vid] = math.hypot(res[k, 0], res[k, 1])
     max_residual = max(residuals.values(), default=0.0)
 
     overlay_findings: List[Tuple[Edge, Edge, IntersectionKind]] = []
     unplanarized: List[Tuple[Edge, Edge, Point]] = []
-    for i, e1 in enumerate(net.edges):
-        s1 = net.segment(e1)
-        for e2 in net.edges[i + 1:]:
-            kind = intersect(s1, net.segment(e2))
-            if isinstance(kind, CollinearOverlap):
-                overlay_findings.append((e1, e2, kind))
-            elif isinstance(kind, (ProperCrossing, EndpointOnInterior)):
-                unplanarized.append((e1, e2, kind.point))
+    for e1, e2, kind in _segment_pairs(net):
+        if isinstance(kind, CollinearOverlap):
+            overlay_findings.append((e1, e2, kind))
+        elif isinstance(kind, (ProperCrossing, EndpointOnInterior)):
+            unplanarized.append((e1, e2, kind.point))
 
     unb_unb = [
         e
@@ -245,6 +293,18 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
         connected=connected,
         passed=passed,
     )
+
+
+def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
+    """Every pair of edges that meet, as (e1, e2, kind) with e1 before e2
+    in net.edges, in lexicographic order of the pair. Tests all pairs."""
+    edges = net.edges
+    segs = [net.segment(e) for e in edges]
+    for i, s1 in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            kind = intersect(s1, segs[j])
+            if not isinstance(kind, Disjoint):
+                yield edges[i], edges[j], kind
 
 
 def _interior_param(seg: Segment, pt: Point) -> Optional[float]:
@@ -298,16 +358,13 @@ def planarize(net: Net, eps: float = COINCIDENCE_EPS) -> Net:
         if t is not None:
             edge_cuts.setdefault(e, {}).setdefault(ci, t)
 
-    for i, e1 in enumerate(net.edges):
-        s1 = net.segment(e1)
-        for e2 in net.edges[i + 1:]:
-            kind = intersect(s1, net.segment(e2))
-            if isinstance(kind, CollinearOverlap):
-                raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
-            if isinstance(kind, (ProperCrossing, EndpointOnInterior)):
-                ci = register(kind.point)
-                cut(e1, ci)
-                cut(e2, ci)
+    for e1, e2, kind in _segment_pairs(net):
+        if isinstance(kind, CollinearOverlap):
+            raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
+        if isinstance(kind, (ProperCrossing, EndpointOnInterior)):
+            ci = register(kind.point)
+            cut(e1, ci)
+            cut(e2, ci)
 
     if not edge_cuts:
         return net
@@ -373,13 +430,11 @@ def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
     """Materialize an edge subset as a net; vertices incident to no chosen
     edge are dropped."""
     chosen = {edge_key(*e) for e in edges}
+    parent = set(net.edges)
     for e in chosen:
-        if e not in set(net.edges):
+        if e not in parent:
             raise InvariantViolation(f"edge {e} is not in the parent net")
     keep = {u for e in chosen for u in e}
     verts = [v for v in net.vertices if v.id in keep]
     return Net(verts, sorted(chosen))
 
-
-def total_edge_length(net: Net) -> float:
-    return sum(net.segment(e).length() for e in net.edges)

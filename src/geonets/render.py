@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from html import escape
 from typing import Iterable, List, Sequence, Tuple
 
 from .net import Edge, Net, VertexKind, edge_key
@@ -86,7 +87,7 @@ def render_svg(
             out.append(
                 f'  <text x="{_fmt(sx(v.pos.x) + r + 2.0)}" '
                 f'y="{_fmt(sy(v.pos.y) - r - 2.0)}" '
-                f'font-family="monospace" font-size="11">{text}</text>'
+                f'font-family="monospace" font-size="11">{escape(text, quote=False)}</text>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -10,13 +10,13 @@ the balanced configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .geom import COINCIDENCE_EPS, Point, Vec, distance
-from .net import Net, Vertex, VertexKind
+from .geom import COINCIDENCE_EPS, Point, Vec
+from .net import CoincidentVertices, Net, Vertex
 
 _ARMIJO_C = 1e-4
 
@@ -34,24 +34,9 @@ class RelaxResult:
     length_trace: Tuple[float, ...]
 
 
-def _arrays(net: Net) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
-    ids = [v.id for v in net.vertices]
-    index = {vid: k for k, vid in enumerate(ids)}
-    pos = np.array([[v.pos.x, v.pos.y] for v in net.vertices], dtype=np.float64)
-    if net.edges:
-        edges = np.array([[index[u], index[v]] for u, v in net.edges], dtype=np.int64)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    free = np.array(
-        [k for k, v in enumerate(net.vertices) if v.kind is VertexKind.BALANCED],
-        dtype=np.int64,
-    )
-    return ids, pos, edges, free
-
-
 def total_length(net: Net) -> float:
-    _, pos, edges, _ = _arrays(net)
-    return float(_kernels.net_length(pos, edges))
+    a = net.arrays
+    return float(_kernels.net_length(a.pos, a.edges))
 
 
 def length_gradient(net: Net) -> Dict[str, Vec]:
@@ -60,9 +45,9 @@ def length_gradient(net: Net) -> Dict[str, Vec]:
     Equals the negated balance residual; isolated balanced vertices get a
     zero gradient.
     """
-    ids, pos, edges, free = _arrays(net)
-    res = _kernels.residuals(pos, edges)
-    return {ids[k]: (-float(res[k, 0]), -float(res[k, 1])) for k in free}
+    a = net.arrays
+    res = a.residuals
+    return {a.ids[k]: (-float(res[k, 0]), -float(res[k, 1])) for k in a.free}
 
 
 def moved(net: Net, vid: str, pos: Point) -> Net:
@@ -99,9 +84,9 @@ def relax(
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 
-    ids, pos, edges, free = _arrays(net)
+    a = net.arrays
     out_pos, accepted, converged, trace, collided = _kernels.descend(
-        pos, free, edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
+        a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
     if collided:
         raise VertexCollision(
@@ -112,18 +97,14 @@ def relax(
         Vertex(v.id, Point(float(out_pos[k, 0]), float(out_pos[k, 1])), v.kind, v.label)
         for k, v in enumerate(net.vertices)
     ]
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if distance(verts[i].pos, verts[j].pos) <= COINCIDENCE_EPS:
-                raise VertexCollision(
-                    f"vertices {verts[i].id} and {verts[j].id} collided"
-                )
-    result_net = Net(verts, net.edges)
+    try:
+        result_net = Net(verts, net.edges)
+    except CoincidentVertices as exc:
+        u, v = exc.ids
+        raise VertexCollision(f"vertices {u} and {v} collided") from None
 
-    res = _kernels.residuals(out_pos, edges)
-    final = 0.0
-    for k in free:
-        final = max(final, float(np.hypot(res[k, 0], res[k, 1])))
+    res = _kernels.residuals(out_pos, a.edges)[a.free]
+    final = float(np.hypot(res[:, 0], res[:, 1]).max(initial=0.0))
     return RelaxResult(
         net=result_net,
         final_residual=final,

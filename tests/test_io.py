@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -164,6 +165,20 @@ def test_render_labels(paper_net):
     svg = render_svg(paper_net, show_labels=True)
     assert svg.count("<text ") == 20
     assert ">a1</text>" in svg
+
+
+def test_render_labels_escape_markup():
+    net = Net(
+        vertices=(
+            Vertex("a<&", Point(0.0, 0.0), U),
+            Vertex("b", Point(1.0, 0.0), U, "x & y"),
+            Vertex("f", Point(0.5, 0.5), B, "<m>"),
+        ),
+        edges=(("a<&", "f"), ("f", "b")),
+    )
+    root = ET.fromstring(render_svg(net, show_labels=True))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a<&", "x & y", "<m>"]
 
 
 def test_render_distinguishes_vertex_kinds():

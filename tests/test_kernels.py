@@ -1,15 +1,9 @@
-import itertools
 import math
-import os
-import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from geonets import _kernels
-from geonets.solver import _arrays
 
 
 def _random_arrays(seed):
@@ -26,76 +20,39 @@ def _random_arrays(seed):
     return pos, edges, free
 
 
-@pytest.fixture(scope="module")
-def impls():
-    both = {"numpy": _kernels.get_impls("numpy")}
-    if _kernels.HAS_NUMBA:
-        both["numba"] = _kernels.get_impls("numba")
-    return both
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernels.get_impls("cuda")
-
-
-def test_residuals_and_length_agree_across_backends(impls):
-    if len(impls) < 2:
-        pytest.skip("numba unavailable")
-    for seed in range(20):
-        pos, edges, _ = _random_arrays(seed)
-        r_np = impls["numpy"]["residuals"](pos, edges)
-        r_nb = impls["numba"]["residuals"](pos, edges)
-        assert np.allclose(r_np, r_nb, atol=1e-14)
-        l_np = impls["numpy"]["net_length"](pos, edges)
-        l_nb = impls["numba"]["net_length"](pos, edges)
-        assert l_np == pytest.approx(l_nb, rel=1e-14)
-
-
-def test_residuals_match_direct_sum(impls):
+def test_residuals_match_direct_sum():
     pos = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]])
     edges = np.array([[0, 1], [0, 2]], dtype=np.int64)
-    for impl in impls.values():
-        r = impl["residuals"](pos, edges)
-        assert r[0] == pytest.approx([0.6, 0.8 + 1.0])
-        assert r[1] == pytest.approx([-0.6, -0.8])
-        assert r[2] == pytest.approx([0.0, -1.0])
+    r = _kernels.residuals(pos, edges)
+    assert r[0] == pytest.approx([0.6, 0.8 + 1.0])
+    assert r[1] == pytest.approx([-0.6, -0.8])
+    assert r[2] == pytest.approx([0.0, -1.0])
 
 
-def test_descend_backends_agree(impls, paper_net):
-    if len(impls) < 2:
-        pytest.skip("numba unavailable")
-    rng = random.Random(9)
-    from geonets import Point, VertexKind
-    from geonets.solver import moved
-
-    net = paper_net
-    for v in paper_net.vertices:
-        if v.kind is VertexKind.BALANCED:
-            net = moved(
-                net, v.id, Point(v.pos.x + rng.uniform(-0.01, 0.01), v.pos.y + rng.uniform(-0.01, 0.01))
-            )
-    _, pos, edges, free = _arrays(net)
-    args = (free, edges, 0.1, 1e-9, 1e-4, 100_000, 1e-9)
-    p1, it1, conv1, tr1, c1 = impls["numpy"]["descend"](pos.copy(), *args)
-    p2, it2, conv2, tr2, c2 = impls["numba"]["descend"](pos.copy(), *args)
-    assert conv1 and conv2
-    assert it1 == it2
-    assert not c1 and not c2
-    assert np.abs(p1 - p2).max() < 1e-12
-    assert np.abs(np.asarray(tr1) - np.asarray(tr2)).max() < 1e-10
+def test_residuals_and_length_match_per_edge_sums():
+    for seed in range(20):
+        pos, edges, _ = _random_arrays(seed)
+        expected = np.zeros_like(pos)
+        length = 0.0
+        for i, j in edges:
+            d = pos[j] - pos[i]
+            ln = math.hypot(d[0], d[1])
+            expected[i] += d / ln
+            expected[j] -= d / ln
+            length += ln
+        assert np.allclose(_kernels.residuals(pos, edges), expected, rtol=0.0, atol=1e-14)
+        assert _kernels.net_length(pos, edges) == pytest.approx(length, rel=1e-14)
 
 
-def test_descend_is_deterministic(impls, paper_net):
-    _, pos, edges, free = _arrays(paper_net)
-    for impl in impls.values():
-        a = impl["descend"](pos.copy(), free, edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
-        b = impl["descend"](pos.copy(), free, edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(np.asarray(a[3]), np.asarray(b[3]))
+def test_descend_is_deterministic(paper_net):
+    arr = paper_net.arrays
+    a = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
+    b = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(np.asarray(a[3]), np.asarray(b[3]))
 
 
-def test_balanced_masks_match_brute_force(impls):
+def test_balanced_masks_match_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(10):
         d = int(rng.integers(1, 9))
@@ -109,26 +66,5 @@ def test_balanced_masks_match_brute_force(impls):
             s = vecs[[i for i in range(d) if mask & (1 << i)]].sum(axis=0) if mask else np.zeros(2)
             if math.hypot(*s) <= tol:
                 expected.append(mask)
-        for impl in impls.values():
-            got = sorted(int(m) for m in impl["balanced_masks"](vecs, tol))
-            assert got == expected
-
-
-def test_env_var_selects_backend():
-    code = "import geonets._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, GEONETS_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown_backend():
-    code = "import geonets._kernels"
-    env = dict(os.environ, GEONETS_BACKEND="gpu")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-    assert "GEONETS_BACKEND" in out.stderr
+        got = sorted(int(m) for m in _kernels.balanced_masks(vecs, tol))
+        assert got == expected

@@ -19,7 +19,7 @@ from geonets import (
     relabeled,
     verify,
 )
-from geonets.net import total_edge_length
+from geonets.solver import total_length
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -82,6 +82,49 @@ def test_net_lookups():
     assert net.adjacency["p1"] == ("p3",)
 
 
+def test_arrays_view_is_lazy_cached_and_read_only():
+    net = Net(
+        vertices=(_v("b", 3, 4), _v("a", 0, 0, B), _v("c", 0, 2, B)),
+        edges=(("b", "a"), ("a", "c")),
+    )
+    assert "arrays" not in net.__dict__
+    a = net.arrays
+    assert net.arrays is a
+    assert a.ids == ("a", "b", "c")
+    assert a.index == {"a": 0, "b": 1, "c": 2}
+    assert a.pos.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]]
+    assert [tuple(a.ids[k] for k in row) for row in a.edges.tolist()] == list(net.edges)
+    assert a.edge_index == {("a", "b"): 0, ("a", "c"): 1}
+    assert a.free.tolist() == [0, 2]
+    assert a.units.ravel().tolist() == pytest.approx([0.6, 0.8, 0.0, 1.0])
+    for arr in (a.pos, a.edges, a.free, a.units, a.residuals):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_arrays_view_of_empty_net():
+    a = Net(vertices=(), edges=()).arrays
+    assert a.pos.shape == (0, 2) and a.edges.shape == (0, 2) and a.units.shape == (0, 2)
+
+
+def test_segment_pairs_yield_meeting_pairs_in_order():
+    from geonets.geom import AtSharedEndpoint, Disjoint, ProperCrossing
+    from geonets.net import _segment_pairs
+
+    net = Net(
+        vertices=x_net().vertices + (_v("q", 5, 5),),
+        edges=x_net().edges + (("p3", "q"),),
+    )
+    pairs = list(_segment_pairs(net))
+    assert [(e1, e2) for e1, e2, _ in pairs] == [
+        (("p1", "p3"), ("p2", "p4")),
+        (("p1", "p3"), ("p3", "q")),
+    ]
+    assert isinstance(pairs[0][2], ProperCrossing)
+    assert isinstance(pairs[1][2], AtSharedEndpoint)
+    assert not any(isinstance(k, Disjoint) for _, _, k in pairs)
+
+
 def test_balance_residual_degree_one_is_unit():
     net = Net(
         vertices=(_v("a", 0, 0, B), _v("b", 3, 4)),
@@ -105,6 +148,22 @@ def test_balance_residual_isolated_vertex_raises():
     net = Net(vertices=(_v("a", 0, 0, B), _v("b", 1, 0), _v("c", 2, 0)), edges=(("b", "c"),))
     with pytest.raises(IsolatedVertex):
         balance_residual(net, "a")
+    with pytest.raises(UnknownVertex):
+        balance_residual(net, "zz")
+
+
+def test_balance_residual_matches_unit_vector_loop(paper_net, overlay_net):
+    from geonets import unit_vector
+
+    # Sums of at most 6 unit vectors, added in another order: a few ulp.
+    for net in (paper_net, overlay_net):
+        for v in net.vertices:
+            sx = sy = 0.0
+            for w in net.adjacency[v.id]:
+                u = unit_vector(v.pos, net.vertex(w).pos)
+                sx += u.dx
+                sy += u.dy
+            assert balance_residual(net, v.id) == pytest.approx((sx, sy), rel=0.0, abs=1e-14)
 
 
 def test_removing_one_edge_leaves_unit_residual(paper_net):
@@ -312,4 +371,4 @@ def test_total_edge_length():
         vertices=(_v("a", 0, 0), _v("b", 3, 4), _v("c", 3, 0)),
         edges=(("a", "b"), ("b", "c")),
     )
-    assert total_edge_length(net) == pytest.approx(9.0)
+    assert total_length(net) == pytest.approx(9.0)

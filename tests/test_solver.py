@@ -185,6 +185,16 @@ def test_relax_raises_on_edge_collapse():
         relax(net, step=0.5)
 
 
+def test_relax_raises_when_unjoined_vertices_meet():
+    # m and n share both pins but no edge: each relaxes onto the segment a-b
+    net = Net(
+        vertices=(_v("a", 0.0, -1.0), _v("b", 0.0, 1.0), _v("m", 0.1, 0.0, B), _v("n", -0.1, 0.0, B)),
+        edges=(("a", "m"), ("m", "b"), ("a", "n"), ("n", "b")),
+    )
+    with pytest.raises(VertexCollision, match="vertices m and n collided"):
+        relax(net)
+
+
 def test_relax_result_is_a_new_net(paper_net):
     start = moved(paper_net, "x1", Point(0.81, 0.80))
     result = relax(start)
