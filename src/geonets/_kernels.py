@@ -63,60 +63,90 @@ def _decrease(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
     return float((num / (la + lb)).sum())
 
 
-def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
-    """Armijo gradient descent on total length over the rows in free.
+def _backtrack(pos, free, edges, rf, gnorm2, step, c_armijo):
+    """Halve step until the Armijo sufficient-decrease test holds.
 
-    Returns (positions, accepted steps, converged, length trace, collided).
+    Returns (displacement or None, failed tests), None after _MAX_HALVINGS
+    failures.
+    """
+    delta = np.zeros_like(pos)
+    for failed in range(_MAX_HALVINGS):
+        delta[free] = step * rf
+        if _decrease(pos, delta, edges) >= c_armijo * step * gnorm2:
+            return delta, failed
+        step *= 0.5
+    return None, _MAX_HALVINGS
+
+
+def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
+    """Gradient descent on total length over the rows in free, with
+    Barzilai-Borwein trial steps under a monotone Armijo test.
+
+    The trial step is BB1, s.s / s.y, with s the last accepted displacement
+    of the free rows and y the change in the gradient (minus the residual)
+    over it; step0 on the first iteration and whenever s.y <= 0. The Armijo
+    test backtracks from the trial step by halving; if every halving fails
+    from a BB step, the ladder is tried once more from step0. The length
+    trace over accepted iterates is therefore non-increasing.
+
+    Returns (positions, accepted steps, converged, length trace, collided,
+    stop reason, halvings). The stop reason is "converged" (largest free
+    residual at most tol), "stalled" (no acceptable step from step0),
+    "max_iter" or "collided" (an edge got shorter than min_sep); halvings
+    counts every failed Armijo test.
     """
     pos = pos.copy()
-    trace = np.empty(max_iter + 1, dtype=np.float64)
-    trace[0] = net_length(pos, edges)
-    accepted = 0
-    converged = False
-    collided = False
-    while accepted < max_iter:
-        r = residuals(pos, edges)
-        rf = r[free]
-        if rf.size == 0:
-            converged = True
+    trace = [net_length(pos, edges)]
+    accepted = halvings = 0
+    s = r_prev = None
+    while True:
+        rf = residuals(pos, edges)[free]
+        if rf.size == 0 or float(np.sqrt((rf * rf).sum(axis=1)).max()) <= tol:
+            stop = "converged"
             break
-        res_inf = float(np.sqrt((rf * rf).sum(axis=1)).max())
-        if res_inf <= tol:
-            converged = True
+        if accepted >= max_iter:
+            stop = "max_iter"
             break
+        trial = step0
+        if s is not None:
+            sy = float((s * (r_prev - rf)).sum())
+            if sy > 0.0:
+                trial = float((s * s).sum()) / sy
         gnorm2 = float((rf * rf).sum())
-        step = step0
-        took = False
-        delta = np.zeros_like(pos)
-        for _ in range(_MAX_HALVINGS):
-            delta[free] = step * rf
-            if _decrease(pos, delta, edges) >= c_armijo * step * gnorm2:
-                took = True
-                break
-            step *= 0.5
-        if not took:
+        delta, failed = _backtrack(pos, free, edges, rf, gnorm2, trial, c_armijo)
+        halvings += failed
+        if delta is None and trial != step0:
+            delta, failed = _backtrack(pos, free, edges, rf, gnorm2, step0, c_armijo)
+            halvings += failed
+        if delta is None:
+            stop = "stalled"
             break
         pos = pos + delta
+        s, r_prev = delta[free], rf
         accepted += 1
-        trace[accepted] = net_length(pos, edges)
+        trace.append(net_length(pos, edges))
         if _min_edge(pos, edges) < min_sep:
-            collided = True
+            stop = "collided"
             break
-    return pos, accepted, converged, trace[: accepted + 1], collided
+    return pos, accepted, stop == "converged", trace, stop == "collided", stop, halvings
+
+
+def subset_sums(masks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Sum of the rows of vecs selected by each bit mask, one row per mask."""
+    bits = np.int64(1) << np.arange(vecs.shape[0], dtype=np.int64)
+    sel = (masks[:, None] & bits[None, :]) != 0
+    return sel.astype(np.float64) @ vecs
 
 
 def balanced_masks(vecs: np.ndarray, tol: float) -> np.ndarray:
     """Bit masks of the subsets of the rows of vecs that sum to within tol
     of zero, in ascending order."""
-    d = vecs.shape[0]
-    total = 1 << d
-    bits = np.int64(1) << np.arange(d, dtype=np.int64)
+    total = 1 << vecs.shape[0]
     chunk = min(total, 1 << 18)
     hits = []
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        sel = (masks[:, None] & bits[None, :]) != 0
-        sums = sel.astype(np.float64) @ vecs
+        sums = subset_sums(masks, vecs)
         ok = (sums * sums).sum(axis=1) <= tol * tol
         hits.append(masks[ok])
     return np.concatenate(hits)

@@ -128,7 +128,7 @@ def _cmd_relax(args: argparse.Namespace) -> int:
     summary = (
         f"converged={result.converged} iterations={result.iterations} "
         f"final_residual={result.final_residual:.3e} "
-        f"length={result.length_trace[-1]:.12g}"
+        f"length={result.length_trace[-1]:.12g} stop={result.stop_reason}"
     )
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:

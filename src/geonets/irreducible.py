@@ -49,27 +49,25 @@ def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray]:
         raise DegreeTooLarge(
             f"vertex {vid} has degree {len(incident)} > {MAX_SUBSET_DEGREE}"
         )
-    masks = _kernels.balanced_masks(vecs, tol)
+    # One enumeration at 10*tol; the subsets at tol and both warnings come
+    # from the same sums.
     loose = _kernels.balanced_masks(vecs, tol * 10.0)
-    if len(loose) != len(masks):
+    sums = _kernels.subset_sums(loose, vecs)
+    norm2 = (sums * sums).sum(axis=1)
+    ok = norm2 <= tol * tol
+    masks = loose[ok]
+    if len(masks) != len(loose):
         warnings.warn(
             f"vertex {vid}: {len(loose) - len(masks)} edge subsets have residual "
             f"between tol and 10*tol; the subset list is tolerance-sensitive",
             stacklevel=3,
         )
-    for m in masks:
-        sx = sy = 0.0
-        for i in range(len(incident)):
-            if m & (1 << i):
-                sx += vecs[i, 0]
-                sy += vecs[i, 1]
-        if (sx * sx + sy * sy) > (tol * 0.1) ** 2:
-            warnings.warn(
-                f"vertex {vid}: a balanced subset has residual above tol/10; "
-                f"the subset list is tolerance-sensitive",
-                stacklevel=3,
-            )
-            break
+    if (norm2[ok] > (tol * 0.1) ** 2).any():
+        warnings.warn(
+            f"vertex {vid}: a balanced subset has residual above tol/10; "
+            f"the subset list is tolerance-sensitive",
+            stacklevel=3,
+        )
     return incident, masks
 
 

@@ -3,8 +3,8 @@
 The total edge length of a net, viewed as a function of the balanced
 vertex positions with pins held fixed, has gradient equal to minus the
 balance residual at each balanced vertex. Relaxation runs gradient
-descent with a backtracking line search, so critical points are exactly
-the balanced configurations.
+descent with Barzilai-Borwein step lengths under a monotone backtracking
+line search, so critical points are exactly the balanced configurations.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ class RelaxResult:
     iterations: int
     converged: bool
     length_trace: Tuple[float, ...]
+    stop_reason: str  # "converged", "stalled" or "max_iter"
+    halvings: int  # backtracking halvings over the whole descent
 
 
 def total_length(net: Net) -> float:
@@ -69,13 +71,18 @@ def relax(
 ) -> RelaxResult:
     """Gradient descent on total length over the balanced vertices.
 
-    Each iteration moves all balanced vertices along their residuals,
-    backtracking from the base step until the Armijo sufficient-decrease
-    test holds. Stops when the largest residual is at most tol
-    (converged), when no acceptable step exists (stalled), or after
-    max_iter accepted steps. The length trace over accepted iterates is
-    non-increasing. Raises VertexCollision if the descent path collapses
-    an edge.
+    Each iteration moves all balanced vertices along their residuals. The
+    trial step is the Barzilai-Borwein step s.s / s.y from the last
+    accepted move (s the change in positions, y the change in gradient);
+    `step` is the trial step on the first iteration, whenever s.y <= 0,
+    and as a fallback when backtracking from the BB step fails. The step
+    is halved until the Armijo sufficient-decrease test holds.
+
+    Stops when the largest residual is at most tol ("converged"), when no
+    acceptable step exists from `step` ("stalled"), or after max_iter
+    accepted steps ("max_iter"); the reason is the result's stop_reason.
+    The length trace over accepted iterates is non-increasing. Raises
+    VertexCollision if the descent path collapses an edge.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -85,7 +92,7 @@ def relax(
         raise ValueError("max_iter must be nonnegative")
 
     a = net.arrays
-    out_pos, accepted, converged, trace, collided = _kernels.descend(
+    out_pos, accepted, converged, trace, collided, stop, halvings = _kernels.descend(
         a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
     if collided:
@@ -110,5 +117,7 @@ def relax(
         final_residual=final,
         iterations=int(accepted),
         converged=bool(converged),
-        length_trace=tuple(float(t) for t in trace),
+        length_trace=tuple(trace),
+        stop_reason=stop,
+        halvings=int(halvings),
     )

@@ -153,6 +153,7 @@ def test_relax_writes_summary_and_outputs(tmp_path, capsys):
     assert code == 0
     assert "converged=True" in stdout
     assert "final_residual=" in stdout
+    assert stdout.rstrip().endswith(" stop=converged")
     relaxed = load(str(out))
     assert len(relaxed.vertices) == 20
     trace = json.loads(trace_out.read_text())
@@ -173,6 +174,7 @@ def test_relax_respects_max_iter(tmp_path, capsys):
     assert code == 0
     assert "converged=False" in stderr
     assert "iterations=3" in stderr
+    assert "stop=max_iter" in stderr
 
 
 # --- fermat ------------------------------------------------------------------

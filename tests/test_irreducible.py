@@ -71,6 +71,30 @@ def test_subsets_at_triple_crossing(paper_net):
     assert sizes == [0, 2, 2, 2, 4, 4, 4, 6]
 
 
+@pytest.mark.parametrize(
+    "drift, message",
+    [
+        (5e-9, r"2 edge subsets have residual between tol and 10\*tol"),
+        (5e-10, r"a balanced subset has residual above tol/10"),
+    ],
+)
+def test_tolerance_sensitive_subsets_warn(drift, message):
+    # e and w are opposite up to `drift`; n and s are exactly opposite
+    net = Net(
+        vertices=(
+            _v("c", 0, 0, B), _v("e", 1, 0), _v("w", -1, drift), _v("n", 0, 1), _v("s", 0, -1),
+        ),
+        edges=(("c", "e"), ("c", "w"), ("c", "n"), ("c", "s")),
+    )
+    with pytest.warns(UserWarning, match=message) as record:
+        subs = balanced_edge_subsets(net, "c", tol=1e-9)
+    assert len(record) == 1
+    ew = frozenset({("c", "e"), ("c", "w")})
+    ns = frozenset({("c", "n"), ("c", "s")})
+    expected = {frozenset(), ns} if drift > 1e-9 else {frozenset(), ew, ns, ew | ns}
+    assert {frozenset(sub) for sub in subs} == expected
+
+
 def test_subsets_at_crossing_of_two_chords():
     net = planarized_x_net()
     subs = balanced_edge_subsets(net, "x1")

@@ -52,6 +52,18 @@ def test_descend_is_deterministic(paper_net):
     assert np.array_equal(np.asarray(a[3]), np.asarray(b[3]))
 
 
+def test_descend_reports_a_stall(tripod_net):
+    arr = tripod_net.arrays
+    pos = arr.pos.copy()
+    pos[arr.free] += 0.3
+    # no step can decrease the length by a million times the first-order model
+    out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 1e6, 100, 1e-9)
+    _, accepted, converged, trace, collided, stop, halvings = out
+    assert (accepted, converged, collided, stop) == (0, False, False, "stalled")
+    assert halvings == 60
+    assert len(trace) == 1
+
+
 def test_balanced_masks_match_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(10):

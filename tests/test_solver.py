@@ -114,6 +114,15 @@ def test_relax_validates_parameters(tripod_net):
     probe = relax(moved(tripod_net, "f", Point(2.0, 2.0)), max_iter=0)
     assert probe.iterations == 0
     assert not probe.converged
+    assert probe.stop_reason == "max_iter"
+    assert relax(tripod_net, max_iter=0).stop_reason == "converged"
+
+
+def test_relax_stops_at_max_iter(tripod_net):
+    result = relax(moved(tripod_net, "f", Point(2.0, 2.0)), max_iter=3)
+    assert result.iterations == 3
+    assert not result.converged
+    assert result.stop_reason == "max_iter"
 
 
 def test_relax_finds_the_fermat_point(tripod_net):
@@ -128,9 +137,17 @@ def test_relax_finds_the_fermat_point(tripod_net):
 def test_relax_at_critical_point_takes_no_steps(paper_net):
     result = relax(paper_net)
     assert result.converged
+    assert result.stop_reason == "converged"
     assert result.iterations == 0
+    assert result.halvings == 0
     assert len(result.length_trace) == 1
     assert result.net.vertices == paper_net.vertices
+
+
+def test_relax_does_not_size_buffers_from_max_iter(paper_net):
+    result = relax(paper_net, max_iter=10**12)
+    assert result.converged
+    assert result.iterations == 0
 
 
 def test_relax_straightens_a_bent_chain():
@@ -145,14 +162,18 @@ def test_relax_straightens_a_bent_chain():
     assert -2 < m.x < 2
 
 
-def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
-    rng = random.Random(5)
-    start = paper_net
-    for v in paper_net.vertices:
+def _perturbed(net, seed, amplitude):
+    rng = random.Random(seed)
+    out = net
+    for v in net.vertices:
         if v.kind is B:
-            start = moved(
-                start, v.id, Point(v.pos.x + rng.uniform(-0.01, 0.01), v.pos.y + rng.uniform(-0.01, 0.01))
-            )
+            dx, dy = rng.uniform(-amplitude, amplitude), rng.uniform(-amplitude, amplitude)
+            out = moved(out, v.id, Point(v.pos.x + dx, v.pos.y + dy))
+    return out
+
+
+def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
+    start = _perturbed(paper_net, 5, 0.01)
     result = relax(start)
     assert result.converged
     assert result.final_residual < 1e-9
@@ -163,6 +184,16 @@ def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
     assert len(trace) == result.iterations + 1
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     assert trace[-1] <= trace[0]
+
+
+@pytest.mark.parametrize("seed, amplitude", [(3, 0.01), (5, 0.01), (7, 0.014)])
+def test_relax_perturbed_paper_net_in_few_iterations(paper_net, seed, amplitude):
+    result = relax(_perturbed(paper_net, seed, amplitude))
+    assert result.stop_reason == "converged"
+    assert result.iterations < 1500
+    assert result.length_trace[-1] == pytest.approx(78.430195551969, rel=1e-12)
+    trace = result.length_trace
+    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 def test_relax_raises_on_edge_collapse():
