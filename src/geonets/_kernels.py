@@ -66,16 +66,17 @@ def _decrease(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
 def _backtrack(pos, free, edges, rf, gnorm2, step, c_armijo):
     """Halve step until the Armijo sufficient-decrease test holds.
 
-    Returns (displacement or None, failed tests), None after _MAX_HALVINGS
-    failures.
+    Returns (displacement, decrease in total length, failed tests); the
+    displacement is None after _MAX_HALVINGS failures.
     """
     delta = np.zeros_like(pos)
     for failed in range(_MAX_HALVINGS):
         delta[free] = step * rf
-        if _decrease(pos, delta, edges) >= c_armijo * step * gnorm2:
-            return delta, failed
+        dec = _decrease(pos, delta, edges)
+        if dec >= c_armijo * step * gnorm2:
+            return delta, dec, failed
         step *= 0.5
-    return None, _MAX_HALVINGS
+    return None, 0.0, _MAX_HALVINGS
 
 
 def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
@@ -86,12 +87,14 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     of the free rows and y the change in the gradient (minus the residual)
     over it; step0 on the first iteration and whenever s.y <= 0. The Armijo
     test backtracks from the trial step by halving; if every halving fails
-    from a BB step, the ladder is tried once more from step0. The length
-    trace over accepted iterates is therefore non-increasing.
+    from a BB step, the ladder is tried once more from step0. Each trace
+    entry is the previous one minus the decrease the Armijo test accepted,
+    so the length trace over accepted iterates never rises.
 
-    Returns (positions, accepted steps, converged, length trace, collided,
-    stop reason, halvings). The stop reason is "converged" (largest free
-    residual at most tol), "stalled" (no acceptable step from step0),
+    Returns (positions, accepted steps, length trace, stop reason,
+    halvings). The stop reason is "converged" (largest free residual at
+    most tol), "stalled" (no acceptable step from step0, or an accepted
+    step too small to change any position, which is not counted),
     "max_iter" or "collided" (an edge got shorter than min_sep); halvings
     counts every failed Armijo test.
     """
@@ -113,22 +116,23 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             if sy > 0.0:
                 trial = float((s * s).sum()) / sy
         gnorm2 = float((rf * rf).sum())
-        delta, failed = _backtrack(pos, free, edges, rf, gnorm2, trial, c_armijo)
+        delta, dec, failed = _backtrack(pos, free, edges, rf, gnorm2, trial, c_armijo)
         halvings += failed
         if delta is None and trial != step0:
-            delta, failed = _backtrack(pos, free, edges, rf, gnorm2, step0, c_armijo)
+            delta, dec, failed = _backtrack(pos, free, edges, rf, gnorm2, step0, c_armijo)
             halvings += failed
-        if delta is None:
+        moved = None if delta is None else pos + delta
+        if moved is None or np.array_equal(moved, pos):
             stop = "stalled"
             break
-        pos = pos + delta
+        pos = moved
         s, r_prev = delta[free], rf
         accepted += 1
-        trace.append(net_length(pos, edges))
+        trace.append(trace[-1] - dec)
         if _min_edge(pos, edges) < min_sep:
             stop = "collided"
             break
-    return pos, accepted, stop == "converged", trace, stop == "collided", stop, halvings
+    return pos, accepted, trace, stop, halvings
 
 
 def subset_sums(masks: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -11,13 +11,21 @@ edges, and branches only where propagation stalls. Seeding every edge in
 turn either finds a subnet (then shrunk to a minimal one) or proves that
 no edge lies in any proper subnet, with a propagation trace as the
 certificate.
+
+A search state is a pair of edge bitsets (ins, outs): bit i stands for
+net.edges[i], ins holds the edges chosen so far and outs the edges ruled
+out. Each balanced vertex's subsets are edge bitsets too, so a subset fits
+a state when it holds every chosen edge at the vertex and no ruled-out
+one; the edges every fitting subset holds are forced in, and the edges
+none holds are forced out. A branch picks one fitting subset m at a
+vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,8 +34,6 @@ from .net import DEFAULT_TOL, Edge, Net, VertexKind, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
-
-_UNKNOWN, _IN, _OUT = 0, 1, 2
 
 
 class DegreeTooLarge(ValueError):
@@ -122,24 +128,34 @@ SubnetCertificate = Union[Irreducible, Reducible]
 
 
 class _Ctx:
-    """Immutable per-net search tables plus a shared node budget."""
+    """Immutable per-net search tables plus a shared node budget.
+
+    Edge i of the net is bit i of every edge bitset. masks[vid] holds the
+    balanced subsets at vid as edge bitsets, in the ascending order of
+    _masks_for; incident[vid] lists the edge rows at vid in adjacency order.
+    """
 
     def __init__(self, net: Net, tol: float):
         self.edges: List[Edge] = list(net.edges)
-        self.eidx: Dict[Edge, int] = net.arrays.edge_index
+        self.full = (1 << len(self.edges)) - 1
+        eidx = net.arrays.edge_index
         self.balanced: List[str] = [
             v.id for v in net.vertices if v.kind is VertexKind.BALANCED
         ]
         self.incident: Dict[str, List[int]] = {}
-        self.masks: Dict[str, np.ndarray] = {}
-        for vid in self.balanced:
-            inc, masks = _masks_for(net, vid, tol)
-            self.incident[vid] = [self.eidx[e] for e in inc]
-            self.masks[vid] = masks
+        self.inc_bits: Dict[str, int] = {}
+        self.masks: Dict[str, List[int]] = {}
         self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
         for vid in self.balanced:
-            for ei in self.incident[vid]:
-                self.vertices_of[ei].append(vid)
+            inc, masks = _masks_for(net, vid, tol)
+            rows = [eidx[e] for e in inc]
+            self.incident[vid] = rows
+            self.inc_bits[vid] = sum(1 << r for r in rows)
+            self.masks[vid] = [
+                sum(1 << r for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
+            ]
+            for r in rows:
+                self.vertices_of[r].append(vid)
         self.nodes_left = _NODE_BUDGET
 
     def charge(self) -> None:
@@ -147,175 +163,140 @@ class _Ctx:
         if self.nodes_left < 0:
             raise SearchBudgetExceeded(f"exceeded {_NODE_BUDGET} search nodes")
 
+    def edges_of(self, rows: Iterable[int]) -> Tuple[Edge, ...]:
+        return tuple(self.edges[r] for r in rows)
 
-def _candidates(ctx: _Ctx, vid: str, state: List[int]) -> List[int]:
-    inc = ctx.incident[vid]
-    cands = []
-    for m in ctx.masks[vid]:
-        ok = True
-        for i, ei in enumerate(inc):
-            s = state[ei]
-            bit = (m >> i) & 1
-            if (s == _IN and not bit) or (s == _OUT and bit):
-                ok = False
-                break
-        if ok:
-            cands.append(int(m))
-    return cands
+
+def _rows(bits: int) -> List[int]:
+    """Indices of the set bits, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _conflict(seed: Edge, vertex: Optional[str], reason: str) -> TraceStep:
+    return TraceStep(seed, vertex, (), (), conflict=reason)
 
 
 def _propagate(
     ctx: _Ctx,
-    state: List[int],
+    ins: int,
+    outs: int,
     queue: List[str],
     trace: Optional[List[TraceStep]],
     seed: Edge,
-) -> Tuple[bool, Optional[str]]:
-    """Unit propagation to fixpoint. Returns (ok, conflict_vertex)."""
+) -> Optional[Tuple[int, int]]:
+    """Unit propagation to fixpoint. Returns (ins, outs), or None on a
+    conflict."""
     pending = set(queue)
     work = list(queue)
     while work:
         vid = work.pop()
         pending.discard(vid)
         ctx.charge()
-        inc = ctx.incident[vid]
-        cands = _candidates(ctx, vid, state)
+        inc = ctx.inc_bits[vid]
+        need = ins & inc
+        cands = [m for m in ctx.masks[vid] if m & need == need and not m & outs]
         if not cands:
             if trace is not None:
                 trace.append(
-                    TraceStep(
-                        seed,
-                        vid,
-                        (),
-                        (),
-                        conflict="no balanced edge subset fits the current selection",
-                    )
+                    _conflict(seed, vid, "no balanced edge subset fits the current selection")
                 )
-            return False, vid
-        forced_in = ~0
-        union = 0
+            return None
+        every, some = inc, 0
         for m in cands:
-            forced_in &= m
-            union |= m
-        new_in: List[Edge] = []
-        new_out: List[Edge] = []
-        for i, ei in enumerate(inc):
-            if state[ei] != _UNKNOWN:
-                continue
-            if (forced_in >> i) & 1:
-                state[ei] = _IN
-                new_in.append(ctx.edges[ei])
-            elif not (union >> i) & 1:
-                state[ei] = _OUT
-                new_out.append(ctx.edges[ei])
+            every &= m
+            some |= m
+        free = inc & ~(ins | outs)
+        new_in, new_out = free & every, free & ~some
         if new_in or new_out:
+            ins |= new_in
+            outs |= new_out
+            rows_in = [r for r in ctx.incident[vid] if new_in >> r & 1]
+            rows_out = [r for r in ctx.incident[vid] if new_out >> r & 1]
             if trace is not None:
-                trace.append(
-                    TraceStep(seed, vid, tuple(new_in), tuple(new_out))
-                )
-            for e in new_in + new_out:
-                for w in ctx.vertices_of[ctx.eidx[e]]:
+                trace.append(TraceStep(seed, vid, ctx.edges_of(rows_in), ctx.edges_of(rows_out)))
+            for r in rows_in + rows_out:
+                for w in ctx.vertices_of[r]:
                     if w not in pending:
                         pending.add(w)
                         work.append(w)
             if vid not in pending:
                 pending.add(vid)
                 work.append(vid)
-    return True, None
+    return ins, outs
 
 
 def _search(
     ctx: _Ctx,
-    state: List[int],
+    ins: int,
+    outs: int,
     queue: List[str],
     need_out: bool,
     trace: Optional[List[TraceStep]],
     seed: Edge,
-) -> Optional[List[int]]:
-    """DFS with propagation; returns a complete consistent state or None."""
-    ok, _ = _propagate(ctx, state, queue, trace, seed)
-    if not ok:
+) -> Optional[int]:
+    """DFS with propagation; returns the chosen edges of a complete
+    consistent state, or None. Branch refutations are not traced."""
+    state = _propagate(ctx, ins, outs, queue, trace, seed)
+    if state is None:
         return None
-    if need_out and all(s == _IN for s in state):
+    ins, outs = state
+    if need_out and ins == ctx.full:
         if trace is not None:
             trace.append(
-                TraceStep(
-                    seed,
-                    None,
-                    (),
-                    (),
-                    conflict="propagation selects every edge; the subnet is not proper",
-                )
+                _conflict(seed, None, "propagation selects every edge; the subnet is not proper")
             )
         return None
     branch_vid: Optional[str] = None
     branch_cands: List[int] = []
     for vid in ctx.balanced:
-        if all(state[ei] != _UNKNOWN for ei in ctx.incident[vid]):
+        inc = ctx.inc_bits[vid]
+        if not inc & ~(ins | outs):
             continue
-        cands = _candidates(ctx, vid, state)
+        need = ins & inc
+        cands = [m for m in ctx.masks[vid] if m & need == need and not m & outs]
         if branch_vid is None or len(cands) < len(branch_cands):
             branch_vid, branch_cands = vid, cands
     if branch_vid is None:
-        return state
+        return ins
+    inc = ctx.inc_bits[branch_vid]
     for m in branch_cands:
         ctx.charge()
-        trial = list(state)
-        inc = ctx.incident[branch_vid]
-        for i, ei in enumerate(inc):
-            want = _IN if (m >> i) & 1 else _OUT
-            if trial[ei] == _UNKNOWN:
-                trial[ei] = want
-            elif trial[ei] != want:
-                break
-        else:
-            found = _search(ctx, trial, [branch_vid], need_out, None, seed)
-            if found is not None:
-                return found
+        found = _search(ctx, ins | m, outs | (inc & ~m), [branch_vid], need_out, None, seed)
+        if found is not None:
+            return found
+    if trace is not None:
+        trace.append(
+            _conflict(seed, None, "exhaustive search found no proper subnet containing this edge")
+        )
     return None
 
 
-def _solve(
-    ctx: _Ctx,
-    in_edges: Set[Edge],
-    out_edges: Set[Edge],
-    trace: Optional[List[TraceStep]],
-    seed: Edge,
-) -> Optional[FrozenSet[Edge]]:
-    state = [_UNKNOWN] * len(ctx.edges)
-    for e in in_edges:
-        state[ctx.eidx[e]] = _IN
-    for e in out_edges:
-        state[ctx.eidx[e]] = _OUT
-    if trace is not None:
-        trace.append(TraceStep(seed, None, tuple(sorted(in_edges)), tuple(sorted(out_edges))))
-    need_out = len(out_edges) == 0
-    final = _search(ctx, state, list(ctx.balanced), need_out, trace, seed)
-    if final is None:
-        return None
-    return frozenset(ctx.edges[i] for i, s in enumerate(final) if s == _IN)
+def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+    """Seed each edge outside excluded in ascending order and return the
+    first subnet found. A refuted seed is excluded from the later seeds;
+    a subnet must leave some edge out only while nothing is excluded."""
+    for i in _rows(ctx.full & ~excluded):
+        seed = ctx.edges[i]
+        if trace is not None:
+            trace.append(TraceStep(seed, None, (seed,), ctx.edges_of(_rows(excluded))))
+        found = _search(ctx, 1 << i, excluded, list(ctx.balanced), not excluded, trace, seed)
+        if found is not None:
+            return found
+        excluded |= 1 << i
+    return None
 
 
-def _minimize(ctx: _Ctx, witness: FrozenSet[Edge]) -> FrozenSet[Edge]:
-    all_edges = set(ctx.edges)
-    current = set(witness)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for f in sorted(current):
-            excluded = (all_edges - current) | {f}
-            for e in sorted(current - {f}):
-                if e in excluded:
-                    continue
-                sol = _solve(ctx, {e}, set(excluded), None, e)
-                if sol is not None:
-                    current = set(sol)
-                    shrunk = True
-                    break
-                excluded.add(e)
-            if shrunk:
+def _minimize(ctx: _Ctx, witness: int) -> int:
+    """Replace witness by a subnet of it that avoids one of its edges,
+    until no edge can be avoided."""
+    while True:
+        for f in _rows(witness):
+            smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << f, None)
+            if smaller is not None:
+                witness = smaller
                 break
-    return frozenset(current)
+        else:
+            return witness
 
 
 def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
@@ -333,25 +314,12 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
         raise ValueError("net does not verify; irreducibility is undefined for it")
     ctx = _Ctx(net, tol)
     trace: List[TraceStep] = []
-    excluded: Set[Edge] = set()
-    for seed in ctx.edges:
-        if seed in excluded:
-            continue
-        before = len(trace)
-        sol = _solve(ctx, {seed}, set(excluded), trace, seed)
-        if sol is not None:
-            return Reducible(witness=_minimize(ctx, sol))
-        if not any(step.conflict for step in trace[before:]):
-            trace.append(
-                TraceStep(
-                    seed,
-                    None,
-                    (),
-                    (),
-                    conflict="exhaustive search found no proper subnet containing this edge",
-                )
-            )
-        excluded.add(seed)
+    found = _first_subnet(ctx, 0, trace)
+    if found is not None:
+        # A frozenset's iteration order, and so its repr, depends on how it
+        # was built. Building it from a set keeps printed certificates the
+        # same across releases.
+        return Reducible(witness=frozenset(set(ctx.edges_of(_rows(_minimize(ctx, found))))))
     return Irreducible(trace=tuple(trace))
 
 

@@ -79,9 +79,11 @@ def relax(
     is halved until the Armijo sufficient-decrease test holds.
 
     Stops when the largest residual is at most tol ("converged"), when no
-    acceptable step exists from `step` ("stalled"), or after max_iter
-    accepted steps ("max_iter"); the reason is the result's stop_reason.
-    The length trace over accepted iterates is non-increasing. Raises
+    acceptable step exists from `step` or an accepted step is too small
+    to change any position ("stalled"; that step is not counted), or
+    after max_iter accepted steps ("max_iter"); the reason is the result's
+    stop_reason. Each length trace entry is the previous one minus the
+    decrease the Armijo test accepted, so the trace never rises. Raises
     VertexCollision if the descent path collapses an edge.
     """
     if step <= 0.0:
@@ -92,10 +94,10 @@ def relax(
         raise ValueError("max_iter must be nonnegative")
 
     a = net.arrays
-    out_pos, accepted, converged, trace, collided, stop, halvings = _kernels.descend(
+    out_pos, accepted, trace, stop, halvings = _kernels.descend(
         a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
-    if collided:
+    if stop == "collided":
         raise VertexCollision(
             f"an edge collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )
@@ -116,7 +118,7 @@ def relax(
         net=result_net,
         final_residual=final,
         iterations=int(accepted),
-        converged=bool(converged),
+        converged=stop == "converged",
         length_trace=tuple(trace),
         stop_reason=stop,
         halvings=int(halvings),

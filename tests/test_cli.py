@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from geonets import cli
+from geonets import cli, irreducible
 from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
 
@@ -119,6 +119,17 @@ def test_irreducible_budget_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     code, _, stderr = run(capsys, "irreducible", str(out))
     assert code == 3
     assert stderr.startswith("error: SearchBudgetExceeded:")
+
+
+def test_irreducible_exits_3_when_the_search_runs_out_of_nodes(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "net.json"
+    run(capsys, "build", "fermat-tripod", "--out", str(out))
+    # the tripod's search takes 4 nodes
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", 3)
+    code, stdout, stderr = run(capsys, "irreducible", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "error: SearchBudgetExceeded: exceeded 3 search nodes\n"
 
 
 # --- relax -------------------------------------------------------------------

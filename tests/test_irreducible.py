@@ -1,16 +1,20 @@
 import math
+import random
 
 import pytest
 
 from geonets import (
+    DEFAULT_OVERLAY_TERMINALS,
     DegreeTooLarge,
     Irreducible,
     Net,
     Point,
     Reducible,
+    SearchBudgetExceeded,
     Vertex,
     VertexKind,
     balanced_edge_subsets,
+    build_overlay_net,
     edge_key,
     edge_subnet,
     find_proper_subnet,
@@ -18,6 +22,7 @@ from geonets import (
     planarize,
     verify,
 )
+from geonets import irreducible
 
 from helpers import (
     brute_force_balanced_subsets,
@@ -188,23 +193,42 @@ def test_paper_net_certificate(paper_cert, paper_net):
         assert steps[-1].conflict is not None
 
 
-def test_overlay_certificate(overlay_cert, overlay_net):
-    assert isinstance(overlay_cert, Reducible)
-    w = overlay_cert.witness
-    assert 0 < len(w) < len(overlay_net.edges)
-    sub = edge_subnet(overlay_net, w)
+@pytest.fixture(
+    scope="module", params=["default", 0, 1, 2], ids=["default", "jitter0", "jitter1", "jitter2"]
+)
+def overlay_case(request, overlay_net, overlay_cert):
+    if request.param == "default":
+        return overlay_net, overlay_cert
+    # terminals moved by up to 0.3: 68 edges, and the search branches
+    rng = random.Random(request.param)
+    terminals = [
+        Point(p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3))
+        for p in DEFAULT_OVERLAY_TERMINALS
+    ]
+    net = build_overlay_net(*terminals)
+    return net, find_proper_subnet(net)
+
+
+def test_overlay_certificate(overlay_case):
+    net, cert = overlay_case
+    assert isinstance(cert, Reducible)
+    w = cert.witness
+    assert len(w) == 8
+    assert len(w) < len(net.edges)
+    sub = edge_subnet(net, w)
     report = verify(sub, min_balanced_degree=1)
     assert report.passed
     assert report.max_residual < 1e-9
 
 
-def test_overlay_witness_is_minimal(overlay_cert, overlay_net):
-    w = sorted(overlay_cert.witness)
+def test_overlay_witness_is_minimal(overlay_case):
+    net, cert = overlay_case
+    w = sorted(cert.witness)
     for drop in range(len(w)):
         rest = [e for i, e in enumerate(w) if i != drop]
         # no balanced sub-subset survives dropping any single edge
         assert not any(
-            subset_is_balanced(overlay_net, subset)
+            subset_is_balanced(net, subset)
             for subset in _nonempty_subsets(rest)
         )
 
@@ -215,6 +239,17 @@ def _nonempty_subsets(edges):
     for mask in range(1, 1 << m):
         out.append([edges[i] for i in range(m) if mask & (1 << i)])
     return out
+
+
+@pytest.mark.parametrize("name, nodes", [("paper", 1043), ("overlay", 1020), ("x", 6)])
+def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
+    # every propagation step and every branch costs one node
+    net = planarized_x_net() if name == "x" else request.getfixturevalue(f"{name}_net")
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes)
+    find_proper_subnet(net)
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes - 1)
+    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} search nodes"):
+        find_proper_subnet(net)
 
 
 def test_exhaustive_agreement_on_tiny_nets(tripod_net, double_tripod_net):
