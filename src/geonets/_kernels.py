@@ -14,57 +14,52 @@ BACKEND = "numpy"
 _MAX_HALVINGS = 60
 
 
+def _edge_vectors(pos: np.ndarray, edges: np.ndarray):
+    """Vector of each edge, from its first endpoint to its second, and its
+    length."""
+    d = pos[edges[:, 1]] - pos[edges[:, 0]]
+    return d, np.sqrt((d * d).sum(axis=1))
+
+
 def unit_vectors(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Unit vector of each edge, from its first endpoint toward its second."""
-    d = pos[edges[:, 1]] - pos[edges[:, 0]]
-    ln = np.sqrt((d * d).sum(axis=1))
+    d, ln = _edge_vectors(pos, edges)
     return d / ln[:, None]
 
 
-def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sum of the unit vectors along the edges leaving each vertex."""
-    out = np.zeros_like(pos)
-    if edges.shape[0] == 0:
-        return out
-    u = unit_vectors(pos, edges)
+def _unit_sums(n: int, edges: np.ndarray, d: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    out = np.zeros((n, 2))
+    u = d / ln[:, None]
     np.add.at(out, edges[:, 0], u)
     np.add.at(out, edges[:, 1], -u)
     return out
 
 
+def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sum of the unit vectors along the edges leaving each vertex."""
+    return _unit_sums(pos.shape[0], edges, *_edge_vectors(pos, edges))
+
+
 def net_length(pos: np.ndarray, edges: np.ndarray) -> float:
-    if edges.shape[0] == 0:
-        return 0.0
-    d = pos[edges[:, 1]] - pos[edges[:, 0]]
-    return float(np.sqrt((d * d).sum(axis=1)).sum())
+    return float(_edge_vectors(pos, edges)[1].sum())
 
 
-def _min_edge(pos: np.ndarray, edges: np.ndarray) -> float:
-    if edges.shape[0] == 0:
-        return np.inf
-    d = pos[edges[:, 1]] - pos[edges[:, 0]]
-    return float(np.sqrt((d * d).sum(axis=1)).min())
-
-
-def _decrease(pos: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
+def _decrease(a: np.ndarray, la: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
     # total_length(pos) - total_length(pos + delta), summed per edge in a
     # cancellation-free form. With a the old edge vector and w the change
     # (difference of endpoint displacements), |b|^2 = |a|^2 + 2 a.w + |w|^2,
     # so the per-edge drop is -(2 a.w + |w|^2) / (|a| + |b|). Forming w from
     # delta instead of b - a keeps the error relative to |w|, which resolves
     # decreases far below the fp resolution of the total length itself.
-    if edges.shape[0] == 0:
-        return 0.0
-    a = pos[edges[:, 1]] - pos[edges[:, 0]]
     w = delta[edges[:, 1]] - delta[edges[:, 0]]
-    la = np.sqrt((a * a).sum(axis=1))
     lb = np.sqrt(((a + w) ** 2).sum(axis=1))
     num = -(2.0 * (a * w).sum(axis=1) + (w * w).sum(axis=1))
     return float((num / (la + lb)).sum())
 
 
-def _backtrack(pos, free, edges, rf, gnorm2, step, c_armijo):
-    """Halve step until the Armijo sufficient-decrease test holds.
+def _backtrack(pos, free, edges, a, la, rf, gnorm2, step, c_armijo):
+    """Halve step until the Armijo sufficient-decrease test holds; a and
+    la are the edge vectors and lengths at pos.
 
     Returns (displacement, decrease in total length, failed tests); the
     displacement is None after _MAX_HALVINGS failures.
@@ -72,7 +67,7 @@ def _backtrack(pos, free, edges, rf, gnorm2, step, c_armijo):
     delta = np.zeros_like(pos)
     for failed in range(_MAX_HALVINGS):
         delta[free] = step * rf
-        dec = _decrease(pos, delta, edges)
+        dec = _decrease(a, la, delta, edges)
         if dec >= c_armijo * step * gnorm2:
             return delta, dec, failed
         step *= 0.5
@@ -89,21 +84,27 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     test backtracks from the trial step by halving; if every halving fails
     from a BB step, the ladder is tried once more from step0. Each trace
     entry is the previous one minus the decrease the Armijo test accepted,
-    so the length trace over accepted iterates never rises.
+    so the length trace over accepted iterates never rises. The edge
+    vectors and lengths are evaluated once per iterate and serve the
+    collision test, the residual and every Armijo test.
 
     Returns (positions, accepted steps, length trace, stop reason,
-    halvings). The stop reason is "converged" (largest free residual at
-    most tol), "stalled" (no acceptable step from step0, or an accepted
-    step too small to change any position, which is not counted),
-    "max_iter" or "collided" (an edge got shorter than min_sep); halvings
-    counts every failed Armijo test.
+    halvings). Each iterate is tested in this order: "collided" (an edge
+    is shorter than min_sep), "converged" (largest free residual at most
+    tol), "max_iter", and "stalled" (no acceptable step from step0, or an
+    accepted step too small to change any position, which is not
+    counted); halvings counts every failed Armijo test.
     """
     pos = pos.copy()
     trace = [net_length(pos, edges)]
     accepted = halvings = 0
     s = r_prev = None
     while True:
-        rf = residuals(pos, edges)[free]
+        a, la = _edge_vectors(pos, edges)
+        if la.min(initial=np.inf) < min_sep:
+            stop = "collided"
+            break
+        rf = _unit_sums(pos.shape[0], edges, a, la)[free]
         if rf.size == 0 or float(np.sqrt((rf * rf).sum(axis=1)).max()) <= tol:
             stop = "converged"
             break
@@ -116,10 +117,10 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             if sy > 0.0:
                 trial = float((s * s).sum()) / sy
         gnorm2 = float((rf * rf).sum())
-        delta, dec, failed = _backtrack(pos, free, edges, rf, gnorm2, trial, c_armijo)
+        delta, dec, failed = _backtrack(pos, free, edges, a, la, rf, gnorm2, trial, c_armijo)
         halvings += failed
         if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, edges, rf, gnorm2, step0, c_armijo)
+            delta, dec, failed = _backtrack(pos, free, edges, a, la, rf, gnorm2, step0, c_armijo)
             halvings += failed
         moved = None if delta is None else pos + delta
         if moved is None or np.array_equal(moved, pos):
@@ -129,9 +130,6 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         s, r_prev = delta[free], rf
         accepted += 1
         trace.append(trace[-1] - dec)
-        if _min_edge(pos, edges) < min_sep:
-            stop = "collided"
-            break
     return pos, accepted, trace, stop, halvings
 
 

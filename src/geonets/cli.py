@@ -31,7 +31,7 @@ from .irreducible import (
     SearchBudgetExceeded,
     find_proper_subnet,
 )
-from .net import InvariantViolation, Net, VertexKind, edge_subnet, verify
+from .net import DEFAULT_TOL, InvariantViolation, Net, VertexKind, edge_subnet, verify
 from .render import render_svg
 from .solver import VertexCollision, relax
 
@@ -172,20 +172,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check net validity")
     p_verify.add_argument("file")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_irr = sub.add_parser("irreducible", help="search for a proper subnet")
     p_irr.add_argument("file")
-    p_irr.add_argument("--tol", type=float, default=1e-9)
+    p_irr.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_irr.add_argument("--witness-out", dest="witness_out")
     p_irr.set_defaults(func=_cmd_irreducible)
 
     p_relax = sub.add_parser("relax", help="gradient-descent relaxation")
     p_relax.add_argument("file")
     p_relax.add_argument("--step", type=float, default=0.1)
-    p_relax.add_argument("--tol", type=float, default=1e-9)
+    p_relax.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_relax.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
     p_relax.add_argument("--out", help="write relaxed net here instead of stdout")
     p_relax.add_argument("--trace-out", dest="trace_out", help="write length trace JSON")

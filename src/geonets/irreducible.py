@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, VertexKind, verify
+from .net import DEFAULT_TOL, Edge, Net, VertexKind, _check_tol, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -84,9 +84,11 @@ def balanced_edge_subsets(
     sum to zero within tol, smallest subsets first (canonical order).
 
     Always contains the empty subset, and the full set whenever the
-    vertex is balanced in the net. Raises DegreeTooLarge above degree 24
-    and ValueError for unbalanced vertices, which carry no constraint.
+    vertex is balanced in the net. Raises DegreeTooLarge above degree 24,
+    ValueError for unbalanced vertices, which carry no constraint, and
+    ValueError unless tol is finite and nonnegative.
     """
+    _check_tol(tol)
     v = net.vertex(vertex_id)
     if v.kind is not VertexKind.BALANCED:
         raise ValueError(
@@ -307,7 +309,8 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     or Irreducible with the full propagation trace showing how every seed
     edge leads to a contradiction.
 
-    The net must pass verify at the same tolerance first.
+    The net must pass verify at the same tolerance first; like verify,
+    raises ValueError unless tol is finite and nonnegative.
     """
     report = verify(net, tol)
     if not report.passed:

@@ -8,6 +8,7 @@ unit vectors along incident edges must sum to zero).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +39,11 @@ Edge = Tuple[str, str]
 # contributes ~1e-15 per unit-vector term; 1e-9 leaves headroom for
 # accumulated trigonometric rounding.
 DEFAULT_TOL = 1e-9
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 class InvariantViolation(ValueError):
@@ -82,6 +88,12 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _first_repeat(items: Sequence):
+    """The first item equal to its successor, else None. In a sorted
+    sequence this is the smallest repeated item."""
+    return next((a for a, b in zip(items, items[1:]) if a == b), None)
+
+
 @dataclass(frozen=True)
 class Net:
     """Immutable net value. Vertices are stored sorted by id, edges sorted
@@ -94,9 +106,9 @@ class Net:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]]):
         verts = tuple(sorted(vertices, key=lambda v: v.id))
         ids = [v.id for v in verts]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise InvariantViolation(f"duplicate vertex id: {dup[0]}")
+        dup = _first_repeat(ids)
+        if dup is not None:
+            raise InvariantViolation(f"duplicate vertex id: {dup}")
         id_set = set(ids)
         canon: List[Edge] = []
         for e in edges:
@@ -107,15 +119,16 @@ class Net:
                 missing = u if u not in id_set else v
                 raise InvariantViolation(f"edge endpoint {missing} is not a vertex")
             canon.append(edge_key(u, v))
-        if len(set(canon)) != len(canon):
-            dup_e = sorted({e for e in canon if canon.count(e) > 1})
-            raise InvariantViolation(f"duplicate edge: {dup_e[0]}")
+        canon.sort()
+        dup_e = _first_repeat(canon)
+        if dup_e is not None:
+            raise InvariantViolation(f"duplicate edge: {dup_e}")
         for i, a in enumerate(verts):
             for b in verts[i + 1:]:
                 if distance(a.pos, b.pos) <= COINCIDENCE_EPS:
                     raise CoincidentVertices(a.id, b.id)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges", tuple(canon))
 
     @cached_property
     def by_id(self) -> Dict[str, Vertex]:
@@ -245,7 +258,10 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     min_balanced_degree is 3 for top-level nets; subnet re-verification
     relaxes it to 1 because collinear pass-through vertices of degree 2
     are legitimate there (their residual check still applies).
+
+    Raises ValueError unless tol is finite and nonnegative.
     """
+    _check_tol(tol)
     a = net.arrays
     res = a.residuals
     residuals: Dict[str, float] = {}
@@ -317,84 +333,54 @@ def _interior_param(seg: Segment, pt: Point) -> Optional[float]:
     return None
 
 
-def planarize(net: Net, eps: float = COINCIDENCE_EPS) -> Net:
+def planarize(net: Net) -> Net:
     """Subdivide edges so they meet only at vertices.
 
-    Every proper crossing and every endpoint-on-interior contact becomes a
-    vertex: new crossing points are minted as balanced vertices (merged
-    when within eps of each other), while a contact at an existing vertex
-    splits the crossed edge at that vertex, keeping its kind. Edge pairs
-    are processed in lexicographic id-pair order and new ids minted
-    deterministically, so the output is canonical. Collinear overlaps are
-    structural errors, not crossings.
+    Every proper crossing and every endpoint-on-interior contact lands on
+    a vertex: the first vertex of the net, else the first vertex minted so
+    far, within COINCIDENCE_EPS of the contact point. When there is none,
+    a balanced vertex x<n> is minted there at once, n the smallest number
+    whose id is not taken. Each edge of the pair that the vertex lies
+    strictly inside is cut at it, so a contact at an existing vertex keeps
+    that vertex and its kind. Edge pairs are processed in lexicographic
+    id-pair order, so the ids and the output are canonical. Collinear
+    overlaps are structural errors, not crossings.
 
+    There is no merge-radius parameter: contacts merge at COINCIDENCE_EPS,
+    the distance below which Net rejects two vertices as coincident.
     A net with no interior intersections is returned unchanged.
     """
-    # cluster -> (representative point, existing vertex id or None)
-    cluster_pts: List[Point] = []
-    cluster_vid: List[Optional[str]] = []
-    edge_cuts: Dict[Edge, Dict[int, float]] = {}
+    taken = {v.id for v in net.vertices}
+    fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
+    minted: List[Vertex] = []
+    cuts: Dict[Edge, Dict[str, float]] = {}
 
-    def register(pt: Point) -> int:
-        for vtx in net.vertices:
-            if distance(vtx.pos, pt) <= eps:
-                pos = vtx.pos
-                for ci, cp in enumerate(cluster_pts):
-                    if cluster_vid[ci] == vtx.id:
-                        return ci
-                cluster_pts.append(pos)
-                cluster_vid.append(vtx.id)
-                return len(cluster_pts) - 1
-        for ci, cp in enumerate(cluster_pts):
-            if cluster_vid[ci] is None and distance(cp, pt) <= eps:
-                return ci
-        cluster_pts.append(pt)
-        cluster_vid.append(None)
-        return len(cluster_pts) - 1
-
-    def cut(e: Edge, ci: int) -> None:
-        seg = net.segment(e)
-        t = _interior_param(seg, cluster_pts[ci])
-        if t is not None:
-            edge_cuts.setdefault(e, {}).setdefault(ci, t)
+    def landing(pt: Point) -> Vertex:
+        for vtx in itertools.chain(net.vertices, minted):
+            if distance(vtx.pos, pt) <= COINCIDENCE_EPS:
+                return vtx
+        minted.append(Vertex(next(fresh), pt, VertexKind.BALANCED))
+        return minted[-1]
 
     for e1, e2, kind in _segment_pairs(net):
         if isinstance(kind, CollinearOverlap):
             raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
         if isinstance(kind, (ProperCrossing, EndpointOnInterior)):
-            ci = register(kind.point)
-            cut(e1, ci)
-            cut(e2, ci)
+            vtx = landing(kind.point)
+            for e in (e1, e2):
+                t = _interior_param(net.segment(e), vtx.pos)
+                if t is not None:
+                    cuts.setdefault(e, {}).setdefault(vtx.id, t)
 
-    if not edge_cuts:
+    if not cuts:
         return net
-
-    existing = {v.id for v in net.vertices}
-    minted: Dict[int, str] = {}
-    new_vertices = list(net.vertices)
-    serial = 1
-    for ci in range(len(cluster_pts)):
-        if cluster_vid[ci] is not None:
-            minted[ci] = cluster_vid[ci]
-            continue
-        while f"x{serial}" in existing:
-            serial += 1
-        vid = f"x{serial}"
-        existing.add(vid)
-        minted[ci] = vid
-        new_vertices.append(Vertex(vid, cluster_pts[ci], VertexKind.BALANCED))
 
     new_edges: List[Edge] = []
     for e in net.edges:
-        cuts = edge_cuts.get(e)
-        if not cuts:
-            new_edges.append(e)
-            continue
-        chain = sorted(cuts.items(), key=lambda item: item[1])
-        ids = [e[0]] + [minted[ci] for ci, _ in chain] + [e[1]]
-        for a, b in zip(ids, ids[1:]):
-            new_edges.append(edge_key(a, b))
-    return Net(new_vertices, new_edges)
+        on_e = cuts.get(e, {})
+        chain = [e[0], *sorted(on_e, key=on_e.get), e[1]]
+        new_edges.extend(edge_key(a, b) for a, b in zip(chain, chain[1:]))
+    return Net([*net.vertices, *minted], new_edges)
 
 
 def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:

@@ -9,6 +9,7 @@ line search, so critical points are exactly the balanced configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
-from .net import CoincidentVertices, Net, Vertex
+from .net import DEFAULT_TOL, CoincidentVertices, Net, Vertex, _check_tol
 
 _ARMIJO_C = 1e-4
 
@@ -66,7 +67,7 @@ def relax(
     net: Net,
     *,
     step: float = 0.1,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     max_iter: int = 100_000,
 ) -> RelaxResult:
     """Gradient descent on total length over the balanced vertices.
@@ -84,12 +85,12 @@ def relax(
     after max_iter accepted steps ("max_iter"); the reason is the result's
     stop_reason. Each length trace entry is the previous one minus the
     decrease the Armijo test accepted, so the trace never rises. Raises
-    VertexCollision if the descent path collapses an edge.
+    VertexCollision if the descent path collapses an edge, and ValueError
+    unless step is finite and positive and tol finite and nonnegative.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    _check_tol(tol)
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 

@@ -188,6 +188,27 @@ def test_relax_respects_max_iter(tmp_path, capsys):
     assert "stop=max_iter" in stderr
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("relax", "--tol", "inf"),
+        ("relax", "--tol", "nan"),
+        ("relax", "--step", "inf"),
+        ("verify", "--tol", "nan"),
+        ("irreducible", "--tol", "-1"),
+    ],
+)
+def test_bad_tolerance_or_step_exits_1(tmp_path, capsys, command, option, value):
+    path = tmp_path / "tripod.json"
+    run(capsys, "build", "fermat-tripod", "--out", str(path))
+    code, stdout, stderr = run(capsys, command, str(path), option, value)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ValueError: ")
+    assert "must be finite" in stderr
+    assert stderr.count("\n") == 1
+
+
 # --- fermat ------------------------------------------------------------------
 
 def test_fermat_golden_output(capsys):

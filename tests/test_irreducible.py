@@ -112,6 +112,14 @@ def test_subsets_reject_unbalanced_vertex(paper_net):
         balanced_edge_subsets(paper_net, "c1")
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_subsets_reject_a_bad_tolerance(paper_net, tol):
+    # the subset test compares squared norms with tol * tol, so tol = -1
+    # would accept every subset within 1 of zero
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        balanced_edge_subsets(paper_net, "x1", tol)
+
+
 def test_subsets_match_brute_force(paper_net, tripod_net, double_tripod_net):
     nets = [tripod_net, double_tripod_net, planarized_x_net()]
     for net in nets:
@@ -179,6 +187,12 @@ def test_find_proper_subnet_requires_a_valid_net():
     )
     with pytest.raises(ValueError):
         find_proper_subnet(crossed)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_find_proper_subnet_rejects_a_bad_tolerance(tripod_net, tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        find_proper_subnet(tripod_net, tol)
 
 
 def test_paper_net_certificate(paper_cert, paper_net):

@@ -72,6 +72,16 @@ def test_net_invariants():
         Net(vertices=(_v("a", 0, 0), _v("b", 0, 1e-12)), edges=())
 
 
+def test_net_names_the_smallest_duplicate():
+    verts = [_v("c", 0, 0), _v("a", 1, 0), _v("c", 2, 0), _v("b", 3, 0), _v("a", 4, 0)]
+    with pytest.raises(InvariantViolation, match="^duplicate vertex id: a$"):
+        Net(vertices=verts, edges=())
+    verts = [_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0), _v("d", 3, 0)]
+    edges = [("d", "c"), ("b", "a"), ("c", "d"), ("a", "b")]
+    with pytest.raises(InvariantViolation, match=r"^duplicate edge: \('a', 'b'\)$"):
+        Net(vertices=verts, edges=edges)
+
+
 def test_net_lookups():
     net = x_net()
     assert net.vertex("p1").pos == Point(-1, -1)
@@ -221,6 +231,12 @@ def test_verify_flags_unplanarized_crossing():
     assert (pt.x, pt.y) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_verify_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        verify(x_net(), tol)
+
+
 def test_verify_flags_disconnected():
     net = Net(
         vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 5, 5), _v("d", 6, 5)),
@@ -273,8 +289,51 @@ def test_planarize_splits_edge_at_existing_vertex():
     assert out.vertex("m").kind is B
 
 
+def test_planarize_crossing_at_an_existing_vertex_mints_nothing():
+    # a-b and c-d cross exactly at m, which also ends the edge m-w
+    net = Net(
+        vertices=(
+            _v("a", -1, -1),
+            _v("b", 1, 1),
+            _v("c", -1, 1),
+            _v("d", 1, -1),
+            _v("m", 0, 0, B),
+            _v("w", 0, 3),
+        ),
+        edges=(("a", "b"), ("c", "d"), ("m", "w")),
+    )
+    out = planarize(net)
+    assert {v.id for v in out.vertices} == {"a", "b", "c", "d", "m", "w"}
+    assert out.degree("m") == 5
+    assert len(out.edges) == 5
+
+
+def test_planarize_merges_crossings_within_coincidence_eps():
+    # e is lifted by 4e-10, so the three pairwise crossings lie within
+    # 2e-10 of each other: one minted vertex takes all three lines
+    net = Net(
+        vertices=(
+            _v("a", -1, 0),
+            _v("b", 1, 0),
+            _v("c", -1, 1),
+            _v("d", 1, -1),
+            _v("e", -1, -1 + 4e-10),
+            _v("f", 1, 1),
+        ),
+        edges=(("a", "b"), ("c", "d"), ("e", "f")),
+    )
+    out = planarize(net)
+    assert [v.id for v in out.vertices if v.id.startswith("x")] == ["x1"]
+    assert out.degree("x1") == 6
+
+
+def test_planarize_returns_the_fixtures_unchanged(paper_net, overlay_net):
+    assert planarize(paper_net) is paper_net
+    assert planarize(overlay_net) is overlay_net
+
+
 def test_planarize_merges_nearby_crossings():
-    # two crossings closer than eps collapse to one minted vertex
+    # three lines through one point give one minted vertex
     net = Net(
         vertices=(
             _v("a", -1, 0),
@@ -286,7 +345,7 @@ def test_planarize_merges_nearby_crossings():
         ),
         edges=(("a", "b"), ("c", "d"), ("e", "f")),
     )
-    out = planarize(net, eps=1e-6)
+    out = planarize(net)
     minted = [v for v in out.vertices if v.id.startswith("x")]
     assert len(minted) == 1
     assert out.degree(minted[0].id) == 6

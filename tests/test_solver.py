@@ -104,10 +104,12 @@ def test_moved():
 
 
 def test_relax_validates_parameters(tripod_net):
-    with pytest.raises(ValueError):
-        relax(tripod_net, step=0.0)
-    with pytest.raises(ValueError):
-        relax(tripod_net, tol=-1.0)
+    for step in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            relax(tripod_net, step=step)
+    for tol in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            relax(tripod_net, tol=tol)
     with pytest.raises(ValueError):
         relax(tripod_net, max_iter=-1)
     # max_iter=0 is a pure convergence probe
