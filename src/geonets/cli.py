@@ -4,7 +4,7 @@ Subcommands: build, verify, irreducible, relax, fermat, render. All
 failures print a single machine-parsable line `error: <Type>: <message>`
 to stderr. Exit codes: 0 success (verify: passed; irreducible:
 irreducible), 2 negative verdict (verify: failed; irreducible: reducible),
-3 search budget exhausted, 1 any error.
+3 search budget exhausted, 1 any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -12,28 +12,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 from .construct import (
-    DegenerateTriangle,
     Triangle,
-    WideAngleTriangle,
     build_fermat_tripod,
     build_overlay_net,
     build_paper_net,
     fermat_point,
 )
-from .docio import ParseError, load, save, serialize
+from .docio import load, save, serialize
 from .geom import Point
 from .irreducible import (
     Irreducible,
-    Reducible,
     SearchBudgetExceeded,
     find_proper_subnet,
 )
-from .net import DEFAULT_TOL, InvariantViolation, Net, VertexKind, edge_subnet, verify
+from .net import DEFAULT_TOL, Net, VertexKind, edge_subnet, verify
 from .render import render_svg
 from .solver import VertexCollision, relax
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code of a negative verdict;
+    # raising sends the error through main's one-line error path instead.
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -112,14 +120,16 @@ def _cmd_irreducible(args: argparse.Namespace) -> int:
             f"irreducible: no proper subnet; {len(seeds)} seed edges refuted "
             f"in {len(cert.trace)} propagation steps"
         )
-        return 0
-    witness = sorted(cert.witness)
-    print(f"reducible: minimal witness with {len(witness)} edges")
-    for u, v in witness:
-        print(f"  {u} -- {v}")
-    if args.witness_out:
-        save(edge_subnet(net, cert.witness), args.witness_out)
-    return 2
+    else:
+        witness = sorted(cert.witness)
+        print(f"reducible: minimal witness with {len(witness)} edges")
+        for u, v in witness:
+            print(f"  {u} -- {v}")
+        if args.witness_out:
+            save(edge_subnet(net, cert.witness), args.witness_out)
+    low, high = cert.tol_margin
+    print(f"tol margin: balanced edge subsets have residual <= {low!r}, the others >= {high!r}")
+    return 0 if isinstance(cert, Irreducible) else 2
 
 
 def _cmd_relax(args: argparse.Namespace) -> int:
@@ -159,7 +169,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geonets",
         description="Build, verify, relax, and irreducibility-test planar geodesic nets.",
     )
@@ -205,19 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (
-        ParseError,
-        InvariantViolation,
-        DegenerateTriangle,
-        WideAngleTriangle,
-        VertexCollision,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, VertexCollision, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,6 @@ vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -44,7 +43,9 @@ class SearchBudgetExceeded(RuntimeError):
     """Subnet search exceeded its node budget."""
 
 
-def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray]:
+def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray, float, float]:
+    """The edges at vid, the masks of its balanced subsets, their largest
+    residual and the least rejected one within 10*tol (10*tol if none)."""
     a = net.arrays
     incident = list(net.incident_edges(vid))
     rows = np.array([a.edge_index[e] for e in incident], dtype=np.int64)
@@ -55,26 +56,12 @@ def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray]:
         raise DegreeTooLarge(
             f"vertex {vid} has degree {len(incident)} > {MAX_SUBSET_DEGREE}"
         )
-    # One enumeration at 10*tol; the subsets at tol and both warnings come
-    # from the same sums.
     loose = _kernels.balanced_masks(vecs, tol * 10.0)
     sums = _kernels.subset_sums(loose, vecs)
     norm2 = (sums * sums).sum(axis=1)
     ok = norm2 <= tol * tol
-    masks = loose[ok]
-    if len(masks) != len(loose):
-        warnings.warn(
-            f"vertex {vid}: {len(loose) - len(masks)} edge subsets have residual "
-            f"between tol and 10*tol; the subset list is tolerance-sensitive",
-            stacklevel=3,
-        )
-    if (norm2[ok] > (tol * 0.1) ** 2).any():
-        warnings.warn(
-            f"vertex {vid}: a balanced subset has residual above tol/10; "
-            f"the subset list is tolerance-sensitive",
-            stacklevel=3,
-        )
-    return incident, masks
+    norms = np.sqrt(norm2)
+    return incident, loose[ok], float(norms[ok].max()), float(norms[~ok].min(initial=tol * 10.0))
 
 
 def balanced_edge_subsets(
@@ -94,7 +81,7 @@ def balanced_edge_subsets(
         raise ValueError(
             f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
         )
-    incident, masks = _masks_for(net, vertex_id, tol)
+    incident, masks, _, _ = _masks_for(net, vertex_id, tol)
     out: List[Tuple[Edge, ...]] = []
     for m in masks:
         out.append(tuple(incident[i] for i in range(len(incident)) if m & (1 << i)))
@@ -119,11 +106,13 @@ class TraceStep:
 @dataclass(frozen=True)
 class Irreducible:
     trace: Tuple[TraceStep, ...]
+    tol_margin: Tuple[float, float]
 
 
 @dataclass(frozen=True)
 class Reducible:
     witness: FrozenSet[Edge]
+    tol_margin: Tuple[float, float]
 
 
 SubnetCertificate = Union[Irreducible, Reducible]
@@ -137,7 +126,7 @@ class _Ctx:
     _masks_for; incident[vid] lists the edge rows at vid in adjacency order.
     """
 
-    def __init__(self, net: Net, tol: float):
+    def __init__(self, net: Net, tol: float, low: float):
         self.edges: List[Edge] = list(net.edges)
         self.full = (1 << len(self.edges)) - 1
         eidx = net.arrays.edge_index
@@ -148,8 +137,10 @@ class _Ctx:
         self.inc_bits: Dict[str, int] = {}
         self.masks: Dict[str, List[int]] = {}
         self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
+        high = tol * 10.0
         for vid in self.balanced:
-            inc, masks = _masks_for(net, vid, tol)
+            inc, masks, accepted, rejected = _masks_for(net, vid, tol)
+            low, high = max(low, accepted), min(high, rejected)
             rows = [eidx[e] for e in inc]
             self.incident[vid] = rows
             self.inc_bits[vid] = sum(1 << r for r in rows)
@@ -158,6 +149,7 @@ class _Ctx:
             ]
             for r in rows:
                 self.vertices_of[r].append(vid)
+        self.tol_margin = (low, high)
         self.nodes_left = _NODE_BUDGET
 
     def charge(self) -> None:
@@ -232,7 +224,6 @@ def _search(
     ins: int,
     outs: int,
     queue: List[str],
-    need_out: bool,
     trace: Optional[List[TraceStep]],
     seed: Edge,
 ) -> Optional[int]:
@@ -242,7 +233,8 @@ def _search(
     if state is None:
         return None
     ins, outs = state
-    if need_out and ins == ctx.full:
+    # ins and outs are disjoint, so ins == full means nothing is excluded.
+    if ins == ctx.full:
         if trace is not None:
             trace.append(
                 _conflict(seed, None, "propagation selects every edge; the subnet is not proper")
@@ -263,7 +255,7 @@ def _search(
     inc = ctx.inc_bits[branch_vid]
     for m in branch_cands:
         ctx.charge()
-        found = _search(ctx, ins | m, outs | (inc & ~m), [branch_vid], need_out, None, seed)
+        found = _search(ctx, ins | m, outs | (inc & ~m), [branch_vid], None, seed)
         if found is not None:
             return found
     if trace is not None:
@@ -275,13 +267,12 @@ def _search(
 
 def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
     """Seed each edge outside excluded in ascending order and return the
-    first subnet found. A refuted seed is excluded from the later seeds;
-    a subnet must leave some edge out only while nothing is excluded."""
+    first subnet found. A refuted seed is excluded from the later seeds."""
     for i in _rows(ctx.full & ~excluded):
         seed = ctx.edges[i]
         if trace is not None:
             trace.append(TraceStep(seed, None, (seed,), ctx.edges_of(_rows(excluded))))
-        found = _search(ctx, 1 << i, excluded, list(ctx.balanced), not excluded, trace, seed)
+        found = _search(ctx, 1 << i, excluded, list(ctx.balanced), trace, seed)
         if found is not None:
             return found
         excluded |= 1 << i
@@ -306,8 +297,14 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
 
     Returns Reducible with a minimal witness edge set (no single edge can
     be dropped and leave a proper subnet inside the rest of the witness),
-    or Irreducible with the full propagation trace showing how every seed
-    edge leads to a contradiction.
+    or Irreducible with the propagation trace of every seed edge up to its
+    conflict. Branch refutations are not recorded, only that a seed's
+    branches all failed.
+
+    Both carry tol_margin = (low, high): every balanced subset has residual
+    at most low, every other at least high (the least rejected within
+    10*tol, else 10*tol). For every tol in [low, high) the subset tables,
+    verdict and certificate are the same, up to rounding in the last place.
 
     The net must pass verify at the same tolerance first; like verify,
     raises ValueError unless tol is finite and nonnegative.
@@ -315,15 +312,17 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     report = verify(net, tol)
     if not report.passed:
         raise ValueError("net does not verify; irreducibility is undefined for it")
-    ctx = _Ctx(net, tol)
+    # verify sums each star in another order than subset_sums; cover both.
+    ctx = _Ctx(net, tol, report.max_residual)
     trace: List[TraceStep] = []
     found = _first_subnet(ctx, 0, trace)
     if found is not None:
         # A frozenset's iteration order, and so its repr, depends on how it
         # was built. Building it from a set keeps printed certificates the
         # same across releases.
-        return Reducible(witness=frozenset(set(ctx.edges_of(_rows(_minimize(ctx, found))))))
-    return Irreducible(trace=tuple(trace))
+        witness = frozenset(set(ctx.edges_of(_rows(_minimize(ctx, found)))))
+        return Reducible(witness, ctx.tol_margin)
+    return Irreducible(tuple(trace), ctx.tol_margin)
 
 
 def is_irreducible(net: Net, tol: float = DEFAULT_TOL) -> Tuple[bool, SubnetCertificate]:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -32,9 +33,30 @@ def test_build_to_stdout(capsys):
     assert len(net.edges) == 3
 
 
-def test_build_rejects_unknown_fixture(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["build", "nonsense"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "nonsense"], "argument fixture: invalid choice: 'nonsense'"),
+        (["verify", "x.json", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["verify"], "the following arguments are required: file"),
+    ],
+    ids=["unknown-fixture", "bad-float", "unknown-command", "missing-file"],
+)
+def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
+    # exit 2 would read as a negative verdict
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: UsageError: {message}")
+    assert stderr.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "usage: geonets" in capsys.readouterr().out
 
 
 # --- verify ------------------------------------------------------------------
@@ -88,8 +110,21 @@ def test_irreducible_on_paper_net(tmp_path, capsys):
     run(capsys, "build", "paper16", "--out", str(out))
     code, stdout, _ = run(capsys, "irreducible", str(out))
     assert code == 0
-    assert "irreducible" in stdout
-    assert "44 seed edges" in stdout
+    lines = stdout.splitlines()
+    assert lines[0] == (
+        "irreducible: no proper subnet; 44 seed edges refuted in 520 propagation steps"
+    )
+    low, high = _margin(lines[-1])
+    assert low == pytest.approx(5.736e-15, rel=1e-3)
+    assert high == 1e-8
+
+
+def _margin(line):
+    m = re.fullmatch(
+        r"tol margin: balanced edge subsets have residual <= (\S+), the others >= (\S+)", line
+    )
+    assert m, line
+    return float(m[1]), float(m[2])
 
 
 def test_irreducible_on_overlay_net(tmp_path, capsys):
@@ -103,9 +138,26 @@ def test_irreducible_on_overlay_net(tmp_path, capsys):
     assert "reducible" in stdout
     witness = load(str(wit_path))
     assert 0 < len(witness.edges) < 65
-    # every witness edge is listed in the report
-    for u, v in witness.edges:
-        assert f"{u} -- {v}" in stdout
+    # every witness edge is listed in the report, then the margin
+    lines = stdout.splitlines()
+    assert lines[1:-1] == [f"  {u} -- {v}" for u, v in witness.edges]
+    assert _margin(lines[-1])[1] == 1e-8
+
+
+def test_irreducible_margin_at_tol_0(tmp_path, capsys):
+    # the crossing of two diagonals balances exactly, and a statement
+    # about tol = 0 must still be true: only exact zero sums are accepted
+    from geonets import Net, Point, Vertex, VertexKind, planarize
+
+    pins = [Vertex(f"p{i}", Point(x, y), VertexKind.UNBALANCED)
+            for i, (x, y) in enumerate([(-1, -1), (1, -1), (1, 1), (-1, 1)])]
+    path = tmp_path / "x.json"
+    save(planarize(Net(pins, [("p0", "p2"), ("p1", "p3")])), str(path))
+    code, stdout, _ = run(capsys, "irreducible", str(path), "--tol", "0")
+    assert code == 2
+    assert stdout.splitlines()[-1] == (
+        "tol margin: balanced edge subsets have residual <= 0.0, the others >= 0.0"
+    )
 
 
 def test_irreducible_budget_maps_to_exit_3(tmp_path, capsys, monkeypatch):

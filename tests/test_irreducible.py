@@ -76,28 +76,48 @@ def test_subsets_at_triple_crossing(paper_net):
     assert sizes == [0, 2, 2, 2, 4, 4, 4, 6]
 
 
+def _bent_star(bend):
+    """A balanced vertex c with three opposite pairs of edges on axes 120
+    degrees apart, each pair bent by `bend`. The bends cancel, so c
+    balances; every union of one or two pairs has residual 2*sin(bend/2),
+    and each of the two tripods sums to zero."""
+    verts, edges = [_v("c", 0, 0, B)], []
+    for k in range(3):
+        axis = 2 * math.pi * k / 3
+        for side, angle in (("a", axis), ("b", axis + math.pi + bend)):
+            verts.append(_v(f"{side}{k}", math.cos(angle), math.sin(angle)))
+            edges.append(("c", f"{side}{k}"))
+    return Net(verts, edges)
+
+
 @pytest.mark.parametrize(
-    "drift, message",
+    "net, vid, tol, low, high",
     [
-        (5e-9, r"2 edge subsets have residual between tol and 10\*tol"),
-        (5e-10, r"a balanced subset has residual above tol/10"),
+        # the pairs are rejected at 5e-9, within 10*tol: the high end
+        (_bent_star(5e-9), "c", 1e-9, 0.0, 5e-9),
+        # the pairs are accepted at 5e-10 and nothing is rejected within
+        # 10*tol: the low end, and high is 10*tol
+        (_bent_star(5e-10), "c", 1e-9, 5e-10, 1e-8),
+        # opposite unit vectors cancel exactly, so tol = 0 certifies
+        (planarized_x_net(), "x1", 0.0, 0.0, 0.0),
     ],
+    ids=["rejected-within-10tol", "none-rejected", "tol0"],
 )
-def test_tolerance_sensitive_subsets_warn(drift, message):
-    # e and w are opposite up to `drift`; n and s are exactly opposite
-    net = Net(
-        vertices=(
-            _v("c", 0, 0, B), _v("e", 1, 0), _v("w", -1, drift), _v("n", 0, 1), _v("s", 0, -1),
-        ),
-        edges=(("c", "e"), ("c", "w"), ("c", "n"), ("c", "s")),
-    )
-    with pytest.warns(UserWarning, match=message) as record:
-        subs = balanced_edge_subsets(net, "c", tol=1e-9)
-    assert len(record) == 1
-    ew = frozenset({("c", "e"), ("c", "w")})
-    ns = frozenset({("c", "n"), ("c", "s")})
-    expected = {frozenset(), ns} if drift > 1e-9 else {frozenset(), ew, ns, ew | ns}
-    assert {frozenset(sub) for sub in subs} == expected
+def test_tolerance_margin(net, vid, tol, low, high):
+    cert = find_proper_subnet(net, tol)
+    assert isinstance(cert, Reducible)
+    got_low, got_high = cert.tol_margin
+    assert got_low == pytest.approx(low, rel=1e-6, abs=1e-15)
+    assert got_high == pytest.approx(high, rel=1e-6)
+    # the margin is a true statement about every subset, up to rounding
+    balanced = set(balanced_edge_subsets(net, vid, tol))
+    assert set(brute_force_balanced_subsets(net, vid, got_low + 1e-15)) == balanced
+    assert set(brute_force_balanced_subsets(net, vid, max(got_high - 1e-15, 0.0))) == balanced
+    # inside the margin the subset table and the certificate do not change
+    if got_low < got_high:
+        for inner in (math.nextafter(got_low, 1.0), math.nextafter(got_high, 0.0)):
+            assert set(balanced_edge_subsets(net, vid, inner)) == balanced
+            assert find_proper_subnet(net, inner).witness == cert.witness
 
 
 def test_subsets_at_crossing_of_two_chords():

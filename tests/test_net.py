@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from geonets import (
     relabeled,
     verify,
 )
+from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
 B = VertexKind.BALANCED
@@ -82,6 +84,14 @@ def test_net_names_the_smallest_duplicate():
         Net(vertices=verts, edges=edges)
 
 
+def test_net_names_the_first_coincident_pair():
+    # a-d and b-c both coincide; the pair with the smaller first id is named
+    verts = [_v("a", 0, 0), _v("b", 5, 0), _v("c", 5, 1e-12), _v("d", 1e-12, 0)]
+    with pytest.raises(CoincidentVertices, match="^vertices a and d coincide") as info:
+        Net(vertices=verts, edges=())
+    assert info.value.ids == ("a", "d")
+
+
 def test_net_lookups():
     net = x_net()
     assert net.vertex("p1").pos == Point(-1, -1)
@@ -133,6 +143,55 @@ def test_segment_pairs_yield_meeting_pairs_in_order():
     assert isinstance(pairs[0][2], ProperCrossing)
     assert isinstance(pairs[1][2], AtSharedEndpoint)
     assert not any(isinstance(k, Disjoint) for _, _, k in pairs)
+
+
+def _chain(a, m, b):
+    """Pins a and b joined through the balanced vertex m."""
+    return Net(
+        vertices=(_v("a", *a), _v("m", *m, B), _v("b", *b)),
+        edges=(("a", "m"), ("b", "m")),
+    )
+
+
+def test_verify_passes_a_near_straight_pass_through_vertex():
+    # the two edges at m point 4.8e-11 rad from opposite; intersect alone
+    # places a crossing beside m
+    net = _chain(
+        (0.604953830660671, -1.284991387387063),
+        (-1.7220696043492536, -1.2263327616528947),
+        (-2.0858168420759293, -1.2171635746137197),
+    )
+    report = verify(net, min_balanced_degree=1)
+    assert report.max_residual < 1e-10
+    assert report.unplanarized_crossings == []
+    assert report.passed
+    assert planarize(net) is net
+
+
+def test_bent_pass_through_chains_meet_only_at_their_vertex():
+    rng = random.Random(0)
+    for _ in range(300):
+        mx, my = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        turn, bend = rng.uniform(0, 2 * math.pi), rng.uniform(-1e-9, 1e-9)
+        la, lb = rng.uniform(0.1, 3), rng.uniform(0.1, 3)
+        net = _chain(
+            (mx + la * math.cos(turn), my + la * math.sin(turn)),
+            (mx, my),
+            (mx - lb * math.cos(turn + bend), my - lb * math.sin(turn + bend)),
+        )
+        report = verify(net, min_balanced_degree=1)
+        assert report.unplanarized_crossings == [] and report.overlay_findings == [], net
+
+
+def test_edges_leaving_a_vertex_in_one_direction_overlap():
+    # c lies on a-b, so a-b and a-c share a and overlap from a to c
+    net = Net(
+        vertices=(_v("a", 0, 0), _v("b", 2, 0), _v("c", 1, 0)),
+        edges=(("a", "b"), ("a", "c")),
+    )
+    assert [(e1, e2) for e1, e2, _ in verify(net).overlay_findings] == [(("a", "b"), ("a", "c"))]
+    with pytest.raises(OverlayEdges):
+        planarize(net)
 
 
 def test_balance_residual_degree_one_is_unit():
@@ -402,6 +461,12 @@ def test_quarter_turn_symmetry_checks_kind():
         edges=(("p1", "p3"), ("p2", "p4")),
     )
     assert not is_symmetric_under_quarter_turn(net)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_quarter_turn_symmetry_rejects_a_bad_tolerance(paper_net, tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        is_symmetric_under_quarter_turn(paper_net, tol)
 
 
 def test_relabeled():

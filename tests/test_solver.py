@@ -4,6 +4,7 @@ import random
 import pytest
 
 from geonets import (
+    Irreducible,
     Net,
     Point,
     Triangle,
@@ -14,10 +15,12 @@ from geonets import (
     build_fermat_tripod,
     distance,
     fermat_point,
+    find_proper_subnet,
     length_gradient,
     moved,
     relax,
     total_length,
+    verify,
 )
 from geonets.net import UnknownVertex
 
@@ -197,6 +200,21 @@ def test_relax_perturbed_paper_net_in_few_iterations(paper_net, seed, amplitude)
     trace = result.length_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == pytest.approx(total_length(result.net), rel=1e-12)
+
+
+def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
+    # relaxing straightens the chords through x1..x4 to within 1e-9 rad,
+    # which once made verify report crossings beside those vertices
+    result = relax(_perturbed(paper_net, 0, 0.014))
+    assert result.stop_reason == "converged"
+    assert verify(result.net).passed
+    cert = find_proper_subnet(result.net)
+    assert isinstance(cert, Irreducible)
+    low, high = cert.tol_margin
+    assert low <= 1e-9 < high
+    # low covers verify's residuals too, which sum each star in another
+    # order than the subset sums: just inside it, the net still verifies
+    assert find_proper_subnet(result.net, math.nextafter(low, 1.0)).trace == cert.trace
 
 
 def test_relax_stalls_when_step_moves_nothing(paper_net):
