@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 # Two points closer than this coincide. Net coordinates are O(1)-O(5),
 # so this sits far above double-precision noise and far below the
@@ -159,6 +159,30 @@ def _in_endpoint_band(t: float) -> bool:
     return t <= PARAM_EPS or t >= 1.0 - PARAM_EPS
 
 
+def _from_shared_endpoint(p: Point, q: Point, r: Point, s: Point) -> Optional[IntersectionKind]:
+    """intersect's answer for segments p-q and r-s with an endpoint w in
+    common (equal coordinates), else None. Both tests read the two
+    directions from w, so the answer does not depend on the argument
+    order."""
+    if p.x == r.x and p.y == r.y:
+        w, a, b = p, q, s
+    elif p.x == s.x and p.y == s.y:
+        w, a, b = p, q, r
+    elif q.x == r.x and q.y == r.y:
+        w, a, b = q, p, s
+    elif q.x == s.x and q.y == s.y:
+        w, a, b = q, p, r
+    else:
+        return None
+    ax, ay = a.x - w.x, a.y - w.y
+    bx, by = b.x - w.x, b.y - w.y
+    if ax * bx + ay * by > 0.0:
+        la, lb = math.hypot(ax, ay), math.hypot(bx, by)
+        if abs(ax * by - ay * bx) / max(la, lb) <= COINCIDENCE_EPS:
+            return CollinearOverlap(Segment(w, a if la < lb else b))
+    return AtSharedEndpoint(w)
+
+
 def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     """Classify how two segments meet.
 
@@ -168,6 +192,12 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     [PARAM_EPS, 1 - PARAM_EPS]); contact inside the band is reported as
     endpoint contact instead, so planarization cannot fabricate
     near-endpoint crossings.
+
+    Segments with an endpoint w in common (equal coordinates) that pass
+    the cheap rejections are decided exactly, not by the parametric solve:
+    they overlap along the shorter segment when both leave w on the same
+    side and the far end of the shorter lies within COINCIDENCE_EPS of the
+    longer one's line, and otherwise meet only at w (AtSharedEndpoint).
     """
     p, q = s1.p, s1.q
     r, s = s2.p, s2.q
@@ -183,6 +213,9 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
         off_s = abs(d1x * (s.y - p.y) - d1y * (s.x - p.x)) / len1
         if off_r > COINCIDENCE_EPS or off_s > COINCIDENCE_EPS:
             return Disjoint()
+        shared = _from_shared_endpoint(p, q, r, s)
+        if shared is not None:
+            return shared
         inv = 1.0 / (len1 * len1)
         t_r = (d1x * (r.x - p.x) + d1y * (r.y - p.y)) * inv
         t_s = (d1x * (s.x - p.x) + d1y * (s.y - p.y)) * inv
@@ -202,7 +235,14 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     t = (ex * d2y - ey * d2x) / den
     u = (ex * d1y - ey * d1x) / den
     if t < -PARAM_EPS or t > 1.0 + PARAM_EPS or u < -PARAM_EPS or u > 1.0 + PARAM_EPS:
-        return Disjoint()
+        # A shared endpoint p == r, p == s or q == r gives t and u of
+        # exactly 0 or 1. Only q == s leaves rounding in t and u, which
+        # near parallel can throw them out of range.
+        if not (q.x == s.x and q.y == s.y):
+            return Disjoint()
+    shared = _from_shared_endpoint(p, q, r, s)
+    if shared is not None:
+        return shared
     t_end = _in_endpoint_band(t)
     u_end = _in_endpoint_band(u)
     if t_end and u_end:

@@ -23,6 +23,7 @@ vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -43,9 +44,21 @@ class SearchBudgetExceeded(RuntimeError):
     """Subnet search exceeded its node budget."""
 
 
+def _least_root(n2: float) -> float:
+    """The least double x >= 0 with x * x >= n2, so that the accept test
+    norm2 <= tol * tol passes n2 exactly when tol >= x."""
+    x = math.sqrt(n2)
+    # sqrt rounds to nearest, so the square of the double below x falls
+    # short of n2; only x * x may round below it.
+    while x * x < n2:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray, float, float]:
-    """The edges at vid, the masks of its balanced subsets, their largest
-    residual and the least rejected one within 10*tol (10*tol if none)."""
+    """The edges at vid, the masks of its balanced subsets, the least tol
+    that accepts all of them, and the least tol that accepts a subset
+    rejected within 10*tol (10*tol if there is none)."""
     a = net.arrays
     incident = list(net.incident_edges(vid))
     rows = np.array([a.edge_index[e] for e in incident], dtype=np.int64)
@@ -60,8 +73,9 @@ def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray, 
     sums = _kernels.subset_sums(loose, vecs)
     norm2 = (sums * sums).sum(axis=1)
     ok = norm2 <= tol * tol
-    norms = np.sqrt(norm2)
-    return incident, loose[ok], float(norms[ok].max()), float(norms[~ok].min(initial=tol * 10.0))
+    rejected = norm2[~ok]
+    high = _least_root(float(rejected.min())) if rejected.size else tol * 10.0
+    return incident, loose[ok], _least_root(float(norm2[ok].max())), high
 
 
 def balanced_edge_subsets(
@@ -123,7 +137,7 @@ class _Ctx:
 
     Edge i of the net is bit i of every edge bitset. masks[vid] holds the
     balanced subsets at vid as edge bitsets, in the ascending order of
-    _masks_for; incident[vid] lists the edge rows at vid in adjacency order.
+    _masks_for.
     """
 
     def __init__(self, net: Net, tol: float, low: float):
@@ -133,7 +147,6 @@ class _Ctx:
         self.balanced: List[str] = [
             v.id for v in net.vertices if v.kind is VertexKind.BALANCED
         ]
-        self.incident: Dict[str, List[int]] = {}
         self.inc_bits: Dict[str, int] = {}
         self.masks: Dict[str, List[int]] = {}
         self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
@@ -142,7 +155,6 @@ class _Ctx:
             inc, masks, accepted, rejected = _masks_for(net, vid, tol)
             low, high = max(low, accepted), min(high, rejected)
             rows = [eidx[e] for e in inc]
-            self.incident[vid] = rows
             self.inc_bits[vid] = sum(1 << r for r in rows)
             self.masks[vid] = [
                 sum(1 << r for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
@@ -163,7 +175,12 @@ class _Ctx:
 
 def _rows(bits: int) -> List[int]:
     """Indices of the set bits, ascending."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    rows = []
+    while bits:
+        bit = bits & -bits
+        rows.append(bit.bit_length() - 1)
+        bits ^= bit
+    return rows
 
 
 def _conflict(seed: Edge, vertex: Optional[str], reason: str) -> TraceStep:
@@ -204,8 +221,7 @@ def _propagate(
         if new_in or new_out:
             ins |= new_in
             outs |= new_out
-            rows_in = [r for r in ctx.incident[vid] if new_in >> r & 1]
-            rows_out = [r for r in ctx.incident[vid] if new_out >> r & 1]
+            rows_in, rows_out = _rows(new_in), _rows(new_out)
             if trace is not None:
                 trace.append(TraceStep(seed, vid, ctx.edges_of(rows_in), ctx.edges_of(rows_out)))
             for r in rows_in + rows_out:
@@ -213,9 +229,6 @@ def _propagate(
                     if w not in pending:
                         pending.add(w)
                         work.append(w)
-            if vid not in pending:
-                pending.add(vid)
-                work.append(vid)
     return ins, outs
 
 
@@ -301,10 +314,11 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     conflict. Branch refutations are not recorded, only that a seed's
     branches all failed.
 
-    Both carry tol_margin = (low, high): every balanced subset has residual
-    at most low, every other at least high (the least rejected within
-    10*tol, else 10*tol). For every tol in [low, high) the subset tables,
-    verdict and certificate are the same, up to rounding in the last place.
+    Both carry tol_margin = (low, high). low is the least tolerance at
+    which every balanced subset passes the accept test norm2 <= tol * tol
+    and the net passes verify; high is the least at which a rejected subset
+    within 10*tol would pass, else 10*tol. For every tol in [low, high) the
+    subset tables, verdict and certificate are the same.
 
     The net must pass verify at the same tolerance first; like verify,
     raises ValueError unless tol is finite and nonnegative.

@@ -20,7 +20,6 @@ from . import _kernels
 from .geom import (
     COINCIDENCE_EPS,
     PARAM_EPS,
-    AtSharedEndpoint,
     CollinearOverlap,
     Disjoint,
     EndpointOnInterior,
@@ -40,10 +39,6 @@ Edge = Tuple[str, str]
 # contributes ~1e-15 per unit-vector term; 1e-9 leaves headroom for
 # accumulated trigonometric rounding.
 DEFAULT_TOL = 1e-9
-
-# Two edges that share a vertex and leave it in directions closer than
-# this (as unit vectors) may overlap; any others meet only at that vertex.
-_SAME_DIRECTION_EPS = 1e-9
 
 
 def _check_tol(tol: float) -> None:
@@ -320,28 +315,17 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     """Every pair of edges that meet, as (e1, e2, kind) with e1 before e2
     in net.edges, in lexicographic order of the pair. Tests all pairs.
 
-    Edges that share a vertex meet only there unless they leave it in the
-    same direction, within _SAME_DIRECTION_EPS. intersect cannot tell this
-    from coordinates alone: at a vertex that a line passes straight
-    through, its two edges are so nearly parallel that intersect may place
-    a crossing or an endpoint contact beside the vertex.
+    Edges with a common vertex have equal coordinates there (Net rejects
+    distinct vertices within COINCIDENCE_EPS), so intersect decides them
+    exactly.
     """
     edges = net.edges
     segs = [net.segment(e) for e in edges]
     for i, s1 in enumerate(segs):
         for j in range(i + 1, len(segs)):
             kind = intersect(s1, segs[j])
-            if isinstance(kind, Disjoint):
-                continue
-            shared = () if isinstance(kind, AtSharedEndpoint) else set(edges[i]) & set(edges[j])
-            if shared:
-                (w,) = shared
-                units = net.arrays.units  # row i points away from edges[i][0]
-                ui = units[i] if edges[i][0] == w else -units[i]
-                uj = units[j] if edges[j][0] == w else -units[j]
-                if math.hypot(*(ui - uj)) > _SAME_DIRECTION_EPS:
-                    kind = AtSharedEndpoint(net.by_id[w].pos)
-            yield edges[i], edges[j], kind
+            if not isinstance(kind, Disjoint):
+                yield edges[i], edges[j], kind
 
 
 def _interior_param(seg: Segment, pt: Point) -> Optional[float]:

@@ -204,3 +204,61 @@ def test_intersect_symmetric_in_argument_order():
         assert type(a) is type(b)
         if not isinstance(a, (Disjoint, CollinearOverlap)):
             assert distance(a.point, b.point) < 1e-9
+
+
+def _eight_orders(s1, s2):
+    """Both argument orders, with each segment either way round."""
+    for a in (s1, Segment(s1.q, s1.p)):
+        for b in (s2, Segment(s2.q, s2.p)):
+            yield a, b
+            yield b, a
+
+
+def _legs(rng, la, lb, angle, same_side):
+    """Segments w-a and w-b from a random point w: w-a of length la in a
+    random direction, w-b of length lb turned from it by angle, and
+    pointing back through w unless same_side."""
+    w = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    th = rng.uniform(0, 2 * math.pi)
+    lb = lb if same_side else -lb
+    a = Point(w.x + la * math.cos(th), w.y + la * math.sin(th))
+    b = Point(w.x + lb * math.cos(th + angle), w.y + lb * math.sin(th + angle))
+    return Segment(w, a), Segment(w, b)
+
+
+def test_intersect_pass_through_meets_only_at_the_shared_endpoint():
+    # a line bent by 1e-12..1e-6 rad at w: the parametric solve alone can
+    # place a crossing or an endpoint contact beside w
+    rng = random.Random(11)
+    for _ in range(2_000):
+        bend = 10 ** rng.uniform(-12, -6) * rng.choice((-1, 1))
+        s1, s2 = _legs(rng, rng.uniform(0.2, 5), rng.uniform(0.2, 5), bend, same_side=False)
+        for a, b in _eight_orders(s1, s2):
+            kind = intersect(a, b)
+            assert isinstance(kind, (AtSharedEndpoint, Disjoint)), (a, b, kind)
+            if isinstance(kind, AtSharedEndpoint):
+                assert kind.point == s1.p
+
+
+@pytest.mark.parametrize(
+    "la, lb, angle, expected",
+    [
+        (5.0, 4.0, 2e-12, CollinearOverlap),
+        # the far end of the shorter leg is 0.75e-9 off the longer one's line
+        (5.0, 0.5, 1.5e-9, CollinearOverlap),
+        # ... and here 2e-9 off it
+        (5.0, 4.0, 5e-10, AtSharedEndpoint),
+    ],
+)
+def test_intersect_decides_legs_on_one_side_in_every_order(la, lb, angle, expected):
+    rng = random.Random(12)
+    for _ in range(250):
+        s1, s2 = _legs(rng, la, lb, angle, same_side=True)
+        for a, b in _eight_orders(s1, s2):
+            kind = intersect(a, b)
+            assert type(kind) is expected, (a, b, kind)
+            if expected is CollinearOverlap:
+                # along the shorter leg, from the shared endpoint
+                assert kind.overlap == s2
+            else:
+                assert kind.point == s1.p

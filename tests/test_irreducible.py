@@ -113,11 +113,36 @@ def test_tolerance_margin(net, vid, tol, low, high):
     balanced = set(balanced_edge_subsets(net, vid, tol))
     assert set(brute_force_balanced_subsets(net, vid, got_low + 1e-15)) == balanced
     assert set(brute_force_balanced_subsets(net, vid, max(got_high - 1e-15, 0.0))) == balanced
-    # inside the margin the subset table and the certificate do not change
+    # at both ends of the margin the subset table and the certificate
+    # do not change: at low itself and at the largest double below high
     if got_low < got_high:
-        for inner in (math.nextafter(got_low, 1.0), math.nextafter(got_high, 0.0)):
-            assert set(balanced_edge_subsets(net, vid, inner)) == balanced
-            assert find_proper_subnet(net, inner).witness == cert.witness
+        for end in (got_low, math.nextafter(got_high, 0.0)):
+            assert set(balanced_edge_subsets(net, vid, end)) == balanced
+            assert find_proper_subnet(net, end).witness == cert.witness
+
+
+def test_least_root_is_the_least_double_whose_square_reaches_n2():
+    rng = random.Random(3)
+    for _ in range(10_000):
+        n2 = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-120, 0))
+        x = irreducible._least_root(n2)
+        below = math.nextafter(x, 0.0)
+        assert x * x >= n2 > below * below, n2
+    assert irreducible._least_root(0.0) == 0.0
+
+
+def test_paper_net_margin_ends_are_exact(paper_net, paper_cert):
+    # low is the least double that accepts every balanced subset under
+    # norm2 <= tol * tol; sqrt of the largest norm2 alone rounds to a
+    # double whose square falls short of it at x1..x4
+    low, high = paper_cert.tol_margin
+    balanced = [v.id for v in paper_net.vertices if v.kind is B]
+    tables = {vid: balanced_edge_subsets(paper_net, vid) for vid in balanced}
+    for end in (low, math.nextafter(high, 0.0)):
+        assert {vid: balanced_edge_subsets(paper_net, vid, end) for vid in balanced} == tables
+        assert find_proper_subnet(paper_net, end).trace == paper_cert.trace
+    below = math.nextafter(low, 0.0)
+    assert any(balanced_edge_subsets(paper_net, vid, below) != tables[vid] for vid in balanced)
 
 
 def test_subsets_at_crossing_of_two_chords():

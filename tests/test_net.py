@@ -154,8 +154,8 @@ def _chain(a, m, b):
 
 
 def test_verify_passes_a_near_straight_pass_through_vertex():
-    # the two edges at m point 4.8e-11 rad from opposite; intersect alone
-    # places a crossing beside m
+    # the two edges at m point 4.8e-11 rad from opposite; the parametric
+    # solve alone places a crossing beside m
     net = _chain(
         (0.604953830660671, -1.284991387387063),
         (-1.7220696043492536, -1.2263327616528947),
@@ -181,6 +181,28 @@ def test_bent_pass_through_chains_meet_only_at_their_vertex():
         )
         report = verify(net, min_balanced_degree=1)
         assert report.unplanarized_crossings == [] and report.overlay_findings == [], net
+
+
+def test_verify_passes_a_chord_through_a_tripod_overlay_crossing():
+    # Cut from a planarized overlay of Fermat tripods on 8 jittered pins:
+    # the chord f-x771-x527 passes straight through the crossing vertex
+    # x771, and an id-blind pair test put a crossing beside it.
+    h = float.fromhex
+    net = Net(
+        vertices=(
+            _v("x771", h("-0x1.293236679af2bp+2"), h("-0x1.7be2744695b58p-4"), B),
+            _v("f", h("-0x1.293351e499188p+2"), h("-0x1.7afcd04973813p-4")),
+            _v("p4", h("-0x1.3fffcaaeab9dcp+2"), h("-0x1.717323417f8a2p-7")),
+            _v("x527", h("-0x1.291d40ab22aa0p+2"), h("-0x1.8cdcfc7c221d0p-4")),
+            _v("x774", h("-0x1.0b1636e8963dbp+2"), h("-0x1.9a4142e226b10p-3")),
+        ),
+        edges=[("x771", w) for w in ("f", "p4", "x527", "x774")],
+    )
+    report = verify(net)
+    assert report.unplanarized_crossings == [] and report.overlay_findings == []
+    assert report.max_residual < 1e-11
+    assert report.passed
+    assert planarize(net) is net
 
 
 def test_edges_leaving_a_vertex_in_one_direction_overlap():
