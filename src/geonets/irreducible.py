@@ -6,11 +6,12 @@ balanced vertex stays balanced with respect to the edges chosen at it
 constraint). A net with no proper subnet is irreducible.
 
 The search treats each balanced vertex as a constraint whose admissible
-values are its balanced edge subsets, runs unit propagation over shared
-edges, and branches only where propagation stalls. Seeding every edge in
-turn either finds a subnet (then shrunk to a minimal one) or proves that
-no edge lies in any proper subnet, with a propagation trace as the
-certificate.
+values are its balanced edge subsets and runs unit propagation over
+shared edges: from the seed edge's ends, then after every branch from the
+vertices at the edges the branch decided, so a vertex is checked again
+whenever one of its edges is decided. Seeding every edge in turn either
+finds a subnet (then shrunk to a minimal one) or proves that no edge lies
+in any proper subnet, with a propagation trace as the certificate.
 
 A search state is a pair of edge bitsets (ins, outs): bit i stands for
 net.edges[i], ins holds the edges chosen so far and outs the edges ruled
@@ -183,17 +184,22 @@ def _rows(bits: int) -> List[int]:
     return rows
 
 
-def _conflict(seed: Edge, vertex: Optional[str], reason: str) -> TraceStep:
-    return TraceStep(seed, vertex, (), (), conflict=reason)
+def _conflict(
+    trace: Optional[List[TraceStep]], seed: Edge, vertex: Optional[str], reason: str
+) -> None:
+    if trace is not None:
+        trace.append(TraceStep(seed, vertex, (), (), conflict=reason))
+
+
+def _fitting(ctx: _Ctx, vid: str, ins: int, outs: int) -> List[int]:
+    """The balanced subsets at vid that hold every chosen edge there and
+    no ruled-out one."""
+    need = ins & ctx.inc_bits[vid]
+    return [m for m in ctx.masks[vid] if m & need == need and not m & outs]
 
 
 def _propagate(
-    ctx: _Ctx,
-    ins: int,
-    outs: int,
-    queue: List[str],
-    trace: Optional[List[TraceStep]],
-    seed: Edge,
+    ctx: _Ctx, ins: int, outs: int, queue: List[str], trace: Optional[List[TraceStep]], seed: Edge
 ) -> Optional[Tuple[int, int]]:
     """Unit propagation to fixpoint. Returns (ins, outs), or None on a
     conflict."""
@@ -203,15 +209,11 @@ def _propagate(
         vid = work.pop()
         pending.discard(vid)
         ctx.charge()
-        inc = ctx.inc_bits[vid]
-        need = ins & inc
-        cands = [m for m in ctx.masks[vid] if m & need == need and not m & outs]
+        cands = _fitting(ctx, vid, ins, outs)
         if not cands:
-            if trace is not None:
-                trace.append(
-                    _conflict(seed, vid, "no balanced edge subset fits the current selection")
-                )
+            _conflict(trace, seed, vid, "no balanced edge subset fits the current selection")
             return None
+        inc = ctx.inc_bits[vid]
         every, some = inc, 0
         for m in cands:
             every &= m
@@ -232,49 +234,44 @@ def _propagate(
     return ins, outs
 
 
-def _search(
-    ctx: _Ctx,
-    ins: int,
-    outs: int,
-    queue: List[str],
-    trace: Optional[List[TraceStep]],
-    seed: Edge,
-) -> Optional[int]:
-    """DFS with propagation; returns the chosen edges of a complete
-    consistent state, or None. Branch refutations are not traced."""
-    state = _propagate(ctx, ins, outs, queue, trace, seed)
-    if state is None:
-        return None
-    ins, outs = state
-    # ins and outs are disjoint, so ins == full means nothing is excluded.
-    if ins == ctx.full:
-        if trace is not None:
-            trace.append(
-                _conflict(seed, None, "propagation selects every edge; the subnet is not proper")
-            )
-        return None
-    branch_vid: Optional[str] = None
-    branch_cands: List[int] = []
-    for vid in ctx.balanced:
-        inc = ctx.inc_bits[vid]
-        if not inc & ~(ins | outs):
+def _search(ctx: _Ctx, i: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+    """Depth-first search for a complete consistent state that holds edge
+    i and avoids excluded; returns its chosen edges, or None.
+
+    The stack holds (ins, outs, queue) states, each propagated from its
+    queue when popped: the root from the seed edge's ends, a branch from
+    the vertices at the edges it decided. Only the root is traced.
+    """
+    seed = ctx.edges[i]
+    stack = [(1 << i, excluded, ctx.vertices_of[i])]
+    branched = False
+    while stack:
+        ins, outs, queue = stack.pop()
+        if branched:
+            ctx.charge()
+        log = None if branched else trace
+        state = _propagate(ctx, ins, outs, queue, log, seed)
+        if state is None:
             continue
-        need = ins & inc
-        cands = [m for m in ctx.masks[vid] if m & need == need and not m & outs]
-        if branch_vid is None or len(cands) < len(branch_cands):
-            branch_vid, branch_cands = vid, cands
-    if branch_vid is None:
-        return ins
-    inc = ctx.inc_bits[branch_vid]
-    for m in branch_cands:
-        ctx.charge()
-        found = _search(ctx, ins | m, outs | (inc & ~m), [branch_vid], None, seed)
-        if found is not None:
-            return found
-    if trace is not None:
-        trace.append(
-            _conflict(seed, None, "exhaustive search found no proper subnet containing this edge")
-        )
+        ins, outs = state
+        # ins and outs are disjoint, so ins == full means nothing is excluded.
+        if ins == ctx.full:
+            _conflict(log, seed, None, "propagation selects every edge; the subnet is not proper")
+            continue
+        open_vids = [v for v in ctx.balanced if ctx.inc_bits[v] & ~(ins | outs)]
+        if not open_vids:
+            return ins
+        # Fewest fitting subsets first; min keeps the first in balanced order.
+        vid = min(open_vids, key=lambda v: len(_fitting(ctx, v, ins, outs)))
+        inc = ctx.inc_bits[vid]
+        rows = _rows(inc & ~(ins | outs))
+        decided = list(dict.fromkeys(w for r in rows for w in ctx.vertices_of[r]))
+        for m in reversed(_fitting(ctx, vid, ins, outs)):
+            stack.append((ins | m, outs | inc & ~m, decided))
+        branched = True
+    if branched:
+        reason = "exhaustive search found no proper subnet containing this edge"
+        _conflict(trace, seed, None, reason)
     return None
 
 
@@ -285,7 +282,7 @@ def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) ->
         seed = ctx.edges[i]
         if trace is not None:
             trace.append(TraceStep(seed, None, (seed,), ctx.edges_of(_rows(excluded))))
-        found = _search(ctx, 1 << i, excluded, list(ctx.balanced), trace, seed)
+        found = _search(ctx, i, excluded, trace)
         if found is not None:
             return found
         excluded |= 1 << i
@@ -310,9 +307,10 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
 
     Returns Reducible with a minimal witness edge set (no single edge can
     be dropped and leave a proper subnet inside the rest of the witness),
-    or Irreducible with the propagation trace of every seed edge up to its
-    conflict. Branch refutations are not recorded, only that a seed's
-    branches all failed.
+    or Irreducible with the trace of every seed edge's propagation, from
+    its two ends up to its conflict. Branch refutations are not recorded,
+    only that a seed's branches all failed. Branches live on an explicit
+    stack, so deep searches do not hit Python's recursion limit.
 
     Both carry tol_margin = (low, high). low is the least tolerance at
     which every balanced subset passes the accept test norm2 <= tol * tol

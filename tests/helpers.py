@@ -11,9 +11,13 @@ from geonets import (
     Edge,
     Net,
     Point,
+    Triangle,
     Vertex,
     VertexKind,
+    WideAngleTriangle,
     edge_key,
+    fermat_point,
+    planarize,
     unit_vector,
 )
 
@@ -143,3 +147,51 @@ def overlay_component_trees(net: Net) -> List[FrozenSet[Edge]]:
             cover |= edges_on_segment(net, pos[u], pos[v])
         trees.append(frozenset(cover))
     return trees
+
+
+def _circle_point(angle: float, radius: float = 5.0) -> Point:
+    return Point(radius * math.cos(angle), radius * math.sin(angle))
+
+
+def tripod_overlay(n: int, seed: int) -> Net:
+    """Planarized overlay of Fermat tripods on n pins.
+
+    Pin p<k> sits on a circle of radius 5 at angle 2*pi*k/n, jittered by
+    up to 0.1 rad from random.Random(seed). A balanced f<j> is placed at
+    the Fermat point of every pin triple without an angle of 120 degrees
+    or more, joined to its three pins, and the crossings are planarized.
+    """
+    rng = random.Random(seed)
+    pins = [_circle_point(2 * math.pi * k / n + rng.uniform(-0.1, 0.1)) for k in range(n)]
+    vertices = [Vertex(f"p{k}", p, VertexKind.UNBALANCED) for k, p in enumerate(pins)]
+    edges = []
+    for triple in itertools.combinations(range(n), 3):
+        try:
+            f = fermat_point(Triangle(*(pins[k] for k in triple)))
+        except WideAngleTriangle:
+            continue
+        fid = f"f{len(vertices) - n}"
+        vertices.append(Vertex(fid, f, VertexKind.BALANCED))
+        edges += [(fid, f"p{k}") for k in triple]
+    return planarize(Net(vertices, edges))
+
+
+def chord_arrangement(k: int, seed: int) -> Tuple[Net, List[Tuple[Point, Point]]]:
+    """Planarized arrangement of k random chords of a radius-5 circle,
+    pinned at both ends, and the chords' end points.
+
+    The net need not be valid: a chord that crosses no other is an edge
+    between two pins, and the chords need not form one component.
+    """
+    rng = random.Random(seed)
+    chords = [
+        (_circle_point(rng.uniform(0, 2 * math.pi)), _circle_point(rng.uniform(0, 2 * math.pi)))
+        for _ in range(k)
+    ]
+    vertices = [
+        Vertex(f"p{2 * c + end}", chord[end], VertexKind.UNBALANCED)
+        for c, chord in enumerate(chords)
+        for end in (0, 1)
+    ]
+    net = Net(vertices, [(f"p{2 * c}", f"p{2 * c + 1}") for c in range(k)])
+    return planarize(net), chords

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -26,8 +28,11 @@ from geonets import irreducible
 
 from helpers import (
     brute_force_balanced_subsets,
+    chord_arrangement,
+    edges_on_segment,
     enumerate_proper_subnets,
     subset_is_balanced,
+    tripod_overlay,
 )
 
 B = VertexKind.BALANCED
@@ -250,6 +255,8 @@ def test_paper_net_certificate(paper_cert, paper_net):
     for seed, steps in by_seed.items():
         assert steps[0].forced_in == (seed,)
         assert steps[-1].conflict is not None
+        # every seed is refuted by its own propagation, without branching
+        assert not steps[-1].conflict.startswith("exhaustive"), seed
 
 
 @pytest.fixture(
@@ -300,7 +307,7 @@ def _nonempty_subsets(edges):
     return out
 
 
-@pytest.mark.parametrize("name, nodes", [("paper", 1043), ("overlay", 1020), ("x", 6)])
+@pytest.mark.parametrize("name, nodes", [("paper", 193), ("overlay", 256), ("x", 6)])
 def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
     # every propagation step and every branch costs one node
     net = planarized_x_net() if name == "x" else request.getfixturevalue(f"{name}_net")
@@ -309,6 +316,59 @@ def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
     monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes - 1)
     with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} search nodes"):
         find_proper_subnet(net)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 276 edges; the search branches hundreds of times from one seed
+    net = tripod_overlay(6, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        cert = find_proper_subnet(net)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(cert, Reducible)
+    assert len(cert.witness) == 16
+    assert verify(edge_subnet(net, cert.witness), min_balanced_degree=1).passed
+
+
+def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
+    # Hand-built tables on 7 edges. Only v2 holds edge 0, and it needs a
+    # second edge with it; a branch at v0 decides v2's other edges.
+    tables = {
+        "v0": (0b0011010, [0, 0b10, 0b11000, 0b11010]),
+        "v1": (0b1100100, [0, 0b1100100]),
+        "v2": (0b0011011, [0, 3, 9, 10, 17, 18, 24, 27]),
+    }
+    ctx = object.__new__(irreducible._Ctx)
+    vars(ctx).update(
+        edges=[("e", str(i)) for i in range(7)],
+        full=(1 << 7) - 1,
+        balanced=list(tables),
+        inc_bits={vid: inc for vid, (inc, _) in tables.items()},
+        masks={vid: masks for vid, (_, masks) in tables.items()},
+        vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(7)},
+        nodes_left=1000,
+    )
+    found = irreducible._first_subnet(ctx, 0, None)
+    assert found is not None and 0 < found < ctx.full
+    for vid, (inc, masks) in tables.items():
+        assert found & inc in masks, vid
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 12])
+def test_chord_arrangement_witness_is_one_whole_chord(k):
+    # Generic chords meet in pairs, so every subnet is a union of whole
+    # chords and every minimal one is a single chord.
+    for seed in range(30):
+        net, chords = chord_arrangement(k, seed)
+        if not verify(net).passed:
+            continue
+        cert = find_proper_subnet(net)
+        assert isinstance(cert, Reducible), seed
+        assert cert.witness in {edges_on_segment(net, p, q) for p, q in chords}, seed
+        if len(net.edges) <= 16:
+            assert cert.witness in enumerate_proper_subnets(net), seed
 
 
 def test_exhaustive_agreement_on_tiny_nets(tripod_net, double_tripod_net):
