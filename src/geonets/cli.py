@@ -116,9 +116,10 @@ def _cmd_irreducible(args: argparse.Namespace) -> int:
         return 3
     if isinstance(cert, Irreducible):
         seeds = {step.seed for step in cert.trace}
+        forced = sum(step.vertex is not None and step.conflict is None for step in cert.trace)
         print(
             f"irreducible: no proper subnet; {len(seeds)} seed edges refuted "
-            f"in {len(cert.trace)} propagation steps"
+            f"in {forced} propagation steps"
         )
     else:
         witness = sorted(cert.witness)

@@ -94,6 +94,38 @@ def _first_repeat(items: Sequence):
     return next((a for a, b in zip(items, items[1:]) if a == b), None)
 
 
+# Boxes are widened by this factor beyond the distance they must cover, so
+# that rounding in their ends and in the predicates they stand in for
+# cannot drop a pair.
+_BOX_SLACK = 1.01
+
+
+def _xy(points: Sequence[Point]) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(len(points), 2)
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, of the closed boxes [lo[i], hi[i]] (rows
+    of x, y) that overlap, in lexicographic order.
+
+    A sort and sweep (Bentley & Ottmann 1979): the boxes are sorted by
+    low x, the x window of each is the run of later boxes whose low x is
+    at most its high x (one searchsorted end), and of those the pairs
+    whose y ranges overlap too are kept. Time and memory grow with the
+    pairs in the x windows, not with the square of the number of boxes.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = ends - np.arange(1, len(order) + 1)
+    first = np.repeat(np.arange(len(order)), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[np.arange(len(first)) - starts + first + 1]
+    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    i, j = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
+    pick = np.lexsort((j, i))
+    return zip(i[pick].tolist(), j[pick].tolist())
+
+
 @dataclass(frozen=True)
 class Net:
     """Immutable net value. Vertices are stored sorted by id, edges sorted
@@ -123,10 +155,10 @@ class Net:
         dup_e = _first_repeat(canon)
         if dup_e is not None:
             raise InvariantViolation(f"duplicate edge: {dup_e}")
-        for i, a in enumerate(verts):
-            for b in verts[i + 1:]:
-                if distance(a.pos, b.pos) <= COINCIDENCE_EPS:
-                    raise CoincidentVertices(a.id, b.id)
+        xy = _xy([v.pos for v in verts])
+        for i, j in _box_pairs(xy - COINCIDENCE_EPS, xy + COINCIDENCE_EPS):
+            if distance(verts[i].pos, verts[j].pos) <= COINCIDENCE_EPS:
+                raise CoincidentVertices(verts[i].id, verts[j].id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
 
@@ -184,8 +216,7 @@ class NetArrays:
     def of(cls, net: Net) -> "NetArrays":
         ids = tuple(v.id for v in net.vertices)
         index = {vid: k for k, vid in enumerate(ids)}
-        pos = np.array([[v.pos.x, v.pos.y] for v in net.vertices], dtype=np.float64)
-        pos = pos.reshape(len(ids), 2)
+        pos = _xy([v.pos for v in net.vertices])
         edges = np.array([[index[u], index[v]] for u, v in net.edges], dtype=np.int64)
         edges = edges.reshape(len(net.edges), 2)
         free = np.array(
@@ -313,19 +344,31 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
 
 def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     """Every pair of edges that meet, as (e1, e2, kind) with e1 before e2
-    in net.edges, in lexicographic order of the pair. Tests all pairs.
+    in net.edges, in lexicographic order of the pair.
+
+    intersect decides only the pairs whose bounding boxes overlap once
+    each box is padded by intersect's own acceptance bands,
+    COINCIDENCE_EPS + PARAM_EPS * length, and _BOX_SLACK. A pair whose
+    padded boxes are apart is one that intersect calls Disjoint in exact
+    arithmetic. Only rounding in intersect's parametric solve of a nearly
+    parallel pair could accept such a pair, at a point that lies on
+    neither segment; the index drops it.
 
     Edges with a common vertex have equal coordinates there (Net rejects
     distinct vertices within COINCIDENCE_EPS), so intersect decides them
     exactly.
     """
     edges = net.edges
+    a = net.arrays
+    p, q = a.pos[a.edges[:, 0]], a.pos[a.edges[:, 1]]
+    pad = (COINCIDENCE_EPS + PARAM_EPS * np.hypot(*(q - p).T)) * _BOX_SLACK
+    lo = np.minimum(p, q) - pad[:, None]
+    hi = np.maximum(p, q) + pad[:, None]
     segs = [net.segment(e) for e in edges]
-    for i, s1 in enumerate(segs):
-        for j in range(i + 1, len(segs)):
-            kind = intersect(s1, segs[j])
-            if not isinstance(kind, Disjoint):
-                yield edges[i], edges[j], kind
+    for i, j in _box_pairs(lo, hi):
+        kind = intersect(segs[i], segs[j])
+        if not isinstance(kind, Disjoint):
+            yield edges[i], edges[j], kind
 
 
 def _interior_param(seg: Segment, pt: Point) -> Optional[float]:
@@ -355,27 +398,42 @@ def planarize(net: Net) -> Net:
     the distance below which Net rejects two vertices as coincident.
     A net with no interior intersections is returned unchanged.
     """
-    taken = {v.id for v in net.vertices}
-    fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
-    minted: List[Vertex] = []
-    cuts: Dict[Edge, Dict[str, float]] = {}
-
-    def landing(pt: Point) -> Vertex:
-        for vtx in itertools.chain(net.vertices, minted):
-            if distance(vtx.pos, pt) <= COINCIDENCE_EPS:
-                return vtx
-        minted.append(Vertex(next(fresh), pt, VertexKind.BALANCED))
-        return minted[-1]
-
+    contacts: List[Tuple[Edge, Edge, Point]] = []
     for e1, e2, kind in _segment_pairs(net):
         if isinstance(kind, CollinearOverlap):
             raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
         if isinstance(kind, (ProperCrossing, EndpointOnInterior)):
-            vtx = landing(kind.point)
-            for e in (e1, e2):
-                t = _interior_param(net.segment(e), vtx.pos)
-                if t is not None:
-                    cuts.setdefault(e, {}).setdefault(vtx.id, t)
+            contacts.append((e1, e2, kind.point))
+    if not contacts:
+        return net
+
+    # Point k of the net's vertices followed by the contact points is owned
+    # by a vertex at that position: net vertex k, or the vertex minted at
+    # contact k - nv. A contact lands on the first owner within
+    # COINCIDENCE_EPS among the points before it, found in the x-sorted
+    # index; owners are net vertices in id order, then minted ones in the
+    # order they were minted.
+    nv = len(net.vertices)
+    xy = _xy([*(v.pos for v in net.vertices), *(pt for _, _, pt in contacts)])
+    near: List[List[int]] = [[] for _ in contacts]
+    for i, j in _box_pairs(xy - COINCIDENCE_EPS, xy + COINCIDENCE_EPS):
+        if j >= nv:
+            near[j - nv].append(i)
+    owner: List[Optional[Vertex]] = [*net.vertices, *(None for _ in contacts)]
+    taken = {v.id for v in net.vertices}
+    fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
+    minted: List[Vertex] = []
+    cuts: Dict[Edge, Dict[str, float]] = {}
+    for k, (e1, e2, pt) in enumerate(contacts):
+        vtx = next((owner[c] for c in near[k]
+                    if owner[c] is not None and distance(owner[c].pos, pt) <= COINCIDENCE_EPS), None)
+        if vtx is None:
+            vtx = owner[nv + k] = Vertex(next(fresh), pt, VertexKind.BALANCED)
+            minted.append(vtx)
+        for e in (e1, e2):
+            t = _interior_param(net.segment(e), vtx.pos)
+            if t is not None:
+                cuts.setdefault(e, {}).setdefault(vtx.id, t)
 
     if not cuts:
         return net
@@ -396,13 +454,22 @@ def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
     Raises ValueError unless tol is finite and nonnegative.
     """
     _check_tol(tol)
+    verts = net.vertices
+    nv = len(verts)
+    targets = [rotate(v.pos, 1) for v in verts]
+    # Vertices are points, each rotated position a box of half-width tol.
+    xy = _xy([*(v.pos for v in verts), *targets])
+    pad = np.zeros((2 * nv, 1))
+    pad[nv:] = tol * _BOX_SLACK
+    hits: List[List[Vertex]] = [[] for _ in verts]
+    for i, j in _box_pairs(xy - pad, xy + pad):
+        if i < nv <= j and distance(verts[i].pos, targets[j - nv]) <= tol:
+            hits[j - nv].append(verts[i])
     mapping: Dict[str, str] = {}
-    for v in net.vertices:
-        target = rotate(v.pos, 1)
-        hits = [w for w in net.vertices if distance(w.pos, target) <= tol]
-        if len(hits) != 1 or hits[0].kind is not v.kind:
+    for v, found in zip(verts, hits):
+        if len(found) != 1 or found[0].kind is not v.kind:
             return False
-        mapping[v.id] = hits[0].id
+        mapping[v.id] = found[0].id
     if len(set(mapping.values())) != len(net.vertices):
         return False
     mapped = {edge_key(mapping[u], mapping[v]) for u, v in net.edges}

@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from geonets import (
     Edge,
+    IntersectionKind,
     Net,
     Point,
     Triangle,
@@ -20,6 +21,7 @@ from geonets import (
     planarize,
     unit_vector,
 )
+from geonets.geom import COINCIDENCE_EPS, Disjoint, distance, intersect
 
 
 def random_net(rng: random.Random) -> Net:
@@ -48,6 +50,55 @@ def random_net(rng: random.Random) -> Net:
         a, b = rng.sample(range(n), 2)
         edges.add(edge_key(f"v{a}", f"v{b}"))
     return Net(vertices, sorted(edges))
+
+
+def all_segment_pairs(net: Net) -> List[Tuple[Edge, Edge, IntersectionKind]]:
+    """Oracle for net._segment_pairs: intersect on every pair of edges, in
+    lexicographic order of the pair, keeping the pairs that meet."""
+    edges = net.edges
+    segs = [net.segment(e) for e in edges]
+    found = []
+    for i, s1 in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            kind = intersect(s1, segs[j])
+            if not isinstance(kind, Disjoint):
+                found.append((edges[i], edges[j], kind))
+    return found
+
+
+def first_coincident_pair(vertices: Sequence[Vertex]) -> Optional[Tuple[str, str]]:
+    """Oracle for Net's coincidence check: the first pair of vertices, in
+    id order, within COINCIDENCE_EPS of each other, else None."""
+    verts = sorted(vertices, key=lambda v: v.id)
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if distance(a.pos, b.pos) <= COINCIDENCE_EPS:
+                return a.id, b.id
+    return None
+
+
+def honeycomb(cols: int, rows: int) -> Net:
+    """A patch of a honeycomb of unit edges, cols columns by rows zigzag
+    rows: vertex (i, j) joins (i + 1, j), and (i, j + 1) when i + j is
+    even. Vertices with fewer than three edges are pins, and edges between
+    two pins are left out."""
+    def pos(i: int, j: int) -> Point:
+        return Point(i * math.sqrt(3.0) / 2.0, 1.5 * j + (0.25 if (i + j) % 2 == 0 else -0.25))
+
+    cells = [((i, j), (i + 1, j)) for j in range(rows) for i in range(cols - 1)]
+    cells += [((i, j), (i, j + 1)) for j in range(rows - 1) for i in range(cols) if (i + j) % 2 == 0]
+    degree: Dict[Tuple[int, int], int] = {}
+    for a, b in cells:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    pins = {c for c, d in degree.items() if d < 3}
+    cells = [(a, b) for a, b in cells if not (a in pins and b in pins)]
+    used = sorted({c for e in cells for c in e})
+    vertices = [
+        Vertex(f"h{i}_{j}", pos(i, j), VertexKind.UNBALANCED if (i, j) in pins else VertexKind.BALANCED)
+        for i, j in used
+    ]
+    return Net(vertices, [(f"h{a[0]}_{a[1]}", f"h{b[0]}_{b[1]}") for a, b in cells])
 
 
 def subset_is_balanced(net: Net, edges: Sequence[Edge], tol: float = 1e-9) -> bool:
@@ -153,13 +204,13 @@ def _circle_point(angle: float, radius: float = 5.0) -> Point:
     return Point(radius * math.cos(angle), radius * math.sin(angle))
 
 
-def tripod_overlay(n: int, seed: int) -> Net:
-    """Planarized overlay of Fermat tripods on n pins.
+def raw_tripod_overlay(n: int, seed: int) -> Net:
+    """Overlay of Fermat tripods on n pins, before planarization.
 
     Pin p<k> sits on a circle of radius 5 at angle 2*pi*k/n, jittered by
     up to 0.1 rad from random.Random(seed). A balanced f<j> is placed at
     the Fermat point of every pin triple without an angle of 120 degrees
-    or more, joined to its three pins, and the crossings are planarized.
+    or more, and joined to its three pins.
     """
     rng = random.Random(seed)
     pins = [_circle_point(2 * math.pi * k / n + rng.uniform(-0.1, 0.1)) for k in range(n)]
@@ -173,7 +224,12 @@ def tripod_overlay(n: int, seed: int) -> Net:
         fid = f"f{len(vertices) - n}"
         vertices.append(Vertex(fid, f, VertexKind.BALANCED))
         edges += [(fid, f"p{k}") for k in triple]
-    return planarize(Net(vertices, edges))
+    return Net(vertices, edges)
+
+
+def tripod_overlay(n: int, seed: int) -> Net:
+    """raw_tripod_overlay(n, seed) with its crossings planarized."""
+    return planarize(raw_tripod_overlay(n, seed))
 
 
 def chord_arrangement(k: int, seed: int) -> Tuple[Net, List[Tuple[Point, Point]]]:

@@ -1,0 +1,268 @@
+"""The sort-and-sweep broad phase against all-pairs oracles.
+
+_segment_pairs, Net's coincidence check and planarize's landing look up
+candidates through one box index; these tests hold each to the answer of
+testing every pair.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+import geonets.net
+from geonets import Net, Point, Vertex, VertexKind, edge_subnet, planarize, serialize, verify
+from geonets.geom import COINCIDENCE_EPS, PARAM_EPS
+from geonets.net import CoincidentVertices, _segment_pairs
+
+from helpers import (
+    all_segment_pairs,
+    chord_arrangement,
+    first_coincident_pair,
+    honeycomb,
+    random_net,
+    raw_tripod_overlay,
+    tripod_overlay,
+)
+
+B = VertexKind.BALANCED
+U = VertexKind.UNBALANCED
+
+
+def _net(segments):
+    """A net of the given segments, each its own pair of pins."""
+    verts, edges = [], []
+    for k, (p, q) in enumerate(segments):
+        verts += [Vertex(f"s{k:02d}a", Point(*p), U), Vertex(f"s{k:02d}b", Point(*q), U)]
+        edges.append((f"s{k:02d}a", f"s{k:02d}b"))
+    return Net(verts, edges)
+
+
+def _turned(segments, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return [tuple((c * x - s * y, s * x + c * y) for x, y in seg) for seg in segments]
+
+
+def _assert_matches_oracle(net):
+    assert list(_segment_pairs(net)) == all_segment_pairs(net)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_segment_pairs_match_the_oracle_on_raw_tripod_overlays(n):
+    for s in range(5):
+        _assert_matches_oracle(raw_tripod_overlay(n, s))
+
+
+# The planarized 7- and 8-pin overlays have about 260k and 2M edge pairs,
+# seconds for the oracle; they are compared on the edges within `reach` of
+# the centre, where the crossings are densest (about 60k and 100k pairs).
+@pytest.mark.parametrize("n,reach", [(6, math.inf), (7, 2.5), (8, 2.0)])
+def test_segment_pairs_match_the_oracle_on_planarized_tripod_overlays(n, reach):
+    for s in range(5):
+        net = tripod_overlay(n, s)
+        pos = net.by_id
+        central = [e for e in net.edges
+                   if all(abs(pos[u].pos.x) <= reach and abs(pos[u].pos.y) <= reach for u in e)]
+        assert len(central) > 200
+        _assert_matches_oracle(edge_subnet(net, central))
+
+
+@pytest.mark.parametrize("k", [6, 12, 24])
+def test_segment_pairs_match_the_oracle_on_chord_arrangements(k):
+    for s in range(5):
+        net, chords = chord_arrangement(k, s)
+        _assert_matches_oracle(net)
+        _assert_matches_oracle(_net([((p.x, p.y), (q.x, q.y)) for p, q in chords]))
+
+
+def test_segment_pairs_match_the_oracle_on_random_nets():
+    rng = random.Random(11)
+    for _ in range(50):
+        _assert_matches_oracle(random_net(rng))
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, 2.0, -1.1])
+@pytest.mark.parametrize("factor,meets", [(0.5, True), (0.9, True), (1.1, False), (3.0, False)])
+def test_an_endpoint_about_param_eps_past_the_other_end(angle, factor, meets):
+    # s01 starts on the line of s00, factor * PARAM_EPS * length past its
+    # end; s03 crosses the line of s02 just as far past its end.
+    length = 5.0
+    d = factor * PARAM_EPS * length
+    net = _net(_turned([
+        ((0.0, 0.0), (length, 0.0)),
+        ((length + d, 0.0), (length + d, 1.0)),
+        ((0.0, 3.0), (length, 3.0)),
+        ((length + d, 2.0), (length + d, 4.0)),
+    ], angle))
+    pairs = list(_segment_pairs(net))
+    assert pairs == all_segment_pairs(net)
+    expected = [(("s00a", "s00b"), ("s01a", "s01b")), (("s02a", "s02b"), ("s03a", "s03b"))]
+    assert [(e1, e2) for e1, e2, _ in pairs] == (expected if meets else [])
+
+
+@pytest.mark.parametrize("angle", [0.0, math.pi / 2, 0.7])
+@pytest.mark.parametrize("factor,meets", [(0.5, True), (0.99, True), (1.01, False), (2.0, False)])
+def test_parallel_segments_about_coincidence_eps_apart(angle, factor, meets):
+    off = factor * COINCIDENCE_EPS
+    net = _net(_turned([((0.0, 0.0), (2.0, 0.0)), ((1.0, off), (3.0, off))], angle))
+    pairs = list(_segment_pairs(net))
+    assert pairs == all_segment_pairs(net)
+    assert len(pairs) == (1 if meets else 0)
+
+
+@pytest.mark.parametrize("factor,meets", [(0.5, True), (0.99, True), (1.01, False)])
+def test_short_parallel_segments_about_coincidence_eps_apart(factor, meets):
+    # PARAM_EPS * length pads these boxes by 2e-10 only; COINCIDENCE_EPS
+    # in the pad is what keeps the pair.
+    off = factor * COINCIDENCE_EPS
+    net = _net([((0.0, 0.0), (0.2, 0.0)), ((0.1, off), (0.3, off))])
+    pairs = list(_segment_pairs(net))
+    assert pairs == all_segment_pairs(net)
+    assert len(pairs) == (1 if meets else 0)
+
+
+def test_axis_aligned_segments_with_zero_width_boxes():
+    net = _net([
+        ((0.0, 0.0), (4.0, 0.0)),  # horizontal
+        ((2.0, -1.0), (2.0, 1.0)),  # crosses it
+        ((4.0, -1.0), (4.0, 1.0)),  # its end on the interior
+        ((1.0, 0.0 + 2e-9), (1.0, 1.0)),  # ends just above it
+        ((1.0, 2.0), (1.0, 3.0)),  # same x as the last, apart
+        ((3.0, -1.0), (3.0, -1e-9 / 2)),  # ends within the band below it
+        ((0.0, 5.0), (4.0, 5.0)),  # parallel, far
+        ((5.0, 0.0), (6.0, 0.0)),  # collinear, apart
+    ])
+    pairs = list(_segment_pairs(net))
+    assert pairs == all_segment_pairs(net)
+    assert len(pairs) == 3
+
+
+def test_boxes_with_equal_low_x_tie_in_the_sort():
+    # Every segment starts at x = 0; the pairs must still come in id order.
+    net = _net([
+        ((0.0, 1.0), (3.0, -2.0)),
+        ((0.0, -1.0), (3.0, 2.0)),
+        ((0.0, 0.5), (0.0, -0.5)),
+        ((0.0, 3.0), (2.0, 3.0)),
+        ((0.0, 2.5), (1.0, -2.5)),
+        ((0.0, 10.0), (1.0, 10.0)),
+    ])
+    _assert_matches_oracle(net)
+    assert len(all_segment_pairs(net)) == 3
+
+
+def _planted(rng, t):
+    """Random vertices, some on shared x lines far apart in y, with three
+    planted near-coincident partners at distances around COINCIDENCE_EPS."""
+    verts = [
+        Vertex(f"v{i:02d}", Point(rng.choice([0.0, 1.0, rng.uniform(0, 2)]), rng.uniform(0, 2)), B)
+        for i in range(30)
+    ]
+    for k in range(3):
+        p = rng.choice(verts).pos
+        d = COINCIDENCE_EPS * rng.choice([0.5, 0.999, 1.0, 1.001, 2.0])
+        a = rng.uniform(0, 2 * math.pi)
+        verts.append(Vertex(f"w{t}_{k}", Point(p.x + d * math.cos(a), p.y + d * math.sin(a)), B))
+    rng.shuffle(verts)
+    return verts
+
+
+def test_net_names_the_same_coincident_pair_as_the_oracle():
+    rng = random.Random(5)
+    raised = 0
+    for t in range(300):
+        verts = _planted(rng, t)
+        expected = first_coincident_pair(verts)
+        if expected is None:
+            Net(verts, [])
+            continue
+        raised += 1
+        with pytest.raises(CoincidentVertices) as info:
+            Net(verts, [])
+        assert info.value.ids == expected
+    assert 50 < raised < 300
+
+
+def test_net_accepts_vertices_with_equal_x_far_apart_in_y():
+    verts = [Vertex(f"v{k}", Point(1.0, 3e-9 * k), B) for k in range(50)]
+    assert len(Net(verts, []).vertices) == 50
+    with pytest.raises(CoincidentVertices) as info:
+        Net(verts + [Vertex("w", Point(1.0, 3e-9 * 7 + 0.5e-9), B)], [])
+    assert info.value.ids == ("v7", "w")
+
+
+def test_a_contact_lands_on_the_first_net_vertex_in_id_order():
+    # m and n are 1.2e-9 apart, the crossing within 0.6e-9 of both; n
+    # comes first in x order, m in id order.
+    net = Net([
+        Vertex("a", Point(-1, -1), U), Vertex("b", Point(1, 1), U),
+        Vertex("c", Point(-1, 1), U), Vertex("d", Point(1, -1), U),
+        Vertex("m", Point(0.6e-9, 0.0), B), Vertex("n", Point(-0.6e-9, 0.0), B),
+    ], [("a", "b"), ("c", "d")])
+    out = planarize(net)
+    assert [v.id for v in out.vertices] == ["a", "b", "c", "d", "m", "n"]
+    assert out.degree("m") == 4 and out.degree("n") == 0
+
+
+def test_a_contact_lands_on_a_net_vertex_before_a_minted_one():
+    # a and b cross at (0, 0), minted as x1. a and c cross at (0.8e-9, 0),
+    # within COINCIDENCE_EPS of x1 and of the net vertex m, so it lands on
+    # m. b and c cross 8e-7 away, at x2.
+    slope = 1.001
+    net = Net([
+        Vertex("a1", Point(-2, 0), U), Vertex("a2", Point(2, 0), U),
+        Vertex("b1", Point(-2, -2), U), Vertex("b2", Point(2, 2), U),
+        Vertex("c1", Point(-2, slope * (-2 - 0.8e-9)), U),
+        Vertex("c2", Point(2, slope * (2 - 0.8e-9)), U),
+        Vertex("m", Point(1.6e-9, 0.0), B),
+    ], [("a1", "a2"), ("b1", "b2"), ("c1", "c2")])
+    out = planarize(net)
+    assert [v.id for v in out.vertices if v.id.startswith("x")] == ["x1", "x2"]
+    assert out.adjacency["m"] == ("a2", "c1", "x1", "x2")
+    assert out.adjacency["x1"] == ("a1", "b1", "m", "x2")
+
+
+# sha256 of serialize(tripod_overlay(n, s)) as a scan of every vertex gave
+# them: they pin the vertex each contact lands on and the minted ids.
+OVERLAY_SHA256 = {
+    (6, 0): "0cb895fe0b72c2e968f526ee7ba7f2f9aa4dd6be543c66319059804a9fc41c42",
+    (6, 1): "fc04d000ead088e57cbd6c3260126bc42e16bb6fe1777b593173d783f6b9a22a",
+    (6, 2): "9581868395f9c7d0f3b64260324ddd079f22e8a9be70da0b744d4951d2b876a9",
+    (7, 0): "b6e573b3433da3f42d0ba7516c58da048c5e3e55e485f2a2ac041fa6c44a2bc2",
+    (7, 1): "b6c891882cdea202655f8c259092138d9e23c3deb65dc4dd5859cf7dd100206a",
+    (7, 2): "4044f236e45b98b596b6b4bce68f5a75f57505cd0dc105a48d6d3921ddd2e397",
+    (8, 0): "a42e1bc870912df88898a50d5eb705036a7038c0cad1a64a218d47d48186a163",
+    (8, 1): "bb375c2c0b5c06afc2d4d6a9ab6c6cefd50a14517ea2871d22aba75223114bf7",
+    (8, 2): "a236c921455be9a3126112719cff440e43eea032064a912792de185a78a326dd",
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(OVERLAY_SHA256))
+def test_planarized_tripod_overlay_is_pinned(n, s):
+    text = serialize(tripod_overlay(n, s))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OVERLAY_SHA256[n, s]
+
+
+def test_verify_decides_only_the_pairs_that_meet_on_a_honeycomb(monkeypatch):
+    net = honeycomb(8, 6)
+    meeting = len(all_segment_pairs(net))
+    calls = []
+    real = geonets.net.intersect
+
+    def counted(s1, s2):
+        calls.append(1)
+        return real(s1, s2)
+
+    monkeypatch.setattr(geonets.net, "intersect", counted)
+    assert verify(net).passed
+    assert meeting > len(net.edges)
+    assert len(calls) == meeting
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_planarized_8_pin_overlay_verifies_and_is_a_fixed_point(s):
+    net = tripod_overlay(8, s)
+    assert len(net.edges) > 2000
+    assert verify(net).passed
+    assert planarize(net) is net

@@ -112,7 +112,7 @@ def test_irreducible_on_paper_net(tmp_path, capsys):
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0] == (
-        "irreducible: no proper subnet; 44 seed edges refuted in 168 propagation steps"
+        "irreducible: no proper subnet; 44 seed edges refuted in 80 propagation steps"
     )
     low, high = _margin(lines[-1])
     assert low == pytest.approx(5.736e-15, rel=1e-3)

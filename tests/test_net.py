@@ -485,6 +485,13 @@ def test_quarter_turn_symmetry_checks_kind():
     assert not is_symmetric_under_quarter_turn(net)
 
 
+def test_quarter_turn_symmetry_needs_exactly_one_vertex_within_tol():
+    net = planarize(x_net())
+    assert is_symmetric_under_quarter_turn(net, 1.0)
+    # each pin turns onto the next pin, but the centre is within 1.5 too
+    assert not is_symmetric_under_quarter_turn(net, 1.5)
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
 def test_quarter_turn_symmetry_rejects_a_bad_tolerance(paper_net, tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
