@@ -69,7 +69,7 @@ def parse(text: str) -> Net:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = _field(doc, "format_version", "document")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ParseError(f"document: unsupported format_version {version!r}")
     raw_vertices = _field(doc, "vertices", "document")
     raw_edges = _field(doc, "edges", "document")

@@ -193,14 +193,17 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     endpoint contact instead, so planarization cannot fabricate
     near-endpoint crossings.
 
-    Segments with an endpoint w in common (equal coordinates) that pass
-    the cheap rejections are decided exactly, not by the parametric solve:
+    Segments with an endpoint w in common (equal coordinates) are decided
+    first, exactly, and not by the parallel test or the parametric solve:
     they overlap along the shorter segment when both leave w on the same
     side and the far end of the shorter lies within COINCIDENCE_EPS of the
     longer one's line, and otherwise meet only at w (AtSharedEndpoint).
     """
     p, q = s1.p, s1.q
     r, s = s2.p, s2.q
+    shared = _from_shared_endpoint(p, q, r, s)
+    if shared is not None:
+        return shared
     d1x, d1y = q.x - p.x, q.y - p.y
     d2x, d2y = s.x - r.x, s.y - r.y
     len1 = math.hypot(d1x, d1y)
@@ -213,9 +216,6 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
         off_s = abs(d1x * (s.y - p.y) - d1y * (s.x - p.x)) / len1
         if off_r > COINCIDENCE_EPS or off_s > COINCIDENCE_EPS:
             return Disjoint()
-        shared = _from_shared_endpoint(p, q, r, s)
-        if shared is not None:
-            return shared
         inv = 1.0 / (len1 * len1)
         t_r = (d1x * (r.x - p.x) + d1y * (r.y - p.y)) * inv
         t_s = (d1x * (s.x - p.x) + d1y * (s.y - p.y)) * inv
@@ -235,14 +235,7 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     t = (ex * d2y - ey * d2x) / den
     u = (ex * d1y - ey * d1x) / den
     if t < -PARAM_EPS or t > 1.0 + PARAM_EPS or u < -PARAM_EPS or u > 1.0 + PARAM_EPS:
-        # A shared endpoint p == r, p == s or q == r gives t and u of
-        # exactly 0 or 1. Only q == s leaves rounding in t and u, which
-        # near parallel can throw them out of range.
-        if not (q.x == s.x and q.y == s.y):
-            return Disjoint()
-    shared = _from_shared_endpoint(p, q, r, s)
-    if shared is not None:
-        return shared
+        return Disjoint()
     t_end = _in_endpoint_band(t)
     u_end = _in_endpoint_band(u)
     if t_end and u_end:

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, VertexKind, _check_tol, verify
+from .net import DEFAULT_TOL, Edge, Net, VertexKind, _check_tol, edge_key, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -56,27 +56,25 @@ def _least_root(n2: float) -> float:
     return x
 
 
-def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[Edge], np.ndarray, float, float]:
-    """The edges at vid, the masks of its balanced subsets, the least tol
-    that accepts all of them, and the least tol that accepts a subset
-    rejected within 10*tol (10*tol if there is none)."""
+def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[int], np.ndarray, float, float]:
+    """The rows of the edges at vid, the masks of its balanced subsets over
+    them, the least tol that accepts all of them, and the least tol that
+    accepts a subset rejected within 10*tol (10*tol if there is none)."""
+    star = net.adjacency[vid]
+    if len(star) > MAX_SUBSET_DEGREE:
+        raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
     a = net.arrays
-    incident = list(net.incident_edges(vid))
-    rows = np.array([a.edge_index[e] for e in incident], dtype=np.int64)
-    # Rows point away from vid: flip the edges that end there.
-    sign = np.where(a.edges[rows, 0] == a.index[vid], 1.0, -1.0)
-    vecs = a.units[rows] * sign[:, None]
-    if len(incident) > MAX_SUBSET_DEGREE:
-        raise DegreeTooLarge(
-            f"vertex {vid} has degree {len(incident)} > {MAX_SUBSET_DEGREE}"
-        )
+    k = a.index[vid]
+    rows = [a.edge_index[edge_key(vid, w)] for w in star]
+    legs = np.array([[k, a.index[w]] for w in star], dtype=np.int64).reshape(len(star), 2)
+    vecs = _kernels.unit_vectors(a.pos, legs)
     loose = _kernels.balanced_masks(vecs, tol * 10.0)
     sums = _kernels.subset_sums(loose, vecs)
     norm2 = (sums * sums).sum(axis=1)
     ok = norm2 <= tol * tol
     rejected = norm2[~ok]
     high = _least_root(float(rejected.min())) if rejected.size else tol * 10.0
-    return incident, loose[ok], _least_root(float(norm2[ok].max())), high
+    return rows, loose[ok], _least_root(float(norm2[ok].max())), high
 
 
 def balanced_edge_subsets(
@@ -96,11 +94,10 @@ def balanced_edge_subsets(
         raise ValueError(
             f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
         )
-    incident, masks, _, _ = _masks_for(net, vertex_id, tol)
-    out: List[Tuple[Edge, ...]] = []
-    for m in masks:
-        out.append(tuple(incident[i] for i in range(len(incident)) if m & (1 << i)))
-    return out
+    rows, masks, _, _ = _masks_for(net, vertex_id, tol)
+    return [
+        tuple(net.edges[r] for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -109,6 +106,9 @@ class TraceStep:
 
     vertex is None for the seed assignment itself and for the whole-net
     conflict; conflict is a reason string when the step ended the seed.
+    A seed assignment is TraceStep(seed, None, (seed,), ()): the seeds of
+    a trace appear once each, in ascending net.edges order, and each
+    seed's search excludes exactly the seeds before it.
     """
 
     seed: Edge
@@ -144,7 +144,6 @@ class _Ctx:
     def __init__(self, net: Net, tol: float, low: float):
         self.edges: List[Edge] = list(net.edges)
         self.full = (1 << len(self.edges)) - 1
-        eidx = net.arrays.edge_index
         self.balanced: List[str] = [
             v.id for v in net.vertices if v.kind is VertexKind.BALANCED
         ]
@@ -153,9 +152,8 @@ class _Ctx:
         self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
         high = tol * 10.0
         for vid in self.balanced:
-            inc, masks, accepted, rejected = _masks_for(net, vid, tol)
+            rows, masks, accepted, rejected = _masks_for(net, vid, tol)
             low, high = max(low, accepted), min(high, rejected)
-            rows = [eidx[e] for e in inc]
             self.inc_bits[vid] = sum(1 << r for r in rows)
             self.masks[vid] = [
                 sum(1 << r for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
@@ -281,7 +279,7 @@ def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) ->
     for i in _rows(ctx.full & ~excluded):
         seed = ctx.edges[i]
         if trace is not None:
-            trace.append(TraceStep(seed, None, (seed,), ctx.edges_of(_rows(excluded))))
+            trace.append(TraceStep(seed, None, (seed,), ()))
         found = _search(ctx, i, excluded, trace)
         if found is not None:
             return found
@@ -290,16 +288,15 @@ def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) ->
 
 
 def _minimize(ctx: _Ctx, witness: int) -> int:
-    """Replace witness by a subnet of it that avoids one of its edges,
-    until no edge can be avoided."""
-    while True:
-        for f in _rows(witness):
+    """Shrink witness to a subnet of it from which no edge can be dropped.
+    Each edge is tested once, in ascending order: an edge that no subnet
+    inside the witness avoids stays unavoidable inside every smaller one."""
+    for f in _rows(witness):
+        if witness >> f & 1:
             smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << f, None)
             if smaller is not None:
                 witness = smaller
-                break
-        else:
-            return witness
+    return witness
 
 
 def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
@@ -308,9 +305,12 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     Returns Reducible with a minimal witness edge set (no single edge can
     be dropped and leave a proper subnet inside the rest of the witness),
     or Irreducible with the trace of every seed edge's propagation, from
-    its two ends up to its conflict. Branch refutations are not recorded,
-    only that a seed's branches all failed. Branches live on an explicit
-    stack, so deep searches do not hit Python's recursion limit.
+    its two ends up to its conflict. The seeds come once each, in
+    ascending net.edges order, and each seed's search excludes the seeds
+    before it, which its seed step does not repeat. Branch refutations
+    are not recorded, only that a seed's branches all failed. Branches
+    live on an explicit stack, so deep searches do not hit Python's
+    recursion limit.
 
     Both carry tol_margin = (low, high). low is the least tolerance at
     which every balanced subset passes the accept test norm2 <= tol * tol

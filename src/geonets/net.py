@@ -200,8 +200,7 @@ class Net:
 class NetArrays:
     """Read-only index view of a net for the numeric kernels.
 
-    Row k of pos is net.vertices[k] and row i of edges and units is
-    net.edges[i]; units[i] points from edges[i, 0] toward edges[i, 1].
+    Row k of pos is net.vertices[k] and row i of edges is net.edges[i].
     """
 
     ids: Tuple[str, ...]
@@ -210,7 +209,6 @@ class NetArrays:
     pos: np.ndarray
     edges: np.ndarray
     free: np.ndarray
-    units: np.ndarray
 
     @classmethod
     def of(cls, net: Net) -> "NetArrays":
@@ -223,11 +221,10 @@ class NetArrays:
             [k for k, v in enumerate(net.vertices) if v.kind is VertexKind.BALANCED],
             dtype=np.int64,
         )
-        units = _kernels.unit_vectors(pos, edges)
-        for a in (pos, edges, free, units):
+        for a in (pos, edges, free):
             a.setflags(write=False)
         edge_index = {e: i for i, e in enumerate(net.edges)}
-        return cls(ids, index, edge_index, pos, edges, free, units)
+        return cls(ids, index, edge_index, pos, edges, free)
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -392,7 +389,7 @@ def planarize(net: Net) -> Net:
     strictly inside is cut at it, so a contact at an existing vertex keeps
     that vertex and its kind. Edge pairs are processed in lexicographic
     id-pair order, so the ids and the output are canonical. Collinear
-    overlaps are structural errors, not crossings.
+    overlaps, and two edges cut into the same piece, raise OverlayEdges.
 
     There is no merge-radius parameter: contacts merge at COINCIDENCE_EPS,
     the distance below which Net rejects two vertices as coincident.
@@ -438,12 +435,17 @@ def planarize(net: Net) -> Net:
     if not cuts:
         return net
 
-    new_edges: List[Edge] = []
+    # Each piece maps to the edge it was cut from; two edges cut into the
+    # same piece overlap along it.
+    pieces: Dict[Edge, Edge] = {}
     for e in net.edges:
         on_e = cuts.get(e, {})
         chain = [e[0], *sorted(on_e, key=on_e.get), e[1]]
-        new_edges.extend(edge_key(a, b) for a, b in zip(chain, chain[1:]))
-    return Net([*net.vertices, *minted], new_edges)
+        for piece in map(edge_key, chain, chain[1:]):
+            first = pieces.setdefault(piece, e)
+            if first != e:
+                raise OverlayEdges(f"edges {first} and {e} overlap along {piece}")
+    return Net([*net.vertices, *minted], list(pieces))
 
 
 def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:

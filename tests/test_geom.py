@@ -262,3 +262,13 @@ def test_intersect_decides_legs_on_one_side_in_every_order(la, lb, angle, expect
                 assert kind.overlap == s2
             else:
                 assert kind.point == s1.p
+
+
+def test_intersect_decides_a_shared_endpoint_before_the_parallel_test():
+    # nearly parallel legs from (0, 0), 1.5e-9 apart at their far ends:
+    # the far end of each lies off the other's line by more than
+    # COINCIDENCE_EPS, but the legs still meet at (0, 0)
+    s1 = Segment(Point(0, 0), Point(2000, 0))
+    s2 = Segment(Point(0, 0), Point(2000, 1.5e-9))
+    for a, b in _eight_orders(s1, s2):
+        assert intersect(a, b) == AtSharedEndpoint(Point(0, 0)), (a, b)

@@ -87,6 +87,8 @@ def _doc(**overrides):
         ("{not json", "invalid JSON"),
         ("[]", "root"),
         (_doc(format_version=99), "format_version"),
+        # True == 1 in Python, but a boolean is not a version number
+        (_doc(format_version=True), "format_version"),
         (_doc(vertices={}), "vertices"),
         (_doc(edges="ab"), "edges"),
         (_doc(vertices=[{"x": 0, "y": 0, "kind": "unbalanced"}]), "vertices[0]"),

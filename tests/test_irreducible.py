@@ -31,6 +31,7 @@ from helpers import (
     chord_arrangement,
     edges_on_segment,
     enumerate_proper_subnets,
+    honeycomb,
     subset_is_balanced,
     tripod_overlay,
 )
@@ -259,6 +260,24 @@ def test_paper_net_certificate(paper_cert, paper_net):
         assert not steps[-1].conflict.startswith("exhaustive"), seed
 
 
+@pytest.mark.parametrize("name", ["paper", "honeycomb"])
+def test_certificate_is_linear_in_its_steps(request, name):
+    # A seed step names only its seed: the seeds its search excludes are
+    # the seeds before it, so no step repeats them.
+    if name == "paper":
+        net, cert = request.getfixturevalue("paper_net"), request.getfixturevalue("paper_cert")
+    else:
+        net = planarize(honeycomb(8, 6))
+        cert = find_proper_subnet(net)
+    assert isinstance(cert, Irreducible)
+    refs = sum(len(step.forced_in) + len(step.forced_out) for step in cert.trace)
+    max_degree = max(net.degree(v.id) for v in net.vertices)
+    assert refs <= max_degree * len(cert.trace)
+    seed_steps = [s for s in cert.trace if s.vertex is None and s.conflict is None]
+    assert [s.seed for s in seed_steps] == list(net.edges)
+    assert all(s.forced_in == (s.seed,) and s.forced_out == () for s in seed_steps)
+
+
 @pytest.fixture(
     scope="module", params=["default", 0, 1, 2], ids=["default", "jitter0", "jitter1", "jitter2"]
 )
@@ -354,6 +373,25 @@ def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
     assert found is not None and 0 < found < ctx.full
     for vid, (inc, masks) in tables.items():
         assert found & inc in masks, vid
+
+
+def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
+    # Seed edge 0 forces edges 1 and 2 in at v0, but {1, 2} alone is
+    # balanced there too; v1 only holds edge 3 and admits none of it.
+    tables = {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])}
+    ctx = object.__new__(irreducible._Ctx)
+    vars(ctx).update(
+        edges=[("e", str(i)) for i in range(4)],
+        full=(1 << 4) - 1,
+        balanced=list(tables),
+        inc_bits={vid: inc for vid, (inc, _) in tables.items()},
+        masks={vid: masks for vid, (_, masks) in tables.items()},
+        vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(4)},
+        nodes_left=1000,
+    )
+    first = irreducible._first_subnet(ctx, 0, None)
+    assert first == 0b0111
+    assert irreducible._minimize(ctx, first) == 0b0110
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 12])

@@ -116,15 +116,14 @@ def test_arrays_view_is_lazy_cached_and_read_only():
     assert [tuple(a.ids[k] for k in row) for row in a.edges.tolist()] == list(net.edges)
     assert a.edge_index == {("a", "b"): 0, ("a", "c"): 1}
     assert a.free.tolist() == [0, 2]
-    assert a.units.ravel().tolist() == pytest.approx([0.6, 0.8, 0.0, 1.0])
-    for arr in (a.pos, a.edges, a.free, a.units, a.residuals):
+    for arr in (a.pos, a.edges, a.free, a.residuals):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 def test_arrays_view_of_empty_net():
     a = Net(vertices=(), edges=()).arrays
-    assert a.pos.shape == (0, 2) and a.edges.shape == (0, 2) and a.units.shape == (0, 2)
+    assert a.pos.shape == (0, 2) and a.edges.shape == (0, 2)
 
 
 def test_segment_pairs_yield_meeting_pairs_in_order():
@@ -439,6 +438,27 @@ def test_planarize_rejects_collinear_overlap():
     )
     with pytest.raises(OverlayEdges):
         planarize(net)
+
+
+def test_planarize_rejects_two_edges_cut_into_the_same_piece():
+    # Three lines meet pairwise within 1.2e-9: the first two contacts mint
+    # x1 and x2, the third lands on x1, and a1-a2 and c1-c2 are each cut
+    # at both, so both would give the edge x1-x2.
+    net = Net(
+        vertices=(
+            _v("a1", -2, 0),
+            _v("a2", 2, 0),
+            _v("b1", -2, -1 / 3),
+            _v("b2", 2, 1 / 3),
+            _v("c1", -2, (2 + 1.2e-9) / 6),
+            _v("c2", 2, -(2 - 1.2e-9) / 6),
+        ),
+        edges=(("a1", "a2"), ("b1", "b2"), ("c1", "c2")),
+    )
+    with pytest.raises(OverlayEdges) as err:
+        planarize(net)
+    msg = str(err.value)
+    assert "('a1', 'a2')" in msg and "('c1', 'c2')" in msg and "('x1', 'x2')" in msg
 
 
 def test_planarize_skips_taken_ids():
