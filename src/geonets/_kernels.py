@@ -133,22 +133,47 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     return pos, accepted, trace, stop, halvings
 
 
-def subset_sums(masks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Sum of the rows of vecs selected by each bit mask, one row per mask."""
-    bits = np.int64(1) << np.arange(vecs.shape[0], dtype=np.int64)
-    sel = (masks[:, None] & bits[None, :]) != 0
-    return sel.astype(np.float64) @ vecs
+# The most subset rows any array in star_subsets holds at once.
+_MAX_ROWS = 1 << 18
+
+
+def _chunk_subsets(vecs: np.ndarray, masks: np.ndarray, tol: float, per: int):
+    """star_subsets over one chunk of masks, per stars at a time."""
+    bits = np.int64(1) << np.arange(vecs.shape[1], dtype=np.int64)
+    sel = ((masks[:, None] & bits[None, :]) != 0).astype(np.float64)
+    found = []
+    for first in range(0, vecs.shape[0], per):
+        sums = sel @ vecs[first:first + per]
+        norm2 = (sums * sums).sum(axis=2)
+        star, row = np.nonzero(norm2 <= tol * tol)
+        found.append((star + first, masks[row], norm2[star, row]))
+    return found
+
+
+def star_subsets(vecs: np.ndarray, tol: float):
+    """The subsets of each star's legs whose unit vectors sum to within tol
+    of zero.
+
+    vecs is (stars, d, 2): the unit vectors of the d legs of each star.
+    Returns three flat arrays over the accepted subsets: the star's index,
+    the subset's bit mask over the legs (bit i for leg i) and the squared
+    norm of its sum, ordered by star and then by ascending mask. Each
+    chunk of masks serves as many stars as fit in _MAX_ROWS rows, so no
+    array holds more than _MAX_ROWS subset rows.
+    """
+    total = 1 << vecs.shape[1]
+    chunk = min(total, _MAX_ROWS)
+    found = []
+    for start in range(0, total, chunk):
+        masks = np.arange(start, start + chunk, dtype=np.int64)
+        found += _chunk_subsets(vecs, masks, tol, _MAX_ROWS // chunk)
+    star, mask, norm2 = (np.concatenate(parts) for parts in zip(*found))
+    # Above _MAX_ROWS masks per star the chunks run over masks first.
+    order = np.argsort(star, kind="stable")
+    return star[order], mask[order], norm2[order]
 
 
 def balanced_masks(vecs: np.ndarray, tol: float) -> np.ndarray:
     """Bit masks of the subsets of the rows of vecs that sum to within tol
-    of zero, in ascending order."""
-    total = 1 << vecs.shape[0]
-    chunk = min(total, 1 << 18)
-    hits = []
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        sums = subset_sums(masks, vecs)
-        ok = (sums * sums).sum(axis=1) <= tol * tol
-        hits.append(masks[ok])
-    return np.concatenate(hits)
+    of zero, in ascending order: star_subsets of the one star vecs."""
+    return star_subsets(vecs[None], tol)[1]

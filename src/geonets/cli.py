@@ -107,6 +107,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
+def _count(n: int, one: str, many: str) -> str:
+    return f"{n} {one if n == 1 else many}"
+
+
 def _cmd_irreducible(args: argparse.Namespace) -> int:
     net = load(args.file)
     try:
@@ -115,11 +119,15 @@ def _cmd_irreducible(args: argparse.Namespace) -> int:
         print(f"error: SearchBudgetExceeded: {exc}", file=sys.stderr)
         return 3
     if isinstance(cert, Irreducible):
-        seeds = {step.seed for step in cert.trace}
-        forced = sum(step.vertex is not None and step.conflict is None for step in cert.trace)
+        ties = sum(step.tie for step in cert.trace)
+        classes = sum(step.vertex is None and step.conflict is None for step in cert.trace)
+        forced = sum(
+            step.vertex is not None and step.conflict is None and not step.tie
+            for step in cert.trace
+        )
         print(
-            f"irreducible: no proper subnet; {len(seeds)} seed edges refuted "
-            f"in {forced} propagation steps"
+            f"irreducible: no proper subnet; {_count(classes, 'edge class', 'edge classes')} "
+            f"({_count(ties, 'tie', 'ties')}) refuted in {forced} propagation steps"
         )
     else:
         witness = sorted(cert.witness)

@@ -6,12 +6,16 @@ balanced vertex stays balanced with respect to the edges chosen at it
 constraint). A net with no proper subnet is irreducible.
 
 The search treats each balanced vertex as a constraint whose admissible
-values are its balanced edge subsets and runs unit propagation over
-shared edges: from the seed edge's ends, then after every branch from the
-vertices at the edges the branch decided, so a vertex is checked again
-whenever one of its edges is decided. Seeding every edge in turn either
-finds a subnet (then shrunk to a minimal one) or proves that no edge lies
-in any proper subnet, with a propagation trace as the certificate.
+values are its balanced edge subsets. Edges that every subset at some
+vertex holds together or not at all are tied, and the ties split the
+edges into classes (union-find; equivalent-literal substitution in SAT
+terms), so each class is decided as one. The search runs unit propagation
+over shared edges: from every vertex of the seed class, then after every
+branch from the vertices at the edges the branch decided, so a vertex is
+checked again whenever one of its edges is decided. Seeding every class
+in turn either finds a subnet (then shrunk to a minimal one) or proves
+that no edge lies in any proper subnet, with the ties and a propagation
+trace as the certificate.
 
 A search state is a pair of edge bitsets (ins, outs): bit i stands for
 net.edges[i], ins holds the edges chosen so far and outs the edges ruled
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,25 +60,43 @@ def _least_root(n2: float) -> float:
     return x
 
 
-def _masks_for(net: Net, vid: str, tol: float) -> Tuple[List[int], np.ndarray, float, float]:
-    """The rows of the edges at vid, the masks of its balanced subsets over
-    them, the least tol that accepts all of them, and the least tol that
-    accepts a subset rejected within 10*tol (10*tol if there is none)."""
-    star = net.adjacency[vid]
-    if len(star) > MAX_SUBSET_DEGREE:
-        raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
+def _tables(
+    net: Net, vids: Sequence[str], tol: float
+) -> Tuple[List[List[int]], List[List[int]], float, float]:
+    """The subset tables of the balanced vertices vids.
+
+    For each vertex: the rows of its edges, and the masks of its balanced
+    subsets over them (bit i for its i-th edge) in ascending order. Then
+    the least tol that accepts every one of those subsets, and the least
+    tol that accepts a subset rejected within 10*tol (10*tol if there is
+    none). The unit vectors of all legs come from one call, and the stars
+    of each degree share one star_subsets call.
+    """
+    stars = [net.adjacency[vid] for vid in vids]
+    for vid, star in zip(vids, stars):
+        if len(star) > MAX_SUBSET_DEGREE:
+            raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
     a = net.arrays
-    k = a.index[vid]
-    rows = [a.edge_index[edge_key(vid, w)] for w in star]
-    legs = np.array([[k, a.index[w]] for w in star], dtype=np.int64).reshape(len(star), 2)
-    vecs = _kernels.unit_vectors(a.pos, legs)
-    loose = _kernels.balanced_masks(vecs, tol * 10.0)
-    sums = _kernels.subset_sums(loose, vecs)
-    norm2 = (sums * sums).sum(axis=1)
-    ok = norm2 <= tol * tol
-    rejected = norm2[~ok]
-    high = _least_root(float(rejected.min())) if rejected.size else tol * 10.0
-    return rows, loose[ok], _least_root(float(norm2[ok].max())), high
+    rows = [[a.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
+    legs = [[a.index[vid], a.index[w]] for vid, star in zip(vids, stars) for w in star]
+    vecs = _kernels.unit_vectors(a.pos, np.array(legs, dtype=np.int64).reshape(-1, 2))
+    starts = np.cumsum([0] + [len(star) for star in stars])
+    by_degree: Dict[int, List[int]] = {}
+    for k, star in enumerate(stars):
+        by_degree.setdefault(len(star), []).append(k)
+    masks: List[List[int]] = [[] for _ in vids]
+    accepted, rejected = 0.0, math.inf
+    for d, members in by_degree.items():
+        legs_of = starts[members][:, None] + np.arange(d)
+        star, mask, norm2 = _kernels.star_subsets(vecs[legs_of], tol * 10.0)
+        ok = norm2 <= tol * tol
+        accepted = max(accepted, float(norm2[ok].max()))
+        if not ok.all():
+            rejected = min(rejected, float(norm2[~ok].min()))
+        for k, m in zip(star[ok].tolist(), mask[ok].tolist()):
+            masks[members[k]].append(m)
+    high = _least_root(rejected) if rejected < math.inf else tol * 10.0
+    return rows, masks, _least_root(accepted), high
 
 
 def balanced_edge_subsets(
@@ -94,21 +116,28 @@ def balanced_edge_subsets(
         raise ValueError(
             f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
         )
-    rows, masks, _, _ = _masks_for(net, vertex_id, tol)
-    return [
-        tuple(net.edges[r] for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
-    ]
+    (rows,), (masks,), _, _ = _tables(net, [vertex_id], tol)
+    return [tuple(net.edges[r] for i, r in enumerate(rows) if m >> i & 1) for m in masks]
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One propagation event while testing a seed edge.
+    """One step of an irreducibility certificate: a tie, or a propagation
+    event while testing a seed edge class.
 
-    vertex is None for the seed assignment itself and for the whole-net
-    conflict; conflict is a reason string when the step ended the seed.
-    A seed assignment is TraceStep(seed, None, (seed,), ()): the seeds of
-    a trace appear once each, in ascending net.edges order, and each
-    seed's search excludes exactly the seeds before it.
+    A tie step is TraceStep(e, vertex, (f,), (), tie=True): every balanced
+    subset at vertex holds both e and f or neither, so seeding e forces f
+    in and no subnet holds one of them without the other. The ties come
+    first, one for each union of two edge classes, so a net with E edges
+    and C classes has E - C of them.
+
+    The other steps belong to the seed named by their seed field. vertex is
+    None for the seed assignment itself and for the whole-net conflict;
+    conflict is a reason string when the step ended the seed. A seed
+    assignment is TraceStep(seed, None, (seed,), ()), where seed is the
+    lowest edge of its class in net.edges order: the classes are seeded
+    once each, in ascending order of that edge, and each class's search
+    excludes exactly the classes seeded before it.
     """
 
     seed: Edge
@@ -116,6 +145,7 @@ class TraceStep:
     forced_in: Tuple[Edge, ...]
     forced_out: Tuple[Edge, ...]
     conflict: Optional[str] = None
+    tie: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,7 +168,9 @@ class _Ctx:
 
     Edge i of the net is bit i of every edge bitset. masks[vid] holds the
     balanced subsets at vid as edge bitsets, in the ascending order of
-    _masks_for.
+    _tables. classes holds the edge classes as bitsets, in ascending order
+    of their lowest edge, and ties the (vertex, row, row) ties that join
+    them, in the order _edge_classes finds them.
     """
 
     def __init__(self, net: Net, tol: float, low: float):
@@ -150,17 +182,17 @@ class _Ctx:
         self.inc_bits: Dict[str, int] = {}
         self.masks: Dict[str, List[int]] = {}
         self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
-        high = tol * 10.0
-        for vid in self.balanced:
-            rows, masks, accepted, rejected = _masks_for(net, vid, tol)
-            low, high = max(low, accepted), min(high, rejected)
-            self.inc_bits[vid] = sum(1 << r for r in rows)
+        rows, masks, accepted, high = _tables(net, self.balanced, tol)
+        for vid, star_rows, star_masks in zip(self.balanced, rows, masks):
+            bits = [1 << r for r in star_rows]
+            self.inc_bits[vid] = sum(bits)
             self.masks[vid] = [
-                sum(1 << r for i, r in enumerate(rows) if m >> i & 1) for m in masks.tolist()
+                sum(b for i, b in enumerate(bits) if m >> i & 1) for m in star_masks
             ]
-            for r in rows:
+            for r in star_rows:
                 self.vertices_of[r].append(vid)
-        self.tol_margin = (low, high)
+        self.tol_margin = (max(low, accepted), high)
+        self.classes, self.ties = _edge_classes(self)
         self.nodes_left = _NODE_BUDGET
 
     def charge(self) -> None:
@@ -170,6 +202,46 @@ class _Ctx:
 
     def edges_of(self, rows: Iterable[int]) -> Tuple[Edge, ...]:
         return tuple(self.edges[r] for r in rows)
+
+
+def _edge_classes(ctx: _Ctx) -> Tuple[List[int], List[Tuple[str, int, int]]]:
+    """Union-find over the mask columns of each balanced vertex's table.
+
+    Two edges at a vertex are tied when every subset in its table holds
+    both or neither, that is, when their columns are equal. Returns the
+    classes as edge bitsets in ascending order of their lowest row, and one
+    (vertex, e, f) tie for each union that joined two classes, with e the
+    lowest row at the vertex that shares f's column.
+    """
+    parent = list(range(len(ctx.edges)))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    ties = []
+    for vid in ctx.balanced:
+        masks = ctx.masks[vid]
+        lead: Dict[Tuple[int, ...], int] = {}
+        for f in _rows(ctx.inc_bits[vid]):
+            e = lead.setdefault(tuple(m >> f & 1 for m in masks), f)
+            a, b = find(e), find(f)
+            if a != b:
+                # Each root is the lowest row of its class.
+                parent[max(a, b)] = min(a, b)
+                ties.append((vid, e, f))
+    classes: Dict[int, int] = {}
+    for r in range(len(ctx.edges)):
+        root = find(r)
+        classes[root] = classes.get(root, 0) | 1 << r
+    return list(classes.values()), ties
+
+
+def _lowest(bits: int) -> int:
+    """Index of the lowest set bit."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _rows(bits: int) -> List[int]:
@@ -232,16 +304,17 @@ def _propagate(
     return ins, outs
 
 
-def _search(ctx: _Ctx, i: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
-    """Depth-first search for a complete consistent state that holds edge
-    i and avoids excluded; returns its chosen edges, or None.
+def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+    """Depth-first search for a complete consistent state that holds the
+    edge class cls and avoids excluded; returns its chosen edges, or None.
 
     The stack holds (ins, outs, queue) states, each propagated from its
-    queue when popped: the root from the seed edge's ends, a branch from
-    the vertices at the edges it decided. Only the root is traced.
+    queue when popped: the root from every vertex of the class, a branch
+    from the vertices at the edges it decided. Only the root is traced.
     """
-    seed = ctx.edges[i]
-    stack = [(1 << i, excluded, ctx.vertices_of[i])]
+    seed = ctx.edges[_lowest(cls)]
+    root = list(dict.fromkeys(w for r in _rows(cls) for w in ctx.vertices_of[r]))
+    stack = [(cls, excluded, root)]
     branched = False
     while stack:
         ins, outs, queue = stack.pop()
@@ -268,32 +341,37 @@ def _search(ctx: _Ctx, i: int, excluded: int, trace: Optional[List[TraceStep]]) 
             stack.append((ins | m, outs | inc & ~m, decided))
         branched = True
     if branched:
-        reason = "exhaustive search found no proper subnet containing this edge"
+        reason = "exhaustive search found no proper subnet containing this edge class"
         _conflict(trace, seed, None, reason)
     return None
 
 
 def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
-    """Seed each edge outside excluded in ascending order and return the
-    first subnet found. A refuted seed is excluded from the later seeds."""
-    for i in _rows(ctx.full & ~excluded):
-        seed = ctx.edges[i]
+    """Seed each edge class outside excluded, which is a union of classes,
+    in ascending order of its lowest edge and return the first subnet
+    found. A refuted class joins excluded whole."""
+    for cls in ctx.classes:
+        if cls & excluded:
+            continue
         if trace is not None:
+            seed = ctx.edges[_lowest(cls)]
             trace.append(TraceStep(seed, None, (seed,), ()))
-        found = _search(ctx, i, excluded, trace)
+        found = _search(ctx, cls, excluded, trace)
         if found is not None:
             return found
-        excluded |= 1 << i
+        excluded |= cls
     return None
 
 
 def _minimize(ctx: _Ctx, witness: int) -> int:
-    """Shrink witness to a subnet of it from which no edge can be dropped.
-    Each edge is tested once, in ascending order: an edge that no subnet
-    inside the witness avoids stays unavoidable inside every smaller one."""
-    for f in _rows(witness):
-        if witness >> f & 1:
-            smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << f, None)
+    """Shrink witness to a subnet of it from which no edge class can be
+    dropped. Each class is tested once, in ascending order of its lowest
+    edge: a class that no subnet inside the witness avoids stays
+    unavoidable inside every smaller one. Every subnet is a union of
+    classes, so no single edge can be dropped either."""
+    for cls in ctx.classes:
+        if cls & witness:
+            smaller = _first_subnet(ctx, ctx.full & ~witness | cls, None)
             if smaller is not None:
                 witness = smaller
     return witness
@@ -302,15 +380,22 @@ def _minimize(ctx: _Ctx, witness: int) -> int:
 def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     """Search for a proper subnet of a valid net.
 
+    The search seeds edge classes, not edges. Two edges at a balanced
+    vertex are tied when every balanced subset there holds both or
+    neither; the transitive closure of the ties splits the edges into
+    classes, and every subnet is a union of classes.
+
     Returns Reducible with a minimal witness edge set (no single edge can
     be dropped and leave a proper subnet inside the rest of the witness),
-    or Irreducible with the trace of every seed edge's propagation, from
-    its two ends up to its conflict. The seeds come once each, in
-    ascending net.edges order, and each seed's search excludes the seeds
-    before it, which its seed step does not repeat. Branch refutations
-    are not recorded, only that a seed's branches all failed. Branches
-    live on an explicit stack, so deep searches do not hit Python's
-    recursion limit.
+    or Irreducible with a trace: first the ties, one TraceStep(e, vertex,
+    (f,), (), tie=True) per union of two classes, then every class's
+    propagation, from every vertex of the class up to its conflict. A
+    seed step names its class's lowest edge; the classes come once each,
+    in ascending order of that edge, and each class's search excludes the
+    classes before it, which its seed step does not repeat. Branch
+    refutations are not recorded, only that a class's branches all
+    failed. Branches live on an explicit stack, so deep searches do not
+    hit Python's recursion limit.
 
     Both carry tol_margin = (low, high). low is the least tolerance at
     which every balanced subset passes the accept test norm2 <= tol * tol
@@ -324,9 +409,9 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     report = verify(net, tol)
     if not report.passed:
         raise ValueError("net does not verify; irreducibility is undefined for it")
-    # verify sums each star in another order than subset_sums; cover both.
+    # verify sums each star in another order than star_subsets; cover both.
     ctx = _Ctx(net, tol, report.max_residual)
-    trace: List[TraceStep] = []
+    trace = [TraceStep(ctx.edges[e], vid, (ctx.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
     found = _first_subnet(ctx, 0, trace)
     if found is not None:
         # A frozenset's iteration order, and so its repr, depends on how it

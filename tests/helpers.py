@@ -10,12 +10,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from geonets import (
     Edge,
     IntersectionKind,
+    Irreducible,
     Net,
     Point,
     Triangle,
     Vertex,
     VertexKind,
     WideAngleTriangle,
+    balanced_edge_subsets,
     edge_key,
     fermat_point,
     planarize,
@@ -153,6 +155,75 @@ def brute_force_balanced_subsets(
         if math.hypot(sx, sy) <= tol:
             out.append(tuple(inc[i] for i in range(len(inc)) if mask & (1 << i)))
     return out
+
+
+def _root(parent: Dict[Edge, Edge], e: Edge) -> Edge:
+    while parent[e] != e:
+        parent[e] = parent[parent[e]]
+        e = parent[e]
+    return e
+
+
+def _classes_of(net: Net, parent: Dict[Edge, Edge]) -> List[FrozenSet[Edge]]:
+    """The classes of a union-find forest over net.edges, in net.edges
+    order of their lowest edge."""
+    classes: Dict[Edge, Set[Edge]] = {}
+    for e in net.edges:
+        classes.setdefault(_root(parent, e), set()).add(e)
+    return [frozenset(c) for c in classes.values()]
+
+
+def edge_classes(net: Net, tol: float = 1e-9) -> List[FrozenSet[Edge]]:
+    """Oracle for the search's edge classes, from balanced_edge_subsets
+    alone: two edges at a balanced vertex are tied when every subset in its
+    table holds both or neither, and the classes are the transitive
+    closure of the ties, in net.edges order of their lowest edge."""
+    parent = {e: e for e in net.edges}
+    for v in net.vertices:
+        if v.kind is not VertexKind.BALANCED:
+            continue
+        table = [set(s) for s in balanced_edge_subsets(net, v.id, tol)]
+        for e, f in itertools.combinations(net.incident_edges(v.id), 2):
+            if all((e in s) == (f in s) for s in table):
+                a, b = _root(parent, e), _root(parent, f)
+                parent[b] = a
+    return _classes_of(net, parent)
+
+
+def replay_ties(net: Net, cert: Irreducible, tol: float = 1e-9) -> List[FrozenSet[Edge]]:
+    """Check the ties and seed steps of an irreducibility certificate
+    against balanced_edge_subsets alone, without the search's tables or
+    propagation, and return the edge classes in seed order.
+
+    The ties come first. Each one names a balanced vertex and two of its
+    edges that every subset in the vertex's table holds both or neither,
+    and joins two classes. Each class is then seeded exactly once, by its
+    lowest edge in net.edges order, in ascending order, and the classes of
+    the seeds cover every edge.
+    """
+    ties = [step for step in cert.trace if step.tie]
+    assert cert.trace[: len(ties)] == tuple(ties), "ties must come before the seeds"
+    parent = {e: e for e in net.edges}
+    for step in ties:
+        e, vid, (f,) = step.seed, step.vertex, step.forced_in
+        assert step.forced_out == () and step.conflict is None, step
+        assert net.vertex(vid).kind is VertexKind.BALANCED, step
+        assert {e, f} <= set(net.incident_edges(vid)), step
+        for subset in balanced_edge_subsets(net, vid, tol):
+            assert (e in subset) == (f in subset), (step, subset)
+        a, b = _root(parent, e), _root(parent, f)
+        assert a != b, f"tie {step} joins no two classes"
+        parent[b] = a
+    classes = _classes_of(net, parent)
+    seeds = [s for s in cert.trace if s.vertex is None and s.conflict is None]
+    assert all(s.forced_in == (s.seed,) and s.forced_out == () for s in seeds)
+    order = {e: i for i, e in enumerate(net.edges)}
+    lowest = [min(c, key=order.__getitem__) for c in classes]
+    assert [s.seed for s in seeds] == lowest
+    by_seed = dict(zip(lowest, classes))
+    covered = frozenset().union(*(by_seed[s.seed] for s in seeds))
+    assert covered == frozenset(net.edges), "ties and seeds must reach every edge"
+    return [by_seed[s.seed] for s in seeds]
 
 
 def edges_on_segment(net: Net, p: Point, q: Point, eps: float = 1e-9) -> FrozenSet[Edge]:

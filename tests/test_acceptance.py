@@ -44,6 +44,7 @@ from helpers import (
     enumerate_proper_subnets,
     overlay_component_trees,
     random_net,
+    replay_ties,
     subset_is_balanced,
 )
 
@@ -130,13 +131,17 @@ def test_criterion_05_paper_net_irreducible(paper_net):
     assert elapsed < 10.0
     assert flag
     assert isinstance(cert, Irreducible)
-    seeds = {step.seed for step in cert.trace}
-    assert seeds == set(paper_net.edges)
+    # every edge is reached by the ties from the seeds of its class
+    classes = replay_ties(paper_net, cert)
+    assert frozenset().union(*classes) == frozenset(paper_net.edges)
     by_seed = {}
     for step in cert.trace:
-        by_seed.setdefault(step.seed, []).append(step)
+        if not step.tie:
+            by_seed.setdefault(step.seed, []).append(step)
+    assert len(by_seed) == len(classes)
     for steps in by_seed.values():
         assert steps[-1].conflict is not None
+    assert len(cert.trace) <= 2 * len(paper_net.edges)
     touched = {step.vertex for step in cert.trace if step.vertex is not None}
     assert touched == {v.id for v in paper_net.vertices if v.kind is B}
 

@@ -112,7 +112,7 @@ def test_irreducible_on_paper_net(tmp_path, capsys):
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0] == (
-        "irreducible: no proper subnet; 44 seed edges refuted in 80 propagation steps"
+        "irreducible: no proper subnet; 1 edge class (43 ties) refuted in 0 propagation steps"
     )
     low, high = _margin(lines[-1])
     assert low == pytest.approx(5.736e-15, rel=1e-3)
@@ -176,12 +176,12 @@ def test_irreducible_budget_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 def test_irreducible_exits_3_when_the_search_runs_out_of_nodes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "net.json"
     run(capsys, "build", "fermat-tripod", "--out", str(out))
-    # the tripod's search takes 4 nodes
-    monkeypatch.setattr(irreducible, "_NODE_BUDGET", 3)
+    # the tripod's three legs are one edge class, so its search takes 1 node
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", 0)
     code, stdout, stderr = run(capsys, "irreducible", str(out))
     assert code == 3
     assert stdout == ""
-    assert stderr == "error: SearchBudgetExceeded: exceeded 3 search nodes\n"
+    assert stderr == "error: SearchBudgetExceeded: exceeded 0 search nodes\n"
 
 
 # --- relax -------------------------------------------------------------------

@@ -235,9 +235,8 @@ def test_intersect_pass_through_meets_only_at_the_shared_endpoint():
         s1, s2 = _legs(rng, rng.uniform(0.2, 5), rng.uniform(0.2, 5), bend, same_side=False)
         for a, b in _eight_orders(s1, s2):
             kind = intersect(a, b)
-            assert isinstance(kind, (AtSharedEndpoint, Disjoint)), (a, b, kind)
-            if isinstance(kind, AtSharedEndpoint):
-                assert kind.point == s1.p
+            assert isinstance(kind, AtSharedEndpoint), (a, b, kind)
+            assert kind.point == s1.p
 
 
 @pytest.mark.parametrize(

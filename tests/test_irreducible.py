@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -13,15 +14,19 @@ from geonets import (
     Point,
     Reducible,
     SearchBudgetExceeded,
+    Triangle,
     Vertex,
     VertexKind,
     balanced_edge_subsets,
+    build_double_tripod,
+    build_fermat_tripod,
     build_overlay_net,
     edge_key,
     edge_subnet,
     find_proper_subnet,
     is_irreducible,
     planarize,
+    unit_vector,
     verify,
 )
 from geonets import irreducible
@@ -29,9 +34,12 @@ from geonets import irreducible
 from helpers import (
     brute_force_balanced_subsets,
     chord_arrangement,
+    edge_classes,
     edges_on_segment,
     enumerate_proper_subnets,
     honeycomb,
+    raw_tripod_overlay,
+    replay_ties,
     subset_is_balanced,
     tripod_overlay,
 )
@@ -186,7 +194,12 @@ def test_subsets_match_brute_force(paper_net, tripod_net, double_tripod_net):
         )
 
 
-def test_subsets_degree_cap():
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"array work ({name}) before the degree check")
+
+
+def test_subsets_degree_cap(monkeypatch):
     n = 25
     verts = [_v("c", 0, 0, B)]
     edges = []
@@ -195,17 +208,36 @@ def test_subsets_degree_cap():
         verts.append(_v(f"t{i}", math.cos(ang), math.sin(ang)))
         edges.append(("c", f"t{i}"))
     net = Net(verts, edges)
-    with pytest.raises(DegreeTooLarge):
+    assert verify(net).passed
+    # the cap is checked before any array is built
+    monkeypatch.setattr(irreducible, "np", _NoArrays())
+    monkeypatch.setattr(irreducible, "_kernels", _NoArrays())
+    with pytest.raises(DegreeTooLarge, match="degree 25 > 24"):
         balanced_edge_subsets(net, "c")
+    with pytest.raises(DegreeTooLarge, match="degree 25 > 24"):
+        find_proper_subnet(net)
 
 
 # --- subnet search -----------------------------------------------------------
+
+def _steps_by_seed(cert):
+    """The steps after the ties, grouped by the seed they belong to."""
+    by_seed = {}
+    for step in cert.trace:
+        if not step.tie:
+            by_seed.setdefault(step.seed, []).append(step)
+    return by_seed
+
 
 def test_tripod_is_irreducible(tripod_net):
     flag, cert = is_irreducible(tripod_net)
     assert flag
     assert isinstance(cert, Irreducible)
-    assert {s.seed for s in cert.trace} == set(tripod_net.edges)
+    # the three legs are tied at the centre: one class, two ties
+    assert replay_ties(tripod_net, cert) == [frozenset(tripod_net.edges)]
+    assert sum(step.tie for step in cert.trace) == 2
+    for steps in _steps_by_seed(cert).values():
+        assert steps[-1].conflict is not None
 
 
 def test_double_tripod_is_irreducible(double_tripod_net):
@@ -248,22 +280,26 @@ def test_find_proper_subnet_rejects_a_bad_tolerance(tripod_net, tol):
 
 def test_paper_net_certificate(paper_cert, paper_net):
     assert isinstance(paper_cert, Irreducible)
-    seeds = {s.seed for s in paper_cert.trace}
-    assert seeds == set(paper_net.edges)
-    by_seed = {}
-    for step in paper_cert.trace:
-        by_seed.setdefault(step.seed, []).append(step)
+    # 43 ties, each read off one vertex's table, join all 44 edges
+    classes = replay_ties(paper_net, paper_cert)
+    assert classes == [frozenset(paper_net.edges)]
+    assert sum(step.tie for step in paper_cert.trace) == 43
+    by_seed = _steps_by_seed(paper_cert)
+    assert list(by_seed) == [paper_net.edges[0]]
     for seed, steps in by_seed.items():
         assert steps[0].forced_in == (seed,)
         assert steps[-1].conflict is not None
         # every seed is refuted by its own propagation, without branching
         assert not steps[-1].conflict.startswith("exhaustive"), seed
+    touched = {step.vertex for step in paper_cert.trace if step.vertex is not None}
+    assert touched == {v.id for v in paper_net.vertices if v.kind is B}
 
 
 @pytest.mark.parametrize("name", ["paper", "honeycomb"])
 def test_certificate_is_linear_in_its_steps(request, name):
-    # A seed step names only its seed: the seeds its search excludes are
-    # the seeds before it, so no step repeats them.
+    # A seed step names only its class's lowest edge: the classes its
+    # search excludes are the classes before it, so no step repeats them.
+    # The ties number E - C for E edges and C classes.
     if name == "paper":
         net, cert = request.getfixturevalue("paper_net"), request.getfixturevalue("paper_cert")
     else:
@@ -273,9 +309,14 @@ def test_certificate_is_linear_in_its_steps(request, name):
     refs = sum(len(step.forced_in) + len(step.forced_out) for step in cert.trace)
     max_degree = max(net.degree(v.id) for v in net.vertices)
     assert refs <= max_degree * len(cert.trace)
-    seed_steps = [s for s in cert.trace if s.vertex is None and s.conflict is None]
-    assert [s.seed for s in seed_steps] == list(net.edges)
-    assert all(s.forced_in == (s.seed,) and s.forced_out == () for s in seed_steps)
+    classes = replay_ties(net, cert)
+    assert classes == edge_classes(net)
+    assert sum(step.tie for step in cert.trace) == len(net.edges) - len(classes)
+    assert len(cert.trace) <= 2 * len(net.edges)
+    touched = {step.vertex for step in cert.trace if step.vertex is not None}
+    assert touched == {v.id for v in net.vertices if v.kind is B}
+    for steps in _steps_by_seed(cert).values():
+        assert steps[-1].conflict is not None
 
 
 @pytest.fixture(
@@ -326,15 +367,29 @@ def _nonempty_subsets(edges):
     return out
 
 
-@pytest.mark.parametrize("name, nodes", [("paper", 193), ("overlay", 256), ("x", 6)])
+@pytest.mark.parametrize(
+    "name, nodes", [("paper", 16), ("overlay", 92), ("x", 3)], ids=["paper", "overlay", "x"]
+)
 def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
-    # every propagation step and every branch costs one node
+    # every propagation step and every branch costs one node; paper16 is
+    # one edge class, so its one seed checks each balanced vertex once
     net = planarized_x_net() if name == "x" else request.getfixturevalue(f"{name}_net")
     monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes)
     find_proper_subnet(net)
     monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes - 1)
     with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} search nodes"):
         find_proper_subnet(net)
+
+
+def test_one_class_net_is_refuted_in_one_pass_over_its_vertices(monkeypatch):
+    # 1,835 edges in one class: seeding each edge in turn took hundreds of
+    # thousands of nodes, one class seed checks each balanced vertex once
+    net = honeycomb(40, 32)
+    balanced = sum(v.kind is B for v in net.vertices)
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", balanced + 2)
+    cert = find_proper_subnet(net)
+    assert isinstance(cert, Irreducible)
+    assert sum(step.tie for step in cert.trace) == len(net.edges) - 1
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -369,6 +424,8 @@ def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
         vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(7)},
         nodes_left=1000,
     )
+    ctx.classes, ctx.ties = irreducible._edge_classes(ctx)
+    assert ctx.classes == [0b1, 0b10, 0b1100100, 0b11000]
     found = irreducible._first_subnet(ctx, 0, None)
     assert found is not None and 0 < found < ctx.full
     for vid, (inc, masks) in tables.items():
@@ -389,6 +446,8 @@ def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
         vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(4)},
         nodes_left=1000,
     )
+    ctx.classes, ctx.ties = irreducible._edge_classes(ctx)
+    assert ctx.classes == [0b1, 0b110, 0b1000]
     first = irreducible._first_subnet(ctx, 0, None)
     assert first == 0b0111
     assert irreducible._minimize(ctx, first) == 0b0110
@@ -431,3 +490,145 @@ def test_quarter_turn_rotation_preserves_the_verdict(paper_net, paper_cert):
     flag, cert = is_irreducible(rotated)
     assert flag
     assert isinstance(paper_cert, Irreducible)
+
+
+# --- edge classes -------------------------------------------------------------
+
+def _class_edges(ctx):
+    return [frozenset(ctx.edges_of(irreducible._rows(c))) for c in ctx.classes]
+
+
+def _star_of_groups(rng, groups):
+    """A balanced vertex c whose legs come in groups at random angles and
+    lengths: 2 for an opposite pair, 3 for a tripod. Generic angles make
+    the balanced subsets exactly the unions of whole groups."""
+    verts, edges = [_v("c", 0, 0, B)], []
+    for size in groups:
+        turn = rng.uniform(0, 2 * math.pi)
+        for k in range(size):
+            angle, r = turn + 2 * math.pi * k / size, rng.uniform(1, 3)
+            verts.append(_v(f"t{len(edges)}", r * math.cos(angle), r * math.sin(angle)))
+            edges.append(("c", f"t{len(edges)}"))
+    return Net(verts, edges)
+
+
+def _jitter(rng, *points):
+    return [Point(x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5)) for x, y in points]
+
+
+def _small_nets(rng, count):
+    """count seeded nets with at most 14 edges that verify: chord
+    arrangements, Fermat tripods, double tripods, honeycomb patches and
+    stars of pairs and tripods."""
+    families = [
+        lambda: chord_arrangement(rng.randint(2, 5), rng.randrange(10**6))[0],
+        lambda: build_fermat_tripod(Triangle(*_jitter(rng, (0, 0), (4, 0), (1, 3)))),
+        lambda: build_double_tripod(*_jitter(rng, (0, 2), (0, -2), (6, 2), (6, -2))),
+        lambda: honeycomb(*rng.choice([(4, 2), (3, 3), (4, 3), (5, 2)])),
+        lambda: _star_of_groups(rng, [rng.choice((2, 3)) for _ in range(rng.randint(1, 4))]),
+    ]
+    found = []
+    while len(found) < count:
+        net = rng.choice(families)()
+        if len(net.edges) <= 14 and verify(net).passed:
+            found.append(net)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_class_seeding_agrees_with_exhaustive_enumeration(seed):
+    for net in _small_nets(random.Random(seed), 25):
+        classes = edge_classes(net)
+        assert _class_edges(irreducible._Ctx(net, 1e-9, 0.0)) == classes
+        valid = enumerate_proper_subnets(net)
+        # every subnet is a union of whole classes
+        for sub in valid:
+            assert all(c <= sub or not c & sub for c in classes), sub
+        cert = find_proper_subnet(net)
+        assert isinstance(cert, Irreducible) == (not valid), net.edges
+        if isinstance(cert, Reducible):
+            assert cert.witness in valid
+            assert all(c <= cert.witness or not c & cert.witness for c in classes)
+        else:
+            assert replay_ties(net, cert) == classes
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_tripod_overlay_classes_are_its_tripods(n):
+    for s in range(3):
+        raw = raw_tripod_overlay(n, s)
+        net = planarize(raw)
+        tripods = {
+            frozenset().union(*(edges_on_segment(net, v.pos, raw.vertex(p).pos)
+                                for p in raw.adjacency[v.id]))
+            for v in raw.vertices if v.kind is B
+        }
+        classes = _class_edges(irreducible._Ctx(net, 1e-9, 0.0))
+        assert len(classes) == len(tripods), s
+        assert set(classes) == tripods, s
+        cert = find_proper_subnet(net)
+        assert cert.witness in tripods, s
+
+
+# --- batched subset tables ----------------------------------------------------
+
+def _paired_hubs(pairs):
+    """Two balanced hubs joined by an edge, each with `pairs` opposite
+    pairs of legs: the joining edge and a pin straight behind it, then
+    pairs at generic angles. Every balanced subset at a hub is a union of
+    its pairs."""
+    rng = random.Random(pairs)
+    verts = [_v("h0", 0, 0, B), _v("h1", 10, 0, B), _v("b0", -2, 0), _v("b1", 12, 0)]
+    edges = [("h0", "h1"), ("b0", "h0"), ("b1", "h1")]
+    for h, cx in (("h0", 0.0), ("h1", 10.0)):
+        for k in range(pairs - 1):
+            angle = rng.uniform(0.1, math.pi - 0.1)
+            for side, sign in (("p", 1.0), ("q", -1.0)):
+                vid = f"{h}{side}{k}"
+                r = rng.uniform(1, 3)
+                verts.append(_v(vid, cx + sign * r * math.cos(angle), sign * r * math.sin(angle)))
+                edges.append((h, vid))
+    return Net(verts, edges)
+
+
+def _cancels_at(net, vid, edges):
+    here = net.vertex(vid).pos
+    units = [unit_vector(here, net.vertex(b if a == vid else a).pos) for a, b in edges]
+    return math.hypot(sum(u.dx for u in units), sum(u.dy for u in units)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["paper", "overlay", "tripods", "hubs"])
+def test_batched_tables_match_each_star_alone_and_brute_force(request, name):
+    if name == "tripods":
+        net = tripod_overlay(6, 0)
+    elif name == "hubs":
+        # degree 20: 2^20 subsets per hub, four chunks of 2^18 rows
+        net = _paired_hubs(10)
+    else:
+        net = request.getfixturevalue(f"{name}_net")
+    vids = [v.id for v in net.vertices if v.kind is B]
+    rows, masks, low, high = irreducible._tables(net, vids, 1e-9)
+    lows, highs = [], []
+    for vid, star_rows, star_masks in zip(vids, rows, masks):
+        (alone_rows,), (alone_masks,), alone_low, alone_high = irreducible._tables(net, [vid], 1e-9)
+        assert (alone_rows, alone_masks) == (star_rows, star_masks), vid
+        lows.append(alone_low)
+        highs.append(alone_high)
+        table = [tuple(net.edges[r] for i, r in enumerate(star_rows) if m >> i & 1) for m in star_masks]
+        if len(star_rows) <= 12:
+            expected = brute_force_balanced_subsets(net, vid)
+        else:
+            pairs = [pair for pair in itertools.combinations(net.incident_edges(vid), 2)
+                     if _cancels_at(net, vid, pair)]
+            assert len(pairs) == len(star_rows) // 2
+            expected = [tuple(e for pair in chosen for e in pair)
+                        for k in range(len(pairs) + 1)
+                        for chosen in itertools.combinations(pairs, k)]
+        assert sorted(map(sorted, table)) == sorted(map(sorted, expected)), vid
+        assert star_masks == sorted(star_masks)
+    assert (low, high) == (max(lows), min(highs))
+    # the margin ends bound the brute-force tables, up to rounding
+    for vid in vids:
+        if net.degree(vid) <= 12:
+            for end in (low + 1e-15, max(high - 1e-15, 0.0)):
+                assert brute_force_balanced_subsets(net, vid, end) == balanced_edge_subsets(net, vid)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,3 +81,49 @@ def test_balanced_masks_match_brute_force():
                 expected.append(mask)
         got = sorted(int(m) for m in _kernels.balanced_masks(vecs, tol))
         assert got == expected
+
+
+def _paired_star(rng, pairs):
+    """Unit vectors of `pairs` exactly opposite pairs at random angles:
+    their zero-sum subsets are exactly the unions of whole pairs."""
+    angles = rng.uniform(0, math.pi, size=pairs)
+    half = np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.stack([half, -half], axis=1).reshape(2 * pairs, 2)
+
+
+def _pair_unions(pairs):
+    return sorted(
+        sum(3 << 2 * i for i in chosen)
+        for k in range(pairs + 1)
+        for chosen in itertools.combinations(range(pairs), k)
+    )
+
+
+def test_star_subsets_of_degree_20_stars_span_chunks():
+    # 2^20 masks per star: each star takes four 2^18-row chunks
+    rng = np.random.default_rng(23)
+    vecs = np.stack([_paired_star(rng, 10), _paired_star(rng, 10)])
+    star, mask, norm2 = _kernels.star_subsets(vecs, 1e-9)
+    assert star.tolist() == sorted(star.tolist())
+    for k in range(2):
+        alone = _kernels.star_subsets(vecs[k:k + 1], 1e-9)
+        assert np.array_equal(mask[star == k], alone[1])
+        assert np.array_equal(norm2[star == k], alone[2])
+        assert mask[star == k].tolist() == _pair_unions(10)
+        assert np.array_equal(_kernels.balanced_masks(vecs[k], 1e-9), alone[1])
+
+
+# A real chunk holds 2^d >= 2 rows; a one-row product would take numpy's
+# vector path, which rounds differently.
+@pytest.mark.parametrize("max_rows", [2, 4, 8, 64])
+def test_star_subsets_do_not_depend_on_the_chunk_size(monkeypatch, max_rows):
+    rng = np.random.default_rng(29)
+    stars = [np.stack([_paired_star(rng, pairs) for _ in range(5)]) for pairs in (1, 2, 3)]
+    stars.append(np.stack([np.column_stack([np.cos(a), np.sin(a)])
+                           for a in rng.uniform(0, 2 * math.pi, size=(4, 5))]))
+    whole = [_kernels.star_subsets(vecs, 0.5) for vecs in stars]
+    monkeypatch.setattr(_kernels, "_MAX_ROWS", max_rows)
+    for vecs, expected in zip(stars, whole):
+        got = _kernels.star_subsets(vecs, 0.5)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
