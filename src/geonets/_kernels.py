@@ -137,19 +137,6 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
 _MAX_ROWS = 1 << 18
 
 
-def _chunk_subsets(vecs: np.ndarray, masks: np.ndarray, tol: float, per: int):
-    """star_subsets over one chunk of masks, per stars at a time."""
-    bits = np.int64(1) << np.arange(vecs.shape[1], dtype=np.int64)
-    sel = ((masks[:, None] & bits[None, :]) != 0).astype(np.float64)
-    found = []
-    for first in range(0, vecs.shape[0], per):
-        sums = sel @ vecs[first:first + per]
-        norm2 = (sums * sums).sum(axis=2)
-        star, row = np.nonzero(norm2 <= tol * tol)
-        found.append((star + first, masks[row], norm2[star, row]))
-    return found
-
-
 def star_subsets(vecs: np.ndarray, tol: float):
     """The subsets of each star's legs whose unit vectors sum to within tol
     of zero.
@@ -157,20 +144,29 @@ def star_subsets(vecs: np.ndarray, tol: float):
     vecs is (stars, d, 2): the unit vectors of the d legs of each star.
     Returns three flat arrays over the accepted subsets: the star's index,
     the subset's bit mask over the legs (bit i for leg i) and the squared
-    norm of its sum, ordered by star and then by ascending mask. Each
-    chunk of masks serves as many stars as fit in _MAX_ROWS rows, so no
-    array holds more than _MAX_ROWS subset rows.
+    norm of its sum, ordered by star and then by ascending mask.
+
+    The stars go in groups of _MAX_ROWS // rows, and each group runs
+    through its masks in chunks of rows = min(2^d, _MAX_ROWS), so no array
+    holds more than _MAX_ROWS subset rows. Every chunk of a star's sums
+    thus comes from one (rows x d) @ (d x 2) product with rows >= 2 for
+    d >= 1, however the stars are grouped; numpy rounds a one-row product
+    differently.
     """
     total = 1 << vecs.shape[1]
     chunk = min(total, _MAX_ROWS)
+    per = _MAX_ROWS // chunk
+    bits = np.int64(1) << np.arange(vecs.shape[1], dtype=np.int64)
     found = []
-    for start in range(0, total, chunk):
-        masks = np.arange(start, start + chunk, dtype=np.int64)
-        found += _chunk_subsets(vecs, masks, tol, _MAX_ROWS // chunk)
-    star, mask, norm2 = (np.concatenate(parts) for parts in zip(*found))
-    # Above _MAX_ROWS masks per star the chunks run over masks first.
-    order = np.argsort(star, kind="stable")
-    return star[order], mask[order], norm2[order]
+    for first in range(0, vecs.shape[0], per):
+        for start in range(0, total, chunk):
+            masks = np.arange(start, start + chunk, dtype=np.int64)
+            sel = ((masks[:, None] & bits[None, :]) != 0).astype(np.float64)
+            sums = sel @ vecs[first:first + per]
+            norm2 = (sums * sums).sum(axis=2)
+            star, row = np.nonzero(norm2 <= tol * tol)
+            found.append((star + first, masks[row], norm2[star, row]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def balanced_masks(vecs: np.ndarray, tol: float) -> np.ndarray:

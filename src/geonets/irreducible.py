@@ -62,22 +62,24 @@ def _least_root(n2: float) -> float:
 
 def _tables(
     net: Net, vids: Sequence[str], tol: float
-) -> Tuple[List[List[int]], List[List[int]], float, float]:
-    """The subset tables of the balanced vertices vids.
-
-    For each vertex: the rows of its edges, and the masks of its balanced
-    subsets over them (bit i for its i-th edge) in ascending order. Then
-    the least tol that accepts every one of those subsets, and the least
-    tol that accepts a subset rejected within 10*tol (10*tol if there is
-    none). The unit vectors of all legs come from one call, and the stars
-    of each degree share one star_subsets call.
+) -> Tuple[List[int], List[List[int]], float, float]:
+    """The subset tables of the balanced vertices vids, in edge bitsets
+    (bit r for net.edges[r]): each vertex's edges, and its balanced subsets
+    in ascending order. Then the least tol that accepts every one of those
+    subsets, and the least tol that accepts a subset rejected within
+    10*tol (10*tol if there is none). The unit vectors of all legs come
+    from one call, and the stars of each degree share one star_subsets
+    call.
     """
     stars = [net.adjacency[vid] for vid in vids]
     for vid, star in zip(vids, stars):
         if len(star) > MAX_SUBSET_DEGREE:
             raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
     a = net.arrays
-    rows = [[a.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
+    # A star's legs go to its neighbours in id order, which is also the
+    # order of its edges in net.edges, so leg i is the star's i-th lowest
+    # edge bit and ascending leg masks map to ascending edge bitsets.
+    bits = [[1 << a.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
     legs = [[a.index[vid], a.index[w]] for vid, star in zip(vids, stars) for w in star]
     vecs = _kernels.unit_vectors(a.pos, np.array(legs, dtype=np.int64).reshape(-1, 2))
     starts = np.cumsum([0] + [len(star) for star in stars])
@@ -94,16 +96,19 @@ def _tables(
         if not ok.all():
             rejected = min(rejected, float(norm2[~ok].min()))
         for k, m in zip(star[ok].tolist(), mask[ok].tolist()):
-            masks[members[k]].append(m)
+            k = members[k]
+            masks[k].append(sum(b for i, b in enumerate(bits[k]) if m >> i & 1))
     high = _least_root(rejected) if rejected < math.inf else tol * 10.0
-    return rows, masks, _least_root(accepted), high
+    return [sum(b) for b in bits], masks, _least_root(accepted), high
 
 
 def balanced_edge_subsets(
     net: Net, vertex_id: str, tol: float = DEFAULT_TOL
 ) -> List[Tuple[Edge, ...]]:
     """All subsets of the edges at a balanced vertex whose unit vectors
-    sum to zero within tol, smallest subsets first (canonical order).
+    sum to zero within tol, each in net.edges order. They come in
+    ascending order of their bit masks over the vertex's edges (bit i for
+    its i-th edge in net.edges order), which is not by size.
 
     Always contains the empty subset, and the full set whenever the
     vertex is balanced in the net. Raises DegreeTooLarge above degree 24,
@@ -116,8 +121,8 @@ def balanced_edge_subsets(
         raise ValueError(
             f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
         )
-    (rows,), (masks,), _, _ = _tables(net, [vertex_id], tol)
-    return [tuple(net.edges[r] for i, r in enumerate(rows) if m >> i & 1) for m in masks]
+    _, (masks,), _, _ = _tables(net, [vertex_id], tol)
+    return [tuple(net.edges[r] for r in _rows(m)) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -164,34 +169,28 @@ SubnetCertificate = Union[Irreducible, Reducible]
 
 
 class _Ctx:
-    """Immutable per-net search tables plus a shared node budget.
+    """Immutable search tables plus a shared node budget.
 
-    Edge i of the net is bit i of every edge bitset. masks[vid] holds the
-    balanced subsets at vid as edge bitsets, in the ascending order of
-    _tables. classes holds the edge classes as bitsets, in ascending order
-    of their lowest edge, and ties the (vertex, row, row) ties that join
+    Edge i is bit i of every edge bitset. Balanced vertex k is named
+    balanced[k]; inc_bits[k] and masks[k] are its edges and its balanced
+    subsets, as _tables gives them, and vertices_of[r] lists the k at edge
+    r. classes holds the edge classes as bitsets, in ascending order of
+    their lowest edge, and ties the (vertex id, row, row) ties that join
     them, in the order _edge_classes finds them.
     """
 
-    def __init__(self, net: Net, tol: float, low: float):
-        self.edges: List[Edge] = list(net.edges)
+    def __init__(
+        self, edges: Sequence[Edge], balanced: Sequence[str], inc: List[int], masks: List[List[int]]
+    ):
+        self.edges: List[Edge] = list(edges)
         self.full = (1 << len(self.edges)) - 1
-        self.balanced: List[str] = [
-            v.id for v in net.vertices if v.kind is VertexKind.BALANCED
-        ]
-        self.inc_bits: Dict[str, int] = {}
-        self.masks: Dict[str, List[int]] = {}
-        self.vertices_of: Dict[int, List[str]] = {i: [] for i in range(len(self.edges))}
-        rows, masks, accepted, high = _tables(net, self.balanced, tol)
-        for vid, star_rows, star_masks in zip(self.balanced, rows, masks):
-            bits = [1 << r for r in star_rows]
-            self.inc_bits[vid] = sum(bits)
-            self.masks[vid] = [
-                sum(b for i, b in enumerate(bits) if m >> i & 1) for m in star_masks
-            ]
-            for r in star_rows:
-                self.vertices_of[r].append(vid)
-        self.tol_margin = (max(low, accepted), high)
+        self.balanced: List[str] = list(balanced)
+        self.inc_bits: List[int] = list(inc)
+        self.masks: List[List[int]] = list(masks)
+        self.vertices_of: List[List[int]] = [[] for _ in self.edges]
+        for k, bits in enumerate(self.inc_bits):
+            for r in _rows(bits):
+                self.vertices_of[r].append(k)
         self.classes, self.ties = _edge_classes(self)
         self.nodes_left = _NODE_BUDGET
 
@@ -222,10 +221,9 @@ def _edge_classes(ctx: _Ctx) -> Tuple[List[int], List[Tuple[str, int, int]]]:
         return r
 
     ties = []
-    for vid in ctx.balanced:
-        masks = ctx.masks[vid]
+    for vid, inc, masks in zip(ctx.balanced, ctx.inc_bits, ctx.masks):
         lead: Dict[Tuple[int, ...], int] = {}
-        for f in _rows(ctx.inc_bits[vid]):
+        for f in _rows(inc):
             e = lead.setdefault(tuple(m >> f & 1 for m in masks), f)
             a, b = find(e), find(f)
             if a != b:
@@ -261,29 +259,30 @@ def _conflict(
         trace.append(TraceStep(seed, vertex, (), (), conflict=reason))
 
 
-def _fitting(ctx: _Ctx, vid: str, ins: int, outs: int) -> List[int]:
-    """The balanced subsets at vid that hold every chosen edge there and
-    no ruled-out one."""
-    need = ins & ctx.inc_bits[vid]
-    return [m for m in ctx.masks[vid] if m & need == need and not m & outs]
+def _fitting(ctx: _Ctx, k: int, ins: int, outs: int) -> List[int]:
+    """The balanced subsets at vertex k that hold every chosen edge there
+    and no ruled-out one."""
+    need = ins & ctx.inc_bits[k]
+    return [m for m in ctx.masks[k] if m & need == need and not m & outs]
 
 
 def _propagate(
-    ctx: _Ctx, ins: int, outs: int, queue: List[str], trace: Optional[List[TraceStep]], seed: Edge
+    ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[TraceStep]], seed: Edge
 ) -> Optional[Tuple[int, int]]:
-    """Unit propagation to fixpoint. Returns (ins, outs), or None on a
-    conflict."""
+    """Unit propagation to fixpoint from the vertices k in queue. Returns
+    (ins, outs), or None on a conflict."""
     pending = set(queue)
     work = list(queue)
     while work:
-        vid = work.pop()
-        pending.discard(vid)
+        k = work.pop()
+        pending.discard(k)
         ctx.charge()
-        cands = _fitting(ctx, vid, ins, outs)
+        cands = _fitting(ctx, k, ins, outs)
+        vid = ctx.balanced[k]
         if not cands:
             _conflict(trace, seed, vid, "no balanced edge subset fits the current selection")
             return None
-        inc = ctx.inc_bits[vid]
+        inc = ctx.inc_bits[k]
         every, some = inc, 0
         for m in cands:
             every &= m
@@ -329,15 +328,16 @@ def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]
         if ins == ctx.full:
             _conflict(log, seed, None, "propagation selects every edge; the subnet is not proper")
             continue
-        open_vids = [v for v in ctx.balanced if ctx.inc_bits[v] & ~(ins | outs)]
-        if not open_vids:
+        free = ~(ins | outs)
+        fitting = {k: _fitting(ctx, k, ins, outs)
+                   for k, inc in enumerate(ctx.inc_bits) if inc & free}
+        if not fitting:
             return ins
         # Fewest fitting subsets first; min keeps the first in balanced order.
-        vid = min(open_vids, key=lambda v: len(_fitting(ctx, v, ins, outs)))
-        inc = ctx.inc_bits[vid]
-        rows = _rows(inc & ~(ins | outs))
-        decided = list(dict.fromkeys(w for r in rows for w in ctx.vertices_of[r]))
-        for m in reversed(_fitting(ctx, vid, ins, outs)):
+        k = min(fitting, key=lambda k: len(fitting[k]))
+        inc = ctx.inc_bits[k]
+        decided = list(dict.fromkeys(w for r in _rows(inc & free) for w in ctx.vertices_of[r]))
+        for m in reversed(fitting[k]):
             stack.append((ins | m, outs | inc & ~m, decided))
         branched = True
     if branched:
@@ -409,8 +409,11 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     report = verify(net, tol)
     if not report.passed:
         raise ValueError("net does not verify; irreducibility is undefined for it")
+    balanced = [v.id for v in net.vertices if v.kind is VertexKind.BALANCED]
+    inc, masks, accepted, high = _tables(net, balanced, tol)
     # verify sums each star in another order than star_subsets; cover both.
-    ctx = _Ctx(net, tol, report.max_residual)
+    tol_margin = (max(report.max_residual, accepted), high)
+    ctx = _Ctx(net.edges, balanced, inc, masks)
     trace = [TraceStep(ctx.edges[e], vid, (ctx.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
     found = _first_subnet(ctx, 0, trace)
     if found is not None:
@@ -418,8 +421,8 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
         # was built. Building it from a set keeps printed certificates the
         # same across releases.
         witness = frozenset(set(ctx.edges_of(_rows(_minimize(ctx, found)))))
-        return Reducible(witness, ctx.tol_margin)
-    return Irreducible(tuple(trace), ctx.tol_margin)
+        return Reducible(witness, tol_margin)
+    return Irreducible(tuple(trace), tol_margin)
 
 
 def is_irreducible(net: Net, tol: float = DEFAULT_TOL) -> Tuple[bool, SubnetCertificate]:

@@ -141,7 +141,8 @@ def brute_force_balanced_subsets(
     net: Net, vertex_id: str, tol: float = 1e-9
 ) -> List[Tuple[Edge, ...]]:
     """Independent oracle for balanced_edge_subsets: direct iteration over
-    all 2^deg subsets in the same canonical order."""
+    all 2^deg subsets in the same order, ascending bit masks over the
+    vertex's edges in net.edges order."""
     v = net.vertex(vertex_id)
     inc = sorted(net.incident_edges(vertex_id))
     units = []

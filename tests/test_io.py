@@ -92,6 +92,9 @@ def _doc(**overrides):
         (_doc(vertices={}), "vertices"),
         (_doc(edges="ab"), "edges"),
         (_doc(vertices=[{"x": 0, "y": 0, "kind": "unbalanced"}]), "vertices[0]"),
+        (_doc(vertices=[7]), "vertices[0]: must be an object"),
+        (_doc(vertices=[{"id": "", "x": 0, "y": 0, "kind": "unbalanced"}]), "vertices[0].id"),
+        (_doc(vertices=[{"id": 3, "x": 0, "y": 0, "kind": "unbalanced"}]), "vertices[0].id"),
         (
             _doc(vertices=[{"id": "a", "x": "0", "y": 0, "kind": "unbalanced"}]),
             "vertices[0].x",

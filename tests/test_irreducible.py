@@ -14,6 +14,7 @@ from geonets import (
     Point,
     Reducible,
     SearchBudgetExceeded,
+    TraceStep,
     Triangle,
     Vertex,
     VertexKind,
@@ -179,8 +180,21 @@ def test_subsets_reject_a_bad_tolerance(paper_net, tol):
         balanced_edge_subsets(paper_net, "x1", tol)
 
 
+def _regular_star(n):
+    """A balanced vertex c with n legs to pins t0..t{n-1}, 360/n degrees
+    apart."""
+    verts = [_v("c", 0, 0, B)]
+    for i in range(n):
+        ang = 2 * math.pi * i / n
+        verts.append(_v(f"t{i}", math.cos(ang), math.sin(ang)))
+    return Net(verts, [("c", f"t{i}") for i in range(n)])
+
+
 def test_subsets_match_brute_force(paper_net, tripod_net, double_tripod_net):
-    nets = [tripod_net, double_tripod_net, planarized_x_net()]
+    # the subsets come in ascending mask order over the edges, not by size
+    hexagon = _regular_star(6)
+    assert [len(s) for s in balanced_edge_subsets(hexagon, "c")] == [0, 2, 2, 3, 4, 2, 3, 4, 4, 6]
+    nets = [tripod_net, double_tripod_net, planarized_x_net(), hexagon]
     for net in nets:
         for v in net.vertices:
             if v.kind is B:
@@ -200,14 +214,7 @@ class _NoArrays:
 
 
 def test_subsets_degree_cap(monkeypatch):
-    n = 25
-    verts = [_v("c", 0, 0, B)]
-    edges = []
-    for i in range(n):
-        ang = 2 * math.pi * i / n
-        verts.append(_v(f"t{i}", math.cos(ang), math.sin(ang)))
-        edges.append(("c", f"t{i}"))
-    net = Net(verts, edges)
+    net = _regular_star(25)
     assert verify(net).passed
     # the cap is checked before any array is built
     monkeypatch.setattr(irreducible, "np", _NoArrays())
@@ -406,6 +413,20 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert verify(edge_subnet(net, cert.witness), min_balanced_degree=1).passed
 
 
+def _hand_ctx(n, tables):
+    """A search context on edges e0..e{n-1} from hand-built tables
+    {vid: (edge bitset, balanced subsets as ascending edge bitsets)}."""
+    edges = [("e", str(i)) for i in range(n)]
+    return irreducible._Ctx(edges, list(tables), *zip(*tables.values()))
+
+
+def _edges(*rows):
+    return tuple(("e", str(r)) for r in rows)
+
+
+NO_FIT = "no balanced edge subset fits the current selection"
+
+
 def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
     # Hand-built tables on 7 edges. Only v2 holds edge 0, and it needs a
     # second edge with it; a branch at v0 decides v2's other edges.
@@ -414,17 +435,7 @@ def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
         "v1": (0b1100100, [0, 0b1100100]),
         "v2": (0b0011011, [0, 3, 9, 10, 17, 18, 24, 27]),
     }
-    ctx = object.__new__(irreducible._Ctx)
-    vars(ctx).update(
-        edges=[("e", str(i)) for i in range(7)],
-        full=(1 << 7) - 1,
-        balanced=list(tables),
-        inc_bits={vid: inc for vid, (inc, _) in tables.items()},
-        masks={vid: masks for vid, (_, masks) in tables.items()},
-        vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(7)},
-        nodes_left=1000,
-    )
-    ctx.classes, ctx.ties = irreducible._edge_classes(ctx)
+    ctx = _hand_ctx(7, tables)
     assert ctx.classes == [0b1, 0b10, 0b1100100, 0b11000]
     found = irreducible._first_subnet(ctx, 0, None)
     assert found is not None and 0 < found < ctx.full
@@ -435,22 +446,45 @@ def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
 def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
     # Seed edge 0 forces edges 1 and 2 in at v0, but {1, 2} alone is
     # balanced there too; v1 only holds edge 3 and admits none of it.
-    tables = {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])}
-    ctx = object.__new__(irreducible._Ctx)
-    vars(ctx).update(
-        edges=[("e", str(i)) for i in range(4)],
-        full=(1 << 4) - 1,
-        balanced=list(tables),
-        inc_bits={vid: inc for vid, (inc, _) in tables.items()},
-        masks={vid: masks for vid, (_, masks) in tables.items()},
-        vertices_of={i: [v for v, (inc, _) in tables.items() if inc >> i & 1] for i in range(4)},
-        nodes_left=1000,
-    )
-    ctx.classes, ctx.ties = irreducible._edge_classes(ctx)
+    ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])})
     assert ctx.classes == [0b1, 0b110, 0b1000]
     first = irreducible._first_subnet(ctx, 0, None)
     assert first == 0b0111
     assert irreducible._minimize(ctx, first) == 0b0110
+
+
+def test_propagation_refutes_a_class_after_forcing_steps():
+    # Seeding edge 0 forces edges 1 and 2 in at v0, and v1 admits neither
+    # of its edges 1 and 3. The ties at v0 and v1 join 1, 2 and 3.
+    ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b110, 0b111]), "v1": (0b1010, [0])})
+    assert (ctx.classes, ctx.ties) == ([0b1, 0b1110], [("v0", 1, 2), ("v1", 1, 3)])
+    trace = []
+    assert irreducible._first_subnet(ctx, 0, trace) is None
+    e0, e1 = _edges(0, 1)
+    assert trace == [
+        TraceStep(e0, None, (e0,), ()),
+        TraceStep(e0, "v0", _edges(1, 2), ()),
+        TraceStep(e0, "v1", (), (), conflict=NO_FIT),
+        TraceStep(e1, None, (e1,), ()),
+        TraceStep(e1, "v1", (), (), conflict=NO_FIT),
+    ]
+
+
+def test_branching_refutes_a_class_that_propagation_leaves_open():
+    # Edge 0 goes with edge 1 or edge 2 at v0, so propagation from the
+    # seed decides nothing; v1 ties 1 and 2, so either branch fails there.
+    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101]), "v1": (0b110, [0, 0b110])})
+    assert (ctx.classes, ctx.ties) == ([0b1, 0b110], [("v1", 1, 2)])
+    trace = []
+    assert irreducible._first_subnet(ctx, 0, trace) is None
+    e0, e1 = _edges(0, 1)
+    exhaustive = "exhaustive search found no proper subnet containing this edge class"
+    assert trace == [
+        TraceStep(e0, None, (e0,), ()),
+        TraceStep(e0, None, (), (), conflict=exhaustive),
+        TraceStep(e1, None, (e1,), ()),
+        TraceStep(e1, "v0", (), (), conflict=NO_FIT),
+    ]
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 12])
@@ -494,7 +528,11 @@ def test_quarter_turn_rotation_preserves_the_verdict(paper_net, paper_cert):
 
 # --- edge classes -------------------------------------------------------------
 
-def _class_edges(ctx):
+def _class_edges(net):
+    """The edge classes of the search context of net."""
+    balanced = [v.id for v in net.vertices if v.kind is B]
+    inc, masks, _, _ = irreducible._tables(net, balanced, 1e-9)
+    ctx = irreducible._Ctx(net.edges, balanced, inc, masks)
     return [frozenset(ctx.edges_of(irreducible._rows(c))) for c in ctx.classes]
 
 
@@ -539,7 +577,7 @@ def _small_nets(rng, count):
 def test_class_seeding_agrees_with_exhaustive_enumeration(seed):
     for net in _small_nets(random.Random(seed), 25):
         classes = edge_classes(net)
-        assert _class_edges(irreducible._Ctx(net, 1e-9, 0.0)) == classes
+        assert _class_edges(net) == classes
         valid = enumerate_proper_subnets(net)
         # every subnet is a union of whole classes
         for sub in valid:
@@ -563,7 +601,7 @@ def test_tripod_overlay_classes_are_its_tripods(n):
                                 for p in raw.adjacency[v.id]))
             for v in raw.vertices if v.kind is B
         }
-        classes = _class_edges(irreducible._Ctx(net, 1e-9, 0.0))
+        classes = _class_edges(net)
         assert len(classes) == len(tripods), s
         assert set(classes) == tripods, s
         cert = find_proper_subnet(net)
@@ -607,20 +645,21 @@ def test_batched_tables_match_each_star_alone_and_brute_force(request, name):
     else:
         net = request.getfixturevalue(f"{name}_net")
     vids = [v.id for v in net.vertices if v.kind is B]
-    rows, masks, low, high = irreducible._tables(net, vids, 1e-9)
+    inc, masks, low, high = irreducible._tables(net, vids, 1e-9)
     lows, highs = [], []
-    for vid, star_rows, star_masks in zip(vids, rows, masks):
-        (alone_rows,), (alone_masks,), alone_low, alone_high = irreducible._tables(net, [vid], 1e-9)
-        assert (alone_rows, alone_masks) == (star_rows, star_masks), vid
+    for vid, star_inc, star_masks in zip(vids, inc, masks):
+        (alone_inc,), (alone_masks,), alone_low, alone_high = irreducible._tables(net, [vid], 1e-9)
+        assert (alone_inc, alone_masks) == (star_inc, star_masks), vid
         lows.append(alone_low)
         highs.append(alone_high)
-        table = [tuple(net.edges[r] for i, r in enumerate(star_rows) if m >> i & 1) for m in star_masks]
-        if len(star_rows) <= 12:
+        assert irreducible._rows(star_inc) == [net.edges.index(e) for e in net.incident_edges(vid)]
+        table = [tuple(net.edges[r] for r in irreducible._rows(m)) for m in star_masks]
+        if net.degree(vid) <= 12:
             expected = brute_force_balanced_subsets(net, vid)
         else:
             pairs = [pair for pair in itertools.combinations(net.incident_edges(vid), 2)
                      if _cancels_at(net, vid, pair)]
-            assert len(pairs) == len(star_rows) // 2
+            assert len(pairs) == net.degree(vid) // 2
             expected = [tuple(e for pair in chosen for e in pair)
                         for k in range(len(pairs) + 1)
                         for chosen in itertools.combinations(pairs, k)]

@@ -113,17 +113,20 @@ def test_star_subsets_of_degree_20_stars_span_chunks():
         assert np.array_equal(_kernels.balanced_masks(vecs[k], 1e-9), alone[1])
 
 
-# A real chunk holds 2^d >= 2 rows; a one-row product would take numpy's
-# vector path, which rounds differently.
+# A real chunk holds min(2^d, _MAX_ROWS) >= 2 rows, 2 for a degree-1 star;
+# a one-row product would take numpy's vector path, which rounds
+# differently.
 @pytest.mark.parametrize("max_rows", [2, 4, 8, 64])
 def test_star_subsets_do_not_depend_on_the_chunk_size(monkeypatch, max_rows):
     rng = np.random.default_rng(29)
     stars = [np.stack([_paired_star(rng, pairs) for _ in range(5)]) for pairs in (1, 2, 3)]
-    stars.append(np.stack([np.column_stack([np.cos(a), np.sin(a)])
-                           for a in rng.uniform(0, 2 * math.pi, size=(4, 5))]))
-    whole = [_kernels.star_subsets(vecs, 0.5) for vecs in stars]
+    for degree in (5, 1):
+        stars.append(np.stack([np.column_stack([np.cos(a), np.sin(a)])
+                               for a in rng.uniform(0, 2 * math.pi, size=(4, degree))]))
+    # within 2.0, so that both subsets of a degree-1 star count
+    whole = [_kernels.star_subsets(vecs, 2.0) for vecs in stars]
     monkeypatch.setattr(_kernels, "_MAX_ROWS", max_rows)
     for vecs, expected in zip(stars, whole):
-        got = _kernels.star_subsets(vecs, 0.5)
+        got = _kernels.star_subsets(vecs, 2.0)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)

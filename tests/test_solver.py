@@ -22,6 +22,7 @@ from geonets import (
     total_length,
     verify,
 )
+from geonets import _kernels
 from geonets.net import UnknownVertex
 
 from helpers import random_net
@@ -200,6 +201,28 @@ def test_relax_perturbed_paper_net_in_few_iterations(paper_net, seed, amplitude)
     trace = result.length_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == pytest.approx(total_length(result.net), rel=1e-12)
+
+
+def test_descent_retries_from_step0_when_a_bb_trial_fails(paper_net, monkeypatch):
+    # Four halvings are too few for some Barzilai-Borwein trials; each
+    # such failure is retried once from step0, and descent goes on.
+    monkeypatch.setattr(_kernels, "_MAX_HALVINGS", 4)
+    tries = []
+    backtrack = _kernels._backtrack
+
+    def logged(*args):
+        out = backtrack(*args)
+        tries.append((args[7], out[0] is None))
+        return out
+
+    monkeypatch.setattr(_kernels, "_backtrack", logged)
+    result = relax(_perturbed(paper_net, 0, 0.014), step=0.01)
+    retries = sum(failed and step != 0.01 and then == 0.01
+                  for (step, failed), (then, _) in zip(tries, tries[1:]))
+    assert retries > 0
+    assert result.stop_reason == "converged"
+    trace = result.length_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
