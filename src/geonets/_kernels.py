@@ -78,9 +78,11 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     """Gradient descent on total length over the rows in free, with
     Barzilai-Borwein trial steps under a monotone Armijo test.
 
-    The trial step is BB1, s.s / s.y, with s the last accepted displacement
+    The trial step is BB2, s.y / y.y, with s the last accepted displacement
     of the free rows and y the change in the gradient (minus the residual)
-    over it; step0 on the first iteration and whenever s.y <= 0. The Armijo
+    over it; step0 on the first iteration and whenever s.y <= 0. BB2 is
+    the shorter Barzilai-Borwein step (s.y / y.y <= s.s / s.y by
+    Cauchy-Schwarz), which the Armijo test rejects less often. The Armijo
     test backtracks from the trial step by halving; if every halving fails
     from a BB step, the ladder is tried once more from step0. Each trace
     entry is the previous one minus the decrease the Armijo test accepted,
@@ -113,9 +115,10 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             break
         trial = step0
         if s is not None:
-            sy = float((s * (r_prev - rf)).sum())
+            y = r_prev - rf
+            sy = float((s * y).sum())
             if sy > 0.0:
-                trial = float((s * s).sum()) / sy
+                trial = sy / float((y * y).sum())
         gnorm2 = float((rf * rf).sum())
         delta, dec, failed = _backtrack(pos, free, edges, a, la, rf, gnorm2, trial, c_armijo)
         halvings += failed

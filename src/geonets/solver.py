@@ -3,8 +3,9 @@
 The total edge length of a net, viewed as a function of the balanced
 vertex positions with pins held fixed, has gradient equal to minus the
 balance residual at each balanced vertex. Relaxation runs gradient
-descent with Barzilai-Borwein step lengths under a monotone backtracking
-line search, so critical points are exactly the balanced configurations.
+descent with short Barzilai-Borwein step lengths under a monotone
+backtracking line search, so critical points are exactly the balanced
+configurations.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def relax(
     """Gradient descent on total length over the balanced vertices.
 
     Each iteration moves all balanced vertices along their residuals. The
-    trial step is the Barzilai-Borwein step s.s / s.y from the last
+    trial step is the short Barzilai-Borwein step s.y / y.y from the last
     accepted move (s the change in positions, y the change in gradient);
     `step` is the trial step on the first iteration, whenever s.y <= 0,
     and as a fallback when backtracking from the BB step fails. The step

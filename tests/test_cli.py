@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from geonets import cli, irreducible
+from geonets import cli, irreducible, relax
 from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
 
@@ -238,6 +238,8 @@ def test_relax_respects_max_iter(tmp_path, capsys):
     assert "converged=False" in stderr
     assert "iterations=3" in stderr
     assert "stop=max_iter" in stderr
+    halvings = relax(load(str(path)), max_iter=3).halvings
+    assert f"iterations=3 halvings={halvings} final_residual=" in stderr
 
 
 @pytest.mark.parametrize(

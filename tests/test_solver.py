@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -196,7 +197,8 @@ def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
 def test_relax_perturbed_paper_net_in_few_iterations(paper_net, seed, amplitude):
     result = relax(_perturbed(paper_net, seed, amplitude))
     assert result.stop_reason == "converged"
-    assert result.iterations < 1500
+    assert result.iterations < 400
+    assert result.halvings <= result.iterations // 2
     assert result.length_trace[-1] == pytest.approx(78.430195551969, rel=1e-12)
     trace = result.length_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -223,6 +225,45 @@ def test_descent_retries_from_step0_when_a_bb_trial_fails(paper_net, monkeypatch
     assert result.stop_reason == "converged"
     trace = result.length_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+def test_descent_trial_step_is_the_short_barzilai_borwein_step(paper_net, monkeypatch):
+    # After an accepted step s with s.y > 0, where y is the change in
+    # gradient (rf_prev - rf), the first Armijo try is s.y / y.y; it is
+    # step0 on the first iterate and whenever s.y <= 0.
+    calls = []
+    backtrack = _kernels._backtrack
+
+    def logged(*args):
+        out = backtrack(*args)
+        calls.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(_kernels, "_backtrack", logged)
+    step0 = 0.1
+    result = relax(_perturbed(paper_net, 0, 0.014), step=step0)
+    assert result.stop_reason == "converged"
+
+    pinned = 0
+    s = rf_prev = prev_pos = None
+    for args, delta in calls:
+        pos, free, rf, trial = args[0], args[1], args[5], args[7]
+        # a retry from step0 tries the same iterate again
+        if prev_pos is None or not np.array_equal(pos, prev_pos):
+            if s is None:
+                assert trial == step0
+            else:
+                y = rf_prev - rf
+                sy = float((s * y).sum())
+                if sy > 0.0:
+                    assert trial == pytest.approx(sy / float((y * y).sum()), rel=1e-12)
+                    pinned += 1
+                else:
+                    assert trial == step0
+            prev_pos, rf_prev = pos, rf
+        if delta is not None:
+            s = delta[free]
+    assert pinned > result.iterations // 2
 
 
 def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
