@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .geom import Point, angle_at, distance, rotate
+from .geom import COINCIDENCE_EPS, Point, angle_at, distance, rotate
 from .net import Net, Vertex, VertexKind, planarize, relabeled
 
 # Square-symmetric 16-vertex construction. The inner square of balanced
@@ -21,8 +21,6 @@ from .net import Net, Vertex, VertexKind, planarize, relabeled
 # b_i. Boundary pins c1..c4 sit on the axes at the unique radius where
 # the five unit vectors at each a_i cancel: arccos(1/2 - cos 75deg).
 INNER_RADIUS = 1.0
-OCTAGON_ANGLE_AT_A_DEG = 150.0
-OCTAGON_ANGLE_AT_B_DEG = 120.0
 _B_DIAG = math.cos(math.radians(15.0)) / (
     math.cos(math.radians(15.0)) + math.sin(math.radians(15.0))
 )
@@ -33,8 +31,6 @@ BOUNDARY_RADIUS = math.tan(BOUNDARY_ANGLE_RAD)
 _AREA_EPS = 1e-12
 _WIDE_ANGLE_MARGIN_DEG = 1e-9
 _WEISZFELD_STEPS = 50
-_DOUBLE_TRIPOD_TOL = 1e-14
-_DOUBLE_TRIPOD_MAX_SWEEPS = 1000
 
 
 class DegenerateTriangle(ValueError):
@@ -93,7 +89,7 @@ def fermat_point(tri: Triangle) -> Point:
     average.
     """
     for ang in tri.angles():
-        if ang >= OCTAGON_ANGLE_AT_B_DEG - _WIDE_ANGLE_MARGIN_DEG:
+        if ang >= 120.0 - _WIDE_ANGLE_MARGIN_DEG:
             raise WideAngleTriangle(f"angle of {ang:.6f} degrees >= 120")
     a, b, c = tri.corners()
     apex_bc = _equilateral_apex(b, c, a)
@@ -135,32 +131,31 @@ def build_fermat_tripod(tri: Triangle) -> Net:
     return Net(verts, [("f", f"t{i + 1}") for i in range(3)])
 
 
-def _double_fermat(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Tuple[Point, Point]:
+def _double_fermat(p1: Point, p2: Point, q1: Point, q2: Point) -> Tuple[Point, Point]:
     """Steiner points (s1, s2) of the two-junction tree joining p1, p2 to
-    s1 and q1, q2 to s2 with a bridge s1-s2.
+    s1 and q1, q2 to s2 with a bridge s1-s2, by Melzak's construction.
 
-    Alternates exact Fermat solves for each junction holding the other
-    fixed; each sweep lowers total length, and the iteration converges to
-    the unique locally shortest configuration.
+    Seen from s1, the pair q1, q2 acts like the apex of the equilateral
+    triangle on q1 q2 away from p1 p2, so s1 is the Fermat point of p1, p2
+    and that apex; s2 likewise. The tree exists only if each junction is
+    then the Fermat point of its pins and the other junction, within
+    COINCIDENCE_EPS. Else, or when the junctions cross and the check's own
+    solve fails, this raises WideAngleTriangle.
     """
     mid_p = Point((p1.x + p2.x) / 2.0, (p1.y + p2.y) / 2.0)
-    s2 = Point((q1.x + q2.x + mid_p.x) / 3.0, (q1.y + q2.y + mid_p.y) / 3.0)
-    s1 = fermat_point(Triangle(p1, p2, s2))
-    for _ in range(_DOUBLE_TRIPOD_MAX_SWEEPS):
-        new_s2 = fermat_point(Triangle(q1, q2, s1))
-        new_s1 = fermat_point(Triangle(p1, p2, new_s2))
-        moved = max(distance(new_s1, s1), distance(new_s2, s2))
-        s1, s2 = new_s1, new_s2
-        if moved <= _DOUBLE_TRIPOD_TOL:
-            break
+    mid_q = Point((q1.x + q2.x) / 2.0, (q1.y + q2.y) / 2.0)
+    s1 = fermat_point(Triangle(p1, p2, _equilateral_apex(q1, q2, mid_p)))
+    s2 = fermat_point(Triangle(q1, q2, _equilateral_apex(p1, p2, mid_q)))
+    if max(distance(s1, fermat_point(Triangle(p1, p2, s2))),
+           distance(s2, fermat_point(Triangle(q1, q2, s1)))) > COINCIDENCE_EPS:
+        raise WideAngleTriangle("no double tripod joins these pairs")
     return s1, s2
 
 
 def build_double_tripod(p1: Point, p2: Point, q1: Point, q2: Point) -> Net:
     """Two-junction Steiner tree on four pins: junction f1 joins p1, p2,
-    junction f2 joins q1, q2, with a bridge edge f1-f2."""
+    junction f2 joins q1, q2, with a bridge edge f1-f2. Raises
+    WideAngleTriangle when no double tripod joins the two pairs."""
     s1, s2 = _double_fermat(p1, p2, q1, q2)
     verts = [
         Vertex("t1", p1, VertexKind.UNBALANCED),
@@ -194,9 +189,11 @@ def build_overlay_net(
 
     The terminals A, C (top) and X, Z (bottom) are pinned. The trees are
     the four Fermat tripods on three of the four terminals, the two
-    double tripods for the pairings {A,C}|{X,Z} and {A,X}|{C,Z}, and the
-    pair of straight chains A-Z, C-X. Planarization turns every edge
-    crossing into a balanced pass-through vertex.
+    double tripods for the pairings {A,C}|{X,Z} and {A,X}|{C,Z} (Melzak's
+    construction), and the pair of straight chains A-Z, C-X.
+    Planarization turns every edge crossing into a balanced pass-through
+    vertex. Raises WideAngleTriangle when one of those trees does not
+    exist for the given terminals.
     """
     ta = a if a is not None else DEFAULT_OVERLAY_TERMINALS[0]
     tc = c if c is not None else DEFAULT_OVERLAY_TERMINALS[1]

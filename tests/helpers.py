@@ -79,6 +79,11 @@ def first_coincident_pair(vertices: Sequence[Vertex]) -> Optional[Tuple[str, str
     return None
 
 
+def jitter(rng: random.Random, *points: Tuple[float, float]) -> List[Point]:
+    """The points, each coordinate moved by a uniform draw in [-0.5, 0.5]."""
+    return [Point(x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5)) for x, y in points]
+
+
 def honeycomb(cols: int, rows: int) -> Net:
     """A patch of a honeycomb of unit edges, cols columns by rows zigzag
     rows: vertex (i, j) joins (i + 1, j), and (i, j + 1) when i + j is

@@ -18,6 +18,7 @@ from geonets import (
     Triangle,
     Vertex,
     VertexKind,
+    WideAngleTriangle,
     balanced_edge_subsets,
     build_double_tripod,
     build_fermat_tripod,
@@ -27,6 +28,8 @@ from geonets import (
     find_proper_subnet,
     is_irreducible,
     planarize,
+    relabeled,
+    rotate,
     unit_vector,
     verify,
 )
@@ -39,6 +42,7 @@ from helpers import (
     edges_on_segment,
     enumerate_proper_subnets,
     honeycomb,
+    jitter,
     raw_tripod_overlay,
     replay_ties,
     subset_is_balanced,
@@ -550,18 +554,14 @@ def _star_of_groups(rng, groups):
     return Net(verts, edges)
 
 
-def _jitter(rng, *points):
-    return [Point(x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5)) for x, y in points]
-
-
 def _small_nets(rng, count):
     """count seeded nets with at most 14 edges that verify: chord
     arrangements, Fermat tripods, double tripods, honeycomb patches and
     stars of pairs and tripods."""
     families = [
         lambda: chord_arrangement(rng.randint(2, 5), rng.randrange(10**6))[0],
-        lambda: build_fermat_tripod(Triangle(*_jitter(rng, (0, 0), (4, 0), (1, 3)))),
-        lambda: build_double_tripod(*_jitter(rng, (0, 2), (0, -2), (6, 2), (6, -2))),
+        lambda: build_fermat_tripod(Triangle(*jitter(rng, (0, 0), (4, 0), (1, 3)))),
+        lambda: build_double_tripod(*jitter(rng, (0, 2), (0, -2), (6, 2), (6, -2))),
         lambda: honeycomb(*rng.choice([(4, 2), (3, 3), (4, 3), (5, 2)])),
         lambda: _star_of_groups(rng, [rng.choice((2, 3)) for _ in range(rng.randint(1, 4))]),
     ]
@@ -606,6 +606,59 @@ def test_tripod_overlay_classes_are_its_tripods(n):
         assert set(classes) == tripods, s
         cert = find_proper_subnet(net)
         assert cert.witness in tripods, s
+
+
+# --- known-answer families ---------------------------------------------------
+
+def _double_tripods(seed, count):
+    """count seeded double tripods on jittered pins about a wide and a
+    square rectangle; pins that admit none are skipped."""
+    rng = random.Random(seed)
+    bases = [((0, 2), (0, -2), (6, 2), (6, -2)), ((0, 1), (0, -1), (1, 1), (1, -1))]
+    nets = []
+    while len(nets) < count:
+        try:
+            nets.append(build_double_tripod(*jitter(rng, *bases[len(nets) % 2])))
+        except WideAngleTriangle:
+            pass
+    return nets
+
+
+def _moved(net, move):
+    return Net([Vertex(v.id, move(v.pos), v.kind, v.label) for v in net.vertices], net.edges)
+
+
+def _shuffled_ids(net, rng):
+    ids = [v.id for v in net.vertices]
+    return relabeled(net, dict(zip(ids, rng.sample(ids, len(ids)))))
+
+
+def _verdict(net):
+    """Irreducible or not, the number of edge classes, and verify."""
+    irreducible = isinstance(find_proper_subnet(net), Irreducible)
+    return irreducible, len(_class_edges(net)), verify(net).passed
+
+
+@pytest.mark.parametrize("size", [None, (4, 3), (6, 5), (8, 6)],
+                         ids=["double-tripods", "honeycomb4x3", "honeycomb6x5", "honeycomb8x6"])
+def test_known_irreducible_family_keeps_its_verdict_under_symmetries(size):
+    # double tripods and honeycomb patches are irreducible and one edge
+    # class; quarter-turns and power-of-2 scalings are exact
+    nets = _double_tripods(0, 10) if size is None else [honeycomb(*size)]
+    rng = random.Random(1)
+    for net in nets:
+        assert _verdict(net) == (True, 1, True)
+        cert = find_proper_subnet(net)
+        assert sum(step.tie for step in cert.trace) == len(net.edges) - 1
+        assert replay_ties(net, cert) == [frozenset(net.edges)]
+        for moved in (
+            _moved(net, lambda p: rotate(p, 1)),
+            _moved(net, lambda p: Point(p.x * 8.0, p.y * 8.0)),
+            _moved(net, lambda p: Point(p.x / 8.0, p.y / 8.0)),
+            _moved(net, lambda p: Point(p.x + 0.5, p.y - 0.25)),
+            _shuffled_ids(net, rng),
+        ):
+            assert _verdict(moved) == (True, 1, True)
 
 
 # --- batched subset tables ----------------------------------------------------
