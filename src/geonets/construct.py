@@ -30,7 +30,7 @@ BOUNDARY_RADIUS = math.tan(BOUNDARY_ANGLE_RAD)
 
 _AREA_EPS = 1e-12
 _WIDE_ANGLE_MARGIN_DEG = 1e-9
-_WEISZFELD_STEPS = 50
+_SQRT3 = math.sqrt(3.0)
 
 
 class DegenerateTriangle(ValueError):
@@ -73,52 +73,39 @@ def _equilateral_apex(p: Point, q: Point, away_from: Point) -> Point:
     return Point(p.x + dx * 0.5 - dy * sin_t, p.y + dx * sin_t + dy * 0.5)
 
 
-def _line_cross(p1: Point, d1: Tuple[float, float], p2: Point, d2: Tuple[float, float]) -> Point:
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    t = ((p2.x - p1.x) * d2[1] - (p2.y - p1.y) * d2[0]) / den
-    return Point(p1.x + t * d1[0], p1.y + t * d1[1])
-
-
 def fermat_point(tri: Triangle) -> Point:
     """Point minimizing the sum of distances to the triangle corners.
 
-    Requires every angle below 120 degrees, so the minimizer is the
-    interior point seeing all three sides under 120 degrees. Computed in
-    closed form by intersecting two corner-to-opposite-apex lines, then
-    polished with a few fixed point iterations of the distance-weighted
-    average.
+    Requires every angle below 120 degrees, so the minimizer is the first
+    isogonic centre, X(13) in Kimberling's Encyclopedia of Triangle
+    Centers. Its barycentric closed form is
+
+        F = (w_A A + w_B B + w_C C) / (w_A + w_B + w_C),
+        w_A = 1 / (4 area + sqrt(3) (b^2 + c^2 - a^2)),  a = |BC|,
+
+    and likewise for B and C. The denominator of w_A equals
+    4 b c sin(angle A + 60 degrees), which is positive below 120 degrees.
+    Squares and cross product are plain products, so the result commutes
+    bit for bit with quarter turns and power-of-two scaling.
     """
     for ang in tri.angles():
         if ang >= 120.0 - _WIDE_ANGLE_MARGIN_DEG:
             raise WideAngleTriangle(f"angle of {ang:.6f} degrees >= 120")
     a, b, c = tri.corners()
-    apex_bc = _equilateral_apex(b, c, a)
-    apex_ca = _equilateral_apex(c, a, b)
-    f = _line_cross(
-        a, (apex_bc.x - a.x, apex_bc.y - a.y), b, (apex_ca.x - b.x, apex_ca.y - b.y)
+    abx, aby = b.x - a.x, b.y - a.y
+    bcx, bcy = c.x - b.x, c.y - b.y
+    cax, cay = a.x - c.x, a.y - c.y
+    aa = bcx * bcx + bcy * bcy
+    bb = cax * cax + cay * cay
+    cc = abx * abx + aby * aby
+    area4 = 2.0 * abs(abx * cay - aby * cax)
+    wa = 1.0 / (area4 + _SQRT3 * (bb + cc - aa))
+    wb = 1.0 / (area4 + _SQRT3 * (cc + aa - bb))
+    wc = 1.0 / (area4 + _SQRT3 * (aa + bb - cc))
+    w = wa + wb + wc
+    return Point(
+        (wa * a.x + wb * b.x + wc * c.x) / w, (wa * a.y + wb * b.y + wc * c.y) / w
     )
-    scale = max(distance(a, b), distance(b, c), distance(c, a))
-    fx, fy = f.x, f.y
-    for _ in range(_WEISZFELD_STEPS):
-        wsum = nx = ny = 0.0
-        stop = False
-        for p in (a, b, c):
-            d = math.hypot(fx - p.x, fy - p.y)
-            if d <= 1e-15 * scale:
-                stop = True
-                break
-            w = 1.0 / d
-            wsum += w
-            nx += w * p.x
-            ny += w * p.y
-        if stop:
-            break
-        gx, gy = nx / wsum, ny / wsum
-        moved = math.hypot(gx - fx, gy - fy)
-        fx, fy = gx, gy
-        if moved <= 1e-15 * scale:
-            break
-    return Point(fx, fy)
 
 
 def build_fermat_tripod(tri: Triangle) -> Net:
@@ -168,8 +155,6 @@ def build_double_tripod(p1: Point, p2: Point, q1: Point, q2: Point) -> Net:
     edges = [("f1", "t1"), ("f1", "t2"), ("f1", "f2"), ("f2", "t3"), ("f2", "t4")]
     return Net(verts, edges)
 
-
-_SQRT3 = math.sqrt(3.0)
 
 DEFAULT_OVERLAY_TERMINALS: Tuple[Point, Point, Point, Point] = (
     Point(-3.0 * _SQRT3, 12.0),

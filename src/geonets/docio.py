@@ -55,7 +55,10 @@ def _field(obj: Dict[str, Any], key: str, where: str) -> Any:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: coordinate is too large for a float") from None
     if not math.isfinite(value):
         raise ParseError(f"{where}: coordinate is not finite")
     return value
@@ -66,6 +69,9 @@ def parse(text: str) -> Net:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # json's own limits: integer digits, nesting depth
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = _field(doc, "format_version", "document")
@@ -89,7 +95,7 @@ def parse(text: str) -> Net:
         x = _number(_field(row, "x", where), f"{where}.x")
         y = _number(_field(row, "y", where), f"{where}.y")
         kind_raw = _field(row, "kind", where)
-        if kind_raw not in _KINDS:
+        if not isinstance(kind_raw, str) or kind_raw not in _KINDS:
             raise ParseError(
                 f"{where}.kind: unknown kind {kind_raw!r} "
                 f"(expected one of {sorted(_KINDS)})"

@@ -40,9 +40,6 @@ class Point:
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
-ORIGIN = Point(0.0, 0.0)
-
-
 def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 

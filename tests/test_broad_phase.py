@@ -226,15 +226,15 @@ def test_a_contact_lands_on_a_net_vertex_before_a_minted_one():
 # sha256 of serialize(tripod_overlay(n, s)) as a scan of every vertex gave
 # them: they pin the vertex each contact lands on and the minted ids.
 OVERLAY_SHA256 = {
-    (6, 0): "0cb895fe0b72c2e968f526ee7ba7f2f9aa4dd6be543c66319059804a9fc41c42",
-    (6, 1): "fc04d000ead088e57cbd6c3260126bc42e16bb6fe1777b593173d783f6b9a22a",
-    (6, 2): "9581868395f9c7d0f3b64260324ddd079f22e8a9be70da0b744d4951d2b876a9",
-    (7, 0): "b6e573b3433da3f42d0ba7516c58da048c5e3e55e485f2a2ac041fa6c44a2bc2",
-    (7, 1): "b6c891882cdea202655f8c259092138d9e23c3deb65dc4dd5859cf7dd100206a",
-    (7, 2): "4044f236e45b98b596b6b4bce68f5a75f57505cd0dc105a48d6d3921ddd2e397",
-    (8, 0): "a42e1bc870912df88898a50d5eb705036a7038c0cad1a64a218d47d48186a163",
-    (8, 1): "bb375c2c0b5c06afc2d4d6a9ab6c6cefd50a14517ea2871d22aba75223114bf7",
-    (8, 2): "a236c921455be9a3126112719cff440e43eea032064a912792de185a78a326dd",
+    (6, 0): "e5bf71661172aed7def66c3c3bc41267212a2a8e1a4606d29c078c9d46ef1e1d",
+    (6, 1): "ca1163b8271600751258ffb22cc6b0660c7231feccef3bc7560e638177c9da3f",
+    (6, 2): "7bb6bf6c7e31b912d718c2890bc574f97426c5bdeddc431a6d01d5c836219a4b",
+    (7, 0): "39e3273c7d856ef67d450429e0ce594997bf6bb0e3f5d6d7dc204504f3eedd7b",
+    (7, 1): "51da031341ae1d7b45a1d747271d6b9aedd8731e23b40154d1d3add876c53142",
+    (7, 2): "cb64f262a4162a7557cbd2db1c07c0ca48df7c72ef14395b4d0e38f7996f9df2",
+    (8, 0): "94e45e300945c8e1b6560225ba2beaff012ffddee744c15a4aa373e8fca7ebd0",
+    (8, 1): "c576d716e1c1d5d5340459376a8eeb392566eab6d750cf637b61af991d6fa945",
+    (8, 2): "3f7b56a15a22dc2d143e9f9ccfba350c5ec97a72cdcd0f015781782fd4c78e6c",
 }
 
 

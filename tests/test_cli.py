@@ -115,7 +115,8 @@ def test_irreducible_on_paper_net(tmp_path, capsys):
         "irreducible: no proper subnet; 1 edge class (43 ties) refuted in 0 propagation steps"
     )
     low, high = _margin(lines[-1])
-    assert low == pytest.approx(5.736e-15, rel=1e-3)
+    assert 0.0 < low <= 1e-14
+    assert low == irreducible.find_proper_subnet(load(str(out))).tol_margin[0]
     assert high == 1e-8
 
 
@@ -317,3 +318,22 @@ def test_malformed_document_is_a_parse_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", str(path))
     assert code == 1
     assert stderr.startswith("error: ParseError: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format_version": 1, "vertices": [{"id": "a", "x": 1' + "0" * 400
+        + ', "y": 0, "kind": "unbalanced"}], "edges": []}',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["float-overflow", "deep-nesting"],
+)
+def test_document_beyond_float_or_nesting_limits_is_one_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ParseError: ")
+    assert stderr.count("\n") == 1

@@ -23,6 +23,7 @@ from geonets import (
     distance,
     fermat_point,
     place_boundary,
+    rotate,
     verify,
 )
 
@@ -147,6 +148,23 @@ def test_fermat_point_equivariant_under_rigid_motions():
 
         g = fermat_point(Triangle(*(move(p) for p in tri.corners())))
         assert distance(g, move(f)) < 1e-9
+
+
+def test_fermat_point_commutes_exactly_with_quarter_turns_and_power_of_two_scaling():
+    rng = random.Random(45)
+    done = 0
+    while done < 500:
+        pts = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+        try:
+            f = fermat_point(Triangle(*pts))
+        except (DegenerateTriangle, WideAngleTriangle):
+            continue
+        for k in (1, 2, 3):
+            assert fermat_point(Triangle(*(rotate(p, k) for p in pts))) == rotate(f, k)
+        for s in (8.0, 0.125):
+            g = fermat_point(Triangle(*(Point(p.x * s, p.y * s) for p in pts)))
+            assert g == Point(f.x * s, f.y * s)
+        done += 1
 
 
 def test_fermat_point_rejects_wide_and_degenerate_triangles():

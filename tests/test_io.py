@@ -113,6 +113,18 @@ def _doc(**overrides):
         ),
         (_doc(edges=[["a"]]), "edges[0]"),
         (_doc(edges=[["a", 3]]), "edges[0]"),
+        pytest.param(
+            _doc(vertices=[{"id": "a", "x": 10**400, "y": 0, "kind": "unbalanced"}]),
+            "vertices[0].x",
+            id="float-overflow",
+        ),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-nesting"),
+        pytest.param('{"format_version": ' + "1" * 5000 + "}", "invalid JSON", id="int-digits"),
+        pytest.param(
+            _doc(vertices=[{"id": "a", "x": 0, "y": 0, "kind": []}]),
+            "vertices[0].kind",
+            id="unhashable-kind",
+        ),
     ],
 )
 def test_parse_errors_carry_field_context(text, needle):
