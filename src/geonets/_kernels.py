@@ -14,11 +14,17 @@ BACKEND = "numpy"
 _MAX_HALVINGS = 60
 
 
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of v: the one
+    formula for every length, residual and subset-sum norm."""
+    return np.sqrt((v * v).sum(axis=-1))
+
+
 def _edge_vectors(pos: np.ndarray, edges: np.ndarray):
     """Vector of each edge, from its first endpoint to its second, and its
     length."""
     d = pos[edges[:, 1]] - pos[edges[:, 0]]
-    return d, np.sqrt((d * d).sum(axis=1))
+    return d, norms(d)
 
 
 def unit_vectors(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -52,7 +58,7 @@ def _decrease(a: np.ndarray, la: np.ndarray, delta: np.ndarray, edges: np.ndarra
     # delta instead of b - a keeps the error relative to |w|, which resolves
     # decreases far below the fp resolution of the total length itself.
     w = delta[edges[:, 1]] - delta[edges[:, 0]]
-    lb = np.sqrt(((a + w) ** 2).sum(axis=1))
+    lb = norms(a + w)
     num = -(2.0 * (a * w).sum(axis=1) + (w * w).sum(axis=1))
     return float((num / (la + lb)).sum())
 
@@ -91,23 +97,27 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     collision test, the residual and every Armijo test.
 
     Returns (positions, accepted steps, length trace, stop reason,
-    halvings). Each iterate is tested in this order: "collided" (an edge
-    is shorter than min_sep), "converged" (largest free residual at most
-    tol), "max_iter", and "stalled" (no acceptable step from step0, or an
-    accepted step too small to change any position, which is not
-    counted); halvings counts every failed Armijo test.
+    halvings, residual). Each iterate is tested in this order: "collided"
+    (an edge is shorter than min_sep), "converged" (largest free residual
+    norm at most tol), "max_iter", and "stalled" (no acceptable step from
+    step0, or an accepted step too small to change any position, which is
+    not counted); halvings counts every failed Armijo test. residual is
+    the largest free residual norm the convergence test last read (inf if
+    the first iterate collided).
     """
     pos = pos.copy()
     trace = [net_length(pos, edges)]
     accepted = halvings = 0
     s = r_prev = None
+    residual = np.inf
     while True:
         a, la = _edge_vectors(pos, edges)
         if la.min(initial=np.inf) < min_sep:
             stop = "collided"
             break
         rf = _unit_sums(pos.shape[0], edges, a, la)[free]
-        if rf.size == 0 or float(np.sqrt((rf * rf).sum(axis=1)).max()) <= tol:
+        residual = float(norms(rf).max(initial=0.0))
+        if residual <= tol:
             stop = "converged"
             break
         if accepted >= max_iter:
@@ -133,7 +143,7 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         s, r_prev = delta[free], rf
         accepted += 1
         trace.append(trace[-1] - dec)
-    return pos, accepted, trace, stop, halvings
+    return pos, accepted, trace, stop, halvings, residual
 
 
 # The most subset rows any array in star_subsets holds at once.
@@ -145,9 +155,10 @@ def star_subsets(vecs: np.ndarray, tol: float):
     of zero.
 
     vecs is (stars, d, 2): the unit vectors of the d legs of each star.
-    Returns three flat arrays over the accepted subsets: the star's index,
-    the subset's bit mask over the legs (bit i for leg i) and the squared
-    norm of its sum, ordered by star and then by ascending mask.
+    A subset is accepted when the norm of its sum is at most tol. Returns
+    three flat arrays over the accepted subsets: the star's index, the
+    subset's bit mask over the legs (bit i for leg i) and the norm of its
+    sum, ordered by star and then by ascending mask.
 
     The stars go in groups of _MAX_ROWS // rows, and each group runs
     through its masks in chunks of rows = min(2^d, _MAX_ROWS), so no array
@@ -166,9 +177,9 @@ def star_subsets(vecs: np.ndarray, tol: float):
             masks = np.arange(start, start + chunk, dtype=np.int64)
             sel = ((masks[:, None] & bits[None, :]) != 0).astype(np.float64)
             sums = sel @ vecs[first:first + per]
-            norm2 = (sums * sums).sum(axis=2)
-            star, row = np.nonzero(norm2 <= tol * tol)
-            found.append((star + first, masks[row], norm2[star, row]))
+            norm = norms(sums)
+            star, row = np.nonzero(norm <= tol)
+            found.append((star + first, masks[row], norm[star, row]))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 

@@ -28,7 +28,7 @@ from .irreducible import (
     SearchBudgetExceeded,
     find_proper_subnet,
 )
-from .net import DEFAULT_TOL, Net, VertexKind, edge_subnet, verify
+from .net import DEFAULT_TOL, VertexKind, edge_subnet, verify
 from .render import render_svg
 from .solver import VertexCollision, relax
 

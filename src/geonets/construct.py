@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .geom import COINCIDENCE_EPS, Point, angle_at, distance, rotate
 from .net import Net, Vertex, VertexKind, planarize, relabeled

@@ -28,7 +28,6 @@ vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -49,27 +48,16 @@ class SearchBudgetExceeded(RuntimeError):
     """Subnet search exceeded its node budget."""
 
 
-def _least_root(n2: float) -> float:
-    """The least double x >= 0 with x * x >= n2, so that the accept test
-    norm2 <= tol * tol passes n2 exactly when tol >= x."""
-    x = math.sqrt(n2)
-    # sqrt rounds to nearest, so the square of the double below x falls
-    # short of n2; only x * x may round below it.
-    while x * x < n2:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
 def _tables(
     net: Net, vids: Sequence[str], tol: float
 ) -> Tuple[List[int], List[List[int]], float, float]:
     """The subset tables of the balanced vertices vids, in edge bitsets
     (bit r for net.edges[r]): each vertex's edges, and its balanced subsets
-    in ascending order. Then the least tol that accepts every one of those
-    subsets, and the least tol that accepts a subset rejected within
-    10*tol (10*tol if there is none). The unit vectors of all legs come
-    from one call, and the stars of each degree share one star_subsets
-    call.
+    in ascending order. Then the largest norm among those subsets, and the
+    least norm among the subsets rejected within 10*tol (10*tol if there
+    is none); a subset is accepted when its norm is at most tol. The unit
+    vectors of all legs come from one call, and the stars of each degree
+    share one star_subsets call.
     """
     stars = [net.adjacency[vid] for vid in vids]
     for vid, star in zip(vids, stars):
@@ -87,19 +75,17 @@ def _tables(
     for k, star in enumerate(stars):
         by_degree.setdefault(len(star), []).append(k)
     masks: List[List[int]] = [[] for _ in vids]
-    accepted, rejected = 0.0, math.inf
+    accepted, rejected = 0.0, tol * 10.0
     for d, members in by_degree.items():
         legs_of = starts[members][:, None] + np.arange(d)
-        star, mask, norm2 = _kernels.star_subsets(vecs[legs_of], tol * 10.0)
-        ok = norm2 <= tol * tol
-        accepted = max(accepted, float(norm2[ok].max()))
-        if not ok.all():
-            rejected = min(rejected, float(norm2[~ok].min()))
+        star, mask, norm = _kernels.star_subsets(vecs[legs_of], tol * 10.0)
+        ok = norm <= tol
+        accepted = max(accepted, float(norm[ok].max()))
+        rejected = float(norm[~ok].min(initial=rejected))
         for k, m in zip(star[ok].tolist(), mask[ok].tolist()):
             k = members[k]
             masks[k].append(sum(b for i, b in enumerate(bits[k]) if m >> i & 1))
-    high = _least_root(rejected) if rejected < math.inf else tol * 10.0
-    return [sum(b) for b in bits], masks, _least_root(accepted), high
+    return [sum(b) for b in bits], masks, accepted, rejected
 
 
 def balanced_edge_subsets(
@@ -397,11 +383,13 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     failed. Branches live on an explicit stack, so deep searches do not
     hit Python's recursion limit.
 
-    Both carry tol_margin = (low, high). low is the least tolerance at
-    which every balanced subset passes the accept test norm2 <= tol * tol
-    and the net passes verify; high is the least at which a rejected subset
-    within 10*tol would pass, else 10*tol. For every tol in [low, high) the
-    subset tables, verdict and certificate are the same.
+    Both carry tol_margin = (low, high). A subset passes the accept test
+    when the norm of its unit-vector sum is at most tol. low is the least
+    tolerance at which every balanced subset passes it and the net passes
+    verify: the largest of those norms and verify's residuals. high is the
+    least norm of a subset rejected within 10*tol, else 10*tol. For every
+    tol in [low, high) the subset tables, verdict and certificate are the
+    same.
 
     The net must pass verify at the same tolerance first; like verify,
     raises ValueError unless tol is finite and nonnegative.

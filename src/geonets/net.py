@@ -291,7 +291,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     """
     _check_tol(tol)
     a = net.arrays
-    res = a.residuals
+    norm = _kernels.norms(a.residuals)
     residuals: Dict[str, float] = {}
     degree_violations: List[Tuple[str, int]] = []
     for k in a.free:
@@ -300,7 +300,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
         if deg < min_balanced_degree:
             degree_violations.append((vid, deg))
         if deg >= 1:
-            residuals[vid] = math.hypot(res[k, 0], res[k, 1])
+            residuals[vid] = float(norm[k])
     max_residual = max(residuals.values(), default=0.0)
 
     overlay_findings: List[Tuple[Edge, Edge, IntersectionKind]] = []
@@ -358,7 +358,7 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     edges = net.edges
     a = net.arrays
     p, q = a.pos[a.edges[:, 0]], a.pos[a.edges[:, 1]]
-    pad = (COINCIDENCE_EPS + PARAM_EPS * np.hypot(*(q - p).T)) * _BOX_SLACK
+    pad = (COINCIDENCE_EPS + PARAM_EPS * _kernels.norms(q - p)) * _BOX_SLACK
     lo = np.minimum(p, q) - pad[:, None]
     hi = np.maximum(p, q) + pad[:, None]
     segs = [net.segment(e) for e in edges]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from html import escape
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
-from .net import Edge, Net, VertexKind, edge_key
+from .net import Net, VertexKind, edge_key
 
 _EDGE_STROKE = "#222222"
 _EDGE_WIDTH = 1.5

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
 from .net import DEFAULT_TOL, CoincidentVertices, Net, Vertex, _check_tol
@@ -80,14 +78,16 @@ def relax(
     and as a fallback when backtracking from the BB step fails. The step
     is halved until the Armijo sufficient-decrease test holds.
 
-    Stops when the largest residual is at most tol ("converged"), when no
-    acceptable step exists from `step` or an accepted step is too small
-    to change any position ("stalled"; that step is not counted), or
-    after max_iter accepted steps ("max_iter"); the reason is the result's
-    stop_reason. Each length trace entry is the previous one minus the
-    decrease the Armijo test accepted, so the trace never rises. Raises
-    VertexCollision if the descent path collapses an edge, and ValueError
-    unless step is finite and positive and tol finite and nonnegative.
+    Stops when the largest residual norm is at most tol ("converged"),
+    when no acceptable step exists from `step` or an accepted step is too
+    small to change any position ("stalled"; that step is not counted),
+    or after max_iter accepted steps ("max_iter"); the reason is the
+    result's stop_reason. final_residual is the norm the convergence test
+    last read, at the returned net. Each length trace entry is the
+    previous one minus the decrease the Armijo test accepted, so the trace
+    never rises. Raises VertexCollision if the descent path collapses an
+    edge, and ValueError unless step is finite and positive and tol finite
+    and nonnegative.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -96,7 +96,7 @@ def relax(
         raise ValueError("max_iter must be nonnegative")
 
     a = net.arrays
-    out_pos, accepted, trace, stop, halvings = _kernels.descend(
+    out_pos, accepted, trace, stop, halvings, final = _kernels.descend(
         a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
     if stop == "collided":
@@ -113,9 +113,6 @@ def relax(
     except CoincidentVertices as exc:
         u, v = exc.ids
         raise VertexCollision(f"vertices {u} and {v} collided") from None
-
-    res = _kernels.residuals(out_pos, a.edges)[a.free]
-    final = float(np.hypot(res[:, 0], res[:, 1]).max(initial=0.0))
     return RelaxResult(
         net=result_net,
         final_residual=final,

@@ -18,6 +18,7 @@ from geonets import (
     VertexKind,
     WideAngleTriangle,
     balanced_edge_subsets,
+    build_paper_net,
     edge_key,
     fermat_point,
     planarize,
@@ -82,6 +83,21 @@ def first_coincident_pair(vertices: Sequence[Vertex]) -> Optional[Tuple[str, str
 def jitter(rng: random.Random, *points: Tuple[float, float]) -> List[Point]:
     """The points, each coordinate moved by a uniform draw in [-0.5, 0.5]."""
     return [Point(x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5)) for x, y in points]
+
+
+def pinned_paper16(seed: int, a: float) -> Net:
+    """The paper's 16-pin net with every pin moved by a uniform draw in
+    [-a, a] per coordinate from random.Random(seed); the balanced vertices
+    stay where they were, so the net needs relaxing."""
+    rng = random.Random(seed)
+    net = build_paper_net()
+    vertices = []
+    for v in net.vertices:
+        if v.kind is VertexKind.UNBALANCED:
+            pos = Point(v.pos.x + rng.uniform(-a, a), v.pos.y + rng.uniform(-a, a))
+            v = Vertex(v.id, pos, v.kind, v.label)
+        vertices.append(v)
+    return Net(vertices, net.edges)
 
 
 def honeycomb(cols: int, rows: int) -> Net:

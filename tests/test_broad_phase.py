@@ -260,9 +260,25 @@ def test_verify_decides_only_the_pairs_that_meet_on_a_honeycomb(monkeypatch):
     assert len(calls) == meeting
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
-def test_planarized_8_pin_overlay_verifies_and_is_a_fixed_point(s):
-    net = tripod_overlay(8, s)
-    assert len(net.edges) > 2000
+def _chords(k, s):
+    return chord_arrangement(k, s)[0]
+
+
+# Tripod overlays on 8 pins (ids 0-2), 7 and 6 pins, and the arrangements
+# of k = 4, 6, 12 chords with seeds 0-4 that verify; more_than is a floor
+# on the planarized edge count.
+_PLANARIZED = (
+    [pytest.param(tripod_overlay, 8, s, 2000, id=str(s)) for s in range(3)]
+    + [pytest.param(tripod_overlay, n, s, more_than, id=f"overlay{n}-{s}")
+       for n, more_than in ((6, 250), (7, 700)) for s in range(3)]
+    + [pytest.param(_chords, k, s, k, id=f"chords{k}-{s}")
+       for k, s in ((4, 0), (6, 0), (6, 3), (12, 3))]
+)
+
+
+@pytest.mark.parametrize("make, n, s, more_than", _PLANARIZED)
+def test_planarized_8_pin_overlay_verifies_and_is_a_fixed_point(make, n, s, more_than):
+    net = make(n, s)
+    assert len(net.edges) > more_than
     assert verify(net).passed
     assert planarize(net) is net

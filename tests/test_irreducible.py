@@ -29,6 +29,7 @@ from geonets import (
     is_irreducible,
     planarize,
     relabeled,
+    relax,
     rotate,
     unit_vector,
     verify,
@@ -43,6 +44,7 @@ from helpers import (
     enumerate_proper_subnets,
     honeycomb,
     jitter,
+    pinned_paper16,
     raw_tripod_overlay,
     replay_ties,
     subset_is_balanced,
@@ -140,20 +142,10 @@ def test_tolerance_margin(net, vid, tol, low, high):
             assert find_proper_subnet(net, end).witness == cert.witness
 
 
-def test_least_root_is_the_least_double_whose_square_reaches_n2():
-    rng = random.Random(3)
-    for _ in range(10_000):
-        n2 = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-120, 0))
-        x = irreducible._least_root(n2)
-        below = math.nextafter(x, 0.0)
-        assert x * x >= n2 > below * below, n2
-    assert irreducible._least_root(0.0) == 0.0
-
-
 def test_paper_net_margin_ends_are_exact(paper_net, paper_cert):
-    # low is the least double that accepts every balanced subset under
-    # norm2 <= tol * tol; sqrt of the largest norm2 alone rounds to a
-    # double whose square falls short of it at x1..x4
+    # low is the largest norm of a balanced subset or verify residual, so
+    # the accept test norm <= tol passes every balanced subset at low and
+    # fails one at the double below it; high is the least rejected norm
     low, high = paper_cert.tol_margin
     balanced = [v.id for v in paper_net.vertices if v.kind is B]
     tables = {vid: balanced_edge_subsets(paper_net, vid) for vid in balanced}
@@ -178,8 +170,8 @@ def test_subsets_reject_unbalanced_vertex(paper_net):
 
 @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
 def test_subsets_reject_a_bad_tolerance(paper_net, tol):
-    # the subset test compares squared norms with tol * tol, so tol = -1
-    # would accept every subset within 1 of zero
+    # the subset test is norm <= tol, so tol = -1 would reject even the
+    # empty subset, and tol = nan every subset
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         balanced_edge_subsets(paper_net, "x1", tol)
 
@@ -591,16 +583,22 @@ def test_class_seeding_agrees_with_exhaustive_enumeration(seed):
             assert replay_ties(net, cert) == classes
 
 
+def _overlay_tripods(n, s):
+    """tripod_overlay(n, s) and the planarized edges of each of its
+    tripods."""
+    raw = raw_tripod_overlay(n, s)
+    net = planarize(raw)
+    return net, {
+        frozenset().union(*(edges_on_segment(net, v.pos, raw.vertex(p).pos)
+                            for p in raw.adjacency[v.id]))
+        for v in raw.vertices if v.kind is B
+    }
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_tripod_overlay_classes_are_its_tripods(n):
     for s in range(3):
-        raw = raw_tripod_overlay(n, s)
-        net = planarize(raw)
-        tripods = {
-            frozenset().union(*(edges_on_segment(net, v.pos, raw.vertex(p).pos)
-                                for p in raw.adjacency[v.id]))
-            for v in raw.vertices if v.kind is B
-        }
+        net, tripods = _overlay_tripods(n, s)
         classes = _class_edges(net)
         assert len(classes) == len(tripods), s
         assert set(classes) == tripods, s
@@ -633,6 +631,19 @@ def _shuffled_ids(net, rng):
     return relabeled(net, dict(zip(ids, rng.sample(ids, len(ids)))))
 
 
+def _symmetric_copies(net, rng):
+    """net turned a quarter, scaled by 8 and by 1/8, moved by (0.5, -0.25)
+    and with its ids shuffled from rng; quarter-turns and power-of-2
+    scalings are exact."""
+    return [
+        _moved(net, lambda p: rotate(p, 1)),
+        _moved(net, lambda p: Point(p.x * 8.0, p.y * 8.0)),
+        _moved(net, lambda p: Point(p.x / 8.0, p.y / 8.0)),
+        _moved(net, lambda p: Point(p.x + 0.5, p.y - 0.25)),
+        _shuffled_ids(net, rng),
+    ]
+
+
 def _verdict(net):
     """Irreducible or not, the number of edge classes, and verify."""
     irreducible = isinstance(find_proper_subnet(net), Irreducible)
@@ -651,14 +662,58 @@ def test_known_irreducible_family_keeps_its_verdict_under_symmetries(size):
         cert = find_proper_subnet(net)
         assert sum(step.tie for step in cert.trace) == len(net.edges) - 1
         assert replay_ties(net, cert) == [frozenset(net.edges)]
-        for moved in (
-            _moved(net, lambda p: rotate(p, 1)),
-            _moved(net, lambda p: Point(p.x * 8.0, p.y * 8.0)),
-            _moved(net, lambda p: Point(p.x / 8.0, p.y / 8.0)),
-            _moved(net, lambda p: Point(p.x + 0.5, p.y - 0.25)),
-            _shuffled_ids(net, rng),
-        ):
+        for moved in _symmetric_copies(net, rng):
             assert _verdict(moved) == (True, 1, True)
+
+
+def _ids_back(net, shuffled):
+    """Map each id of shuffled, a relabeling of net, back to net's id at
+    the same position."""
+    at = {v.pos: v.id for v in net.vertices}
+    return {v.id: at[v.pos] for v in shuffled.vertices}
+
+
+def _arrangement_chords(k, s):
+    """chord_arrangement(k, s) and the edges of each of its chords."""
+    net, chords = chord_arrangement(k, s)
+    return net, {edges_on_segment(net, p, q) for p, q in chords}
+
+
+@pytest.mark.parametrize("make, size", [
+    pytest.param(lambda: _overlay_tripods(6, 0), 16, id="overlay6-0"),
+    pytest.param(lambda: _overlay_tripods(6, 1), 11, id="overlay6-1"),
+    pytest.param(lambda: _overlay_tripods(6, 2), 16, id="overlay6-2"),
+    pytest.param(lambda: _arrangement_chords(4, 0), 2, id="chords4-0"),
+    pytest.param(lambda: _arrangement_chords(6, 0), 2, id="chords6-0"),
+])
+def test_known_reducible_family_keeps_its_witness_under_symmetries(make, size):
+    # Moved copies keep the ids, and with them the edge order that picks
+    # the witness among the minimal subnets, so the witness is the same.
+    # Shuffled ids may pick another minimal subnet of another size (17
+    # edges for overlay6-1, 4 for chords6-0), but still one whole tripod
+    # or chord.
+    net, pieces = make()
+    witness = find_proper_subnet(net).witness
+    assert len(witness) == size
+    assert witness in pieces
+    *moved, shuffled = _symmetric_copies(net, random.Random(1))
+    for copy in moved:
+        assert verify(copy).passed
+        assert find_proper_subnet(copy).witness == witness
+    assert verify(shuffled).passed
+    cert = find_proper_subnet(shuffled)
+    assert isinstance(cert, Reducible)
+    back = _ids_back(net, shuffled)
+    assert frozenset(edge_key(back[u], back[v]) for u, v in cert.witness) in pieces
+
+
+@pytest.mark.parametrize("a", [0.01, 0.05])
+def test_paper_net_with_moved_pins_relaxes_to_an_irreducible_net(a):
+    for seed in range(5):
+        result = relax(pinned_paper16(seed, a))
+        assert result.converged and result.iterations > 0, seed
+        assert verify(result.net).passed, seed
+        assert isinstance(find_proper_subnet(result.net), Irreducible), seed
 
 
 # --- batched subset tables ----------------------------------------------------

@@ -59,8 +59,10 @@ def test_descend_reports_a_stall(tripod_net):
     pos[arr.free] += 0.3
     # no step can decrease the length by a million times the first-order model
     out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 1e6, 100, 1e-9)
-    _, accepted, trace, stop, halvings = out
+    _, accepted, trace, stop, halvings, residual = out
     assert (accepted, stop) == (0, "stalled")
+    # the residual its convergence test read, at the start positions
+    assert residual == _kernels.norms(_kernels.residuals(pos, arr.edges)[arr.free]).max()
     assert halvings == 60
     assert len(trace) == 1
 
@@ -103,12 +105,12 @@ def test_star_subsets_of_degree_20_stars_span_chunks():
     # 2^20 masks per star: each star takes four 2^18-row chunks
     rng = np.random.default_rng(23)
     vecs = np.stack([_paired_star(rng, 10), _paired_star(rng, 10)])
-    star, mask, norm2 = _kernels.star_subsets(vecs, 1e-9)
+    star, mask, norm = _kernels.star_subsets(vecs, 1e-9)
     assert star.tolist() == sorted(star.tolist())
     for k in range(2):
         alone = _kernels.star_subsets(vecs[k:k + 1], 1e-9)
         assert np.array_equal(mask[star == k], alone[1])
-        assert np.array_equal(norm2[star == k], alone[2])
+        assert np.array_equal(norm[star == k], alone[2])
         assert mask[star == k].tolist() == _pair_unions(10)
         assert np.array_equal(_kernels.balanced_masks(vecs[k], 1e-9), alone[1])
 

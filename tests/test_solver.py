@@ -151,6 +151,26 @@ def test_relax_at_critical_point_takes_no_steps(paper_net):
     assert result.net.vertices == paper_net.vertices
 
 
+def test_converged_relax_meets_its_tol_in_verify_at_every_norm_formula():
+    # A tripod whose centre sits off balance, with tol set to the centre's
+    # residual norm by each of three formulas that can differ in the last
+    # bit. Whenever relax says converged, its final_residual and verify's
+    # residual must meet the same tol.
+    rng = random.Random(0)
+    for _ in range(500):
+        pins = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        cx = sum(p.x for p in pins) / 3 + rng.uniform(-1e-3, 1e-3)
+        cy = sum(p.y for p in pins) / 3
+        net = Net([_v("c", cx, cy, B)] + [Vertex(f"p{k}", p, U) for k, p in enumerate(pins)],
+                  [("c", f"p{k}") for k in range(3)])
+        x, y = balance_residual(net, "c")
+        for tol in (math.hypot(x, y), float(np.hypot(x, y)), math.sqrt(x * x + y * y)):
+            result = relax(net, tol=tol)
+            if result.converged:
+                assert result.final_residual <= tol, (pins, tol)
+                assert verify(result.net, tol).max_residual <= tol, (pins, tol)
+
+
 def test_relax_does_not_size_buffers_from_max_iter(paper_net):
     result = relax(paper_net, max_iter=10**12)
     assert result.converged
