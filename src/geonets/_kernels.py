@@ -63,53 +63,109 @@ def _decrease(a: np.ndarray, la: np.ndarray, delta: np.ndarray, edges: np.ndarra
     return float((num / (la + lb)).sum())
 
 
-def _backtrack(pos, free, edges, a, la, rf, gnorm2, step, c_armijo):
-    """Halve step until the Armijo sufficient-decrease test holds; a and
-    la are the edge vectors and lengths at pos.
+def _backtrack(pos, free, edges, a, la, p, rp, step, c_armijo):
+    """Halve step until the Armijo sufficient-decrease test holds along the
+    direction p of the free rows, with rp the residual's inner product
+    with p; a and la are the edge vectors and lengths at pos.
 
     Returns (displacement, decrease in total length, failed tests); the
     displacement is None after _MAX_HALVINGS failures.
     """
     delta = np.zeros_like(pos)
     for failed in range(_MAX_HALVINGS):
-        delta[free] = step * rf
+        delta[free] = step * p
         dec = _decrease(a, la, delta, edges)
-        if dec >= c_armijo * step * gnorm2:
+        if dec >= c_armijo * step * rp:
             return delta, dec, failed
         step *= 0.5
     return None, 0.0, _MAX_HALVINGS
 
 
-def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
-    """Gradient descent on total length over the rows in free, with
-    Barzilai-Borwein trial steps under a monotone Armijo test.
+# The most free rows for which descent takes its step in the weighted
+# Laplacian metric. Each refresh inverts a dense (free x free) matrix and
+# each iterate multiplies by it, so the metric's cost grows as free^3 while
+# the iterations it saves do not. Relaxing perturbed honeycombs (+-0.05,
+# seeds 0-3, 2-vCPU VM), the metric took 0.56x BB2's time at 120 free
+# rows, 0.86x at 270, 1.01-1.03x at 304-340 and 1.32x at 396. Larger nets
+# take the identity metric.
+_METRIC_MAX_FREE = 350
 
-    The trial step is BB2, s.y / y.y, with s the last accepted displacement
-    of the free rows and y the change in the gradient (minus the residual)
-    over it; step0 on the first iteration and whenever s.y <= 0. BB2 is
-    the shorter Barzilai-Borwein step (s.y / y.y <= s.s / s.y by
-    Cauchy-Schwarz), which the Armijo test rejects less often. The Armijo
-    test backtracks from the trial step by halving; if every halving fails
-    from a BB step, the ladder is tried once more from step0. Each trace
-    entry is the previous one minus the decrease the Armijo test accepted,
-    so the length trace over accepted iterates never rises. The edge
-    vectors and lengths are evaluated once per iterate and serve the
-    collision test, the residual and every Armijo test.
+
+def _grounded(n: int, free: np.ndarray, edges: np.ndarray) -> bool:
+    """Whether every free row has a path to a pin, which makes the weighted
+    Laplacian over the free rows nonsingular."""
+    reached = np.ones(n, dtype=bool)
+    reached[free] = False
+    while True:
+        hit = reached[edges]
+        grow = np.concatenate((edges[hit[:, 0] & ~hit[:, 1], 1], edges[hit[:, 1] & ~hit[:, 0], 0]))
+        if grow.size == 0:
+            return bool(reached.all())
+        reached[grow] = True
+
+
+def _metric_inverse(n: int, free: np.ndarray, edges: np.ndarray, la: np.ndarray) -> np.ndarray:
+    """Inverse of the weighted graph Laplacian L_w over the free rows, with
+    edge weights 1/la: row i holds the weights of i's edges on its diagonal
+    and minus each weight at the free row across that edge. Pins are
+    Dirichlet rows, so an edge to a pin adds only its diagonal term."""
+    m = free.size
+    row = np.full(n, -1, dtype=np.int64)
+    row[free] = np.arange(m)
+    i, j = row[edges[:, 0]], row[edges[:, 1]]
+    w = 1.0 / la
+    ii, jj = np.concatenate((i, j, i, j)), np.concatenate((i, j, j, i))
+    keep = (ii >= 0) & (jj >= 0)
+    lap = np.bincount(ii[keep] * m + jj[keep], np.concatenate((w, w, -w, -w))[keep], minlength=m * m)
+    return np.linalg.inv(lap.reshape(m, m))
+
+
+def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
+    """Descent on total length over the rows in free, in the metric of the
+    weighted graph Laplacian L_w, with Barzilai-Borwein trial steps under a
+    monotone Armijo test.
+
+    The direction is p = L_w^-1 r, with r the residual (minus the gradient)
+    of the free rows and L_w the Laplacian over them with edge weights
+    1/length and the pins as Dirichlet rows. A step of 1 along p minimizes
+    the quadratic sum over edges of |x_u - x_v|^2 / (2 length), which
+    majorizes the total length: the network form of the Weiszfeld step.
+    L_w^-1 is built from the edge lengths when the first convergence test
+    fails, so a net that converges at once never builds it, and refreshed
+    only after an iterate whose trial step needed a halving. The metric is
+    the identity (p = r, plain gradient descent) when there are more than
+    _METRIC_MAX_FREE free rows, or when some free row has no path to a pin
+    (then L_w is singular).
+
+    The trial step is BB2 in this metric, s.y / y.L_w^-1 y, with s the last
+    accepted displacement of the free rows and y the change in the
+    gradient over it; step0 on the first iteration and whenever s.y <= 0.
+    BB2 is the shorter Barzilai-Borwein step, which the Armijo test
+    rejects less often. The Armijo test, decrease >= c_armijo * step * r.p,
+    backtracks from the trial step by halving; if every halving fails from
+    a BB step, the ladder is tried once more from step0. Each trace entry
+    is the previous one minus the decrease the Armijo test accepted, so
+    the length trace over accepted iterates never rises. The edge vectors
+    and lengths are evaluated once per iterate and serve the collision
+    test, the residual, the metric and every Armijo test.
 
     Returns (positions, accepted steps, length trace, stop reason,
-    halvings, residual). Each iterate is tested in this order: "collided"
-    (an edge is shorter than min_sep), "converged" (largest free residual
-    norm at most tol), "max_iter", and "stalled" (no acceptable step from
-    step0, or an accepted step too small to change any position, which is
-    not counted); halvings counts every failed Armijo test. residual is
-    the largest free residual norm the convergence test last read (inf if
-    the first iterate collided).
+    halvings, residual, refreshes). Each iterate is tested in this order:
+    "collided" (an edge is shorter than min_sep), "converged" (largest
+    free residual norm at most tol), "max_iter", and "stalled" (no
+    acceptable step from step0, or an accepted step too small to change
+    any position, which is not counted); halvings counts every failed
+    Armijo test. residual is the largest free residual norm the
+    convergence test last read (inf if the first iterate collided), and
+    refreshes counts the inversions of L_w (0 with the identity metric).
     """
     pos = pos.copy()
     trace = [net_length(pos, edges)]
-    accepted = halvings = 0
+    accepted = halvings = refreshes = 0
     s = r_prev = None
     residual = np.inf
+    metric = None  # None until the first direction; then True or False
+    inverse = None
     while True:
         a, la = _edge_vectors(pos, edges)
         if la.min(initial=np.inf) < min_sep:
@@ -123,18 +179,26 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         if accepted >= max_iter:
             stop = "max_iter"
             break
+        if metric is None:
+            metric = free.size <= _METRIC_MAX_FREE and _grounded(pos.shape[0], free, edges)
+        if metric and inverse is None:
+            inverse = _metric_inverse(pos.shape[0], free, edges, la)
+            refreshes += 1
+        p = rf if inverse is None else inverse @ rf
         trial = step0
         if s is not None:
             y = r_prev - rf
             sy = float((s * y).sum())
             if sy > 0.0:
-                trial = sy / float((y * y).sum())
-        gnorm2 = float((rf * rf).sum())
-        delta, dec, failed = _backtrack(pos, free, edges, a, la, rf, gnorm2, trial, c_armijo)
-        halvings += failed
+                hy = y if inverse is None else inverse @ y
+                trial = sy / float((y * hy).sum())
+        rp = float((rf * p).sum())
+        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial, c_armijo)
+        halved = failed
         if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, edges, a, la, rf, gnorm2, step0, c_armijo)
-            halvings += failed
+            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0, c_armijo)
+            halved += failed
+        halvings += halved
         moved = None if delta is None else pos + delta
         if moved is None or np.array_equal(moved, pos):
             stop = "stalled"
@@ -143,7 +207,9 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         s, r_prev = delta[free], rf
         accepted += 1
         trace.append(trace[-1] - dec)
-    return pos, accepted, trace, stop, halvings, residual
+        if halved:
+            inverse = None
+    return pos, accepted, trace, stop, halvings, residual, refreshes
 
 
 # The most subset rows any array in star_subsets holds at once.

@@ -146,7 +146,8 @@ def _cmd_relax(args: argparse.Namespace) -> int:
     result = relax(net, step=args.step, tol=args.tol, max_iter=args.max_iter)
     summary = (
         f"converged={result.converged} iterations={result.iterations} "
-        f"halvings={result.halvings} final_residual={result.final_residual:.3e} "
+        f"halvings={result.halvings} refreshes={result.refreshes} "
+        f"final_residual={result.final_residual:.3e} "
         f"length={result.length_trace[-1]:.12g} stop={result.stop_reason}"
     )
     if args.trace_out:

@@ -2,10 +2,15 @@
 
 The total edge length of a net, viewed as a function of the balanced
 vertex positions with pins held fixed, has gradient equal to minus the
-balance residual at each balanced vertex. Relaxation runs gradient
-descent with short Barzilai-Borwein step lengths under a monotone
-backtracking line search, so critical points are exactly the balanced
-configurations.
+balance residual at each balanced vertex, so critical points are exactly
+the balanced configurations. Relaxation descends along L_w^-1 r, the
+residual r in the metric of the weighted graph Laplacian L_w (edge weights
+1/length, pins as Dirichlet rows): the network form of the Weiszfeld step
+(W. D. Smith 1992, Algorithmica 7). Step lengths are short
+Barzilai-Borwein steps in that metric (Molina & Raydan 1996) under a
+monotone backtracking line search. Nets with more free vertices than a
+measured ceiling, or with a free vertex that no path joins to a pin, take
+the identity metric: plain gradient descent with the same steps.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ class RelaxResult:
     length_trace: Tuple[float, ...]
     stop_reason: str  # "converged", "stalled" or "max_iter"
     halvings: int  # backtracking halvings over the whole descent
+    refreshes: int  # inversions of the weighted Laplacian metric
 
 
 def total_length(net: Net) -> float:
@@ -69,14 +75,26 @@ def relax(
     tol: float = DEFAULT_TOL,
     max_iter: int = 100_000,
 ) -> RelaxResult:
-    """Gradient descent on total length over the balanced vertices.
+    """Descent on total length over the balanced vertices.
 
-    Each iteration moves all balanced vertices along their residuals. The
-    trial step is the short Barzilai-Borwein step s.y / y.y from the last
-    accepted move (s the change in positions, y the change in gradient);
-    `step` is the trial step on the first iteration, whenever s.y <= 0,
-    and as a fallback when backtracking from the BB step fails. The step
-    is halved until the Armijo sufficient-decrease test holds.
+    Each iteration moves all balanced vertices along p = L_w^-1 r, where r
+    holds their residuals and L_w is the weighted graph Laplacian over
+    them, with weight 1/length on each edge and the pins as Dirichlet
+    rows; a step of 1 along p is the network Weiszfeld step. L_w^-1 is
+    built, densely, only once the first convergence test fails, and
+    rebuilt from the current lengths only after an iteration whose trial
+    step needed a halving; the result's refreshes counts these builds.
+    Nets with more than 350 balanced vertices, or with a balanced vertex
+    that no path joins to a pin (L_w is then singular), take the identity
+    metric, p = r, and refreshes is 0.
+
+    The trial step is the short Barzilai-Borwein step in this metric,
+    s.y / y.L_w^-1 y, from the last accepted move (s the change in
+    positions, y the change in gradient). `step` is the first trial step
+    in the L_w metric: the trial step on the first iteration and whenever
+    s.y <= 0, and the fallback when backtracking from the BB step fails.
+    The step is halved until the Armijo sufficient-decrease test, along
+    p, holds.
 
     Stops when the largest residual norm is at most tol ("converged"),
     when no acceptable step exists from `step` or an accepted step is too
@@ -96,7 +114,7 @@ def relax(
         raise ValueError("max_iter must be nonnegative")
 
     a = net.arrays
-    out_pos, accepted, trace, stop, halvings, final = _kernels.descend(
+    out_pos, accepted, trace, stop, halvings, final, refreshes = _kernels.descend(
         a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
     if stop == "collided":
@@ -121,4 +139,5 @@ def relax(
         length_trace=tuple(trace),
         stop_reason=stop,
         halvings=int(halvings),
+        refreshes=int(refreshes),
     )

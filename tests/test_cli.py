@@ -239,8 +239,9 @@ def test_relax_respects_max_iter(tmp_path, capsys):
     assert "converged=False" in stderr
     assert "iterations=3" in stderr
     assert "stop=max_iter" in stderr
-    halvings = relax(load(str(path)), max_iter=3).halvings
-    assert f"iterations=3 halvings={halvings} final_residual=" in stderr
+    result = relax(load(str(path)), max_iter=3)
+    assert result.refreshes > 0
+    assert f"iterations=3 halvings={result.halvings} refreshes={result.refreshes} final_residual=" in stderr
 
 
 @pytest.mark.parametrize(

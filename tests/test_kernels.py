@@ -59,8 +59,10 @@ def test_descend_reports_a_stall(tripod_net):
     pos[arr.free] += 0.3
     # no step can decrease the length by a million times the first-order model
     out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 1e6, 100, 1e-9)
-    _, accepted, trace, stop, halvings, residual = out
+    _, accepted, trace, stop, halvings, residual, refreshes = out
     assert (accepted, stop) == (0, "stalled")
+    # the metric is built once, when the first convergence test fails
+    assert refreshes == 1
     # the residual its convergence test read, at the start positions
     assert residual == _kernels.norms(_kernels.residuals(pos, arr.edges)[arr.free]).max()
     assert halvings == 60

@@ -1,5 +1,9 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,13 +24,14 @@ from geonets import (
     length_gradient,
     moved,
     relax,
+    serialize,
     total_length,
     verify,
 )
 from geonets import _kernels
 from geonets.net import UnknownVertex
 
-from helpers import random_net
+from helpers import random_net, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -247,43 +252,179 @@ def test_descent_retries_from_step0_when_a_bb_trial_fails(paper_net, monkeypatch
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
+def _laplacian(n, free, edges, la):
+    # L_w over the free rows, entry by entry: weight 1/length on both
+    # diagonals of each edge, minus it between two free rows
+    row = {int(k): i for i, k in enumerate(free)}
+    lap = np.zeros((len(free), len(free)))
+    for (u, v), length in zip(edges.tolist(), la.tolist()):
+        for p, q in ((u, v), (v, u)):
+            if p in row:
+                lap[row[p], row[p]] += 1.0 / length
+                if q in row:
+                    lap[row[p], row[q]] -= 1.0 / length
+    return lap
+
+
 def test_descent_trial_step_is_the_short_barzilai_borwein_step(paper_net, monkeypatch):
-    # After an accepted step s with s.y > 0, where y is the change in
-    # gradient (rf_prev - rf), the first Armijo try is s.y / y.y; it is
-    # step0 on the first iterate and whenever s.y <= 0.
-    calls = []
-    backtrack = _kernels._backtrack
+    # The direction is p = L_w^-1 r and the first Armijo try is BB2 in
+    # that metric, s.y / y.L_w^-1 y, where y is the change in gradient
+    # (rf_prev - rf); it is step0 on the first iterate and whenever
+    # s.y <= 0. L_w^-1 is built at the first iterate and rebuilt, from the
+    # current lengths, only after an iterate that needed a halving.
+    calls, inverses = [], []
+    backtrack, metric_inverse = _kernels._backtrack, _kernels._metric_inverse
 
     def logged(*args):
         out = backtrack(*args)
-        calls.append((args, out[0]))
+        calls.append((args, out))
         return out
 
+    def built(*args):
+        inverses.append(metric_inverse(*args))
+        return inverses[-1]
+
     monkeypatch.setattr(_kernels, "_backtrack", logged)
+    monkeypatch.setattr(_kernels, "_metric_inverse", built)
     step0 = 0.1
     result = relax(_perturbed(paper_net, 0, 0.014), step=step0)
     assert result.stop_reason == "converged"
+    assert result.refreshes == len(inverses) > 1
 
-    pinned = 0
-    s = rf_prev = prev_pos = None
-    for args, delta in calls:
-        pos, free, rf, trial = args[0], args[1], args[5], args[7]
+    pinned = refreshed = 0
+    s = rf_prev = prev_pos = inverse = None
+    halved = True
+    for args, (delta, _, failed) in calls:
+        pos, free, edges, a, la, p, rp, trial = args[:8]
         # a retry from step0 tries the same iterate again
         if prev_pos is None or not np.array_equal(pos, prev_pos):
+            if halved:
+                inverse = inverses[refreshed]
+                refreshed += 1
+                lap = _laplacian(pos.shape[0], free, edges, la)
+                assert np.abs(inverse @ lap - np.eye(len(free))).max() < 1e-9
+            rf = _kernels.residuals(pos, edges)[free]
+            assert np.array_equal(p, inverse @ rf)
+            assert rp == float((rf * p).sum()) > 0.0
             if s is None:
                 assert trial == step0
             else:
                 y = rf_prev - rf
                 sy = float((s * y).sum())
                 if sy > 0.0:
-                    assert trial == pytest.approx(sy / float((y * y).sum()), rel=1e-12)
+                    assert trial == pytest.approx(sy / float((y * (inverse @ y)).sum()), rel=1e-12)
                     pinned += 1
                 else:
                     assert trial == step0
-            prev_pos, rf_prev = pos, rf
+            prev_pos, rf_prev, halved = pos, rf, False
+        halved = halved or failed > 0
         if delta is not None:
             s = delta[free]
+    assert refreshed == len(inverses)
     assert pinned > result.iterations // 2
+
+
+# Iterations, halvings and the relaxed document's sha256 of plain BB2
+# descent, before the metric, on paper16 +-0.014
+BB2_RUNS = {
+    0: (275, 70, "98500542e5b7be8e5bf2098180eb52861343b93559485b9b3db3f85fb8b16836"),
+    3: (270, 71, "e01c6b8f568966e640585d1c51b2e8d9c4c565916bae2edcbc9ba07c335cd575"),
+    7: (260, 70, "33be5aefc79ab347a7ec1b9db64c98f85dbe9cfd4523715029a9441f1c83bf41"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BB2_RUNS))
+def test_identity_metric_is_plain_bb2(paper_net, monkeypatch, seed):
+    # Above the ceiling of free rows descent takes the identity metric,
+    # which is gradient descent with BB2 steps: these counts and the
+    # relaxed document are those of the plain BB2 descent the metric
+    # replaced.
+    iterations, halvings, sha256 = BB2_RUNS[seed]
+    monkeypatch.setattr(_kernels, "_METRIC_MAX_FREE", 0)
+    result = relax(_perturbed(paper_net, seed, 0.014))
+    assert (result.stop_reason, result.iterations, result.halvings) == ("converged", iterations, halvings)
+    assert result.refreshes == 0
+    assert hashlib.sha256(serialize(result.net).encode()).hexdigest() == sha256
+
+
+# helpers.random_net seeds 0-299 that have no pin, and the step at which
+# relax raises on each: BB2's counts, since L_w is singular without a pin
+PINLESS_COLLISIONS = {
+    23: 27, 51: 34, 72: 34, 82: 31, 113: 24, 126: 36, 149: 27,
+    165: 31, 167: 60, 192: 32, 206: 30, 235: 32, 238: 31, 266: 33,
+}
+
+
+def test_pinless_nets_take_the_identity_metric(monkeypatch):
+    def singular(*args):
+        raise AssertionError("L_w built for a net without a pin")
+
+    monkeypatch.setattr(_kernels, "_metric_inverse", singular)
+    for seed, steps in PINLESS_COLLISIONS.items():
+        net = random_net(random.Random(seed))
+        assert all(v.kind is B for v in net.vertices)
+        with pytest.raises(VertexCollision, match=f"after {steps} steps$"):
+            relax(net)
+
+
+def test_a_component_without_a_pin_takes_the_identity_metric(monkeypatch):
+    # a pinned chain and, apart from it, two free vertices joined by one
+    # edge: L_w is singular on that pair, however many pins the net has
+    net = Net(
+        vertices=(_v("a", -2, 0), _v("m", 0.3, 0.9, B), _v("b", 2, 0),
+                  _v("p", 0.0, 3.0, B), _v("q", 1.0, 3.5, B)),
+        edges=(("a", "m"), ("m", "b"), ("p", "q")),
+    )
+    calls = []
+    monkeypatch.setattr(_kernels, "_metric_inverse", lambda *args: calls.append(args))
+    with pytest.raises(VertexCollision):
+        relax(net)
+    assert calls == []
+
+
+def test_random_nets_relax_or_collide():
+    pinless = 0
+    for seed in range(300):
+        net = random_net(random.Random(seed))
+        pinless += all(v.kind is B for v in net.vertices)
+        try:
+            result = relax(net)
+        except VertexCollision:
+            continue
+        assert result.stop_reason in ("converged", "stalled")
+    assert pinless == len(PINLESS_COLLISIONS)
+
+
+def test_perturbed_tripod_overlay_relaxes_and_verifies():
+    # BB2 stopped at 20,000 iterations with residual 6.3e-7 on this net
+    start = _perturbed(tripod_overlay(6, 0), 0, 0.01)
+    assert len(start.arrays.free) <= _kernels._METRIC_MAX_FREE
+    result = relax(start)
+    assert result.stop_reason == "converged"
+    assert result.refreshes > 0
+    assert verify(result.net).passed
+
+
+def test_relax_imports_no_scipy(paper_net):
+    # importing scipy.sparse alone adds about 22 MB of peak memory and
+    # 0.15 s; the metric is dense numpy
+    script = (
+        "import sys, random\n"
+        "from geonets import build_paper_net, moved, relax, Point, VertexKind\n"
+        "net = build_paper_net()\n"
+        "rng = random.Random(0)\n"
+        "for v in net.vertices:\n"
+        "    if v.kind is VertexKind.BALANCED:\n"
+        "        p = Point(v.pos.x + rng.uniform(-0.014, 0.014), v.pos.y + rng.uniform(-0.014, 0.014))\n"
+        "        net = moved(net, v.id, p)\n"
+        "result = relax(net)\n"
+        "assert result.converged and result.refreshes > 0, result\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
