@@ -151,9 +151,9 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         f"length={result.length_trace[-1]:.12g} stop={result.stop_reason}"
     )
     if args.trace_out:
+        # json.dump would take json's pure-Python encoder; dumps takes the C one
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(list(result.length_trace), fh)
-            fh.write("\n")
+            fh.write(json.dumps(list(result.length_trace)) + "\n")
     if args.out:
         save(result.net, args.out)
         print(summary)
@@ -224,9 +224,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process. The parser binds the _cmd_* functions, which look
+# up load, save, verify, relax and the rest as module globals when called,
+# so a caller that replaces one of those attributes is still heard.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ValueError, VertexCollision, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

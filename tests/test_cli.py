@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -222,6 +223,12 @@ def test_relax_writes_summary_and_outputs(tmp_path, capsys):
     assert len(relaxed.vertices) == 20
     trace = json.loads(trace_out.read_text())
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    # one line of JSON, byte for byte; the digest pins every float's spelling
+    text = trace_out.read_bytes()
+    assert text == (json.dumps(trace) + "\n").encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "bd7a91ad3e2a2524c56a0240e8b1767f0d59a909ee9060de2f026c15fc455f31"
+    )
 
 
 def test_relax_to_stdout_keeps_summary_on_stderr(tmp_path, capsys):
@@ -301,6 +308,68 @@ def test_render_writes_svg(tmp_path, capsys):
     )
     assert code == 0
     assert svg_path.read_text().count("<text ") == 20
+
+
+# --- one parser per process -------------------------------------------------
+
+def test_verify_json_then_plain_verify_prints_the_text_report(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    run(capsys, "build", "paper16", "--out", str(path))
+    code, stdout, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 0
+    assert json.loads(stdout)["passed"] is True
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert stdout.startswith("vertices: 20 ")
+    assert stdout.endswith("verdict: PASS\n")
+
+
+def test_relax_without_trace_out_after_one_with_it_writes_no_trace(tmp_path, capsys):
+    path = _perturbed_paper16(tmp_path, capsys)
+    trace, first, second = tmp_path / "trace.json", tmp_path / "first.json", tmp_path / "second.json"
+    code, _, _ = run(capsys, "relax", str(path), "--trace-out", str(trace), "--out", str(first))
+    assert code == 0
+    trace.unlink()
+    code, _, _ = run(capsys, "relax", str(path), "--out", str(second))
+    assert code == 0
+    assert not trace.exists()
+    assert first.read_text() == second.read_text()
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [(["verify"], 1), (["build", "nonsense"], 1), (["--help"], 0), (["relax", "--help"], 0)],
+    ids=["usage-error", "bad-choice", "help", "command-help"],
+)
+def test_a_valid_call_after_a_usage_error_or_help_exits_0(tmp_path, capsys, first, first_code):
+    try:
+        code = cli.main(first)
+    except SystemExit as stop:  # --help exits from inside argparse
+        code = stop.code
+    assert code == first_code
+    capsys.readouterr()
+    path = tmp_path / "tripod.json"
+    code, stdout, stderr = run(capsys, "build", "fermat-tripod", "--out", str(path))
+    assert (code, stdout, stderr) == (0, "", "")
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 0
+    assert stderr == ""
+    assert "verdict: PASS" in stdout
+
+
+def test_module_attributes_replaced_after_import_are_the_ones_called(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tripod.json"
+    run(capsys, "build", "fermat-tripod", "--out", str(path))
+    loaded = []
+
+    def spy(file):
+        loaded.append(file)
+        return load(file)
+
+    monkeypatch.setattr(cli, "load", spy)
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert loaded == [str(path)]
 
 
 # --- error mapping -----------------------------------------------------------

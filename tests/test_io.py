@@ -1,6 +1,10 @@
 import json
+import math
+import random
+import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -9,15 +13,20 @@ from geonets import (
     Net,
     ParseError,
     Point,
+    Triangle,
     Vertex,
     VertexKind,
+    build_fermat_tripod,
     edge_key,
     load,
     parse,
+    relax,
     render_svg,
     save,
     serialize,
 )
+
+from helpers import honeycomb, random_net, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -66,6 +75,104 @@ def test_save_and_load(tmp_path, paper_net):
     path = tmp_path / "net.json"
     save(paper_net, str(path))
     assert serialize(load(str(path))) == serialize(paper_net)
+
+
+def reference_serialize(net: Net) -> str:
+    """The document as json.dumps writes it: the byte contract of serialize."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "vertices": [],
+        "edges": [list(e) for e in net.edges],
+    }
+    for v in net.vertices:
+        row = {"id": v.id, "x": v.pos.x, "y": v.pos.y, "kind": v.kind.value}
+        if v.label is not None:
+            row["label"] = v.label
+        doc["vertices"].append(row)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _relaxed_paper16(paper_net) -> Net:
+    rng = random.Random(7)
+    vertices = [
+        Vertex(v.id, Point(v.pos.x + rng.uniform(-0.01, 0.01), v.pos.y + rng.uniform(-0.01, 0.01)),
+               v.kind, v.label)
+        if v.kind is B else v
+        for v in paper_net.vertices
+    ]
+    return relax(Net(vertices, paper_net.edges)).net
+
+
+_AWKWARD = ['q"uote', "back\\slash", "tab\tnl\nnul\x00bel\x07del\x7f", "caf\u00e9", "\u6f22\u5b57",
+            "\U0001f600", "\u2028", "/"]
+
+
+def _hand_made_nets():
+    yield "labels", small_net()
+    yield "no-labels", Net([Vertex(v.id, v.pos, v.kind) for v in small_net().vertices],
+                           small_net().edges)
+    awkward = [Vertex(f"{text}{i}", Point(float(i), 0.5 * i), B if i % 2 else U, text)
+               for i, text in enumerate(_AWKWARD)]
+    yield "escapes", Net(awkward, [(a.id, b.id) for a, b in zip(awkward, awkward[1:])])
+    yield "int-and-bool-coordinates", Net(
+        [Vertex("a", Point(0, 3), U), Vertex("b", Point(-7, 10**6), U), Vertex("c", Point(True, 0.5), B)],
+        [("a", "c"), ("b", "c")],
+    )
+    yield "float64-coordinates", Net(
+        [Vertex("a", Point(np.float64(0.1), np.float64(-2.5)), U),
+         Vertex("b", Point(np.float64(1e-300), np.float64(3.0)), U)],
+        [("a", "b")],
+    )
+    yield "extreme-floats", Net(
+        [Vertex("a", Point(-0.0, 1e16), U), Vertex("b", Point(5e-324, 1.0), U),
+         Vertex("c", Point(1e-07, -3.0), U), Vertex("d", Point(1.7976931348623157e308, -1e-05), U)],
+        [("a", "b"), ("c", "d")],
+    )
+    yield "no-edges", Net([Vertex("a", Point(0.0, 0.0), U), Vertex("b", Point(1.0, 0.0), U)], [])
+    yield "empty", Net([], [])
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _hand_made_nets()])
+def test_serialize_matches_json_dumps_on_hand_made_nets(net):
+    assert serialize(net) == reference_serialize(net)
+
+
+def test_serialize_matches_json_dumps_on_built_nets(paper_net, overlay_net):
+    tripod = build_fermat_tripod(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)))
+    for net in (paper_net, overlay_net, tripod, honeycomb(8, 6), tripod_overlay(6, 0),
+                _relaxed_paper16(paper_net)):
+        assert serialize(net) == reference_serialize(net)
+
+
+def _random_document_net(rng: random.Random) -> Net:
+    """Vertices with coordinates from random bit patterns and ids and labels
+    from an alphabet of escapes, on rows far enough apart not to coincide."""
+    def coordinate() -> float:
+        while True:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                return x
+
+    def text() -> str:
+        return "".join(rng.choice('ab"\\\n\x01\u00e9\u6f22\U0001f600 /') for _ in range(rng.randint(1, 6)))
+
+    vertices = [
+        Vertex(f"v{i}{text()}", Point(coordinate(), 10.0 * i + rng.random()),
+               rng.choice([B, U]), rng.choice([None, text()]))
+        for i in range(rng.randint(0, 12))
+    ]
+    ids = [v.id for v in vertices]
+    edges = {edge_key(*rng.sample(ids, 2)) for _ in range(len(ids))} if len(ids) > 1 else set()
+    return Net(vertices, sorted(edges))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_serialize_and_parse_round_trip_seeded(seed):
+    rng = random.Random(seed)
+    for net in (_random_document_net(rng), random_net(rng)):
+        text = serialize(net)
+        assert text == reference_serialize(net)
+        assert serialize(parse(text)) == text
 
 
 def _doc(**overrides):
@@ -131,6 +238,74 @@ def test_parse_errors_carry_field_context(text, needle):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert needle in str(err.value)
+
+
+_OK = {"id": "a", "x": 0.0, "y": 0.0, "kind": "unbalanced"}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(
+            _doc(vertices=[dict(_OK, x=True)]),
+            "vertices[0].x: expected a number, got bool",
+            id="bool-coordinate",
+        ),
+        pytest.param(
+            _doc(vertices=[{"x": "0", "y": 0, "kind": "unbalanced"}]),
+            "vertices[0]: missing required field 'id'",
+            id="no-id-and-bad-x",
+        ),
+        pytest.param(_doc(vertices=[["a", 0.0, 0.0]]), "vertices[0]: must be an object", id="list-row"),
+        pytest.param(_doc(vertices=["a"]), "vertices[0]: must be an object", id="string-row"),
+        pytest.param(
+            _doc(vertices=[dict(_OK, id="b", x=1.0), dict(_OK, y=None)]),
+            "vertices[1].y: expected a number, got NoneType",
+            id="second-row-null-y",
+        ),
+        pytest.param(
+            _doc(vertices=[{"id": "a", "y": 0, "kind": "unbalanced"}]),
+            "vertices[0]: missing required field 'x'",
+            id="no-x",
+        ),
+        pytest.param(
+            _doc(vertices=[{"id": "a", "x": 0, "y": 0}]),
+            "vertices[0]: missing required field 'kind'",
+            id="no-kind",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, kind="Balanced")]),
+            "vertices[0].kind: unknown kind 'Balanced' (expected one of ['balanced', 'unbalanced'])",
+            id="unknown-kind",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, x=float("inf"))]),
+            "vertices[0].x: coordinate is not finite",
+            id="infinite-coordinate",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, label=["left"])]),
+            "vertices[0].label: must be a string when present",
+            id="non-string-label",
+        ),
+        pytest.param(_doc(edges=[["a", "b", "c"]]), "edges[0]: must be a pair of vertex ids", id="triple-edge"),
+        pytest.param(_doc(edges=[["a", "b"], [0, 1]]), "edges[1]: endpoints must be strings", id="int-endpoints"),
+        pytest.param(_doc(edges=[{"a": "b"}]), "edges[0]: must be a pair of vertex ids", id="object-edge"),
+    ],
+)
+def test_parse_error_messages_are_exact(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_reads_int_coordinates_as_floats():
+    net = parse(_doc(vertices=[
+        {"id": "a", "x": 0, "y": -3, "kind": "unbalanced"},
+        {"id": "b", "x": 1.5, "y": 10**20, "kind": "unbalanced"},
+    ]))
+    assert [(v.pos.x, v.pos.y) for v in net.vertices] == [(0.0, -3.0), (1.5, 1e20)]
+    assert all(type(c) is float for v in net.vertices for c in (v.pos.x, v.pos.y))
 
 
 def test_parse_rejects_non_finite_coordinates():
