@@ -7,13 +7,15 @@ Layout:
       "edges": [["u", "v"], ...]
     }
 
-Vertices and edges are emitted in the net's canonical (sorted) order and
-floats in shortest round-trip form, so serialization is deterministic and
-lossless. The bytes are exactly those of json.dumps(doc, indent=2) plus a
-final newline: a two-space indent with one value per line, strings in
-ASCII with json's escapes, and floats as float.__repr__ spells them.
-serialize writes them directly, without json's pure-Python indenting
-encoder, and a test checks the two against each other.
+Vertices and edges are emitted in the net's canonical (sorted) order.
+Point stores coordinates as floats, so serialization is deterministic and
+lossless for every net: parse(serialize(net)) == net, and
+serialize(parse(text)) == text for the text serialize writes; an int
+coordinate in a document is read as a float. The bytes are exactly those
+of json.dumps(doc, indent=2) plus a final newline: a two-space indent with
+one value per line, strings in ASCII with json's escapes, and floats as
+float.__repr__ spells them. serialize writes them directly, not through
+json's pure-Python encoder, and a test checks the two against each other.
 
 Structural problems raise ParseError with the offending field;
 net-level rule violations (duplicate edges, coincident vertices) surface
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Dict, List
+from typing import Any, List
 
 from .geom import Point
 from .net import Net, Vertex, VertexKind
@@ -33,30 +35,21 @@ from .net import Net, Vertex, VertexKind
 FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in VertexKind}
+_KIND_TEXT = {k: _string(k.value) for k in VertexKind}
 
 
 class ParseError(ValueError):
     """Malformed net document."""
 
 
-def _value(x: Any) -> str:
-    """One scalar, spelled as json.dumps spells it."""
-    if isinstance(x, str):
-        return _string(x)
-    if isinstance(x, float):
-        # Point keeps coordinates finite, and json spells finite floats,
-        # float subclasses included, with float.__repr__.
-        return float.__repr__(x)
-    return json.dumps(x)
-
-
 def _vertex_text(v: Vertex) -> str:
-    label = "" if v.label is None else ',\n      "label": ' + _value(v.label)
+    # Net holds str ids and labels, a VertexKind and Points of floats.
+    label = "" if v.label is None else ',\n      "label": ' + _string(v.label)
     return (
-        '    {\n      "id": ' + _value(v.id)
-        + ',\n      "x": ' + _value(v.pos.x)
-        + ',\n      "y": ' + _value(v.pos.y)
-        + ',\n      "kind": ' + _value(v.kind.value)
+        '    {\n      "id": ' + _string(v.id)
+        + ',\n      "x": ' + float.__repr__(v.pos.x)
+        + ',\n      "y": ' + float.__repr__(v.pos.y)
+        + ',\n      "kind": ' + _KIND_TEXT[v.kind]
         + label + "\n    }"
     )
 
@@ -68,7 +61,7 @@ def _list_text(rows: List[str]) -> str:
 def serialize(net: Net) -> str:
     vertices = [_vertex_text(v) for v in net.vertices]
     edges = [
-        "    [\n      " + _value(u) + ",\n      " + _value(v) + "\n    ]"
+        "    [\n      " + _string(u) + ",\n      " + _string(v) + "\n    ]"
         for u, v in net.edges
     ]
     return (
@@ -78,51 +71,47 @@ def serialize(net: Net) -> str:
     )
 
 
-def _field(obj: Dict[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise ParseError(f"{where}: missing required field {key!r}")
-    return obj[key]
+def _fault(row: dict, key: str, n: int, problem: str) -> ParseError:
+    """Why field key of vertex row n failed its check: missing, or problem."""
+    if key not in row:
+        return ParseError(f"vertices[{n}]: missing required field {key!r}")
+    return ParseError(f"vertices[{n}].{key}: {problem}")
 
 
-def _number(value: Any, where: str) -> float:
+def _coordinate(row: dict, key: str, n: int) -> float:
+    """row[key], which is not a finite float: the float an int equals, or
+    the ParseError that says why it is not a coordinate."""
+    value = row.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+        raise _fault(row, key, n, f"expected a number, got {type(value).__name__}")
     try:
         value = float(value)
     except OverflowError:
-        raise ParseError(f"{where}: coordinate is too large for a float") from None
+        raise _fault(row, key, n, "coordinate is too large for a float") from None
     if not math.isfinite(value):
-        raise ParseError(f"{where}: coordinate is not finite")
+        raise _fault(row, key, n, "coordinate is not finite")
     return value
 
 
-def _vertex(row: Any, where: str) -> Vertex:
-    if not isinstance(row, dict):
-        raise ParseError(f"{where}: must be an object")
-    vid = _field(row, "id", where)
-    if not isinstance(vid, str) or not vid:
-        raise ParseError(f"{where}.id: must be a non-empty string")
-    x = _number(_field(row, "x", where), f"{where}.x")
-    y = _number(_field(row, "y", where), f"{where}.y")
-    kind_raw = _field(row, "kind", where)
-    if not isinstance(kind_raw, str) or kind_raw not in _KINDS:
-        raise ParseError(
-            f"{where}.kind: unknown kind {kind_raw!r} "
-            f"(expected one of {sorted(_KINDS)})"
-        )
+def _vertex(row: Any, n: int) -> Vertex:
+    """Vertex row n, its fields checked in the order id, x, y, kind, label."""
+    if type(row) is not dict:
+        raise ParseError(f"vertices[{n}]: must be an object")
+    vid = row.get("id")
+    if type(vid) is not str or not vid:
+        raise _fault(row, "id", n, "must be a non-empty string")
+    x, y = row.get("x"), row.get("y")
+    if type(x) is not float or not math.isfinite(x):
+        x = _coordinate(row, "x", n)
+    if type(y) is not float or not math.isfinite(y):
+        y = _coordinate(row, "y", n)
+    kind = row.get("kind")
+    if type(kind) is not str or kind not in _KINDS:
+        raise _fault(row, "kind", n, f"unknown kind {kind!r} (expected one of {sorted(_KINDS)})")
     label = row.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ParseError(f"{where}.label: must be a string when present")
-    return Vertex(vid, Point(x, y), _KINDS[kind_raw], label)
-
-
-def _edge(row: Any, where: str) -> List[str]:
-    if not isinstance(row, list) or len(row) != 2:
-        raise ParseError(f"{where}: must be a pair of vertex ids")
-    u, v = row
-    if not isinstance(u, str) or not isinstance(v, str):
-        raise ParseError(f"{where}: endpoints must be strings")
-    return [u, v]
+    if label is not None and type(label) is not str:
+        raise _fault(row, "label", n, "must be a string when present")
+    return Vertex(vid, Point(x, y), _KINDS[kind], label)
 
 
 def parse(text: str) -> Net:
@@ -135,38 +124,26 @@ def parse(text: str) -> Net:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    version = _field(doc, "format_version", "document")
+    if "format_version" not in doc:
+        raise ParseError("document: missing required field 'format_version'")
+    version = doc["format_version"]
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ParseError(f"document: unsupported format_version {version!r}")
-    raw_vertices = _field(doc, "vertices", "document")
-    raw_edges = _field(doc, "edges", "document")
+    for key in ("vertices", "edges"):
+        if key not in doc:
+            raise ParseError(f"document: missing required field {key!r}")
+    raw_vertices, raw_edges = doc["vertices"], doc["edges"]
     if not isinstance(raw_vertices, list):
         raise ParseError("vertices: must be a list")
     if not isinstance(raw_edges, list):
         raise ParseError("edges: must be a list")
 
-    # One cheap pass over each row; a row that fails it goes through the
-    # field-by-field checks, which word the error.
-    vertices: List[Vertex] = []
-    for n, row in enumerate(raw_vertices):
-        if type(row) is dict:
-            vid, x, y = row.get("id"), row.get("x"), row.get("y")
-            kind, label = row.get("kind"), row.get("label")
-            if (
-                type(vid) is str and vid
-                and type(x) is float and type(y) is float
-                and math.isfinite(x) and math.isfinite(y)
-                and type(kind) is str and kind in _KINDS
-                and (label is None or type(label) is str)
-            ):
-                vertices.append(Vertex(vid, Point(x, y), _KINDS[kind], label))
-                continue
-        vertices.append(_vertex(row, f"vertices[{n}]"))
-
+    vertices = [_vertex(row, n) for n, row in enumerate(raw_vertices)]
     for n, row in enumerate(raw_edges):
-        if not (type(row) is list and len(row) == 2 and type(row[0]) is str and type(row[1]) is str):
-            raw_edges[n] = _edge(row, f"edges[{n}]")
-
+        if type(row) is not list or len(row) != 2:
+            raise ParseError(f"edges[{n}]: must be a pair of vertex ids")
+        if type(row[0]) is not str or type(row[1]) is not str:
+            raise ParseError(f"edges[{n}]: endpoints must be strings")
     return Net(vertices, raw_edges)
 
 

@@ -32,12 +32,17 @@ class DegenerateSegment(ValueError):
 
 @dataclass(frozen=True)
 class Point:
+    """A point of the plane. x and y are finite floats: an int, a bool or a
+    numpy float given for either is stored as float(value)."""
     x: float
     y: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+        if type(self.x) is not float or type(self.y) is not float:
+            object.__setattr__(self, "x", float(self.x))
+            object.__setattr__(self, "y", float(self.y))
 
 
 def distance(p: Point, q: Point) -> float:

@@ -94,6 +94,21 @@ def _first_repeat(items: Sequence):
     return next((a for a, b in zip(items, items[1:]) if a == b), None)
 
 
+def _checked_id(v: Vertex) -> str:
+    """v.id, once v's fields have types a net document can hold. As Net's
+    sort key it runs for every vertex before any two ids are compared."""
+    vid = v.id
+    if not isinstance(vid, str) or not vid:
+        raise InvariantViolation(f"vertex id {vid!r} is not a non-empty string")
+    if not isinstance(v.pos, Point):
+        raise InvariantViolation(f"vertex {vid}: pos {v.pos!r} is not a Point")
+    if not isinstance(v.kind, VertexKind):
+        raise InvariantViolation(f"vertex {vid}: kind {v.kind!r} is not a VertexKind")
+    if v.label is not None and not isinstance(v.label, str):
+        raise InvariantViolation(f"vertex {vid}: label {v.label!r} is not a string")
+    return vid
+
+
 # Boxes are widened by this factor beyond the distance they must cover, so
 # that rounding in their ends and in the predicates they stand in for
 # cannot drop a pair.
@@ -130,13 +145,15 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[int, int]]:
 class Net:
     """Immutable net value. Vertices are stored sorted by id, edges sorted
     as canonical (min, max) pairs; two nets with the same content compare
-    equal regardless of construction order."""
+    equal regardless of construction order. As in a net document, each
+    vertex has a non-empty str id, a Point pos, a VertexKind kind and a str
+    or None label; Net raises InvariantViolation for any other field."""
 
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]]):
-        verts = tuple(sorted(vertices, key=lambda v: v.id))
+        verts = tuple(sorted(vertices, key=_checked_id))
         ids = [v.id for v in verts]
         dup = _first_repeat(ids)
         if dup is not None:

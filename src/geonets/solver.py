@@ -123,8 +123,8 @@ def relax(
         )
 
     verts = [
-        Vertex(v.id, Point(float(out_pos[k, 0]), float(out_pos[k, 1])), v.kind, v.label)
-        for k, v in enumerate(net.vertices)
+        Vertex(v.id, Point(x, y), v.kind, v.label)
+        for v, (x, y) in zip(net.vertices, out_pos.tolist())
     ]
     try:
         result_net = Net(verts, net.edges)

@@ -29,6 +29,14 @@ def test_point_rejects_non_finite():
         Point(0.0, float("inf"))
 
 
+def test_point_stores_float_coordinates():
+    assert type(Point(0, 3).x) is float and type(Point(0, 3).y) is float
+    assert repr(Point(0, 3)) == "Point(x=0.0, y=3.0)"
+    assert Point(True, 0.5).x == 1.0 and type(Point(True, 0.5).x) is float
+    assert type(Point(np.float64(0.1), 2).x) is float
+    assert Point(0, 3) == Point(0.0, 3.0)
+
+
 def test_distance():
     assert distance(Point(0, 0), Point(3, 4)) == 5.0
 

@@ -6,6 +6,15 @@ import geonets
 SRC = pathlib.Path(geonets.__file__).parent
 
 
+def _names_in_string(text):
+    """Names in a string that parses as an expression: string annotations
+    such as "NetArrays", and __all__ entries."""
+    try:
+        return {n.id for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)}
+    except SyntaxError:
+        return set()
+
+
 def _unused_imports(tree):
     """Names a module imports and never reads: not in any expression, any
     string annotation or its __all__."""
@@ -22,12 +31,7 @@ def _unused_imports(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # string annotations such as "NetArrays", and __all__ entries
-            try:
-                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                            if isinstance(n, ast.Name))
-            except SyntaxError:
-                pass
+            used |= _names_in_string(node.value)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -42,3 +46,55 @@ def test_no_module_imports_a_name_it_never_uses():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: found for name, found in stale.items() if found} == {}
+
+
+def _private_definitions(tree):
+    """Module-level names that start with one underscore: functions,
+    classes and assignment targets."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return {name: line for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _names_read(tree):
+    """Names read as a variable, as an attribute (module._name) or in a
+    string annotation."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read |= _names_in_string(node.value)
+    return read
+
+
+def _unread_private_names(sources):
+    """(module, line, name) of each module-level _name that no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_names_read, trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in _private_definitions(tree).items() if name not in read)
+
+
+def test_unread_private_names_finds_dead_code():
+    sources = {
+        "a.py": "_LIMIT = 3\n_T: int = 0\ndef _used():\n    return _LIMIT\ndef _dead():\n    pass\n"
+                "class _Box:\n    pass\n",
+        "b.py": "from . import a\nx = a._used()\ny: '_Box'\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", 2, "_T"), ("a.py", 5, "_dead")]
+
+
+def test_every_private_module_name_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []

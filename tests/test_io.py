@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -166,13 +167,28 @@ def _random_document_net(rng: random.Random) -> Net:
     return Net(vertices, sorted(edges))
 
 
+def _recast(net: Net, rng: random.Random) -> Net:
+    """net with each coordinate given as a float, an int, a bool or a numpy
+    float. Only x may become a bool: the rows of a _random_document_net
+    lie 10 apart in y and so stay apart as ints."""
+    def cast(c: float, kinds: str):
+        kind = rng.choice(kinds)
+        return {"f": c, "i": int(c), "b": c > 0.0, "n": np.float64(c)}[kind]
+
+    vertices = [Vertex(v.id, Point(cast(v.pos.x, "fibn"), cast(v.pos.y, "fin")), v.kind, v.label)
+                for v in net.vertices]
+    return Net(vertices, net.edges)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_serialize_and_parse_round_trip_seeded(seed):
     rng = random.Random(seed)
-    for net in (_random_document_net(rng), random_net(rng)):
+    first, second = _random_document_net(rng), random_net(rng)
+    for net in (first, second, _recast(first, rng)):
         text = serialize(net)
         assert text == reference_serialize(net)
         assert serialize(parse(text)) == text
+        assert parse(text) == net
 
 
 def _doc(**overrides):
@@ -291,12 +307,125 @@ _OK = {"id": "a", "x": 0.0, "y": 0.0, "kind": "unbalanced"}
         pytest.param(_doc(edges=[["a", "b", "c"]]), "edges[0]: must be a pair of vertex ids", id="triple-edge"),
         pytest.param(_doc(edges=[["a", "b"], [0, 1]]), "edges[1]: endpoints must be strings", id="int-endpoints"),
         pytest.param(_doc(edges=[{"a": "b"}]), "edges[0]: must be a pair of vertex ids", id="object-edge"),
+        # two faults: the check that comes first in document order wins
+        pytest.param(
+            _doc(vertices=[{"id": "a", "x": "0", "kind": "unbalanced"}]),
+            "vertices[0].x: expected a number, got str",
+            id="bad-x-and-no-y",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, x=10**400, kind="fixed")]),
+            "vertices[0].x: coordinate is too large for a float",
+            id="huge-int-x-and-bad-kind",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, kind="fixed", label=7)]),
+            "vertices[0].kind: unknown kind 'fixed' (expected one of ['balanced', 'unbalanced'])",
+            id="bad-kind-and-int-label",
+        ),
+        pytest.param(
+            json.dumps({"format_version": 2, "edges": []}),
+            "document: unsupported format_version 2",
+            id="bad-version-and-no-vertices",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, kind=None), dict(_OK, id="b", x="1")]),
+            "vertices[0].kind: unknown kind None (expected one of ['balanced', 'unbalanced'])",
+            id="two-bad-rows",
+        ),
+        pytest.param(
+            _doc(vertices=[dict(_OK, label=[])], edges=[["a"]]),
+            "vertices[0].label: must be a string when present",
+            id="bad-row-and-bad-edge",
+        ),
     ],
 )
 def test_parse_error_messages_are_exact(text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+_ODD_VALUES = [None, True, False, 0, -3, 7, 2**53 + 1, 10**400, 1.5, -0.0, 1e308, float("nan"),
+               float("inf"), -float("inf"), "", "a", "v0", "balanced", "unbalanced", "Balanced",
+               [], ["a", "b"], {}, {"id": "a"}]
+
+
+def mutated_document(rng: random.Random) -> str:
+    """A small valid net document with one to three random faults: a field
+    removed or replaced by an odd value, a row replaced, duplicated or moved
+    onto another, an edge endpoint changed, or the text cut short. Some
+    faults leave the document valid, such as an int coordinate."""
+    def odd(extra=()):
+        return copy.deepcopy(rng.choice(_ODD_VALUES + list(extra)))
+
+    rows = [{"id": f"v{i}", "x": rng.uniform(-5.0, 5.0), "y": 10.0 * i + rng.random(),
+             "kind": rng.choice(["balanced", "unbalanced"])} for i in range(rng.randint(0, 5))]
+    for row in rows:
+        if rng.random() < 0.3:
+            row["label"] = rng.choice(["pin", "caf\u00e9", ""])
+    ids = [row["id"] for row in rows]
+    edges = [sorted(rng.sample(ids, 2)) for _ in range(len(ids))] if len(ids) > 1 else []
+    doc = {"format_version": 1, "vertices": rows, "edges": edges}
+    cut = False
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.randrange(9)
+        objects = [row for row in rows if isinstance(row, dict)]
+        pairs = [edge for edge in edges if isinstance(edge, list) and len(edge) == 2]
+        if fault == 0:
+            key = rng.choice(["format_version", "vertices", "edges"])
+            if rng.random() < 0.5:
+                doc.pop(key, None)
+            else:
+                doc[key] = odd()
+        elif fault in (1, 2) and objects:
+            row = rng.choice(objects)
+            key = rng.choice(["id", "x", "y", "kind", "label"])
+            if fault == 1:
+                row.pop(key, None)
+            else:
+                row[key] = odd()
+        elif fault == 3 and objects:
+            row = rng.choice(objects)
+            key = rng.choice(["x", "y"])
+            if type(row.get(key)) is float and math.isfinite(row[key]):
+                row[key] = int(row[key])
+        elif fault == 4 and rows:
+            rows[rng.randrange(len(rows))] = odd()
+        elif fault == 5 and objects:
+            rows.append(dict(rng.choice(objects)) if rng.random() < 0.5
+                        else dict(rng.choice(objects), id=f"w{len(rows)}"))
+        elif fault == 6 and pairs:
+            edge = rng.choice(pairs)
+            if rng.random() < 0.5:
+                edge[rng.randrange(2)] = odd(ids)
+            else:
+                edges.append(rng.choice([list(edge), edge[:1], edge + ["v0"], "ab", None]))
+        elif fault == 7 and len(objects) > 1:
+            a, b = rng.sample(objects, 2)
+            a.update({k: b[k] for k in ("x", "y") if k in b})
+        elif fault == 8:
+            cut = True
+    text = json.dumps(doc, indent=rng.choice([None, 2]))
+    return text[: rng.randrange(len(text))] if cut else text
+
+
+def test_parse_outcomes_on_mutated_documents():
+    """Every document parses to a net whose bytes round-trip, or raises
+    ParseError or InvariantViolation: never another exception."""
+    rng = random.Random(2024)
+    outcomes = {"parsed": 0, "ParseError": 0, "InvariantViolation": 0}
+    for _ in range(2000):
+        try:
+            net = parse(mutated_document(rng))
+        except (ParseError, InvariantViolation) as exc:
+            outcomes["ParseError" if isinstance(exc, ParseError) else "InvariantViolation"] += 1
+            continue
+        text = serialize(net)
+        assert parse(text) == net
+        assert serialize(parse(text)) == text
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_parse_reads_int_coordinates_as_floats():

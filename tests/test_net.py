@@ -74,6 +74,24 @@ def test_net_invariants():
         Net(vertices=(_v("a", 0, 0), _v("b", 0, 1e-12)), edges=())
 
 
+@pytest.mark.parametrize(
+    "vertices,message",
+    [
+        pytest.param([Vertex(7, Point(0.0, 0.0), U)], "vertex id 7 is not a non-empty string", id="int-id"),
+        pytest.param([Vertex("", Point(0.0, 0.0), U)], "vertex id '' is not a non-empty string", id="empty-id"),
+        pytest.param([_v("a", 0, 0, label=7)], "vertex a: label 7 is not a string", id="int-label"),
+        pytest.param([Vertex("a", Point(0.0, 0.0), "balanced")],
+                     "vertex a: kind 'balanced' is not a VertexKind", id="str-kind"),
+        pytest.param([Vertex("a", (0.0, 0.0), U)], r"vertex a: pos \(0.0, 0.0\) is not a Point", id="tuple-pos"),
+        pytest.param([_v("a", 0, 0), Vertex(1, Point(1.0, 0.0), U), _v("b", 2, 0)],
+                     "vertex id 1 is not a non-empty string", id="mixed-ids"),
+    ],
+)
+def test_net_refuses_a_vertex_no_document_can_hold(vertices, message):
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        Net(vertices=vertices, edges=())
+
+
 def test_net_names_the_smallest_duplicate():
     verts = [_v("c", 0, 0), _v("a", 1, 0), _v("c", 2, 0), _v("b", 3, 0), _v("a", 4, 0)]
     with pytest.raises(InvariantViolation, match="^duplicate vertex id: a$"):
