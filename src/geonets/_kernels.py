@@ -1,5 +1,6 @@
-"""Numeric kernels: balance residuals, total length, gradient descent and
-balanced-subset enumeration, vectorized with numpy.
+"""Numeric kernels, vectorized with numpy: balance residuals, total length,
+gradient descent and balanced-subset enumeration; and reaches_all, the one
+graph search, for verify's connectivity and descent's pin reachability.
 
 A net enters as a (V, 2) float64 position array and an (E, 2) int64 array
 of vertex-index pairs, as held by `Net.arrays`.
@@ -91,17 +92,21 @@ def _backtrack(pos, free, edges, a, la, p, rp, step, c_armijo):
 _METRIC_MAX_FREE = 350
 
 
-def _grounded(n: int, free: np.ndarray, edges: np.ndarray) -> bool:
-    """Whether every free row has a path to a pin, which makes the weighted
-    Laplacian over the free rows nonsingular."""
-    reached = np.ones(n, dtype=bool)
-    reached[free] = False
-    while True:
-        hit = reached[edges]
-        grow = np.concatenate((edges[hit[:, 0] & ~hit[:, 1], 1], edges[hit[:, 1] & ~hit[:, 0], 0]))
-        if grow.size == 0:
-            return bool(reached.all())
-        reached[grow] = True
+def reaches_all(n: int, sources, edges: np.ndarray) -> bool:
+    """Whether a path of edges joins each of the n vertices to one of
+    sources: an iterative depth-first search over the rows of edges."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    stack = list(sources)
+    seen = set(stack)
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def _metric_inverse(n: int, free: np.ndarray, edges: np.ndarray, la: np.ndarray) -> np.ndarray:
@@ -180,7 +185,10 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             stop = "max_iter"
             break
         if metric is None:
-            metric = free.size <= _METRIC_MAX_FREE and _grounded(pos.shape[0], free, edges)
+            pinned = np.ones(pos.shape[0], dtype=bool)
+            pinned[free] = False
+            metric = free.size <= _METRIC_MAX_FREE and reaches_all(
+                pos.shape[0], np.flatnonzero(pinned).tolist(), edges)
         if metric and inverse is None:
             inverse = _metric_inverse(pos.shape[0], free, edges, la)
             refreshes += 1

@@ -141,6 +141,15 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[int, int]]:
     return zip(i[pick].tolist(), j[pick].tolist())
 
 
+def _close_pairs(points: Sequence[Point], radius: float) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, in lexicographic order, with distance(points[i],
+    points[j]) <= radius: _box_pairs on boxes padded by radius, then distance."""
+    xy = _xy(points)
+    for i, j in _box_pairs(xy - radius, xy + radius):
+        if distance(points[i], points[j]) <= radius:
+            yield i, j
+
+
 @dataclass(frozen=True)
 class Net:
     """Immutable net value. Vertices are stored sorted by id, edges sorted
@@ -161,21 +170,22 @@ class Net:
         id_set = set(ids)
         canon: List[Edge] = []
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+                u_in, v_in = u in id_set, v in id_set
+            except (TypeError, ValueError):
+                raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
             if u == v:
                 raise InvariantViolation(f"self-loop edge at {u}")
-            if u not in id_set or v not in id_set:
-                missing = u if u not in id_set else v
-                raise InvariantViolation(f"edge endpoint {missing} is not a vertex")
+            if not (u_in and v_in):
+                raise InvariantViolation(f"edge endpoint {v if u_in else u} is not a vertex")
             canon.append(edge_key(u, v))
         canon.sort()
         dup_e = _first_repeat(canon)
         if dup_e is not None:
             raise InvariantViolation(f"duplicate edge: {dup_e}")
-        xy = _xy([v.pos for v in verts])
-        for i, j in _box_pairs(xy - COINCIDENCE_EPS, xy + COINCIDENCE_EPS):
-            if distance(verts[i].pos, verts[j].pos) <= COINCIDENCE_EPS:
-                raise CoincidentVertices(verts[i].id, verts[j].id)
+        for i, j in _close_pairs([v.pos for v in verts], COINCIDENCE_EPS):
+            raise CoincidentVertices(verts[i].id, verts[j].id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
 
@@ -264,21 +274,6 @@ def balance_residual(net: Net, vid: str) -> Vec:
     return (float(rx), float(ry))
 
 
-def _connected(net: Net) -> bool:
-    if len(net.vertices) <= 1:
-        return True
-    start = net.vertices[0].id
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for w in net.adjacency[cur]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(net.vertices)
-
-
 @dataclass
 class VerifyReport:
     residuals: Dict[str, float]
@@ -335,7 +330,8 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
         and net.by_id[e[1]].kind is VertexKind.UNBALANCED
     ]
 
-    connected = _connected(net)
+    # from vertex row 0, when there is one
+    connected = _kernels.reaches_all(len(a.ids), range(len(a.ids))[:1], a.edges)
     passed = (
         max_residual <= tol
         and not degree_violations
@@ -424,13 +420,12 @@ def planarize(net: Net) -> Net:
     # Point k of the net's vertices followed by the contact points is owned
     # by a vertex at that position: net vertex k, or the vertex minted at
     # contact k - nv. A contact lands on the first owner within
-    # COINCIDENCE_EPS among the points before it, found in the x-sorted
-    # index; owners are net vertices in id order, then minted ones in the
-    # order they were minted.
+    # COINCIDENCE_EPS among the points before it; owners are net vertices
+    # in id order, then minted ones in the order they were minted.
     nv = len(net.vertices)
-    xy = _xy([*(v.pos for v in net.vertices), *(pt for _, _, pt in contacts)])
     near: List[List[int]] = [[] for _ in contacts]
-    for i, j in _box_pairs(xy - COINCIDENCE_EPS, xy + COINCIDENCE_EPS):
+    points = [*(v.pos for v in net.vertices), *(pt for _, _, pt in contacts)]
+    for i, j in _close_pairs(points, COINCIDENCE_EPS):
         if j >= nv:
             near[j - nv].append(i)
     owner: List[Optional[Vertex]] = [*net.vertices, *(None for _ in contacts)]
@@ -439,8 +434,7 @@ def planarize(net: Net) -> Net:
     minted: List[Vertex] = []
     cuts: Dict[Edge, Dict[str, float]] = {}
     for k, (e1, e2, pt) in enumerate(contacts):
-        vtx = next((owner[c] for c in near[k]
-                    if owner[c] is not None and distance(owner[c].pos, pt) <= COINCIDENCE_EPS), None)
+        vtx = next((owner[c] for c in near[k] if owner[c] is not None), None)
         if vtx is None:
             vtx = owner[nv + k] = Vertex(next(fresh), pt, VertexKind.BALANCED)
             minted.append(vtx)
@@ -475,14 +469,9 @@ def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     verts = net.vertices
     nv = len(verts)
-    targets = [rotate(v.pos, 1) for v in verts]
-    # Vertices are points, each rotated position a box of half-width tol.
-    xy = _xy([*(v.pos for v in verts), *targets])
-    pad = np.zeros((2 * nv, 1))
-    pad[nv:] = tol * _BOX_SLACK
     hits: List[List[Vertex]] = [[] for _ in verts]
-    for i, j in _box_pairs(xy - pad, xy + pad):
-        if i < nv <= j and distance(verts[i].pos, targets[j - nv]) <= tol:
+    for i, j in _close_pairs([*(v.pos for v in verts), *(rotate(v.pos, 1) for v in verts)], tol):
+        if i < nv <= j:
             hits[j - nv].append(verts[i])
     mapping: Dict[str, str] = {}
     for v, found in zip(verts, hits):

@@ -103,9 +103,9 @@ def relax(
     result's stop_reason. final_residual is the norm the convergence test
     last read, at the returned net. Each length trace entry is the
     previous one minus the decrease the Armijo test accepted, so the trace
-    never rises. Raises VertexCollision if the descent path collapses an
-    edge, and ValueError unless step is finite and positive and tol finite
-    and nonnegative.
+    never rises. Raises VertexCollision, naming the shortest edge, if the
+    descent path collapses an edge, and ValueError unless step is finite
+    and positive and tol finite and nonnegative.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -118,8 +118,10 @@ def relax(
         a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
     )
     if stop == "collided":
+        d = out_pos[a.edges[:, 1]] - out_pos[a.edges[:, 0]]
+        shortest = net.edges[int(_kernels.norms(d).argmin())]
         raise VertexCollision(
-            f"an edge collapsed below {COINCIDENCE_EPS} after {accepted} steps"
+            f"edge {shortest} collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )
 
     verts = [

@@ -1,8 +1,9 @@
 """The sort-and-sweep broad phase against all-pairs oracles.
 
-_segment_pairs, Net's coincidence check and planarize's landing look up
-candidates through one box index; these tests hold each to the answer of
-testing every pair.
+_segment_pairs and _close_pairs look up candidates through one box index,
+and Net's coincidence check, planarize's landing and the quarter-turn test
+take their point pairs from _close_pairs; these tests hold each to the
+answer of testing every pair.
 """
 
 import hashlib
@@ -13,8 +14,8 @@ import pytest
 
 import geonets.net
 from geonets import Net, Point, Vertex, VertexKind, edge_subnet, planarize, serialize, verify
-from geonets.geom import COINCIDENCE_EPS, PARAM_EPS
-from geonets.net import CoincidentVertices, _segment_pairs
+from geonets.geom import COINCIDENCE_EPS, PARAM_EPS, distance
+from geonets.net import CoincidentVertices, _close_pairs, _segment_pairs
 
 from helpers import (
     all_segment_pairs,
@@ -150,6 +151,36 @@ def test_boxes_with_equal_low_x_tie_in_the_sort():
     ])
     _assert_matches_oracle(net)
     assert len(all_segment_pairs(net)) == 3
+
+
+def _clustered_points(rng, radius):
+    """Three clusters of points spread over about radius, one of them near
+    (1e6, -1e6), with exact duplicates and pairs exactly radius apart along
+    an axis."""
+    pts = []
+    for cx, cy in [(0.0, 0.0), (rng.uniform(-3, 3), rng.uniform(-3, 3)), (1e6 + rng.random(), -1e6)]:
+        for _ in range(12):
+            spread = radius * rng.choice([0.5, 1.0, 2.0]) + rng.choice([0.0, 1e-12])
+            pts.append(Point(cx + rng.uniform(-spread, spread), cy + rng.uniform(-spread, spread)))
+    pts += [rng.choice(pts) for _ in range(6)]
+    for _ in range(6):
+        t = rng.randint(-8, 8) / 8
+        pts += [Point(0.0, t), Point(radius, t), Point(t, 0.0), Point(t, -radius)]
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("radius", [0.0, COINCIDENCE_EPS, 1e-6, 1.0])
+def test_close_pairs_match_all_pairs(radius):
+    rng = random.Random(11)
+    boundary = 0
+    for _ in range(20):
+        pts = _clustered_points(rng, radius)
+        expected = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                    if distance(pts[i], pts[j]) <= radius]
+        assert list(_close_pairs(pts, radius)) == expected
+        boundary += sum(distance(pts[i], pts[j]) == radius for i, j in expected)
+    assert boundary >= 20
 
 
 def _planted(rng, t):

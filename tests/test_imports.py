@@ -98,3 +98,55 @@ def test_unread_private_names_finds_dead_code():
 def test_every_private_module_name_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+# Import rank of each module: a module may import only modules of lower
+# rank, so _kernels stays free of the net layer it serves.
+RANKS = {
+    "geom": 0, "_kernels": 0, "net": 1,
+    "solver": 2, "irreducible": 2, "construct": 2, "docio": 2, "render": 2,
+    "cli": 3, "__init__": 4,
+}
+
+
+def _geonets_imports(tree):
+    """The geonets modules a module imports, from relative imports and
+    absolute geonets ones; a name imported from the package itself counts
+    as __init__ unless it is a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "geonets":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            if inner:
+                found.add(inner[0])
+            else:
+                found |= {a.name if a.name in RANKS else "__init__" for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] if "." in a.name else "__init__"
+                      for a in node.names if a.name.split(".")[0] == "geonets"}
+    return found
+
+
+def _layer_breaks(sources):
+    """(module, imported module) for each import of a module whose rank is
+    not lower than the importer's."""
+    return sorted((module, dep) for module, text in sources.items()
+                  for dep in _geonets_imports(ast.parse(text)) if RANKS[dep] >= RANKS[module])
+
+
+def test_layer_breaks_finds_an_upward_import():
+    sources = {
+        "_kernels": "import numpy as np\nfrom .net import Net\n",
+        "net": "from . import _kernels\nfrom .geom import Point\n",
+        "solver": "from geonets import relax\nimport geonets.irreducible\n",
+    }
+    assert _layer_breaks(sources) == [("_kernels", "net"), ("solver", "__init__"), ("solver", "irreducible")]
+
+
+def test_each_module_imports_only_lower_layers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(sources) == set(RANKS)
+    assert _layer_breaks(sources) == []

@@ -650,12 +650,19 @@ def _verdict(net):
     return irreducible, len(_class_edges(net)), verify(net).passed
 
 
-@pytest.mark.parametrize("size", [None, (4, 3), (6, 5), (8, 6)],
-                         ids=["double-tripods", "honeycomb4x3", "honeycomb6x5", "honeycomb8x6"])
-def test_known_irreducible_family_keeps_its_verdict_under_symmetries(size):
-    # double tripods and honeycomb patches are irreducible and one edge
-    # class; quarter-turns and power-of-2 scalings are exact
-    nets = _double_tripods(0, 10) if size is None else [honeycomb(*size)]
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _double_tripods(0, 10), id="double-tripods"),
+    pytest.param(lambda: [honeycomb(4, 3)], id="honeycomb4x3"),
+    pytest.param(lambda: [honeycomb(6, 5)], id="honeycomb6x5"),
+    pytest.param(lambda: [honeycomb(8, 6)], id="honeycomb8x6"),
+    pytest.param(lambda: [relax(pinned_paper16(seed, a)).net for a in (0.01, 0.05) for seed in range(5)],
+                 id="pinned-paper16"),
+])
+def test_known_irreducible_family_keeps_its_verdict_under_symmetries(make):
+    # double tripods, honeycomb patches and paper16 relaxed after its pins
+    # move are irreducible and one edge class; quarter-turns and power-of-2
+    # scalings are exact
+    nets = make()
     rng = random.Random(1)
     for net in nets:
         assert _verdict(net) == (True, 1, True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -67,6 +68,40 @@ def test_descend_reports_a_stall(tripod_net):
     assert residual == _kernels.norms(_kernels.residuals(pos, arr.edges)[arr.free]).max()
     assert halvings == 60
     assert len(trace) == 1
+
+
+def _reaches_all_by_closure(n, sources, edges):
+    """Oracle for reaches_all: the transitive closure of the adjacency
+    matrix, squared until it stops growing."""
+    reach = np.eye(n, dtype=bool)
+    for u, v in edges:
+        reach[u, v] = reach[v, u] = True
+    while True:
+        grown = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return bool(reach[:, sorted(sources)].any(axis=1).all())
+
+
+def test_reaches_all_matches_the_transitive_closure():
+    rng = random.Random(3)
+    seen = {"n0": 0, "n1": 0, "isolated": 0, "no-source": 0, "components": 0, True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n + 2))] if n > 1 else []
+        sources = rng.sample(range(n), rng.randint(0, min(n, 3)))
+        rows = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        got = _kernels.reaches_all(n, sources, rows)
+        assert got == _reaches_all_by_closure(n, sources, edges), (n, sources, edges)
+        ends = {u for e in edges for u in e}
+        seen["n0"] += n == 0
+        seen["n1"] += n == 1
+        seen["isolated"] += n > len(ends)
+        seen["no-source"] += not sources
+        seen["components"] += n > 0 and not _reaches_all_by_closure(n, [0], edges)
+        seen[got] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_balanced_masks_match_brute_force():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,14 @@ def test_net_invariants():
 def test_net_refuses_a_vertex_no_document_can_hold(vertices, message):
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         Net(vertices=vertices, edges=())
+
+
+@pytest.mark.parametrize("row", [("a", ["b"]), 7, ("a",), ("a", "b", "c")],
+                         ids=["list-endpoint", "int", "one-id", "three-ids"])
+def test_net_refuses_an_edge_row_that_is_not_a_pair(row):
+    message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        Net(vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)), edges=[("a", "c"), row])
 
 
 def test_net_names_the_smallest_duplicate():

@@ -31,7 +31,7 @@ from geonets import (
 from geonets import _kernels
 from geonets.net import UnknownVertex
 
-from helpers import random_net, tripod_overlay
+from helpers import pinned_paper16, random_net, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -367,6 +367,13 @@ def test_pinless_nets_take_the_identity_metric(monkeypatch):
             relax(net)
 
 
+def test_vertex_collision_names_the_edge_that_collapsed():
+    # x4 runs into b4 along the segment b4-d4: b4-x4 ends 7.9e-10 long and
+    # d4-x4 2.8e-9
+    with pytest.raises(VertexCollision, match=r"^edge \('b4', 'x4'\) collapsed below 1e-09 after 308 steps$"):
+        relax(pinned_paper16(13, 0.2))
+
+
 def test_a_component_without_a_pin_takes_the_identity_metric(monkeypatch):
     # a pinned chain and, apart from it, two free vertices joined by one
     # edge: L_w is singular on that pair, however many pins the net has
@@ -407,10 +414,12 @@ def test_perturbed_tripod_overlay_relaxes_and_verifies():
 
 def test_relax_imports_no_scipy(paper_net):
     # importing scipy.sparse alone adds about 22 MB of peak memory and
-    # 0.15 s; the metric is dense numpy
+    # 0.15 s; the metric is dense numpy. numpy.ma, which np.setdiff1d and
+    # np.isin import, adds 2 MB; numpy.matrixlib is always loaded
     script = (
         "import sys, random\n"
-        "from geonets import build_paper_net, moved, relax, Point, VertexKind\n"
+        "from geonets import build_paper_net, find_proper_subnet, moved, relax, verify\n"
+        "from geonets import Irreducible, Point, VertexKind\n"
         "net = build_paper_net()\n"
         "rng = random.Random(0)\n"
         "for v in net.vertices:\n"
@@ -419,7 +428,11 @@ def test_relax_imports_no_scipy(paper_net):
         "        net = moved(net, v.id, p)\n"
         "result = relax(net)\n"
         "assert result.converged and result.refreshes > 0, result\n"
+        "assert verify(result.net).passed\n"
+        "assert isinstance(find_proper_subnet(result.net), Irreducible)\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "ma = sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
+        "assert not ma, ma\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
