@@ -35,11 +35,12 @@ def unit_vectors(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _unit_sums(n: int, edges: np.ndarray, d: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, 2))
+    # One scatter-add over (vertex, coordinate) slots: +u at each edge's
+    # first endpoint, then -u at its second, each in edge order.
     u = d / ln[:, None]
-    np.add.at(out, edges[:, 0], u)
-    np.add.at(out, edges[:, 1], -u)
-    return out
+    slots = 2 * edges.T.reshape(-1, 1) + (0, 1)
+    sums = np.bincount(slots.ravel(), np.concatenate((u, -u)).ravel(), minlength=2 * n)
+    return sums.reshape(n, 2)
 
 
 def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -226,13 +227,15 @@ _MAX_ROWS = 1 << 18
 
 def star_subsets(vecs: np.ndarray, tol: float):
     """The subsets of each star's legs whose unit vectors sum to within tol
-    of zero.
+    of zero, and the least norm of the others.
 
     vecs is (stars, d, 2): the unit vectors of the d legs of each star.
     A subset is accepted when the norm of its sum is at most tol. Returns
     three flat arrays over the accepted subsets: the star's index, the
     subset's bit mask over the legs (bit i for leg i) and the norm of its
-    sum, ordered by star and then by ascending mask.
+    sum, ordered by star and then by ascending mask. The fourth value is
+    the least norm of a rejected subset over all the stars, inf when every
+    subset is accepted.
 
     The stars go in groups of _MAX_ROWS // rows, and each group runs
     through its masks in chunks of rows = min(2^d, _MAX_ROWS), so no array
@@ -246,15 +249,19 @@ def star_subsets(vecs: np.ndarray, tol: float):
     per = _MAX_ROWS // chunk
     bits = np.int64(1) << np.arange(vecs.shape[1], dtype=np.int64)
     found = []
+    rejected = np.inf
     for first in range(0, vecs.shape[0], per):
         for start in range(0, total, chunk):
             masks = np.arange(start, start + chunk, dtype=np.int64)
             sel = ((masks[:, None] & bits[None, :]) != 0).astype(np.float64)
             sums = sel @ vecs[first:first + per]
             norm = norms(sums)
-            star, row = np.nonzero(norm <= tol)
+            ok = norm <= tol
+            star, row = np.nonzero(ok)
             found.append((star + first, masks[row], norm[star, row]))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+            rejected = float(norm[~ok].min(initial=rejected))
+    star, mask, norm = (np.concatenate(parts) for parts in zip(*found))
+    return star, mask, norm, rejected
 
 
 def balanced_masks(vecs: np.ndarray, tol: float) -> np.ndarray:

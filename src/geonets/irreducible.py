@@ -54,10 +54,10 @@ def _tables(
     """The subset tables of the balanced vertices vids, in edge bitsets
     (bit r for net.edges[r]): each vertex's edges, and its balanced subsets
     in ascending order. Then the largest norm among those subsets, and the
-    least norm among the subsets rejected within 10*tol (10*tol if there
-    is none); a subset is accepted when its norm is at most tol. The unit
-    vectors of all legs come from one call, and the stars of each degree
-    share one star_subsets call.
+    least norm among the rejected ones (inf if there is none); a subset is
+    accepted when its norm is at most tol. The unit vectors of all legs
+    come from one call, and the stars of each degree share one
+    star_subsets call at tol.
     """
     stars = [net.adjacency[vid] for vid in vids]
     for vid, star in zip(vids, stars):
@@ -75,14 +75,13 @@ def _tables(
     for k, star in enumerate(stars):
         by_degree.setdefault(len(star), []).append(k)
     masks: List[List[int]] = [[] for _ in vids]
-    accepted, rejected = 0.0, tol * 10.0
+    accepted, rejected = 0.0, np.inf
     for d, members in by_degree.items():
         legs_of = starts[members][:, None] + np.arange(d)
-        star, mask, norm = _kernels.star_subsets(vecs[legs_of], tol * 10.0)
-        ok = norm <= tol
-        accepted = max(accepted, float(norm[ok].max()))
-        rejected = float(norm[~ok].min(initial=rejected))
-        for k, m in zip(star[ok].tolist(), mask[ok].tolist()):
+        star, mask, norm, least = _kernels.star_subsets(vecs[legs_of], tol)
+        accepted = max(accepted, float(norm.max()))
+        rejected = min(rejected, least)
+        for k, m in zip(star.tolist(), mask.tolist()):
             k = members[k]
             masks[k].append(sum(b for i, b in enumerate(bits[k]) if m >> i & 1))
     return [sum(b) for b in bits], masks, accepted, rejected
@@ -159,10 +158,13 @@ class _Ctx:
 
     Edge i is bit i of every edge bitset. Balanced vertex k is named
     balanced[k]; inc_bits[k] and masks[k] are its edges and its balanced
-    subsets, as _tables gives them, and vertices_of[r] lists the k at edge
-    r. classes holds the edge classes as bitsets, in ascending order of
-    their lowest edge, and ties the (vertex id, row, row) ties that join
-    them, in the order _edge_classes finds them.
+    subsets, as _tables gives them. One walk over each vertex's rows,
+    ascending, with the vertices in balanced order, builds the rest:
+    vertices_of[r] lists the k at edge r; two edges at a vertex are tied
+    when their columns in its table are equal, and ties holds one (vertex
+    id, e, f) for each union that joined two classes, with e the lowest row
+    at the vertex that shares f's column; classes holds the edge classes as
+    bitsets, in ascending order of their lowest edge.
     """
 
     def __init__(
@@ -174,10 +176,30 @@ class _Ctx:
         self.inc_bits: List[int] = list(inc)
         self.masks: List[List[int]] = list(masks)
         self.vertices_of: List[List[int]] = [[] for _ in self.edges]
-        for k, bits in enumerate(self.inc_bits):
-            for r in _rows(bits):
-                self.vertices_of[r].append(k)
-        self.classes, self.ties = _edge_classes(self)
+        parent = list(range(len(self.edges)))
+
+        def find(r: int) -> int:
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            return r
+
+        self.ties: List[Tuple[str, int, int]] = []
+        for k, (vid, bits, table) in enumerate(zip(self.balanced, self.inc_bits, self.masks)):
+            lead: Dict[Tuple[int, ...], int] = {}
+            for f in _rows(bits):
+                self.vertices_of[f].append(k)
+                e = lead.setdefault(tuple(m >> f & 1 for m in table), f)
+                a, b = find(e), find(f)
+                if a != b:
+                    # Each root is the lowest row of its class.
+                    parent[max(a, b)] = min(a, b)
+                    self.ties.append((vid, e, f))
+        classes: Dict[int, int] = {}
+        for r in range(len(self.edges)):
+            root = find(r)
+            classes[root] = classes.get(root, 0) | 1 << r
+        self.classes: List[int] = list(classes.values())
         self.nodes_left = _NODE_BUDGET
 
     def charge(self) -> None:
@@ -187,40 +209,6 @@ class _Ctx:
 
     def edges_of(self, rows: Iterable[int]) -> Tuple[Edge, ...]:
         return tuple(self.edges[r] for r in rows)
-
-
-def _edge_classes(ctx: _Ctx) -> Tuple[List[int], List[Tuple[str, int, int]]]:
-    """Union-find over the mask columns of each balanced vertex's table.
-
-    Two edges at a vertex are tied when every subset in its table holds
-    both or neither, that is, when their columns are equal. Returns the
-    classes as edge bitsets in ascending order of their lowest row, and one
-    (vertex, e, f) tie for each union that joined two classes, with e the
-    lowest row at the vertex that shares f's column.
-    """
-    parent = list(range(len(ctx.edges)))
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    ties = []
-    for vid, inc, masks in zip(ctx.balanced, ctx.inc_bits, ctx.masks):
-        lead: Dict[Tuple[int, ...], int] = {}
-        for f in _rows(inc):
-            e = lead.setdefault(tuple(m >> f & 1 for m in masks), f)
-            a, b = find(e), find(f)
-            if a != b:
-                # Each root is the lowest row of its class.
-                parent[max(a, b)] = min(a, b)
-                ties.append((vid, e, f))
-    classes: Dict[int, int] = {}
-    for r in range(len(ctx.edges)):
-        root = find(r)
-        classes[root] = classes.get(root, 0) | 1 << r
-    return list(classes.values()), ties
 
 
 def _lowest(bits: int) -> int:
@@ -387,9 +375,9 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     when the norm of its unit-vector sum is at most tol. low is the least
     tolerance at which every balanced subset passes it and the net passes
     verify: the largest of those norms and verify's residuals. high is the
-    least norm of a subset rejected within 10*tol, else 10*tol. For every
-    tol in [low, high) the subset tables, verdict and certificate are the
-    same.
+    least norm of a rejected subset, inf when no subset is rejected. For
+    every tol in [low, high) the subset tables, verdict and certificate are
+    the same.
 
     The net must pass verify at the same tolerance first; like verify,
     raises ValueError unless tol is finite and nonnegative.

@@ -171,6 +171,8 @@ class Net:
         canon: List[Edge] = []
         for e in edges:
             try:
+                if isinstance(e, str):
+                    raise TypeError  # a string would unpack into its characters
                 u, v = e
                 u_in, v_in = u in id_set, v in id_set
             except (TypeError, ValueError):

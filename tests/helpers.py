@@ -158,12 +158,10 @@ def enumerate_proper_subnets(net: Net, tol: float = 1e-9) -> List[FrozenSet[Edge
     return found
 
 
-def brute_force_balanced_subsets(
-    net: Net, vertex_id: str, tol: float = 1e-9
-) -> List[Tuple[Edge, ...]]:
-    """Independent oracle for balanced_edge_subsets: direct iteration over
-    all 2^deg subsets in the same order, ascending bit masks over the
-    vertex's edges in net.edges order."""
+def _subset_norms(net: Net, vertex_id: str) -> List[Tuple[Tuple[Edge, ...], float]]:
+    """Every subset of the edges at vertex_id, in ascending bit-mask order
+    over them in net.edges order, with the math.hypot norm of its
+    unit-vector sum, summed one leg at a time."""
     v = net.vertex(vertex_id)
     inc = sorted(net.incident_edges(vertex_id))
     units = []
@@ -174,9 +172,28 @@ def brute_force_balanced_subsets(
     for mask in range(1 << len(inc)):
         sx = sum(units[i].dx for i in range(len(inc)) if mask & (1 << i))
         sy = sum(units[i].dy for i in range(len(inc)) if mask & (1 << i))
-        if math.hypot(sx, sy) <= tol:
-            out.append(tuple(inc[i] for i in range(len(inc)) if mask & (1 << i)))
+        out.append((tuple(inc[i] for i in range(len(inc)) if mask & (1 << i)), math.hypot(sx, sy)))
     return out
+
+
+def brute_force_balanced_subsets(
+    net: Net, vertex_id: str, tol: float = 1e-9
+) -> List[Tuple[Edge, ...]]:
+    """Independent oracle for balanced_edge_subsets: direct iteration over
+    all 2^deg subsets in the same order, ascending bit masks over the
+    vertex's edges in net.edges order."""
+    return [sub for sub, norm in _subset_norms(net, vertex_id) if norm <= tol]
+
+
+def least_rejected_norm(net: Net, tol: float = 1e-9) -> float:
+    """Independent oracle for the high end of tol_margin: the least norm
+    above tol of an edge subset at any balanced vertex, over all 2^deg
+    subsets of each; inf when there is none."""
+    return min(
+        (norm for v in net.vertices if v.kind is VertexKind.BALANCED
+         for _, norm in _subset_norms(net, v.id) if norm > tol),
+        default=math.inf,
+    )
 
 
 def _root(parent: Dict[Edge, Edge], e: Edge) -> Edge:

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from geonets import cli, irreducible, relax
 from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
+
+from helpers import least_rejected_norm
 
 
 def run(capsys, *argv):
@@ -118,7 +123,10 @@ def test_irreducible_on_paper_net(tmp_path, capsys):
     low, high = _margin(lines[-1])
     assert 0.0 < low <= 1e-14
     assert low == irreducible.find_proper_subnet(load(str(out))).tol_margin[0]
-    assert high == 1e-8
+    # the least rejected norm, 0.0314 at the crossings x1-x4, from a full
+    # enumeration
+    assert high == pytest.approx(least_rejected_norm(load(str(out))), rel=0.0, abs=1e-15)
+    assert 0.031 < high < 0.032
 
 
 def _margin(line):
@@ -143,12 +151,14 @@ def test_irreducible_on_overlay_net(tmp_path, capsys):
     # every witness edge is listed in the report, then the margin
     lines = stdout.splitlines()
     assert lines[1:-1] == [f"  {u} -- {v}" for u, v in witness.edges]
-    assert _margin(lines[-1])[1] == 1e-8
+    high = _margin(lines[-1])[1]
+    assert high == pytest.approx(least_rejected_norm(load(str(net_path))), rel=0.0, abs=1e-15)
 
 
 def test_irreducible_margin_at_tol_0(tmp_path, capsys):
     # the crossing of two diagonals balances exactly, and a statement
-    # about tol = 0 must still be true: only exact zero sums are accepted
+    # about tol = 0 must still be true: only exact zero sums are accepted,
+    # and the least rejected subset is one leg or three
     from geonets import Net, Point, Vertex, VertexKind, planarize
 
     pins = [Vertex(f"p{i}", Point(x, y), VertexKind.UNBALANCED)
@@ -157,8 +167,22 @@ def test_irreducible_margin_at_tol_0(tmp_path, capsys):
     save(planarize(Net(pins, [("p0", "p2"), ("p1", "p3")])), str(path))
     code, stdout, _ = run(capsys, "irreducible", str(path), "--tol", "0")
     assert code == 2
+    low, high = _margin(stdout.splitlines()[-1])
+    assert low == 0.0
+    assert high == pytest.approx(least_rejected_norm(load(str(path)), 0.0), rel=0.0, abs=1e-15)
+    assert high == pytest.approx(1.0, abs=1e-15)
+
+
+def test_irreducible_margin_without_a_balanced_vertex_is_inf(tmp_path, capsys):
+    # a lone pin has no subset table, so no subset is rejected
+    from geonets import Net, Point, Vertex, VertexKind
+
+    path = tmp_path / "pin.json"
+    save(Net([Vertex("p", Point(0.0, 0.0), VertexKind.UNBALANCED)], []), str(path))
+    code, stdout, _ = run(capsys, "irreducible", str(path))
+    assert code == 0
     assert stdout.splitlines()[-1] == (
-        "tol margin: balanced edge subsets have residual <= 0.0, the others >= 0.0"
+        "tol margin: balanced edge subsets have residual <= 0.0, the others >= inf"
     )
 
 
@@ -407,3 +431,32 @@ def test_document_beyond_float_or_nesting_limits_is_one_parse_error(tmp_path, ca
     assert stdout == ""
     assert stderr.startswith("error: ParseError: ")
     assert stderr.count("\n") == 1
+
+
+def test_module_entry_point_exits_with_the_command_codes(tmp_path):
+    # python -m geonets.cli, as the README runs it: the codes reach the
+    # process exit status through sys.exit(main())
+    from geonets import Net, Point, Vertex, VertexKind
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-m", "geonets.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert cli_process("--help").returncode == 0
+    built = cli_process("build", "fermat-tripod")
+    assert built.returncode == 0, built.stderr
+    assert len(parse(built.stdout).edges) == 3
+    pins = tmp_path / "pins.json"
+    save(Net([Vertex("a", Point(0.0, 0.0), VertexKind.UNBALANCED),
+              Vertex("b", Point(1.0, 0.0), VertexKind.UNBALANCED)], [("a", "b")]), str(pins))
+    failed = cli_process("verify", str(pins))
+    assert failed.returncode == 2, failed.stderr
+    assert "verdict: FAIL" in failed.stdout
+    wrong = cli_process("frobnicate")
+    assert wrong.returncode == 1
+    assert wrong.stdout == ""
+    assert wrong.stderr.startswith("error: UsageError: ")
+    assert wrong.stderr.count("\n") == 1

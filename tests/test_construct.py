@@ -216,6 +216,15 @@ def test_double_tripod_rejects_crossing_branch_points():
         )
 
 
+def test_double_tripod_refuses_junctions_that_are_not_their_own_fermat_points():
+    # every Fermat solve succeeds, but the junctions Melzak's construction
+    # gives do not balance each other, so no double tripod joins the pairs
+    with pytest.raises(WideAngleTriangle, match="^no double tripod joins these pairs$"):
+        build_double_tripod(
+            Point(1.1, -2.0), Point(-2.5, 2.6), Point(0.6, 0.7), Point(-0.3, -2.1)
+        )
+
+
 def test_double_tripods_near_a_square_verify_or_raise_wide_angle():
     # jittered pins about the unit square: many admit no double tripod,
     # but whatever is built must balance

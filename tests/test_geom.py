@@ -19,7 +19,7 @@ from geonets import (
     rotate,
     unit_vector,
 )
-from geonets.geom import DegenerateSegment, PARAM_EPS
+from geonets.geom import COINCIDENCE_EPS, DegenerateSegment, PARAM_EPS
 
 
 def test_point_rejects_non_finite():
@@ -133,6 +133,22 @@ def test_intersect_collinear_endpoint_contact():
     )
     assert isinstance(kind, AtSharedEndpoint)
     assert kind.point == Point(1, 0)
+
+
+def test_intersect_collinear_contact_across_a_gap_inside_the_band():
+    # end to end along one line, 5e-10 apart: inside PARAM_EPS, so the
+    # parallel test reports one endpoint contact in either order
+    a = Segment(Point(0, 0), Point(1, 0))
+    b = Segment(Point(1 + 5e-10, 0), Point(2, 0))
+    for s1, s2 in ((a, b), (b, a)):
+        kind = intersect(s1, s2)
+        assert isinstance(kind, AtSharedEndpoint)
+        assert distance(kind.point, a.q) <= COINCIDENCE_EPS
+        assert distance(kind.point, b.p) <= COINCIDENCE_EPS
+    # 2e-9 apart the segments are disjoint
+    c = Segment(Point(1 + 2e-9, 0), Point(2, 0))
+    assert isinstance(intersect(a, c), Disjoint)
+    assert isinstance(intersect(c, a), Disjoint)
 
 
 def test_intersect_disjoint_cases():

@@ -44,6 +44,7 @@ from helpers import (
     enumerate_proper_subnets,
     honeycomb,
     jitter,
+    least_rejected_norm,
     pinned_paper16,
     raw_tripod_overlay,
     replay_ties,
@@ -114,13 +115,14 @@ def _bent_star(bend):
 @pytest.mark.parametrize(
     "net, vid, tol, low, high",
     [
-        # the pairs are rejected at 5e-9, within 10*tol: the high end
+        # the pairs are rejected at 5e-9: the high end
         (_bent_star(5e-9), "c", 1e-9, 0.0, 5e-9),
-        # the pairs are accepted at 5e-10 and nothing is rejected within
-        # 10*tol: the low end, and high is 10*tol
-        (_bent_star(5e-10), "c", 1e-9, 5e-10, 1e-8),
-        # opposite unit vectors cancel exactly, so tol = 0 certifies
-        (planarized_x_net(), "x1", 0.0, 0.0, 0.0),
+        # the pairs are accepted at 5e-10: the low end; the least rejected
+        # subset is one leg, or a pair and one leg, near 1
+        (_bent_star(5e-10), "c", 1e-9, 5e-10, 1.0),
+        # opposite unit vectors cancel exactly, so tol = 0 certifies; the
+        # least rejected subset is one leg or three
+        (planarized_x_net(), "x1", 0.0, 0.0, 1.0),
     ],
     ids=["rejected-within-10tol", "none-rejected", "tol0"],
 )
@@ -130,6 +132,9 @@ def test_tolerance_margin(net, vid, tol, low, high):
     got_low, got_high = cert.tol_margin
     assert got_low == pytest.approx(low, rel=1e-6, abs=1e-15)
     assert got_high == pytest.approx(high, rel=1e-6)
+    # high is the least rejected norm of a full enumeration, up to the
+    # rounding of a sum of unit vectors
+    assert got_high == pytest.approx(least_rejected_norm(net, tol), rel=0.0, abs=1e-15)
     # the margin is a true statement about every subset, up to rounding
     balanced = set(balanced_edge_subsets(net, vid, tol))
     assert set(brute_force_balanced_subsets(net, vid, got_low + 1e-15)) == balanced
@@ -140,6 +145,20 @@ def test_tolerance_margin(net, vid, tol, low, high):
         for end in (got_low, math.nextafter(got_high, 0.0)):
             assert set(balanced_edge_subsets(net, vid, end)) == balanced
             assert find_proper_subnet(net, end).witness == cert.witness
+
+
+def test_margin_high_end_is_the_least_rejected_norm(paper_net, paper_cert, overlay_net, overlay_cert):
+    # a full enumeration, up to the rounding of a sum of unit vectors
+    hexes = honeycomb(8, 6)
+    for net, cert in ((paper_net, paper_cert), (overlay_net, overlay_cert),
+                      (hexes, find_proper_subnet(hexes))):
+        assert cert.tol_margin[1] == pytest.approx(least_rejected_norm(net), rel=0.0, abs=1e-15)
+
+
+def test_margin_of_a_net_with_no_balanced_vertex():
+    # one lone pin: no subset table, so nothing is accepted or rejected
+    cert = find_proper_subnet(Net([_v("p", 0.0, 0.0)], []))
+    assert cert.tol_margin == (0.0, math.inf)
 
 
 def test_paper_net_margin_ends_are_exact(paper_net, paper_cert):

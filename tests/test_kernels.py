@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from geonets import _kernels
+from geonets import _kernels, build_paper_net
+
+from helpers import honeycomb, random_net
 
 
 def _random_arrays(seed):
@@ -29,6 +31,35 @@ def test_residuals_match_direct_sum():
     assert r[0] == pytest.approx([0.6, 0.8 + 1.0])
     assert r[1] == pytest.approx([-0.6, -0.8])
     assert r[2] == pytest.approx([0.0, -1.0])
+
+
+def _unit_sums_by_add_at(n, edges, d, ln):
+    out = np.zeros((n, 2))
+    u = d / ln[:, None]
+    np.add.at(out, edges[:, 0], u)
+    np.add.at(out, edges[:, 1], -u)
+    return out
+
+
+def test_unit_sums_match_add_at_bit_for_bit():
+    # every slot takes the same terms in the same order as two np.add.at
+    # passes, and x + (-y) is x - y in IEEE arithmetic
+    nets = [build_paper_net(), honeycomb(8, 6)]
+    nets += [random_net(random.Random(seed)) for seed in range(40)]
+    cases = [(net.arrays.pos, net.arrays.edges) for net in nets]
+    cases += [_random_arrays(seed)[:2] for seed in range(20)]
+    cases.append((np.zeros((3, 2)), np.zeros((0, 2), dtype=np.int64)))
+    rng = np.random.default_rng(31)
+    checked = 0
+    for pos, edges in cases:
+        for moved in (pos, pos + rng.uniform(-1e-3, 1e-3, size=pos.shape)):
+            d, ln = _kernels._edge_vectors(moved, edges)
+            if ln.min(initial=np.inf) == 0.0:
+                continue
+            got = _kernels._unit_sums(len(moved), edges, d, ln)
+            assert got.tobytes() == _unit_sums_by_add_at(len(moved), edges, d, ln).tobytes()
+            checked += 1
+    assert checked >= 100
 
 
 def test_residuals_and_length_match_per_edge_sums():
@@ -142,14 +173,18 @@ def test_star_subsets_of_degree_20_stars_span_chunks():
     # 2^20 masks per star: each star takes four 2^18-row chunks
     rng = np.random.default_rng(23)
     vecs = np.stack([_paired_star(rng, 10), _paired_star(rng, 10)])
-    star, mask, norm = _kernels.star_subsets(vecs, 1e-9)
+    star, mask, norm, rejected = _kernels.star_subsets(vecs, 1e-9)
     assert star.tolist() == sorted(star.tolist())
+    least = []
     for k in range(2):
         alone = _kernels.star_subsets(vecs[k:k + 1], 1e-9)
         assert np.array_equal(mask[star == k], alone[1])
         assert np.array_equal(norm[star == k], alone[2])
         assert mask[star == k].tolist() == _pair_unions(10)
         assert np.array_equal(_kernels.balanced_masks(vecs[k], 1e-9), alone[1])
+        least.append(alone[3])
+    # the least rejected norm is over every chunk of every star
+    assert 1e-9 < rejected == min(least)
 
 
 # A real chunk holds min(2^d, _MAX_ROWS) >= 2 rows, 2 for a degree-1 star;
@@ -162,10 +197,13 @@ def test_star_subsets_do_not_depend_on_the_chunk_size(monkeypatch, max_rows):
     for degree in (5, 1):
         stars.append(np.stack([np.column_stack([np.cos(a), np.sin(a)])
                                for a in rng.uniform(0, 2 * math.pi, size=(4, degree))]))
-    # within 2.0, so that both subsets of a degree-1 star count
-    whole = [_kernels.star_subsets(vecs, 2.0) for vecs in stars]
+    # within 2.0 both subsets of a degree-1 star count; within 1e-9 every
+    # star rejects a subset, so the least rejected norm is finite
+    whole = {tol: [_kernels.star_subsets(vecs, tol) for vecs in stars] for tol in (2.0, 1e-9)}
+    assert all(math.isfinite(w[3]) for w in whole[1e-9])
     monkeypatch.setattr(_kernels, "_MAX_ROWS", max_rows)
-    for vecs, expected in zip(stars, whole):
-        got = _kernels.star_subsets(vecs, 2.0)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+    for tol, expected_all in whole.items():
+        for vecs, expected in zip(stars, expected_all):
+            got = _kernels.star_subsets(vecs, tol)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)

@@ -93,8 +93,8 @@ def test_net_refuses_a_vertex_no_document_can_hold(vertices, message):
         Net(vertices=vertices, edges=())
 
 
-@pytest.mark.parametrize("row", [("a", ["b"]), 7, ("a",), ("a", "b", "c")],
-                         ids=["list-endpoint", "int", "one-id", "three-ids"])
+@pytest.mark.parametrize("row", [("a", ["b"]), 7, ("a",), ("a", "b", "c"), "ab"],
+                         ids=["list-endpoint", "int", "one-id", "three-ids", "two-char-str"])
 def test_net_refuses_an_edge_row_that_is_not_a_pair(row):
     message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
