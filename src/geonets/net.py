@@ -20,8 +20,8 @@ from . import _kernels
 from .geom import (
     COINCIDENCE_EPS,
     PARAM_EPS,
+    _PARALLEL_EPS,
     CollinearOverlap,
-    Disjoint,
     EndpointOnInterior,
     IntersectionKind,
     Point,
@@ -119,9 +119,9 @@ def _xy(points: Sequence[Point]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(len(points), 2)
 
 
-def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Index pairs (i, j), i < j, of the closed boxes [lo[i], hi[i]] (rows
-    of x, y) that overlap, in lexicographic order.
+def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the closed boxes [lo[i], hi[i]] (rows
+    of x, y) that overlap, sorted lexicographically by (i, j).
 
     A sort and sweep (Bentley & Ottmann 1979): the boxes are sorted by
     low x, the x window of each is the run of later boxes whose low x is
@@ -138,16 +138,17 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[int, int]]:
     keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
     i, j = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
     pick = np.lexsort((j, i))
-    return zip(i[pick].tolist(), j[pick].tolist())
+    return i[pick], j[pick]
 
 
 def _close_pairs(points: Sequence[Point], radius: float) -> Iterator[Tuple[int, int]]:
     """Index pairs (i, j), i < j, in lexicographic order, with distance(points[i],
     points[j]) <= radius: _box_pairs on boxes padded by radius, then distance."""
     xy = _xy(points)
-    for i, j in _box_pairs(xy - radius, xy + radius):
-        if distance(points[i], points[j]) <= radius:
-            yield i, j
+    i, j = _box_pairs(xy - radius, xy + radius)
+    for a, b in zip(i.tolist(), j.tolist()):
+        if distance(points[a], points[b]) <= radius:
+            yield a, b
 
 
 @dataclass(frozen=True)
@@ -322,15 +323,12 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     for e1, e2, kind in _segment_pairs(net):
         if isinstance(kind, CollinearOverlap):
             overlay_findings.append((e1, e2, kind))
-        elif isinstance(kind, (ProperCrossing, EndpointOnInterior)):
+        else:
             unplanarized.append((e1, e2, kind.point))
 
-    unb_unb = [
-        e
-        for e in net.edges
-        if net.by_id[e[0]].kind is VertexKind.UNBALANCED
-        and net.by_id[e[1]].kind is VertexKind.UNBALANCED
-    ]
+    balanced = np.zeros(len(a.ids), dtype=bool)
+    balanced[a.free] = True
+    unb_unb = [net.edges[k] for k in np.flatnonzero(~balanced[a.edges].any(axis=1)).tolist()]
 
     # from vertex row 0, when there is one
     connected = _kernels.reaches_all(len(a.ids), range(len(a.ids))[:1], a.edges)
@@ -354,33 +352,96 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     )
 
 
+# The kinds of contact that verify reports and planarize acts on.
+_REPORTED = (ProperCrossing, EndpointOnInterior, CollinearOverlap)
+
+
+def _candidate_pairs(net: Net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge index arrays (i, j), i < j, of the broad phase's candidate
+    pairs in lexicographic order, and the mask of those that intersect may
+    report (_REPORTED). A pair outside the mask is one that intersect
+    calls Disjoint or AtSharedEndpoint.
+
+    The broad phase keeps the pairs whose bounding boxes overlap once each
+    box is padded by intersect's own acceptance bands, COINCIDENCE_EPS +
+    PARAM_EPS * length, and _BOX_SLACK. A pair whose padded boxes are
+    apart is one that intersect calls Disjoint in exact arithmetic. Only
+    rounding in intersect's parametric solve of a nearly parallel pair
+    could accept such a pair, at a point that lies on neither segment; the
+    index drops it.
+
+    The mask is a filtered predicate (Shewchuk 1997): it drops a pair only
+    where intersect's answer is clear. dot, cross, den, t and u below are
+    intersect's own IEEE expressions on the same coordinates, so they are
+    its values bit for bit. Only the lengths differ: _kernels.norms and
+    math.hypot each round a length to within a few ulps, so no test that
+    reads a length can flip under a bound twice intersect's.
+
+    - Edges with a common vertex w (by index: Net rejects distinct
+      vertices within COINCIDENCE_EPS, so this is intersect's coordinate
+      equality) leave w along legs a and b. intersect answers
+      AtSharedEndpoint when dot(a, b) <= 0, and also when
+      |cross(a, b)| / max(|a|, |b|) > COINCIDENCE_EPS. The mask drops
+      the first exactly and the second past 2 * COINCIDENCE_EPS.
+    - Other edges are Disjoint when they are not parallel, |den| >
+      _PARALLEL_EPS * len1 * len2, and their parametric t or u lies outside
+      [-PARAM_EPS, 1 + PARAM_EPS]. The mask drops them past twice the
+      parallel threshold, and outside [-2 * PARAM_EPS, 1 + 2 * PARAM_EPS]
+      for spare.
+    """
+    a = net.arrays
+    ends, pos = a.edges, a.pos
+    p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
+    length = _kernels.norms(p1 - p0)
+    pad = (COINCIDENCE_EPS + PARAM_EPS * length) * _BOX_SLACK
+    i, j = _box_pairs(np.minimum(p0, p1) - pad[:, None], np.maximum(p0, p1) + pad[:, None])
+    ei, ej = ends[i], ends[j]
+    same = (ei[:, :, None] == ej[:, None, :]).reshape(-1, 4)
+    shared = same.any(axis=1)
+    keep = np.ones(len(i), dtype=bool)
+
+    # column k of ei and column m of ej hold the common vertex w
+    s = np.flatnonzero(shared)
+    k, m = np.divmod(same[s].argmax(axis=1), 2)
+    w = pos[ei[s, k]]
+    la, lb = pos[ei[s, 1 - k]] - w, pos[ej[s, 1 - m]] - w
+    dot = la[:, 0] * lb[:, 0] + la[:, 1] * lb[:, 1]
+    cross = la[:, 0] * lb[:, 1] - la[:, 1] * lb[:, 0]
+    wide = np.abs(cross) > 2.0 * COINCIDENCE_EPS * np.maximum(length[i[s]], length[j[s]])
+    keep[s] = ~((dot <= 0.0) | wide)
+
+    n = np.flatnonzero(~shared)
+    p, r = pos[ei[n, 0]], pos[ej[n, 0]]
+    d1, d2, e = pos[ei[n, 1]] - p, pos[ej[n, 1]] - r, r - p
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (e[:, 0] * d2[:, 1] - e[:, 1] * d2[:, 0]) / den
+        u = (e[:, 0] * d1[:, 1] - e[:, 1] * d1[:, 0]) / den
+    band = 2.0 * PARAM_EPS
+    nonparallel = np.abs(den) > 2.0 * _PARALLEL_EPS * length[i[n]] * length[j[n]]
+    outside = (t < -band) | (t > 1.0 + band) | (u < -band) | (u > 1.0 + band)
+    keep[n] = ~(nonparallel & outside)
+    return i, j, keep
+
+
 def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
-    """Every pair of edges that meet, as (e1, e2, kind) with e1 before e2
-    in net.edges, in lexicographic order of the pair.
+    """Every pair of edges that cross, touch at an interior point or
+    overlap, as (e1, e2, kind) with e1 before e2 in net.edges, in
+    lexicographic order of the pair; kind is intersect's answer, one of
+    _REPORTED. Pairs that meet only at a shared endpoint are left out.
 
-    intersect decides only the pairs whose bounding boxes overlap once
-    each box is padded by intersect's own acceptance bands,
-    COINCIDENCE_EPS + PARAM_EPS * length, and _BOX_SLACK. A pair whose
-    padded boxes are apart is one that intersect calls Disjoint in exact
-    arithmetic. Only rounding in intersect's parametric solve of a nearly
-    parallel pair could accept such a pair, at a point that lies on
-    neither segment; the index drops it.
-
-    Edges with a common vertex have equal coordinates there (Net rejects
-    distinct vertices within COINCIDENCE_EPS), so intersect decides them
-    exactly.
+    intersect decides only the candidate pairs that _candidate_pairs
+    cannot rule out in numpy; see there for the bound argument. Each
+    Segment is built once, for the edges those pairs touch.
     """
     edges = net.edges
-    a = net.arrays
-    p, q = a.pos[a.edges[:, 0]], a.pos[a.edges[:, 1]]
-    pad = (COINCIDENCE_EPS + PARAM_EPS * _kernels.norms(q - p)) * _BOX_SLACK
-    lo = np.minimum(p, q) - pad[:, None]
-    hi = np.maximum(p, q) + pad[:, None]
-    segs = [net.segment(e) for e in edges]
-    for i, j in _box_pairs(lo, hi):
-        kind = intersect(segs[i], segs[j])
-        if not isinstance(kind, Disjoint):
-            yield edges[i], edges[j], kind
+    i, j, keep = _candidate_pairs(net)
+    i, j = i[keep].tolist(), j[keep].tolist()
+    segs = {k: net.segment(edges[k]) for k in {*i, *j}}
+    for k, m in zip(i, j):
+        kind = intersect(segs[k], segs[m])
+        if isinstance(kind, _REPORTED):
+            yield edges[k], edges[m], kind
 
 
 def _interior_param(seg: Segment, pt: Point) -> Optional[float]:
@@ -414,8 +475,7 @@ def planarize(net: Net) -> Net:
     for e1, e2, kind in _segment_pairs(net):
         if isinstance(kind, CollinearOverlap):
             raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
-        if isinstance(kind, (ProperCrossing, EndpointOnInterior)):
-            contacts.append((e1, e2, kind.point))
+        contacts.append((e1, e2, kind.point))
     if not contacts:
         return net
 

@@ -24,7 +24,14 @@ from geonets import (
     planarize,
     unit_vector,
 )
-from geonets.geom import COINCIDENCE_EPS, Disjoint, distance, intersect
+from geonets.geom import (
+    COINCIDENCE_EPS,
+    CollinearOverlap,
+    EndpointOnInterior,
+    ProperCrossing,
+    distance,
+    intersect,
+)
 
 
 def random_net(rng: random.Random) -> Net:
@@ -57,14 +64,15 @@ def random_net(rng: random.Random) -> Net:
 
 def all_segment_pairs(net: Net) -> List[Tuple[Edge, Edge, IntersectionKind]]:
     """Oracle for net._segment_pairs: intersect on every pair of edges, in
-    lexicographic order of the pair, keeping the pairs that meet."""
+    lexicographic order of the pair, keeping the pairs that cross, touch
+    at an interior point or overlap."""
     edges = net.edges
     segs = [net.segment(e) for e in edges]
     found = []
     for i, s1 in enumerate(segs):
         for j in range(i + 1, len(segs)):
             kind = intersect(s1, segs[j])
-            if not isinstance(kind, Disjoint):
+            if isinstance(kind, (ProperCrossing, EndpointOnInterior, CollinearOverlap)):
                 found.append((edges[i], edges[j], kind))
     return found
 

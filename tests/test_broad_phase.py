@@ -1,9 +1,12 @@
-"""The sort-and-sweep broad phase against all-pairs oracles.
+"""The sort-and-sweep broad phase and the segment-pair filter against
+all-pairs oracles.
 
 _segment_pairs and _close_pairs look up candidates through one box index,
 and Net's coincidence check, planarize's landing and the quarter-turn test
 take their point pairs from _close_pairs; these tests hold each to the
-answer of testing every pair.
+answer of testing every pair. _segment_pairs then drops in numpy the
+candidates that intersect would not report; the tests run intersect on
+each dropped pair, and on pairs at each margin of the filter.
 """
 
 import hashlib
@@ -13,15 +16,38 @@ import random
 import pytest
 
 import geonets.net
-from geonets import Net, Point, Vertex, VertexKind, edge_subnet, planarize, serialize, verify
-from geonets.geom import COINCIDENCE_EPS, PARAM_EPS, distance
-from geonets.net import CoincidentVertices, _close_pairs, _segment_pairs
+from geonets import (
+    Net,
+    OverlayEdges,
+    Point,
+    Vertex,
+    VertexKind,
+    build_overlay_net,
+    build_paper_net,
+    edge_subnet,
+    planarize,
+    relax,
+    serialize,
+    verify,
+)
+from geonets.geom import (
+    _PARALLEL_EPS,
+    COINCIDENCE_EPS,
+    PARAM_EPS,
+    AtSharedEndpoint,
+    CollinearOverlap,
+    Disjoint,
+    distance,
+    intersect,
+)
+from geonets.net import CoincidentVertices, _candidate_pairs, _close_pairs, _segment_pairs
 
 from helpers import (
     all_segment_pairs,
     chord_arrangement,
     first_coincident_pair,
     honeycomb,
+    pinned_paper16,
     random_net,
     raw_tripod_overlay,
     tripod_overlay,
@@ -98,7 +124,10 @@ def test_an_endpoint_about_param_eps_past_the_other_end(angle, factor, meets):
     ], angle))
     pairs = list(_segment_pairs(net))
     assert pairs == all_segment_pairs(net)
-    expected = [(("s00a", "s00b"), ("s01a", "s01b")), (("s02a", "s02b"), ("s03a", "s03b"))]
+    # s00 and s01 meet end to end, which _segment_pairs leaves out
+    kind = intersect(net.segment(("s00a", "s00b")), net.segment(("s01a", "s01b")))
+    assert isinstance(kind, AtSharedEndpoint if meets else Disjoint)
+    expected = [(("s02a", "s02b"), ("s03a", "s03b"))]
     assert [(e1, e2) for e1, e2, _ in pairs] == (expected if meets else [])
 
 
@@ -276,8 +305,6 @@ def test_planarized_tripod_overlay_is_pinned(n, s):
 
 
 def test_verify_decides_only_the_pairs_that_meet_on_a_honeycomb(monkeypatch):
-    net = honeycomb(8, 6)
-    meeting = len(all_segment_pairs(net))
     calls = []
     real = geonets.net.intersect
 
@@ -286,9 +313,113 @@ def test_verify_decides_only_the_pairs_that_meet_on_a_honeycomb(monkeypatch):
         return real(s1, s2)
 
     monkeypatch.setattr(geonets.net, "intersect", counted)
-    assert verify(net).passed
-    assert meeting > len(net.edges)
-    assert len(calls) == meeting
+    assert verify(honeycomb(8, 6)).passed
+    assert calls == []
+    # on a raw overlay intersect sees the real crossings and nothing else
+    raw = raw_tripod_overlay(8, 0)
+    crossings = all_segment_pairs(raw)
+    del calls[:]
+    assert len(verify(raw).unplanarized_crossings) == len(crossings) > 900
+    assert len(calls) == len(crossings)
+
+
+def _turned_net(net, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return Net([Vertex(v.id, Point(c * v.pos.x - s * v.pos.y, s * v.pos.x + c * v.pos.y), v.kind, v.label)
+                for v in net.vertices], net.edges)
+
+
+def _chord_nets():
+    for k in (6, 12, 24):
+        for s in range(3):
+            net, chords = chord_arrangement(k, s)
+            yield net
+            yield _net([((p.x, p.y), (q.x, q.y)) for p, q in chords])
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(lambda: [random_net(random.Random(s)) for s in range(60)], id="random"),
+    pytest.param(lambda: list(_chord_nets()), id="chords"),
+    pytest.param(lambda: [make(n, s) for make in (raw_tripod_overlay, tripod_overlay)
+                          for n in (6, 7, 8) for s in range(2)], id="tripod-overlays"),
+    pytest.param(lambda: [_turned_net(honeycomb(8, 6), a) for a in (0.0, 0.1, math.pi / 6, 1.0, -2.5)],
+                 id="honeycombs"),
+    pytest.param(lambda: [build_paper_net(), build_overlay_net()], id="fixtures"),
+    pytest.param(lambda: [relax(pinned_paper16(s, a)).net for s in range(3) for a in (0.01, 0.05)],
+                 id="relaxed-pinned-paper16"),
+])
+def test_the_filter_drops_only_pairs_that_intersect_leaves_unreported(family):
+    candidates = dropped = 0
+    for net in family():
+        segs = [net.segment(e) for e in net.edges]
+        i, j, keep = _candidate_pairs(net)
+        for k, m in zip(i[~keep].tolist(), j[~keep].tolist()):
+            assert isinstance(intersect(segs[k], segs[m]), (Disjoint, AtSharedEndpoint)), (k, m)
+        candidates += len(i)
+        dropped += int((~keep).sum())
+    assert dropped > candidates / 2
+
+
+def _assert_callers_follow_intersect(net):
+    """verify reports, and planarize acts on, exactly the pairs that
+    intersect reports."""
+    reported = all_segment_pairs(net)
+    overlays = [(e1, e2, k) for e1, e2, k in reported if isinstance(k, CollinearOverlap)]
+    contacts = [(e1, e2, k.point) for e1, e2, k in reported if not isinstance(k, CollinearOverlap)]
+    report = verify(net)
+    assert report.overlay_findings == overlays
+    assert report.unplanarized_crossings == contacts
+    if overlays:
+        with pytest.raises(OverlayEdges):
+            planarize(net)
+    elif not contacts:
+        assert planarize(net) is net
+    else:
+        planarize(net)
+    return reported
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7, -2.0])
+@pytest.mark.parametrize("short_first", [True, False])
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 3.0])
+def test_legs_from_one_vertex_about_coincidence_eps_from_one_line(factor, short_first, angle):
+    # Legs of length 1 and 2 leave w at an angle whose |cross| is factor *
+    # COINCIDENCE_EPS * 2; below factor 1 intersect calls them an overlay.
+    gap = math.asin(factor * COINCIDENCE_EPS)
+    legs = [(1.0, angle), (2.0, angle + gap)]
+    if not short_first:
+        legs.reverse()
+    net = Net(
+        [Vertex("w", Point(0.0, 0.0), U)]
+        + [Vertex(f"v{k}", Point(r * math.cos(a), r * math.sin(a)), U) for k, (r, a) in enumerate(legs)],
+        [("v0", "w"), ("v1", "w")],
+    )
+    kind = intersect(net.segment(("v0", "w")), net.segment(("v1", "w")))
+    assert isinstance(kind, CollinearOverlap if factor < 1 else AtSharedEndpoint)
+    assert _assert_callers_follow_intersect(net) == ([] if factor > 1 else [(("v0", "w"), ("v1", "w"), kind)])
+    _, _, keep = _candidate_pairs(net)
+    if factor <= 1.01:
+        assert keep.tolist() == [True]
+    elif factor == 3.0:
+        assert keep.tolist() == [False]
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+@pytest.mark.parametrize("start", [0.5, 1 + 0.5 * PARAM_EPS, 1 + 1.5 * PARAM_EPS, 1 + 3 * PARAM_EPS])
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 3.0])
+def test_segments_about_the_parallel_threshold_apart_in_direction(factor, start, angle):
+    # s01 (length 10) starts at parameter `start` of s00 (length 5) and
+    # leaves its line at a slope that puts |den| at factor * _PARALLEL_EPS
+    # * len1 * len2; its box still overlaps s00's at start 1 + 3 * PARAM_EPS.
+    rise = 10.0 * factor * _PARALLEL_EPS
+    net = _net(_turned([((0.0, 0.0), (5.0, 0.0)), ((5.0 * start, 0.0), (5.0 * start + 10.0, rise))], angle))
+    _assert_callers_follow_intersect(net)
+    _, _, keep = _candidate_pairs(net)
+    if factor <= 1.01:
+        assert keep.tolist() == [True]
+    if factor == 3.0 and angle == 0.0:
+        # t is exact here; turned, the near-parallel solve is not
+        assert keep.tolist() == [start < 1 + 2 * PARAM_EPS]
 
 
 def _chords(k, s):

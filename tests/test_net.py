@@ -24,6 +24,8 @@ from geonets import (
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
+from helpers import random_net
+
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
 
@@ -154,21 +156,22 @@ def test_arrays_view_of_empty_net():
 
 
 def test_segment_pairs_yield_meeting_pairs_in_order():
-    from geonets.geom import AtSharedEndpoint, Disjoint, ProperCrossing
+    from geonets.geom import ProperCrossing
     from geonets.net import _segment_pairs
 
+    # r-s crosses both diagonals; p1-p3 and p3-q meet only at p3, which
+    # is left out
     net = Net(
-        vertices=x_net().vertices + (_v("q", 5, 5),),
-        edges=x_net().edges + (("p3", "q"),),
+        vertices=x_net().vertices + (_v("q", 5, 5), _v("r", -2, 0.5), _v("s", 2, 0.5)),
+        edges=x_net().edges + (("p3", "q"), ("s", "r")),
     )
     pairs = list(_segment_pairs(net))
     assert [(e1, e2) for e1, e2, _ in pairs] == [
         (("p1", "p3"), ("p2", "p4")),
-        (("p1", "p3"), ("p3", "q")),
+        (("p1", "p3"), ("r", "s")),
+        (("p2", "p4"), ("r", "s")),
     ]
-    assert isinstance(pairs[0][2], ProperCrossing)
-    assert isinstance(pairs[1][2], AtSharedEndpoint)
-    assert not any(isinstance(k, Disjoint) for _, _, k in pairs)
+    assert all(isinstance(k, ProperCrossing) for _, _, k in pairs)
 
 
 def _chain(a, m, b):
@@ -329,6 +332,18 @@ def test_verify_flags_unbalanced_unbalanced_edge():
     report = verify(x_net())
     assert len(report.unbalanced_to_unbalanced_edges) == 2
     assert not report.passed
+
+
+def test_verify_lists_the_edges_between_two_pins_in_edge_order():
+    # random_net draws each vertex's kind at random
+    rng = random.Random(19)
+    found = 0
+    for _ in range(100):
+        net = random_net(rng)
+        expected = [e for e in net.edges if all(net.by_id[v].kind is U for v in e)]
+        assert verify(net).unbalanced_to_unbalanced_edges == expected
+        found += len(expected)
+    assert found > 50
 
 
 def test_verify_flags_unplanarized_crossing():
