@@ -83,13 +83,30 @@ def _backtrack(pos, free, edges, a, la, p, rp, step, c_armijo):
     return None, 0.0, _MAX_HALVINGS
 
 
-# The most free rows for which descent takes its step in the weighted
-# Laplacian metric. Each refresh inverts a dense (free x free) matrix and
-# each iterate multiplies by it, so the metric's cost grows as free^3 while
-# the iterations it saves do not. Relaxing perturbed honeycombs (+-0.05,
-# seeds 0-3, 2-vCPU VM), the metric took 0.56x BB2's time at 120 free
-# rows, 0.86x at 270, 1.01-1.03x at 304-340 and 1.32x at 396. Larger nets
-# take the identity metric.
+# The most free rows for which descent takes its step in the damped Newton
+# metric. Each iterate builds and solves a dense (2 free x 2 free) system,
+# whose cost grows as free^3, while the iterations it saves do not.
+# Relaxing perturbed honeycombs (+-0.05, seeds 0-3, 2-vCPU VM, ms), the
+# Laplacian metric this one replaced, then this metric, then the identity:
+#
+#   free rows   Laplacian   damped Newton   identity
+#          56        8-10             4-5      14-20
+#          90       12-15           10-12      18-30
+#         132       16-18           23-30      23-43
+#         182       23-35           43-46      36-62
+#         240       36-54           71-75      35-58
+#         270      45-136          92-104      34-69
+#         306       42-56         124-135      45-65
+#         340       60-75         142-161      46-80
+#
+# Tripod overlays (+-0.01, seeds 0-3) take the metric or do not converge:
+# plain BB2 stops at 20,000 iterations on overlay(6, 0) and overlay(7, 0)
+# (seed 0; residuals 6.3e-7 and 3.9e-8). Overlay(6, 0), 129 free rows,
+# took 432-515 ms with the Laplacian metric and 48-52 ms with this one;
+# overlay(7, 0), 347 free rows, 1,692-2,852 ms and 349-488 ms. So the
+# ceiling keeps overlay(7, 0) in the metric, at the cost of the honeycombs
+# between about 200 and 350 free rows, where the identity is faster.
+# Larger nets take the identity metric.
 _METRIC_MAX_FREE = 350
 
 
@@ -110,68 +127,100 @@ def reaches_all(n: int, sources, edges: np.ndarray) -> bool:
     return len(seen) == n
 
 
-def _metric_inverse(n: int, free: np.ndarray, edges: np.ndarray, la: np.ndarray) -> np.ndarray:
-    """Inverse of the weighted graph Laplacian L_w over the free rows, with
-    edge weights 1/la: row i holds the weights of i's edges on its diagonal
-    and minus each weight at the free row across that edge. Pins are
-    Dirichlet rows, so an edge to a pin adds only its diagonal term."""
+def _metric_index(n: int, free: np.ndarray, edges: np.ndarray):
+    """Where the entries of each edge's 2x2 block land in the dense
+    (2m x 2m) metric over the free coordinates, coordinate c of free row i
+    at 2i + c. Each edge (u, v) adds its block at the row pairs (u, u) and
+    (v, v) and subtracts it at (u, v) and (v, u); pairs that meet a pin
+    are dropped. Returns (slots, edge, sign, size): for each kept pair,
+    its edge and sign, and slots holding the flat positions of block
+    entries xx, xy, yx and yy in turn. It depends only on free and edges.
+    """
     m = free.size
     row = np.full(n, -1, dtype=np.int64)
     row[free] = np.arange(m)
     i, j = row[edges[:, 0]], row[edges[:, 1]]
-    w = 1.0 / la
     ii, jj = np.concatenate((i, j, i, j)), np.concatenate((i, j, j, i))
-    keep = (ii >= 0) & (jj >= 0)
-    lap = np.bincount(ii[keep] * m + jj[keep], np.concatenate((w, w, -w, -w))[keep], minlength=m * m)
-    return np.linalg.inv(lap.reshape(m, m))
+    keep = np.flatnonzero((ii >= 0) & (jj >= 0))
+    ii, jj = ii[keep], jj[keep]
+    slots = [(2 * ii + c) * (2 * m) + 2 * jj + d for c, d in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    edge = keep % edges.shape[0]
+    sign = np.where(keep < 2 * edges.shape[0], 1.0, -1.0)
+    return np.concatenate(slots), edge, sign, 2 * m
+
+
+def _metric(index, a: np.ndarray, la: np.ndarray, mu: float) -> np.ndarray:
+    """M = H + mu * L_w over the free coordinates, from the edge vectors a,
+    the lengths la and the slot index of _metric_index. H, the Hessian of
+    total length, has the block (I - u u^T) / length for an edge of unit
+    vector u, written as n n^T / length with n = (-u_y, u_x) so that no
+    cancellation in 1 - u_x^2 makes a diagonal entry negative; L_w, the
+    weighted graph Laplacian, has I / length. The damping is its own term,
+    mu / length, so that it survives however small mu is beside 1."""
+    slots, edge, sign, size = index
+    ln = la[edge]
+    w = sign / ln
+    ux, uy = a[edge, 0] / ln, a[edge, 1] / ln
+    xy = -ux * uy * w
+    vals = np.concatenate((uy * uy * w + mu * w, xy, xy, ux * ux * w + mu * w))
+    return np.bincount(slots, vals, minlength=size * size).reshape(size, size)
 
 
 def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
-    """Descent on total length over the rows in free, in the metric of the
-    weighted graph Laplacian L_w, with Barzilai-Borwein trial steps under a
-    monotone Armijo test.
+    """Descent on total length over the rows in free, along damped Newton
+    directions, with Barzilai-Borwein trial steps under a monotone Armijo
+    test.
 
-    The direction is p = L_w^-1 r, with r the residual (minus the gradient)
-    of the free rows and L_w the Laplacian over them with edge weights
-    1/length and the pins as Dirichlet rows. A step of 1 along p minimizes
-    the quadratic sum over edges of |x_u - x_v|^2 / (2 length), which
-    majorizes the total length: the network form of the Weiszfeld step.
-    L_w^-1 is built from the edge lengths when the first convergence test
-    fails, so a net that converges at once never builds it, and refreshed
-    only after an iterate whose trial step needed a halving. The metric is
+    Total length is a sum of norms of affine maps of the free positions,
+    so it is convex: its Hessian H, with the block (I - u u^T) / length
+    for each edge of unit vector u, is positive semidefinite. The
+    direction is p = M^-1 r, with r the residual (minus the gradient) of
+    the free rows and M = H + mu * L_w over their 2m coordinates, where
+    L_w is the weighted graph Laplacian with edge weights 1/length and the
+    pins as Dirichlet rows, and mu is the largest free residual norm, the
+    value the convergence test has just read (the regularized Newton
+    method of Li, Fukushima, Qi and Yamashita 2004). M is built only when
+    that test fails, so mu > tol >= 0; L_w is positive definite when every
+    free row reaches a pin, so M is too and p is a descent direction. Far
+    from a critical point mu * L_w keeps a stiffness 1/length along short
+    edges, where H alone has none along the edge; as mu -> 0 the step
+    becomes Newton's, which converges quadratically. M is rebuilt on every
+    iterate, from slot positions computed once per call. The metric is
     the identity (p = r, plain gradient descent) when there are more than
     _METRIC_MAX_FREE free rows, or when some free row has no path to a pin
     (then L_w is singular).
 
-    The trial step is BB2 in this metric, s.y / y.L_w^-1 y, with s the last
+    The trial step is BB2 in this metric, s.y / y.M^-1 y, with s the last
     accepted displacement of the free rows and y the change in the
-    gradient over it; step0 on the first iteration and whenever s.y <= 0.
-    BB2 is the shorter Barzilai-Borwein step, which the Armijo test
-    rejects less often. The Armijo test, decrease >= c_armijo * step * r.p,
-    backtracks from the trial step by halving; if every halving fails from
-    a BB step, the ladder is tried once more from step0. Each trace entry
-    is the previous one minus the decrease the Armijo test accepted, so
-    the length trace over accepted iterates never rises. The edge vectors
-    and lengths are evaluated once per iterate and serve the collision
-    test, the residual, the metric and every Armijo test.
+    gradient over it; one solve with M gives both p and M^-1 y. It is
+    step0 on the first iteration and whenever s.y <= 0. BB2 is the
+    shorter Barzilai-Borwein step, which the Armijo test rejects less
+    often. The Armijo test, decrease >= c_armijo * step * r.p, backtracks
+    from the trial step by halving; if every halving fails from a BB step,
+    the ladder is tried once more from step0. Each trace entry is the
+    previous one minus the decrease the Armijo test accepted, so the
+    length trace over accepted iterates never rises. The edge vectors and
+    lengths are evaluated once per iterate and serve the collision test,
+    the residual, the metric and every Armijo test.
 
     Returns (positions, accepted steps, length trace, stop reason,
     halvings, residual, refreshes). Each iterate is tested in this order:
     "collided" (an edge is shorter than min_sep), "converged" (largest
     free residual norm at most tol), "max_iter", and "stalled" (no
-    acceptable step from step0, or an accepted step too small to change
-    any position, which is not counted); halvings counts every failed
-    Armijo test. residual is the largest free residual norm the
-    convergence test last read (inf if the first iterate collided), and
-    refreshes counts the inversions of L_w (0 with the identity metric).
+    acceptable step from step0, M singular in floating point, or an
+    accepted step too small to change any position, which is not
+    counted); halvings counts every failed Armijo test. residual is the
+    largest free residual norm the convergence test last read (inf if the
+    first iterate collided), and refreshes counts the builds of M (0 with
+    the identity metric).
     """
     pos = pos.copy()
     trace = [net_length(pos, edges)]
     accepted = halvings = refreshes = 0
     s = r_prev = None
     residual = np.inf
+    index = None  # the metric's slot index, once descent takes the metric
     metric = None  # None until the first direction; then True or False
-    inverse = None
     while True:
         a, la = _edge_vectors(pos, edges)
         if la.min(initial=np.inf) < min_sep:
@@ -190,16 +239,29 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
             pinned[free] = False
             metric = free.size <= _METRIC_MAX_FREE and reaches_all(
                 pos.shape[0], np.flatnonzero(pinned).tolist(), edges)
-        if metric and inverse is None:
-            inverse = _metric_inverse(pos.shape[0], free, edges, la)
+            if metric:
+                index = _metric_index(pos.shape[0], free, edges)
+        y = None if s is None else r_prev - rf
+        if metric:
+            rhs = rf.reshape(-1, 1) if y is None else np.stack((rf.ravel(), y.ravel()), axis=1)
+            m = _metric(index, a, la, residual)
             refreshes += 1
-        p = rf if inverse is None else inverse @ rf
+            try:
+                solved = np.linalg.solve(m, rhs)
+            except np.linalg.LinAlgError:
+                # a pivot rounded to zero: mu / length is down at the
+                # rounding level of H, as where H is singular along a
+                # straight chain, and no step can be resolved
+                stop = "stalled"
+                break
+            p = solved[:, 0].reshape(rf.shape)
+        else:
+            p = rf
         trial = step0
-        if s is not None:
-            y = r_prev - rf
+        if y is not None:
             sy = float((s * y).sum())
             if sy > 0.0:
-                hy = y if inverse is None else inverse @ y
+                hy = solved[:, 1].reshape(y.shape) if metric else y
                 trial = sy / float((y * hy).sum())
         rp = float((rf * p).sum())
         delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial, c_armijo)
@@ -216,8 +278,6 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
         s, r_prev = delta[free], rf
         accepted += 1
         trace.append(trace[-1] - dec)
-        if halved:
-            inverse = None
     return pos, accepted, trace, stop, halvings, residual, refreshes
 
 

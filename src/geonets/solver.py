@@ -3,14 +3,18 @@
 The total edge length of a net, viewed as a function of the balanced
 vertex positions with pins held fixed, has gradient equal to minus the
 balance residual at each balanced vertex, so critical points are exactly
-the balanced configurations. Relaxation descends along L_w^-1 r, the
-residual r in the metric of the weighted graph Laplacian L_w (edge weights
-1/length, pins as Dirichlet rows): the network form of the Weiszfeld step
-(W. D. Smith 1992, Algorithmica 7). Step lengths are short
-Barzilai-Borwein steps in that metric (Molina & Raydan 1996) under a
-monotone backtracking line search. Nets with more free vertices than a
-measured ceiling, or with a free vertex that no path joins to a pin, take
-the identity metric: plain gradient descent with the same steps.
+the balanced configurations. Total length is a sum of norms of affine
+maps of those positions, so it is convex, and its Hessian H is positive
+semidefinite. Relaxation descends along damped Newton directions
+(H + mu L_w)^-1 r, with r the residual, L_w the weighted graph Laplacian
+(edge weights 1/length, pins as Dirichlet rows) and mu the largest
+residual norm: the regularized Newton method of Li, Fukushima, Qi and
+Yamashita (2004, Comput. Optim. Appl. 28), which converges quadratically
+even where H is singular. Step lengths are short Barzilai-Borwein steps
+in that metric (Molina & Raydan 1996) under a monotone backtracking line
+search. Nets with more free vertices than a measured ceiling, or with a
+free vertex that no path joins to a pin, take the identity metric: plain
+gradient descent with the same steps.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class RelaxResult:
     length_trace: Tuple[float, ...]
     stop_reason: str  # "converged", "stalled" or "max_iter"
     halvings: int  # backtracking halvings over the whole descent
-    refreshes: int  # inversions of the weighted Laplacian metric
+    refreshes: int  # builds of the damped Newton metric H + mu L_w, one per iterate
 
 
 def total_length(net: Net) -> float:
@@ -77,35 +81,39 @@ def relax(
 ) -> RelaxResult:
     """Descent on total length over the balanced vertices.
 
-    Each iteration moves all balanced vertices along p = L_w^-1 r, where r
-    holds their residuals and L_w is the weighted graph Laplacian over
-    them, with weight 1/length on each edge and the pins as Dirichlet
-    rows; a step of 1 along p is the network Weiszfeld step. L_w^-1 is
-    built, densely, only once the first convergence test fails, and
-    rebuilt from the current lengths only after an iteration whose trial
-    step needed a halving; the result's refreshes counts these builds.
-    Nets with more than 350 balanced vertices, or with a balanced vertex
-    that no path joins to a pin (L_w is then singular), take the identity
-    metric, p = r, and refreshes is 0.
+    Each iteration moves all balanced vertices along p = M^-1 r, where r
+    holds their residuals and M = H + mu L_w over their coordinates: H is
+    the Hessian of total length, positive semidefinite since the length is
+    convex; L_w is the weighted graph Laplacian over them, with weight
+    1/length on each edge and the pins as Dirichlet rows; and mu is the
+    largest residual norm, which the convergence test has just found above
+    tol. M is then positive definite, so p is a descent direction; mu L_w
+    keeps short edges stiff far from balance, and as mu -> 0 the step
+    becomes Newton's. M is built densely, only once the first convergence
+    test fails, and afresh on every iteration; the result's refreshes
+    counts these builds. Nets with more than 350 balanced vertices, or with
+    a balanced vertex that no path joins to a pin (L_w is then singular),
+    take the identity metric, p = r, and refreshes is 0.
 
     The trial step is the short Barzilai-Borwein step in this metric,
-    s.y / y.L_w^-1 y, from the last accepted move (s the change in
+    s.y / y.M^-1 y, from the last accepted move (s the change in
     positions, y the change in gradient). `step` is the first trial step
-    in the L_w metric: the trial step on the first iteration and whenever
+    in the metric: the trial step on the first iteration and whenever
     s.y <= 0, and the fallback when backtracking from the BB step fails.
     The step is halved until the Armijo sufficient-decrease test, along
     p, holds.
 
     Stops when the largest residual norm is at most tol ("converged"),
-    when no acceptable step exists from `step` or an accepted step is too
-    small to change any position ("stalled"; that step is not counted),
-    or after max_iter accepted steps ("max_iter"); the reason is the
-    result's stop_reason. final_residual is the norm the convergence test
-    last read, at the returned net. Each length trace entry is the
-    previous one minus the decrease the Armijo test accepted, so the trace
-    never rises. Raises VertexCollision, naming the shortest edge, if the
-    descent path collapses an edge, and ValueError unless step is finite
-    and positive and tol finite and nonnegative.
+    when no acceptable step exists from `step`, the metric is singular in
+    floating point (the residual is down at rounding level), or an
+    accepted step is too small to change any position ("stalled"; that
+    step is not counted), or after max_iter accepted steps ("max_iter");
+    the reason is the result's stop_reason. final_residual is the norm
+    the convergence test last read, at the returned net. Each length trace
+    entry is the previous one minus the decrease the Armijo test accepted,
+    so the trace never rises. Raises VertexCollision, naming the shortest
+    edge, if the descent path collapses an edge, and ValueError unless
+    step is finite and positive and tol finite and nonnegative.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")

@@ -251,7 +251,7 @@ def test_relax_writes_summary_and_outputs(tmp_path, capsys):
     text = trace_out.read_bytes()
     assert text == (json.dumps(trace) + "\n").encode()
     assert hashlib.sha256(text).hexdigest() == (
-        "bd7a91ad3e2a2524c56a0240e8b1767f0d59a909ee9060de2f026c15fc455f31"
+        "bd0af34f95f4c8303d48ebb5904e3af04fd2fde0eb1c73f268691a4e73b819dc"
     )
 
 

@@ -101,6 +101,28 @@ def test_descend_reports_a_stall(tripod_net):
     assert len(trace) == 1
 
 
+def test_damped_newton_metric_is_positive_definite():
+    # M = H + mu * L_w with mu the largest free residual norm: H is
+    # positive semidefinite, since total length is convex, and L_w positive
+    # definite once every free vertex reaches a pin, so Cholesky succeeds
+    checked = 0
+    for seed in range(300):
+        arr = random_net(random.Random(seed)).arrays
+        n = arr.pos.shape[0]
+        pins = np.setdiff1d(np.arange(n), arr.free).tolist()
+        if not arr.free.size or not _kernels.reaches_all(n, pins, arr.edges):
+            continue
+        a, la = _kernels._edge_vectors(arr.pos, arr.edges)
+        mu = float(_kernels.norms(_kernels.residuals(arr.pos, arr.edges)[arr.free]).max())
+        assert mu > 0.0
+        m = _kernels._metric(_kernels._metric_index(n, arr.free, arr.edges), a, la, mu)
+        assert m.shape == (2 * arr.free.size,) * 2
+        assert np.array_equal(m, m.T)
+        np.linalg.cholesky(m)
+        checked += 1
+    assert checked > 200
+
+
 def _reaches_all_by_closure(n, sources, edges):
     """Oracle for reaches_all: the transitive closure of the adjacency
     matrix, squared until it stops growing."""
