@@ -13,6 +13,8 @@ import numpy as np
 BACKEND = "numpy"
 
 _MAX_HALVINGS = 60
+_ARMIJO_C = 1e-4
+_MIN_SEP = 1e-9  # geom.COINCIDENCE_EPS, which _kernels cannot import
 
 
 def norms(v: np.ndarray) -> np.ndarray:
@@ -65,7 +67,7 @@ def _decrease(a: np.ndarray, la: np.ndarray, delta: np.ndarray, edges: np.ndarra
     return float((num / (la + lb)).sum())
 
 
-def _backtrack(pos, free, edges, a, la, p, rp, step, c_armijo):
+def _backtrack(pos, free, edges, a, la, p, rp, step):
     """Halve step until the Armijo sufficient-decrease test holds along the
     direction p of the free rows, with rp the residual's inner product
     with p; a and la are the edge vectors and lengths at pos.
@@ -77,7 +79,7 @@ def _backtrack(pos, free, edges, a, la, p, rp, step, c_armijo):
     for failed in range(_MAX_HALVINGS):
         delta[free] = step * p
         dec = _decrease(a, la, delta, edges)
-        if dec >= c_armijo * step * rp:
+        if dec >= _ARMIJO_C * step * rp:
             return delta, dec, failed
         step *= 0.5
     return None, 0.0, _MAX_HALVINGS
@@ -166,7 +168,7 @@ def _metric(index, a: np.ndarray, la: np.ndarray, mu: float) -> np.ndarray:
     return np.bincount(slots, vals, minlength=size * size).reshape(size, size)
 
 
-def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
+def descend(pos, free, edges, step0, tol, max_iter):
     """Descent on total length over the rows in free, along damped Newton
     directions, with Barzilai-Borwein trial steps under a monotone Armijo
     test.
@@ -195,7 +197,7 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     gradient over it; one solve with M gives both p and M^-1 y. It is
     step0 on the first iteration and whenever s.y <= 0. BB2 is the
     shorter Barzilai-Borwein step, which the Armijo test rejects less
-    often. The Armijo test, decrease >= c_armijo * step * r.p, backtracks
+    often. The Armijo test, decrease >= _ARMIJO_C * step * r.p, backtracks
     from the trial step by halving; if every halving fails from a BB step,
     the ladder is tried once more from step0. Each trace entry is the
     previous one minus the decrease the Armijo test accepted, so the
@@ -205,7 +207,7 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
 
     Returns (positions, accepted steps, length trace, stop reason,
     halvings, residual, refreshes). Each iterate is tested in this order:
-    "collided" (an edge is shorter than min_sep), "converged" (largest
+    "collided" (an edge is shorter than _MIN_SEP), "converged" (largest
     free residual norm at most tol), "max_iter", and "stalled" (no
     acceptable step from step0, M singular in floating point, or an
     accepted step too small to change any position, which is not
@@ -223,7 +225,7 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
     metric = None  # None until the first direction; then True or False
     while True:
         a, la = _edge_vectors(pos, edges)
-        if la.min(initial=np.inf) < min_sep:
+        if la.min(initial=np.inf) < _MIN_SEP:
             stop = "collided"
             break
         rf = _unit_sums(pos.shape[0], edges, a, la)[free]
@@ -264,10 +266,10 @@ def descend(pos, free, edges, step0, tol, c_armijo, max_iter, min_sep):
                 hy = solved[:, 1].reshape(y.shape) if metric else y
                 trial = sy / float((y * hy).sum())
         rp = float((rf * p).sum())
-        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial, c_armijo)
+        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial)
         halved = failed
         if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0, c_armijo)
+            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0)
             halved += failed
         halvings += halved
         moved = None if delta is None else pos + delta

@@ -161,6 +161,16 @@ def _in_endpoint_band(t: float) -> bool:
     return t <= PARAM_EPS or t >= 1.0 - PARAM_EPS
 
 
+def _in_range(t: float) -> bool:
+    return -PARAM_EPS <= t <= 1.0 + PARAM_EPS
+
+
+def _projected_param(seg: Segment, pt: Point) -> float:
+    """Parametric coordinate of pt's orthogonal projection onto seg's line."""
+    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
+    return ((pt.x - seg.p.x) * dx + (pt.y - seg.p.y) * dy) / (dx * dx + dy * dy)
+
+
 def _from_shared_endpoint(p: Point, q: Point, r: Point, s: Point) -> Optional[IntersectionKind]:
     """intersect's answer for segments p-q and r-s with an endpoint w in
     common (equal coordinates), else None. Both tests read the two
@@ -200,6 +210,12 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     they overlap along the shorter segment when both leave w on the same
     side and the far end of the shorter lies within COINCIDENCE_EPS of the
     longer one's line, and otherwise meet only at w (AtSharedEndpoint).
+
+    Near parallel the solve's t and u carry rounding far above PARAM_EPS,
+    so an endpoint contact is confirmed by projecting the endpoint onto the
+    other segment. Outside [-PARAM_EPS, 1 + PARAM_EPS] the pair is Disjoint;
+    in an end band the two ends meet (AtSharedEndpoint) once the other
+    end's projection is confirmed the same way.
     """
     p, q = s1.p, s1.q
     r, s = s2.p, s2.q
@@ -218,9 +234,7 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
         off_s = abs(d1x * (s.y - p.y) - d1y * (s.x - p.x)) / len1
         if off_r > COINCIDENCE_EPS or off_s > COINCIDENCE_EPS:
             return Disjoint()
-        inv = 1.0 / (len1 * len1)
-        t_r = (d1x * (r.x - p.x) + d1y * (r.y - p.y)) * inv
-        t_s = (d1x * (s.x - p.x) + d1y * (s.y - p.y)) * inv
+        t_r, t_s = _projected_param(s1, r), _projected_param(s1, s)
         lo, hi = (t_r, t_s) if t_r <= t_s else (t_s, t_r)
         lo = max(lo, 0.0)
         hi = min(hi, 1.0)
@@ -236,14 +250,15 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     ex, ey = r.x - p.x, r.y - p.y
     t = (ex * d2y - ey * d2x) / den
     u = (ex * d1y - ey * d1x) / den
-    if t < -PARAM_EPS or t > 1.0 + PARAM_EPS or u < -PARAM_EPS or u > 1.0 + PARAM_EPS:
+    if not (_in_range(t) and _in_range(u)):
         return Disjoint()
     t_end = _in_endpoint_band(t)
     u_end = _in_endpoint_band(u)
-    if t_end and u_end:
-        return AtSharedEndpoint(_snap_endpoint(s1, t))
-    if t_end:
-        return EndpointOnInterior(_snap_endpoint(s1, t))
-    if u_end:
-        return EndpointOnInterior(_snap_endpoint(s2, u))
-    return ProperCrossing(_point_on(s1, t))
+    if not (t_end or u_end):
+        return ProperCrossing(_point_on(s1, t))
+    end1, end2 = _snap_endpoint(s1, t), _snap_endpoint(s2, u)
+    u1, t2 = _projected_param(s2, end1), _projected_param(s1, end2)
+    both = t_end and (u_end or _in_endpoint_band(u1)) or u_end and _in_endpoint_band(t2)
+    if (t_end or both) and not _in_range(u1) or (u_end or both) and not _in_range(t2):
+        return Disjoint()
+    return AtSharedEndpoint(end1) if both else EndpointOnInterior(end1 if t_end else end2)

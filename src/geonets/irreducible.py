@@ -24,6 +24,8 @@ a state when it holds every chosen edge at the vertex and no ruled-out
 one; the edges every fitting subset holds are forced in, and the edges
 none holds are forced out. A branch picks one fitting subset m at a
 vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
+The search branches at the first balanced vertex of the lowest open edge,
+one neither chosen nor ruled out; a state with no open edge is complete.
 """
 
 from __future__ import annotations
@@ -284,6 +286,10 @@ def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]
     The stack holds (ins, outs, queue) states, each propagated from its
     queue when popped: the root from every vertex of the class, a branch
     from the vertices at the edges it decided. Only the root is traced.
+    A propagated state branches over the fitting subsets of the first
+    balanced vertex at its lowest open edge. verify rejects edges between
+    two pins, so that vertex exists, and a state with no open edge has no
+    open balanced vertex: it is complete.
     """
     seed = ctx.edges[_lowest(cls)]
     root = list(dict.fromkeys(w for r in _rows(cls) for w in ctx.vertices_of[r]))
@@ -302,16 +308,13 @@ def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]
         if ins == ctx.full:
             _conflict(log, seed, None, "propagation selects every edge; the subnet is not proper")
             continue
-        free = ~(ins | outs)
-        fitting = {k: _fitting(ctx, k, ins, outs)
-                   for k, inc in enumerate(ctx.inc_bits) if inc & free}
-        if not fitting:
+        free = ctx.full & ~(ins | outs)
+        if not free:
             return ins
-        # Fewest fitting subsets first; min keeps the first in balanced order.
-        k = min(fitting, key=lambda k: len(fitting[k]))
+        k = ctx.vertices_of[_lowest(free)][0]
         inc = ctx.inc_bits[k]
         decided = list(dict.fromkeys(w for r in _rows(inc & free) for w in ctx.vertices_of[r]))
-        for m in reversed(fitting[k]):
+        for m in reversed(_fitting(ctx, k, ins, outs)):
             stack.append((ins | m, outs | inc & ~m, decided))
         branched = True
     if branched:

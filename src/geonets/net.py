@@ -28,6 +28,7 @@ from .geom import (
     ProperCrossing,
     Segment,
     Vec,
+    _projected_param,
     distance,
     intersect,
     rotate,
@@ -444,16 +445,6 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
             yield edges[k], edges[m], kind
 
 
-def _interior_param(seg: Segment, pt: Point) -> Optional[float]:
-    """Parametric coordinate of pt along seg if strictly interior, else None."""
-    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-    ll = dx * dx + dy * dy
-    t = ((pt.x - seg.p.x) * dx + (pt.y - seg.p.y) * dy) / ll
-    if PARAM_EPS < t < 1.0 - PARAM_EPS:
-        return t
-    return None
-
-
 def planarize(net: Net) -> Net:
     """Subdivide edges so they meet only at vertices.
 
@@ -501,8 +492,8 @@ def planarize(net: Net) -> Net:
             vtx = owner[nv + k] = Vertex(next(fresh), pt, VertexKind.BALANCED)
             minted.append(vtx)
         for e in (e1, e2):
-            t = _interior_param(net.segment(e), vtx.pos)
-            if t is not None:
+            t = _projected_param(net.segment(e), vtx.pos)
+            if PARAM_EPS < t < 1.0 - PARAM_EPS:
                 cuts.setdefault(e, {}).setdefault(vtx.id, t)
 
     if not cuts:

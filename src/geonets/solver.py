@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
 from .net import DEFAULT_TOL, CoincidentVertices, Net, Vertex, _check_tol
-
-_ARMIJO_C = 1e-4
 
 
 class VertexCollision(RuntimeError):
@@ -91,9 +91,11 @@ def relax(
     keeps short edges stiff far from balance, and as mu -> 0 the step
     becomes Newton's. M is built densely, only once the first convergence
     test fails, and afresh on every iteration; the result's refreshes
-    counts these builds. Nets with more than 350 balanced vertices, or with
-    a balanced vertex that no path joins to a pin (L_w is then singular),
-    take the identity metric, p = r, and refreshes is 0.
+    counts these builds. Nets with more balanced vertices than
+    _kernels._METRIC_MAX_FREE, or with one that no path joins to a pin
+    (L_w is then singular), take the identity metric, p = r, and
+    refreshes is 0. A balanced vertex with no edge stays put and does not
+    veto the metric.
 
     The trial step is the short Barzilai-Borwein step in this metric,
     s.y / y.M^-1 y, from the last accepted move (s the change in
@@ -122,8 +124,10 @@ def relax(
         raise ValueError("max_iter must be nonnegative")
 
     a = net.arrays
+    # An edgeless balanced vertex never moves, and no path joins it to a pin.
+    free = a.free[np.bincount(a.edges.ravel(), minlength=len(a.ids))[a.free] > 0]
     out_pos, accepted, trace, stop, halvings, final, refreshes = _kernels.descend(
-        a.pos, a.free, a.edges, float(step), float(tol), _ARMIJO_C, int(max_iter), COINCIDENCE_EPS
+        a.pos, free, a.edges, float(step), float(tol), int(max_iter)
     )
     if stop == "collided":
         d = out_pos[a.edges[:, 1]] - out_pos[a.edges[:, 0]]

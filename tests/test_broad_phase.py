@@ -404,7 +404,7 @@ def test_legs_from_one_vertex_about_coincidence_eps_from_one_line(factor, short_
         assert keep.tolist() == [False]
 
 
-@pytest.mark.parametrize("angle", [0.0, 0.7])
+@pytest.mark.parametrize("angle", [0.0, 0.7, 1.3, 2.9])
 @pytest.mark.parametrize("start", [0.5, 1 + 0.5 * PARAM_EPS, 1 + 1.5 * PARAM_EPS, 1 + 3 * PARAM_EPS])
 @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 3.0])
 def test_segments_about_the_parallel_threshold_apart_in_direction(factor, start, angle):
@@ -414,6 +414,12 @@ def test_segments_about_the_parallel_threshold_apart_in_direction(factor, start,
     rise = 10.0 * factor * _PARALLEL_EPS
     net = _net(_turned([((0.0, 0.0), (5.0, 0.0)), ((5.0 * start, 0.0), (5.0 * start + 10.0, rise))], angle))
     _assert_callers_follow_intersect(net)
+    if start > 1 + PARAM_EPS:
+        # s01's start projects past s00's end, however the near-parallel
+        # solve rounds t and u
+        assert isinstance(intersect(*map(net.segment, net.edges)), Disjoint)
+        report = verify(planarize(net))
+        assert report.unplanarized_crossings == [] and report.overlay_findings == []
     _, _, keep = _candidate_pairs(net)
     if factor <= 1.01:
         assert keep.tolist() == [True]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -426,6 +427,43 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert isinstance(cert, Reducible)
     assert len(cert.witness) == 16
     assert verify(edge_subnet(net, cert.witness), min_balanced_degree=1).passed
+
+
+def test_search_fits_each_node_once(monkeypatch):
+    # _propagate fits once per node it charges, and each branch point once
+    # more: a branched state charges a node, and each seeded class's root
+    # is the one branch point that charges none.
+    counts = {"fitting": 0, "nodes": 0, "classes": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(irreducible, "_fitting", counted("fitting", irreducible._fitting))
+    monkeypatch.setattr(irreducible._Ctx, "charge", counted("nodes", irreducible._Ctx.charge))
+    monkeypatch.setattr(irreducible, "_search", counted("classes", irreducible._search))
+    find_proper_subnet(tripod_overlay(7, 0))
+    assert counts["nodes"] > 1000
+    assert counts["fitting"] <= counts["nodes"] + counts["classes"]
+
+
+# sha256 over (verdict, trace or sorted witness, tol_margin) of each net
+# below that verifies, as the search gave it when it branched at the vertex
+# with the fewest fitting subsets
+SEARCH_SHA256 = "4ad7c10ad10bc6029e44de8f9ae95b8cc00307e977423bf2906f4b0f36fb21ee"
+
+
+def test_certificates_do_not_depend_on_the_branch_vertex():
+    nets = [chord_arrangement(k, s)[0] for k in (4, 6, 8, 12) for s in range(10)]
+    nets += [tripod_overlay(n, s) for n in (6, 7) for s in range(3)]
+    digest = hashlib.sha256()
+    for net in filter(lambda net: verify(net).passed, nets):
+        cert = find_proper_subnet(net)
+        body = cert.trace if isinstance(cert, Irreducible) else sorted(cert.witness)
+        digest.update(repr((type(cert).__name__, body, cert.tol_margin)).encode())
+    assert digest.hexdigest() == SEARCH_SHA256
 
 
 def _hand_ctx(n, tables):

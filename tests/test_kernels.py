@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from geonets import _kernels, build_paper_net
+from geonets import COINCIDENCE_EPS, _kernels, build_paper_net
 
 from helpers import honeycomb, random_net
 
@@ -79,18 +79,24 @@ def test_residuals_and_length_match_per_edge_sums():
 
 def test_descend_is_deterministic(paper_net):
     arr = paper_net.arrays
-    a = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
-    b = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 1e-4, 100, 1e-9)
+    a = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 100)
+    b = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 100)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(np.asarray(a[2]), np.asarray(b[2]))
 
 
-def test_descend_reports_a_stall(tripod_net):
+def test_descent_collides_at_the_coincidence_distance():
+    # _kernels sits at geom's layer and keeps its own copy of the constant
+    assert _kernels._MIN_SEP == COINCIDENCE_EPS
+
+
+def test_descend_reports_a_stall(tripod_net, monkeypatch):
     arr = tripod_net.arrays
     pos = arr.pos.copy()
     pos[arr.free] += 0.3
     # no step can decrease the length by a million times the first-order model
-    out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 1e6, 100, 1e-9)
+    monkeypatch.setattr(_kernels, "_ARMIJO_C", 1e6)
+    out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 100)
     _, accepted, trace, stop, halvings, residual, refreshes = out
     assert (accepted, stop) == (0, "stalled")
     # the metric is built once, when the first convergence test fails

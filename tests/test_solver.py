@@ -18,6 +18,7 @@ from geonets import (
     VertexCollision,
     balance_residual,
     build_fermat_tripod,
+    build_paper_net,
     distance,
     fermat_point,
     find_proper_subnet,
@@ -469,6 +470,24 @@ def test_perturbed_tripod_overlay_relaxes_and_verifies():
     assert result.iterations < 100
     assert result.refreshes > 0
     assert verify(result.net).passed
+
+
+@pytest.mark.parametrize(
+    "make, amplitude",
+    [(build_paper_net, 0.014), (lambda: tripod_overlay(6, 0), 0.01)],
+    ids=["paper16", "overlay6"],
+)
+def test_an_isolated_balanced_vertex_does_not_veto_the_metric(make, amplitude):
+    # With the stray vertex z as a free row, no path joined every row to a
+    # pin, and the whole net took plain BB2: 275 iterations on paper16,
+    # and 20,000 without converging on overlay(6, 0).
+    start = _perturbed(make(), 0, amplitude)
+    stray = Net([*start.vertices, Vertex("z", Point(40.0, 40.0), B)], start.edges)
+    base, result = relax(start), relax(stray, max_iter=20_000)
+    assert result.stop_reason == "converged"
+    assert (result.iterations, result.refreshes) == (base.iterations, base.refreshes)
+    assert result.net.vertex("z").pos == Point(40.0, 40.0)
+    assert all(result.net.vertex(v.id).pos == v.pos for v in base.net.vertices)
 
 
 def test_relax_imports_no_scipy(paper_net):
