@@ -3,7 +3,7 @@ gradient descent and balanced-subset enumeration; and reaches_all, the one
 graph search, for verify's connectivity and descent's pin reachability.
 
 A net enters as a (V, 2) float64 position array and an (E, 2) int64 array
-of vertex-index pairs, as held by `Net.arrays`.
+of vertex-index pairs, as held by `Net.pos` and `Net.ends`.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .irreducible import (
     SearchBudgetExceeded,
     find_proper_subnet,
 )
-from .net import DEFAULT_TOL, VertexKind, edge_subnet, verify
+from .net import DEFAULT_TOL, edge_subnet, verify
 from .render import render_svg
 from .solver import VertexCollision, relax
 
@@ -87,10 +87,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(_report_json(report))
     else:
-        balanced = sum(1 for v in net.vertices if v.kind is VertexKind.BALANCED)
+        balanced = len(net.free)
         print(
-            f"vertices: {len(net.vertices)} "
-            f"({balanced} balanced, {len(net.vertices) - balanced} unbalanced)"
+            f"vertices: {len(net.ids)} "
+            f"({balanced} balanced, {len(net.ids) - balanced} unbalanced)"
         )
         print(f"edges: {len(net.edges)}")
         print(f"max residual: {report.max_residual:.3e} (tol {args.tol:g})")

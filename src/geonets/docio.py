@@ -19,7 +19,7 @@ json's pure-Python encoder, and a test checks the two against each other.
 
 Structural problems raise ParseError with the offending field;
 net-level rule violations (duplicate edges, coincident vertices) surface
-as InvariantViolation from the Net constructor.
+as InvariantViolation from the checks every Net passes.
 """
 
 from __future__ import annotations
@@ -27,30 +27,29 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, List
+from typing import Any, List, Optional, Tuple
 
-from .geom import Point
-from .net import Net, Vertex, VertexKind
+from .net import Net, VertexKind
 
 FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in VertexKind}
-_KIND_TEXT = {k: _string(k.value) for k in VertexKind}
+_KIND_TEXT = {k is VertexKind.BALANCED: _string(k.value) for k in VertexKind}
 
 
 class ParseError(ValueError):
     """Malformed net document."""
 
 
-def _vertex_text(v: Vertex) -> str:
-    # Net holds str ids and labels, a VertexKind and Points of floats.
-    label = "" if v.label is None else ',\n      "label": ' + _string(v.label)
+def _vertex_text(vid: str, x: float, y: float, balanced: bool, label: Optional[str]) -> str:
+    # Net holds str ids and labels and float coordinates.
+    label_text = "" if label is None else ',\n      "label": ' + _string(label)
     return (
-        '    {\n      "id": ' + _string(v.id)
-        + ',\n      "x": ' + float.__repr__(v.pos.x)
-        + ',\n      "y": ' + float.__repr__(v.pos.y)
-        + ',\n      "kind": ' + _KIND_TEXT[v.kind]
-        + label + "\n    }"
+        '    {\n      "id": ' + _string(vid)
+        + ',\n      "x": ' + float.__repr__(x)
+        + ',\n      "y": ' + float.__repr__(y)
+        + ',\n      "kind": ' + _KIND_TEXT[balanced]
+        + label_text + "\n    }"
     )
 
 
@@ -59,7 +58,8 @@ def _list_text(rows: List[str]) -> str:
 
 
 def serialize(net: Net) -> str:
-    vertices = [_vertex_text(v) for v in net.vertices]
+    rows = zip(net.ids, net.pos.tolist(), net.balanced.tolist(), net.labels)
+    vertices = [_vertex_text(vid, x, y, b, label) for vid, (x, y), b, label in rows]
     edges = [
         "    [\n      " + _string(u) + ",\n      " + _string(v) + "\n    ]"
         for u, v in net.edges
@@ -93,8 +93,9 @@ def _coordinate(row: dict, key: str, n: int) -> float:
     return value
 
 
-def _vertex(row: Any, n: int) -> Vertex:
-    """Vertex row n, its fields checked in the order id, x, y, kind, label."""
+def _vertex(row: Any, n: int) -> Tuple[str, Tuple[float, float], bool, Optional[str]]:
+    """Vertex row n as its id, (x, y), whether it is balanced and its
+    label, its fields checked in the order id, x, y, kind, label."""
     if type(row) is not dict:
         raise ParseError(f"vertices[{n}]: must be an object")
     vid = row.get("id")
@@ -111,7 +112,7 @@ def _vertex(row: Any, n: int) -> Vertex:
     label = row.get("label")
     if label is not None and type(label) is not str:
         raise _fault(row, "label", n, "must be a string when present")
-    return Vertex(vid, Point(x, y), _KINDS[kind], label)
+    return vid, (x, y), _KINDS[kind] is VertexKind.BALANCED, label
 
 
 def parse(text: str) -> Net:
@@ -138,13 +139,14 @@ def parse(text: str) -> Net:
     if not isinstance(raw_edges, list):
         raise ParseError("edges: must be a list")
 
-    vertices = [_vertex(row, n) for n, row in enumerate(raw_vertices)]
+    rows = [_vertex(row, n) for n, row in enumerate(raw_vertices)]
     for n, row in enumerate(raw_edges):
         if type(row) is not list or len(row) != 2:
             raise ParseError(f"edges[{n}]: must be a pair of vertex ids")
         if type(row[0]) is not str or type(row[1]) is not str:
             raise ParseError(f"edges[{n}]: endpoints must be strings")
-    return Net(vertices, raw_edges)
+    ids, xy, balanced, labels = zip(*rows) if rows else ((),) * 4
+    return Net._from_columns(ids, balanced, labels, xy, raw_edges)
 
 
 def save(net: Net, path: str) -> None:

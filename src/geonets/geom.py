@@ -240,9 +240,9 @@ def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
         hi = min(hi, 1.0)
         if (hi - lo) * len1 > COINCIDENCE_EPS:
             return CollinearOverlap(Segment(_point_on(s1, lo), _point_on(s1, hi)))
-        if hi - lo >= -PARAM_EPS:
-            # Single-point contact; for collinear segments that can only
-            # happen endpoint to endpoint.
+        if (lo - hi) * len1 <= PARAM_EPS * min(len1, len2):
+            # A gap inside both segments' end bands: single-point contact,
+            # which for collinear segments happens only endpoint to endpoint.
             return AtSharedEndpoint(_snap_endpoint(s1, 0.5 * (lo + hi)))
         return Disjoint()
 

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, U
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, VertexKind, _check_tol, edge_key, verify
+from .net import DEFAULT_TOL, Edge, Net, _check_tol, edge_key, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -65,13 +65,12 @@ def _tables(
     for vid, star in zip(vids, stars):
         if len(star) > MAX_SUBSET_DEGREE:
             raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
-    a = net.arrays
     # A star's legs go to its neighbours in id order, which is also the
     # order of its edges in net.edges, so leg i is the star's i-th lowest
     # edge bit and ascending leg masks map to ascending edge bitsets.
-    bits = [[1 << a.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
-    legs = [[a.index[vid], a.index[w]] for vid, star in zip(vids, stars) for w in star]
-    vecs = _kernels.unit_vectors(a.pos, np.array(legs, dtype=np.int64).reshape(-1, 2))
+    bits = [[1 << net.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
+    legs = [[net.index[vid], net.index[w]] for vid, star in zip(vids, stars) for w in star]
+    vecs = _kernels.unit_vectors(net.pos, np.array(legs, dtype=np.int64).reshape(-1, 2))
     starts = np.cumsum([0] + [len(star) for star in stars])
     by_degree: Dict[int, List[int]] = {}
     for k, star in enumerate(stars):
@@ -103,8 +102,7 @@ def balanced_edge_subsets(
     ValueError unless tol is finite and nonnegative.
     """
     _check_tol(tol)
-    v = net.vertex(vertex_id)
-    if v.kind is not VertexKind.BALANCED:
+    if not net.balanced[net._row(vertex_id)]:
         raise ValueError(
             f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
         )
@@ -388,7 +386,7 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     report = verify(net, tol)
     if not report.passed:
         raise ValueError("net does not verify; irreducibility is undefined for it")
-    balanced = [v.id for v in net.vertices if v.kind is VertexKind.BALANCED]
+    balanced = [net.ids[k] for k in net.free.tolist()]
     inc, masks, accepted, high = _tables(net, balanced, tol)
     # verify sums each star in another order than star_subsets; cover both.
     tol_margin = (max(report.max_residual, accepted), high)

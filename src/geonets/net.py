@@ -29,9 +29,7 @@ from .geom import (
     Segment,
     Vec,
     _projected_param,
-    distance,
     intersect,
-    rotate,
 )
 
 Edge = Tuple[str, str]
@@ -95,12 +93,17 @@ def _first_repeat(items: Sequence):
     return next((a for a, b in zip(items, items[1:]) if a == b), None)
 
 
-def _checked_id(v: Vertex) -> str:
-    """v.id, once v's fields have types a net document can hold. As Net's
-    sort key it runs for every vertex before any two ids are compared."""
-    vid = v.id
+def _valid_id(vid) -> str:
+    """vid, once it is a non-empty str, as a net document's ids are."""
     if not isinstance(vid, str) or not vid:
         raise InvariantViolation(f"vertex id {vid!r} is not a non-empty string")
+    return vid
+
+
+def _checked_id(v: Vertex) -> str:
+    """v.id, once v's fields have types a net document can hold. Net runs
+    it on every vertex, in order, before any two ids are compared."""
+    vid = _valid_id(v.id)
     if not isinstance(v.pos, Point):
         raise InvariantViolation(f"vertex {vid}: pos {v.pos!r} is not a Point")
     if not isinstance(v.kind, VertexKind):
@@ -114,10 +117,6 @@ def _checked_id(v: Vertex) -> str:
 # that rounding in their ends and in the predicates they stand in for
 # cannot drop a pair.
 _BOX_SLACK = 1.01
-
-
-def _xy(points: Sequence[Point]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(len(points), 2)
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -142,41 +141,69 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return i[pick], j[pick]
 
 
-def _close_pairs(points: Sequence[Point], radius: float) -> Iterator[Tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order, with distance(points[i],
-    points[j]) <= radius: _box_pairs on boxes padded by radius, then distance."""
-    xy = _xy(points)
+def _close_pairs(xy: np.ndarray, radius: float) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, in lexicographic order, of the rows of the
+    (n, 2) array xy within radius of each other: _box_pairs on boxes padded
+    by radius, then geom.distance's math.hypot of the difference."""
     i, j = _box_pairs(xy - radius, xy + radius)
-    for a, b in zip(i.tolist(), j.tolist()):
-        if distance(points[a], points[b]) <= radius:
+    for a, b, (dx, dy) in zip(i.tolist(), j.tolist(), (xy[j] - xy[i]).tolist()):
+        if math.hypot(dx, dy) <= radius:
             yield a, b
 
 
-@dataclass(frozen=True)
-class Net:
-    """Immutable net value. Vertices are stored sorted by id, edges sorted
-    as canonical (min, max) pairs; two nets with the same content compare
-    equal regardless of construction order. As in a net document, each
-    vertex has a non-empty str id, a Point pos, a VertexKind kind and a str
-    or None label; Net raises InvariantViolation for any other field."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    vertices: Tuple[Vertex, ...]
+
+class Net:
+    """Immutable net value, held as columns sorted by id: ids, balanced,
+    labels and pos (x, y) per vertex; edges as sorted canonical (min, max)
+    pairs, and ends, their vertex rows. balanced, pos and ends are read-only
+    numpy arrays. Nets with the same content are equal regardless of
+    construction order. As in a net document, each Vertex given to Net has
+    a non-empty str id, a Point pos, a VertexKind kind and a str or None
+    label; Net raises InvariantViolation for any other field."""
+
+    ids: Tuple[str, ...]
+    balanced: np.ndarray
+    labels: Tuple[Optional[str], ...]
+    pos: np.ndarray
     edges: Tuple[Edge, ...]
+    ends: np.ndarray
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]]):
-        verts = tuple(sorted(vertices, key=_checked_id))
-        ids = [v.id for v in verts]
+        verts = list(vertices)
+        ids = [_checked_id(v) for v in verts]
+        balanced = [v.kind is VertexKind.BALANCED for v in verts]
+        xy = [(v.pos.x, v.pos.y) for v in verts]
+        self._set_columns(ids, balanced, [v.label for v in verts], xy, edges)
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "Net":
+        """The net of the well-typed columns (ids, balanced, labels, pos,
+        edges) in any row order, checked as Net() checks its vertices."""
+        net = cls.__new__(cls)
+        net._set_columns(*columns)
+        return net
+
+    def _set_columns(self, ids, balanced, labels, pos, edges) -> None:
+        """The one checking path: sorts the columns by id, then finds the
+        smallest duplicate id, a bad edge row, the smallest duplicate edge
+        and the first coincident pair, in that order."""
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = tuple(ids[k] for k in order)
         dup = _first_repeat(ids)
         if dup is not None:
             raise InvariantViolation(f"duplicate vertex id: {dup}")
-        id_set = set(ids)
+        index = {vid: k for k, vid in enumerate(ids)}
         canon: List[Edge] = []
         for e in edges:
             try:
                 if isinstance(e, str):
                     raise TypeError  # a string would unpack into its characters
                 u, v = e
-                u_in, v_in = u in id_set, v in id_set
+                u_in, v_in = u in index, v in index
             except (TypeError, ValueError):
                 raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
             if u == v:
@@ -188,81 +215,100 @@ class Net:
         dup_e = _first_repeat(canon)
         if dup_e is not None:
             raise InvariantViolation(f"duplicate edge: {dup_e}")
-        for i, j in _close_pairs([v.pos for v in verts], COINCIDENCE_EPS):
-            raise CoincidentVertices(verts[i].id, verts[j].id)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(canon))
+        # Fancy indexing copies, so no caller's array is frozen below.
+        pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)[order]
+        for i, j in _close_pairs(pos, COINCIDENCE_EPS):
+            raise CoincidentVertices(ids[i], ids[j])
+        ends = np.array([(index[u], index[v]) for u, v in canon], dtype=np.int64)
+        # index is also the cached property's value, already built
+        vars(self).update(
+            ids=ids,
+            balanced=_read_only(np.asarray(balanced, dtype=bool)[order]),
+            labels=tuple(labels[k] for k in order),
+            pos=_read_only(pos),
+            edges=tuple(canon),
+            ends=_read_only(ends.reshape(-1, 2)),
+            index=index,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _content(self) -> tuple:
+        # pos by float value, so that 0.0 and -0.0 compare and hash alike
+        xy = tuple(self.pos.ravel().tolist())
+        return (self.ids, self.edges, self.labels, self.balanced.tobytes(), xy)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+    def __repr__(self) -> str:
+        return f"Net(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        return {vid: k for k, vid in enumerate(self.ids)}
+
+    @cached_property
+    def edge_index(self) -> Dict[Edge, int]:
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Rows of the balanced vertices, ascending."""
+        return _read_only(np.flatnonzero(self.balanced))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """Balance residual of every vertex, row k for vertex k."""
+        return _read_only(_kernels.residuals(self.pos, self.ends))
+
+    @cached_property
+    def vertices(self) -> Tuple[Vertex, ...]:
+        kinds = (VertexKind.UNBALANCED, VertexKind.BALANCED)
+        rows = zip(self.ids, self.pos.tolist(), self.balanced.tolist(), self.labels)
+        return tuple(Vertex(vid, Point(x, y), kinds[b], label) for vid, (x, y), b, label in rows)
 
     @cached_property
     def by_id(self) -> Dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
+        return dict(zip(self.ids, self.vertices))
 
     @cached_property
     def adjacency(self) -> Dict[str, Tuple[str, ...]]:
-        adj: Dict[str, List[str]] = {v.id: [] for v in self.vertices}
+        adj: Dict[str, List[str]] = {vid: [] for vid in self.ids}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return {k: tuple(sorted(vs)) for k, vs in adj.items()}
 
-    @cached_property
-    def arrays(self) -> "NetArrays":
-        return NetArrays.of(self)
-
-    def vertex(self, vid: str) -> Vertex:
+    def _row(self, vid: str) -> int:
         try:
-            return self.by_id[vid]
+            return self.index[vid]
         except KeyError:
             raise UnknownVertex(vid) from None
 
+    def vertex(self, vid: str) -> Vertex:
+        return self.vertices[self._row(vid)]
+
     def degree(self, vid: str) -> int:
-        self.vertex(vid)
+        self._row(vid)
         return len(self.adjacency[vid])
 
     def incident_edges(self, vid: str) -> Tuple[Edge, ...]:
-        self.vertex(vid)
+        self._row(vid)
         return tuple(edge_key(vid, w) for w in self.adjacency[vid])
 
     def segment(self, e: Edge) -> Segment:
-        return Segment(self.vertex(e[0]).pos, self.vertex(e[1]).pos)
-
-
-@dataclass(frozen=True, eq=False)
-class NetArrays:
-    """Read-only index view of a net for the numeric kernels.
-
-    Row k of pos is net.vertices[k] and row i of edges is net.edges[i].
-    """
-
-    ids: Tuple[str, ...]
-    index: Dict[str, int]
-    edge_index: Dict[Edge, int]
-    pos: np.ndarray
-    edges: np.ndarray
-    free: np.ndarray
-
-    @classmethod
-    def of(cls, net: Net) -> "NetArrays":
-        ids = tuple(v.id for v in net.vertices)
-        index = {vid: k for k, vid in enumerate(ids)}
-        pos = _xy([v.pos for v in net.vertices])
-        edges = np.array([[index[u], index[v]] for u, v in net.edges], dtype=np.int64)
-        edges = edges.reshape(len(net.edges), 2)
-        free = np.array(
-            [k for k, v in enumerate(net.vertices) if v.kind is VertexKind.BALANCED],
-            dtype=np.int64,
-        )
-        for a in (pos, edges, free):
-            a.setflags(write=False)
-        edge_index = {e: i for i, e in enumerate(net.edges)}
-        return cls(ids, index, edge_index, pos, edges, free)
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        """Balance residual of every vertex, row k for vertex k."""
-        res = _kernels.residuals(self.pos, self.edges)
-        res.setflags(write=False)
-        return res
+        p, q = self.pos[[self._row(e[0]), self._row(e[1])]].tolist()
+        return Segment(Point(*p), Point(*q))
 
 
 def balance_residual(net: Net, vid: str) -> Vec:
@@ -270,11 +316,10 @@ def balance_residual(net: Net, vid: str) -> Vec:
 
     Zero (within tolerance) exactly at balanced vertices of a valid net.
     """
-    net.vertex(vid)
+    k = net._row(vid)
     if not net.adjacency[vid]:
         raise IsolatedVertex(f"vertex {vid} has no incident edges")
-    a = net.arrays
-    rx, ry = a.residuals[a.index[vid]]
+    rx, ry = net.residuals[k]
     return (float(rx), float(ry))
 
 
@@ -306,13 +351,12 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     Raises ValueError unless tol is finite and nonnegative.
     """
     _check_tol(tol)
-    a = net.arrays
-    norm = _kernels.norms(a.residuals)
+    norm = _kernels.norms(net.residuals)
+    degrees = np.bincount(net.ends.ravel(), minlength=len(net.ids)).tolist()
     residuals: Dict[str, float] = {}
     degree_violations: List[Tuple[str, int]] = []
-    for k in a.free:
-        vid = a.ids[k]
-        deg = len(net.adjacency[vid])
+    for k in net.free.tolist():
+        vid, deg = net.ids[k], degrees[k]
         if deg < min_balanced_degree:
             degree_violations.append((vid, deg))
         if deg >= 1:
@@ -327,12 +371,11 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
         else:
             unplanarized.append((e1, e2, kind.point))
 
-    balanced = np.zeros(len(a.ids), dtype=bool)
-    balanced[a.free] = True
-    unb_unb = [net.edges[k] for k in np.flatnonzero(~balanced[a.edges].any(axis=1)).tolist()]
+    pinned = ~net.balanced[net.ends].any(axis=1)
+    unb_unb = [net.edges[k] for k in np.flatnonzero(pinned).tolist()]
 
     # from vertex row 0, when there is one
-    connected = _kernels.reaches_all(len(a.ids), range(len(a.ids))[:1], a.edges)
+    connected = _kernels.reaches_all(len(net.ids), range(len(net.ids))[:1], net.ends)
     passed = (
         max_residual <= tol
         and not degree_violations
@@ -390,8 +433,7 @@ def _candidate_pairs(net: Net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
       parallel threshold, and outside [-2 * PARAM_EPS, 1 + 2 * PARAM_EPS]
       for spare.
     """
-    a = net.arrays
-    ends, pos = a.edges, a.pos
+    ends, pos = net.ends, net.pos
     p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
     length = _kernels.norms(p1 - p0)
     pad = (COINCIDENCE_EPS + PARAM_EPS * length) * _BOX_SLACK
@@ -472,29 +514,31 @@ def planarize(net: Net) -> Net:
 
     # Point k of the net's vertices followed by the contact points is owned
     # by a vertex at that position: net vertex k, or the vertex minted at
-    # contact k - nv. A contact lands on the first owner within
+    # contact k - nv; owner[k] is its row among the net's vertices followed
+    # by the minted ones. A contact lands on the first owner within
     # COINCIDENCE_EPS among the points before it; owners are net vertices
     # in id order, then minted ones in the order they were minted.
-    nv = len(net.vertices)
+    nv = len(net.ids)
     near: List[List[int]] = [[] for _ in contacts]
-    points = [*(v.pos for v in net.vertices), *(pt for _, _, pt in contacts)]
+    points = np.concatenate((net.pos, [(pt.x, pt.y) for _, _, pt in contacts]))
     for i, j in _close_pairs(points, COINCIDENCE_EPS):
         if j >= nv:
             near[j - nv].append(i)
-    owner: List[Optional[Vertex]] = [*net.vertices, *(None for _ in contacts)]
-    taken = {v.id for v in net.vertices}
+    owner: List[Optional[int]] = [*range(nv), *(None for _ in contacts)]
+    ids, xy = list(net.ids), net.pos.tolist()
+    taken = set(ids)
     fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
-    minted: List[Vertex] = []
     cuts: Dict[Edge, Dict[str, float]] = {}
     for k, (e1, e2, pt) in enumerate(contacts):
-        vtx = next((owner[c] for c in near[k] if owner[c] is not None), None)
-        if vtx is None:
-            vtx = owner[nv + k] = Vertex(next(fresh), pt, VertexKind.BALANCED)
-            minted.append(vtx)
+        row = next((owner[c] for c in near[k] if owner[c] is not None), None)
+        if row is None:
+            row = owner[nv + k] = len(ids)
+            ids.append(next(fresh))
+            xy.append((pt.x, pt.y))
         for e in (e1, e2):
-            t = _projected_param(net.segment(e), vtx.pos)
+            t = _projected_param(net.segment(e), Point(*xy[row]))
             if PARAM_EPS < t < 1.0 - PARAM_EPS:
-                cuts.setdefault(e, {}).setdefault(vtx.id, t)
+                cuts.setdefault(e, {}).setdefault(ids[row], t)
 
     if not cuts:
         return net
@@ -509,7 +553,9 @@ def planarize(net: Net) -> Net:
             first = pieces.setdefault(piece, e)
             if first != e:
                 raise OverlayEdges(f"edges {first} and {e} overlap along {piece}")
-    return Net([*net.vertices, *minted], list(pieces))
+    minted = len(ids) - nv
+    balanced = [*net.balanced.tolist(), *[True] * minted]
+    return Net._from_columns(ids, balanced, [*net.labels, *[None] * minted], xy, list(pieces))
 
 
 def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
@@ -520,18 +566,19 @@ def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
     Raises ValueError unless tol is finite and nonnegative.
     """
     _check_tol(tol)
-    verts = net.vertices
-    nv = len(verts)
-    hits: List[List[Vertex]] = [[] for _ in verts]
-    for i, j in _close_pairs([*(v.pos for v in verts), *(rotate(v.pos, 1) for v in verts)], tol):
+    pos, nv = net.pos, len(net.ids)
+    # geom.rotate's quarter turn, (x, y) -> (-y, x), exactly
+    turned = np.stack((-pos[:, 1], pos[:, 0]), axis=1)
+    hits: List[List[int]] = [[] for _ in range(nv)]
+    for i, j in _close_pairs(np.concatenate((pos, turned)), tol):
         if i < nv <= j:
-            hits[j - nv].append(verts[i])
+            hits[j - nv].append(i)
     mapping: Dict[str, str] = {}
-    for v, found in zip(verts, hits):
-        if len(found) != 1 or found[0].kind is not v.kind:
+    for k, found in enumerate(hits):
+        if len(found) != 1 or net.balanced[found[0]] != net.balanced[k]:
             return False
-        mapping[v.id] = found[0].id
-    if len(set(mapping.values())) != len(net.vertices):
+        mapping[net.ids[k]] = net.ids[found[0]]
+    if len(set(mapping.values())) != nv:
         return False
     mapped = {edge_key(mapping[u], mapping[v]) for u, v in net.edges}
     return mapped == set(net.edges)
@@ -545,8 +592,9 @@ def relabeled(net: Net, mapping: Dict[str, str]) -> Net:
     def rename(vid: str) -> str:
         return mapping.get(vid, vid)
 
-    verts = [Vertex(rename(v.id), v.pos, v.kind, v.label) for v in net.vertices]
-    return Net(verts, [(rename(u), rename(v)) for u, v in net.edges])
+    ids = [_valid_id(rename(vid)) for vid in net.ids]
+    edges = [(rename(u), rename(v)) for u, v in net.edges]
+    return Net._from_columns(ids, net.balanced, net.labels, net.pos, edges)
 
 
 def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
@@ -558,6 +606,9 @@ def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
         if e not in parent:
             raise InvariantViolation(f"edge {e} is not in the parent net")
     keep = {u for e in chosen for u in e}
-    verts = [v for v in net.vertices if v.id in keep]
-    return Net(verts, sorted(chosen))
+    rows = [k for k, vid in enumerate(net.ids) if vid in keep]
+    return Net._from_columns(
+        [net.ids[k] for k in rows], net.balanced[rows], [net.labels[k] for k in rows],
+        net.pos[rows], sorted(chosen),
+    )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable, List, Sequence
 
-from .net import Net, VertexKind, edge_key
+from .net import Net, edge_key
 
 _EDGE_STROKE = "#222222"
 _EDGE_WIDTH = 1.5
@@ -37,8 +37,9 @@ def render_svg(
     for a given net and options.
     """
     marked = {edge_key(*e) for e in highlight}
-    xs = [v.pos.x for v in net.vertices] or [0.0]
-    ys = [v.pos.y for v in net.vertices] or [0.0]
+    xy, balanced = net.pos.tolist(), net.balanced.tolist()
+    xs = [x for x, _ in xy] or [0.0]
+    ys = [y for _, y in xy] or [0.0]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-6)
@@ -59,34 +60,30 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    for e in net.edges:
-        p = net.by_id[e[0]].pos
-        q = net.by_id[e[1]].pos
+    for e, (i, j) in zip(net.edges, net.ends.tolist()):
+        (px, py), (qx, qy) = xy[i], xy[j]
         if e in marked:
             stroke, sw = _HIGHLIGHT_STROKE, _HIGHLIGHT_WIDTH
         else:
             stroke, sw = _EDGE_STROKE, _EDGE_WIDTH
         out.append(
-            f'  <line x1="{_fmt(sx(p.x))}" y1="{_fmt(sy(p.y))}" '
-            f'x2="{_fmt(sx(q.x))}" y2="{_fmt(sy(q.y))}" '
+            f'  <line x1="{_fmt(sx(px))}" y1="{_fmt(sy(py))}" '
+            f'x2="{_fmt(sx(qx))}" y2="{_fmt(sy(qy))}" '
             f'stroke="{stroke}" stroke-width="{sw}"/>'
         )
-    for v in net.vertices:
-        if v.kind is VertexKind.UNBALANCED:
-            r, fill = _UNBALANCED_R, _UNBALANCED_FILL
-        else:
-            r, fill = _BALANCED_R, _BALANCED_FILL
+    for (x, y), b in zip(xy, balanced):
+        r, fill = (_BALANCED_R, _BALANCED_FILL) if b else (_UNBALANCED_R, _UNBALANCED_FILL)
         out.append(
-            f'  <circle cx="{_fmt(sx(v.pos.x))}" cy="{_fmt(sy(v.pos.y))}" '
+            f'  <circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
             f'r="{r}" fill="{fill}"/>'
         )
     if show_labels:
-        for v in net.vertices:
-            r = _UNBALANCED_R if v.kind is VertexKind.UNBALANCED else _BALANCED_R
-            text = v.label if v.label is not None else v.id
+        for vid, (x, y), b, label in zip(net.ids, xy, balanced, net.labels):
+            r = _BALANCED_R if b else _UNBALANCED_R
+            text = label if label is not None else vid
             out.append(
-                f'  <text x="{_fmt(sx(v.pos.x) + r + 2.0)}" '
-                f'y="{_fmt(sy(v.pos.y) - r - 2.0)}" '
+                f'  <text x="{_fmt(sx(x) + r + 2.0)}" '
+                f'y="{_fmt(sy(y) - r - 2.0)}" '
                 f'font-family="monospace" font-size="11">{escape(text, quote=False)}</text>'
             )
     out.append("</svg>")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
-from .net import DEFAULT_TOL, CoincidentVertices, Net, Vertex, _check_tol
+from .net import DEFAULT_TOL, CoincidentVertices, Net, _check_tol
 
 
 class VertexCollision(RuntimeError):
@@ -47,8 +47,7 @@ class RelaxResult:
 
 
 def total_length(net: Net) -> float:
-    a = net.arrays
-    return float(_kernels.net_length(a.pos, a.edges))
+    return float(_kernels.net_length(net.pos, net.ends))
 
 
 def length_gradient(net: Net) -> Dict[str, Vec]:
@@ -57,19 +56,15 @@ def length_gradient(net: Net) -> Dict[str, Vec]:
     Equals the negated balance residual; isolated balanced vertices get a
     zero gradient.
     """
-    a = net.arrays
-    res = a.residuals
-    return {a.ids[k]: (-float(res[k, 0]), -float(res[k, 1])) for k in a.free}
+    res = net.residuals
+    return {net.ids[k]: (-float(res[k, 0]), -float(res[k, 1])) for k in net.free.tolist()}
 
 
 def moved(net: Net, vid: str, pos: Point) -> Net:
     """Copy of net with one vertex repositioned."""
-    net.vertex(vid)
-    verts = [
-        Vertex(v.id, pos if v.id == vid else v.pos, v.kind, v.label)
-        for v in net.vertices
-    ]
-    return Net(verts, net.edges)
+    xy = net.pos.copy()
+    xy[net._row(vid)] = (pos.x, pos.y)
+    return Net._from_columns(net.ids, net.balanced, net.labels, xy, net.edges)
 
 
 def relax(
@@ -123,25 +118,20 @@ def relax(
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 
-    a = net.arrays
     # An edgeless balanced vertex never moves, and no path joins it to a pin.
-    free = a.free[np.bincount(a.edges.ravel(), minlength=len(a.ids))[a.free] > 0]
+    free = net.free[np.bincount(net.ends.ravel(), minlength=len(net.ids))[net.free] > 0]
     out_pos, accepted, trace, stop, halvings, final, refreshes = _kernels.descend(
-        a.pos, free, a.edges, float(step), float(tol), int(max_iter)
+        net.pos, free, net.ends, float(step), float(tol), int(max_iter)
     )
     if stop == "collided":
-        d = out_pos[a.edges[:, 1]] - out_pos[a.edges[:, 0]]
+        d = out_pos[net.ends[:, 1]] - out_pos[net.ends[:, 0]]
         shortest = net.edges[int(_kernels.norms(d).argmin())]
         raise VertexCollision(
             f"edge {shortest} collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )
 
-    verts = [
-        Vertex(v.id, Point(x, y), v.kind, v.label)
-        for v, (x, y) in zip(net.vertices, out_pos.tolist())
-    ]
     try:
-        result_net = Net(verts, net.edges)
+        result_net = Net._from_columns(net.ids, net.balanced, net.labels, out_pos, net.edges)
     except CoincidentVertices as exc:
         u, v = exc.ids
         raise VertexCollision(f"vertices {u} and {v} collided") from None

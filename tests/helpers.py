@@ -94,9 +94,10 @@ def jitter(rng: random.Random, *points: Tuple[float, float]) -> List[Point]:
 
 
 def pinned_paper16(seed: int, a: float) -> Net:
-    """The paper's 16-pin net with every pin moved by a uniform draw in
-    [-a, a] per coordinate from random.Random(seed); the balanced vertices
-    stay where they were, so the net needs relaxing."""
+    """paper16, the paper's net of 4 pins and 16 balanced vertices, with
+    every pin moved by a uniform draw in [-a, a] per coordinate from
+    random.Random(seed); the balanced vertices stay where they were, so the
+    net needs relaxing."""
     rng = random.Random(seed)
     net = build_paper_net()
     vertices = []

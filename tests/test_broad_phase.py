@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 import geonets.net
@@ -207,7 +208,8 @@ def test_close_pairs_match_all_pairs(radius):
         pts = _clustered_points(rng, radius)
         expected = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
                     if distance(pts[i], pts[j]) <= radius]
-        assert list(_close_pairs(pts, radius)) == expected
+        xy = np.array([(p.x, p.y) for p in pts])
+        assert list(_close_pairs(xy, radius)) == expected
         boundary += sum(distance(pts[i], pts[j]) == radius for i, j in expected)
     assert boundary >= 20
 

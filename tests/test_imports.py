@@ -150,3 +150,44 @@ def test_each_module_imports_only_lower_layers():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert set(sources) == set(RANKS)
     assert _layer_breaks(sources) == []
+
+
+def _one_view_breaks(sources):
+    """(module, line, what) of each Vertex(...) call and each read of an
+    .arrays attribute outside construct.py and Net.vertices: everywhere
+    else a net is read through its columns."""
+    found = []
+    for module, text in sources.items():
+        if module == "construct.py":
+            continue
+        tree = ast.parse(text)
+        exempt = {id(node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Net"
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "vertices"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Call) and "Vertex" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                found.append((module, node.lineno, "Vertex("))
+            elif isinstance(node, ast.Attribute) and node.attr == "arrays":
+                found.append((module, node.lineno, ".arrays"))
+    return sorted(found)
+
+
+def test_one_view_breaks_finds_vertex_round_trips():
+    sources = {
+        "net.py": "class Net:\n    def vertices(self):\n        return (Vertex(1),)\n"
+                  "def moved(net):\n    return Net([Vertex(2)], net.arrays.edges)\n",
+        "solver.py": "from . import net\nv = net.Vertex(3)\n",
+        "construct.py": "v = Vertex(4)\n",
+    }
+    assert _one_view_breaks(sources) == [
+        ("net.py", 5, ".arrays"), ("net.py", 5, "Vertex("), ("solver.py", 2, "Vertex("),
+    ]
+
+
+def test_nets_are_read_through_their_columns():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _one_view_breaks(sources) == []

@@ -46,7 +46,7 @@ def test_unit_sums_match_add_at_bit_for_bit():
     # passes, and x + (-y) is x - y in IEEE arithmetic
     nets = [build_paper_net(), honeycomb(8, 6)]
     nets += [random_net(random.Random(seed)) for seed in range(40)]
-    cases = [(net.arrays.pos, net.arrays.edges) for net in nets]
+    cases = [(net.pos, net.ends) for net in nets]
     cases += [_random_arrays(seed)[:2] for seed in range(20)]
     cases.append((np.zeros((3, 2)), np.zeros((0, 2), dtype=np.int64)))
     rng = np.random.default_rng(31)
@@ -78,9 +78,8 @@ def test_residuals_and_length_match_per_edge_sums():
 
 
 def test_descend_is_deterministic(paper_net):
-    arr = paper_net.arrays
-    a = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 100)
-    b = _kernels.descend(arr.pos, arr.free, arr.edges, 0.1, 1e-9, 100)
+    a = _kernels.descend(paper_net.pos, paper_net.free, paper_net.ends, 0.1, 1e-9, 100)
+    b = _kernels.descend(paper_net.pos, paper_net.free, paper_net.ends, 0.1, 1e-9, 100)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(np.asarray(a[2]), np.asarray(b[2]))
 
@@ -91,18 +90,18 @@ def test_descent_collides_at_the_coincidence_distance():
 
 
 def test_descend_reports_a_stall(tripod_net, monkeypatch):
-    arr = tripod_net.arrays
-    pos = arr.pos.copy()
-    pos[arr.free] += 0.3
+    net = tripod_net
+    pos = net.pos.copy()
+    pos[net.free] += 0.3
     # no step can decrease the length by a million times the first-order model
     monkeypatch.setattr(_kernels, "_ARMIJO_C", 1e6)
-    out = _kernels.descend(pos, arr.free, arr.edges, 0.1, 1e-9, 100)
+    out = _kernels.descend(pos, net.free, net.ends, 0.1, 1e-9, 100)
     _, accepted, trace, stop, halvings, residual, refreshes = out
     assert (accepted, stop) == (0, "stalled")
     # the metric is built once, when the first convergence test fails
     assert refreshes == 1
     # the residual its convergence test read, at the start positions
-    assert residual == _kernels.norms(_kernels.residuals(pos, arr.edges)[arr.free]).max()
+    assert residual == _kernels.norms(_kernels.residuals(pos, net.ends)[net.free]).max()
     assert halvings == 60
     assert len(trace) == 1
 
@@ -113,16 +112,16 @@ def test_damped_newton_metric_is_positive_definite():
     # definite once every free vertex reaches a pin, so Cholesky succeeds
     checked = 0
     for seed in range(300):
-        arr = random_net(random.Random(seed)).arrays
-        n = arr.pos.shape[0]
-        pins = np.setdiff1d(np.arange(n), arr.free).tolist()
-        if not arr.free.size or not _kernels.reaches_all(n, pins, arr.edges):
+        net = random_net(random.Random(seed))
+        n = net.pos.shape[0]
+        pins = np.setdiff1d(np.arange(n), net.free).tolist()
+        if not net.free.size or not _kernels.reaches_all(n, pins, net.ends):
             continue
-        a, la = _kernels._edge_vectors(arr.pos, arr.edges)
-        mu = float(_kernels.norms(_kernels.residuals(arr.pos, arr.edges)[arr.free]).max())
+        a, la = _kernels._edge_vectors(net.pos, net.ends)
+        mu = float(_kernels.norms(_kernels.residuals(net.pos, net.ends)[net.free]).max())
         assert mu > 0.0
-        m = _kernels._metric(_kernels._metric_index(n, arr.free, arr.edges), a, la, mu)
-        assert m.shape == (2 * arr.free.size,) * 2
+        m = _kernels._metric(_kernels._metric_index(n, net.free, net.ends), a, la, mu)
+        assert m.shape == (2 * net.free.size,) * 2
         assert np.array_equal(m, m.T)
         np.linalg.cholesky(m)
         checked += 1

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -17,14 +19,17 @@ from geonets import (
     edge_key,
     edge_subnet,
     is_symmetric_under_quarter_turn,
+    moved,
+    parse,
     planarize,
     relabeled,
+    serialize,
     verify,
 )
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
-from helpers import random_net
+from helpers import honeycomb, random_net, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -61,20 +66,30 @@ def test_net_sorts_vertices_and_edges():
     assert net.edges == (("a", "z"),)
 
 
+def _document(vertices, edges) -> str:
+    """The net document of vertices and edges, rows in the given order."""
+    rows = [{"id": v.id, "x": v.pos.x, "y": v.pos.y, "kind": v.kind.value} for v in vertices]
+    return json.dumps({"format_version": 1, "vertices": rows, "edges": [list(e) for e in edges]})
+
+
+def _refused(vertices, edges, error=InvariantViolation):
+    """What Net(vertices, edges) raises, once parse of their document has
+    raised the same class with the same message: parse hands its columns
+    to Net's checks without building Vertex values."""
+    with pytest.raises(error) as by_net:
+        Net(vertices=vertices, edges=edges)
+    with pytest.raises(error) as by_parse:
+        parse(_document(vertices, edges))
+    assert (type(by_parse.value), str(by_parse.value)) == (type(by_net.value), str(by_net.value))
+    return by_net.value
+
+
 def test_net_invariants():
-    with pytest.raises(InvariantViolation):
-        Net(vertices=(_v("a", 0, 0), _v("a", 1, 0)), edges=())
-    with pytest.raises(InvariantViolation):
-        Net(vertices=(_v("a", 0, 0),), edges=(("a", "ghost"),))
-    with pytest.raises(InvariantViolation):
-        Net(vertices=(_v("a", 0, 0), _v("b", 1, 0)), edges=(("a", "a"),))
-    with pytest.raises(InvariantViolation):
-        Net(
-            vertices=(_v("a", 0, 0), _v("b", 1, 0)),
-            edges=(("a", "b"), ("b", "a")),
-        )
-    with pytest.raises(InvariantViolation):
-        Net(vertices=(_v("a", 0, 0), _v("b", 0, 1e-12)), edges=())
+    _refused((_v("a", 0, 0), _v("a", 1, 0)), ())
+    _refused((_v("a", 0, 0),), (("a", "ghost"),))
+    _refused((_v("a", 0, 0), _v("b", 1, 0)), (("a", "a"),))
+    _refused((_v("a", 0, 0), _v("b", 1, 0)), (("a", "b"), ("b", "a")))
+    _refused((_v("a", 0, 0), _v("b", 0, 1e-12)), ())
 
 
 @pytest.mark.parametrize(
@@ -101,24 +116,27 @@ def test_net_refuses_an_edge_row_that_is_not_a_pair(row):
     message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         Net(vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)), edges=[("a", "c"), row])
+    # parse refuses such a row itself, so the column path is called directly
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        Net._from_columns(
+            ["a", "b", "c"], [False] * 3, [None] * 3, [(0, 0), (1, 0), (2, 0)], [("a", "c"), row]
+        )
 
 
 def test_net_names_the_smallest_duplicate():
     verts = [_v("c", 0, 0), _v("a", 1, 0), _v("c", 2, 0), _v("b", 3, 0), _v("a", 4, 0)]
-    with pytest.raises(InvariantViolation, match="^duplicate vertex id: a$"):
-        Net(vertices=verts, edges=())
+    assert str(_refused(verts, ())) == "duplicate vertex id: a"
     verts = [_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0), _v("d", 3, 0)]
     edges = [("d", "c"), ("b", "a"), ("c", "d"), ("a", "b")]
-    with pytest.raises(InvariantViolation, match=r"^duplicate edge: \('a', 'b'\)$"):
-        Net(vertices=verts, edges=edges)
+    assert str(_refused(verts, edges)) == "duplicate edge: ('a', 'b')"
 
 
 def test_net_names_the_first_coincident_pair():
     # a-d and b-c both coincide; the pair with the smaller first id is named
     verts = [_v("a", 0, 0), _v("b", 5, 0), _v("c", 5, 1e-12), _v("d", 1e-12, 0)]
-    with pytest.raises(CoincidentVertices, match="^vertices a and d coincide") as info:
-        Net(vertices=verts, edges=())
-    assert info.value.ids == ("a", "d")
+    error = _refused(verts, (), CoincidentVertices)
+    assert str(error).startswith("vertices a and d coincide")
+    assert error.ids == ("a", "d")
 
 
 def test_net_lookups():
@@ -131,28 +149,47 @@ def test_net_lookups():
     assert net.adjacency["p1"] == ("p3",)
 
 
-def test_arrays_view_is_lazy_cached_and_read_only():
+def test_columns_are_read_only_and_every_entry_point_agrees(paper_net, overlay_net):
     net = Net(
-        vertices=(_v("b", 3, 4), _v("a", 0, 0, B), _v("c", 0, 2, B)),
+        vertices=(_v("b", 3, 4), _v("a", 0, 0, B, "A"), _v("c", 0, 2, B)),
         edges=(("b", "a"), ("a", "c")),
     )
-    assert "arrays" not in net.__dict__
-    a = net.arrays
-    assert net.arrays is a
-    assert a.ids == ("a", "b", "c")
-    assert a.index == {"a": 0, "b": 1, "c": 2}
-    assert a.pos.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]]
-    assert [tuple(a.ids[k] for k in row) for row in a.edges.tolist()] == list(net.edges)
-    assert a.edge_index == {("a", "b"): 0, ("a", "c"): 1}
-    assert a.free.tolist() == [0, 2]
-    for arr in (a.pos, a.edges, a.free, a.residuals):
+    assert "vertices" not in vars(net)
+    assert net.vertices is net.vertices
+    assert net.ids == ("a", "b", "c")
+    assert net.index == {"a": 0, "b": 1, "c": 2}
+    assert net.balanced.tolist() == [True, False, True]
+    assert net.labels == ("A", None, None)
+    assert net.pos.dtype == np.float64 and net.ends.dtype == np.int64
+    assert net.pos.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]]
+    assert [tuple(net.ids[k] for k in row) for row in net.ends.tolist()] == list(net.edges)
+    assert net.edge_index == {("a", "b"): 0, ("a", "c"): 1}
+    assert net.free.tolist() == [0, 2]
+    for arr in (net.pos, net.balanced, net.ends, net.free, net.residuals):
         with pytest.raises(ValueError):
             arr[0] = 0
+    for name in ("pos", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(net, name, getattr(net, name))
+
+    # Net() takes Vertex values; the others hand columns to its checks
+    for n in (paper_net, overlay_net, honeycomb(8, 6), tripod_overlay(6, 0)):
+        vid = n.ids[len(n.ids) // 2]
+        same = [parse(serialize(n)), relabeled(n, {}), edge_subnet(n, n.edges),
+                moved(n, vid, n.vertex(vid).pos)]
+        assert all(other == n and hash(other) == hash(n) for other in same)
+        assert repr(n) == f"Net(vertices={n.vertices!r}, edges={n.edges!r})"
+
+    zero = Net((_v("a", 0.0, 1), _v("b", 1, 0.0)), (("a", "b"),))
+    signed = Net((_v("a", -0.0, 1), _v("b", 1, -0.0)), (("a", "b"),))
+    assert zero.pos.tobytes() != signed.pos.tobytes()
+    assert zero == signed and hash(zero) == hash(signed)
 
 
-def test_arrays_view_of_empty_net():
-    a = Net(vertices=(), edges=()).arrays
-    assert a.pos.shape == (0, 2) and a.edges.shape == (0, 2)
+def test_columns_of_empty_net():
+    net = Net(vertices=(), edges=())
+    assert net.pos.shape == (0, 2) and net.ends.shape == (0, 2) and net.balanced.shape == (0,)
+    assert parse(serialize(net)) == net
 
 
 def test_segment_pairs_yield_meeting_pairs_in_order():
@@ -570,6 +607,8 @@ def test_relabeled():
     assert out.edges == (("b", "z"),)
     assert out.vertex("z").label == "alpha"
     assert out.vertex("z").pos == Point(0, 0)
+    with pytest.raises(InvariantViolation, match="^vertex id 7 is not a non-empty string$"):
+        relabeled(net, {"b": 7})
 
 
 def test_edge_subnet():

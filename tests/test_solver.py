@@ -464,7 +464,7 @@ def test_random_nets_relax_or_collide():
 def test_perturbed_tripod_overlay_relaxes_and_verifies():
     # BB2 stopped at 20,000 iterations with residual 6.3e-7 on this net
     start = _perturbed(tripod_overlay(6, 0), 0, 0.01)
-    assert len(start.arrays.free) <= _kernels._METRIC_MAX_FREE
+    assert len(start.free) <= _kernels._METRIC_MAX_FREE
     result = relax(start)
     assert result.stop_reason == "converged"
     assert result.iterations < 100
