@@ -1,15 +1,19 @@
 """Planar geometric primitives.
 
 Points, unit vectors, angles (degrees, unsigned), exact quarter-turn
-rotation, and robust segment-intersection classification. Everything is
-an immutable value; everything else in the package builds on this.
+rotation, and robust segment-intersection classification: one classifier,
+_classify, decides arrays of segment pairs in numpy, and intersect is it
+on one pair. Everything is an immutable value; everything else in the
+package builds on this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
+
+import numpy as np
 
 # Two points closer than this coincide. Net coordinates are O(1)-O(5),
 # so this sits far above double-precision noise and far below the
@@ -146,23 +150,17 @@ IntersectionKind = Union[
 ]
 
 
-def _point_on(seg: Segment, t: float) -> Point:
-    return Point(
-        seg.p.x + t * (seg.q.x - seg.p.x),
-        seg.p.y + t * (seg.q.y - seg.p.y),
-    )
+# Kind codes of _classify: the index of each kind in _KINDS. The codes from
+# _CROSSING on are the contacts that verify reports and planarize acts on.
+_KINDS = (Disjoint, AtSharedEndpoint, ProperCrossing, EndpointOnInterior, CollinearOverlap)
+_DISJOINT, _SHARED, _CROSSING, _ON_INTERIOR, _OVERLAP = range(len(_KINDS))
 
 
-def _snap_endpoint(seg: Segment, t: float) -> Point:
-    return seg.p if t <= 0.5 else seg.q
-
-
-def _in_endpoint_band(t: float) -> bool:
-    return t <= PARAM_EPS or t >= 1.0 - PARAM_EPS
-
-
-def _in_range(t: float) -> bool:
-    return -PARAM_EPS <= t <= 1.0 + PARAM_EPS
+def _contact_pad(length: np.ndarray) -> np.ndarray:
+    """How far beyond its bounding box a segment of each length may meet
+    another by _classify's bands, COINCIDENCE_EPS across and PARAM_EPS *
+    length along it, made 1% wider so that rounding cannot drop a pair."""
+    return (COINCIDENCE_EPS + PARAM_EPS * length) * 1.01
 
 
 def _projected_param(seg: Segment, pt: Point) -> float:
@@ -171,94 +169,162 @@ def _projected_param(seg: Segment, pt: Point) -> float:
     return ((pt.x - seg.p.x) * dx + (pt.y - seg.p.y) * dy) / (dx * dx + dy * dy)
 
 
-def _from_shared_endpoint(p: Point, q: Point, r: Point, s: Point) -> Optional[IntersectionKind]:
-    """intersect's answer for segments p-q and r-s with an endpoint w in
-    common (equal coordinates), else None. Both tests read the two
-    directions from w, so the answer does not depend on the argument
-    order."""
-    if p.x == r.x and p.y == r.y:
-        w, a, b = p, q, s
-    elif p.x == s.x and p.y == s.y:
-        w, a, b = p, q, r
-    elif q.x == r.x and q.y == r.y:
-        w, a, b = q, p, s
-    elif q.x == s.x and q.y == s.y:
-        w, a, b = q, p, r
-    else:
-        return None
-    ax, ay = a.x - w.x, a.y - w.y
-    bx, by = b.x - w.x, b.y - w.y
-    if ax * bx + ay * by > 0.0:
-        la, lb = math.hypot(ax, ay), math.hypot(bx, by)
-        if abs(ax * by - ay * bx) / max(la, lb) <= COINCIDENCE_EPS:
-            return CollinearOverlap(Segment(w, a if la < lb else b))
-    return AtSharedEndpoint(w)
+# _classify runs on coordinate arrays, and on plain floats for the one pair
+# of intersect: in one-element arrays numpy's cost per call made a pair take
+# 200-300 us, against 10-20 us on floats. These helpers act alike on both;
+# ~ is no logical negation on a Python bool.
+def _not(c):
+    return c ^ True
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(c, a, b):
+    return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
+
+
+def _where_xy(c, a, b):
+    if isinstance(c, np.ndarray):
+        return np.where(c, a[0], b[0]), np.where(c, a[1], b[1])
+    return a if c else b
+
+
+def _outside(t):
+    return (t < -PARAM_EPS) | (t > 1.0 + PARAM_EPS)
+
+
+def _in_end_band(t):
+    return (t <= PARAM_EPS) | (t >= 1.0 - PARAM_EPS)
+
+
+# Up to this many rows left open by _classify's first stage are finished
+# one at a time on floats, 10-20 us a row, which beats its later stages on
+# arrays of any length (100-300 us).
+_FEW_LEFT = 4
+
+
+def _classify(p, q, r, s):
+    """intersect on every row: how segment p-q meets segment r-s, each end
+    an (x, y) pair of coordinate arrays, or of floats for one row. Returns
+    the kind codes, the contact point (x, y) and the far end (x, y) of an
+    overlap; rows of unreported kinds hold stale coordinates.
+
+    Each test reads both segments alike, so the kind does not depend on
+    their order or direction, short of rounding within a few ulps of a
+    band's edge. A contact point is one of the four ends, or p + t * (q -
+    p) on the first segment.
+
+    The tests run in stages, as in a filtered predicate (Shewchuk 1997),
+    but each stage is exact; a later stage runs only when some row needs it.
+    """
+    (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
+    d1x, d1y, d2x, d2y = qx - px, qy - py, sx - rx, sy - ry
+    nn1, nn2 = d1x * d1x + d1y * d1y, d2x * d2x + d2y * d2y
+    len1, len2 = _sqrt(nn1), _sqrt(nn2)
+    den = d1x * d2y - d1y * d2x
+    abs_den = abs(den)
+    # The offset of each segment's ends from the other's line, times that
+    # one's length: r and s from p-q's (c_r, c_s), p and q from r-s's.
+    ex, ey, fx, fy, hx, hy = rx - px, ry - py, sx - px, sy - py, qx - rx, qy - ry
+    c_r, c_s = d1x * ey - d1y * ex, d1x * fy - d1y * fx
+    c_p, c_q = ex * d2y - ey * d2x, d2x * hy - d2y * hx
+
+    # An end w in common (equal coordinates) is decided first and exactly:
+    # the legs from w overlap along the shorter when they leave w on the
+    # same side and the far end of the shorter lies within COINCIDENCE_EPS
+    # of the longer one's line; otherwise they meet only at w. The legs
+    # from w are d1 and d2 when w is p = r or q = s, else one is reversed.
+    pr, ps = (px == rx) & (py == ry), (px == sx) & (py == sy)
+    qr, qs = (qx == rx) & (qy == ry), (qx == sx) & (qy == sy)
+    at_p = pr | ps
+    shared = at_p | qr | qs
+    legs_dot = d1x * d2x + d1y * d2y
+    legs_overlap = (((pr | qs) & (legs_dot > 0.0) | (ps | qr) & (legs_dot < 0.0))
+                    & ((abs_den / len1 <= COINCIDENCE_EPS) | (abs_den / len2 <= COINCIDENCE_EPS)))
+    w = _where_xy(at_p, p, q)
+
+    # Parallel segments may meet only when collinear: each one's ends lie
+    # within COINCIDENCE_EPS of the other's line. Other segments meet only
+    # where the solve of p + t*d1 = r + u*d2 puts t and u in [-PARAM_EPS,
+    # 1 + PARAM_EPS]. Any other pair without a common end is Disjoint, and
+    # when no pair is left open the later stages are skipped.
+    parallel = abs_den <= _PARALLEL_EPS * (len1 * len2)
+    collinear = (parallel & (abs(c_r) / len1 <= COINCIDENCE_EPS) & (abs(c_s) / len1 <= COINCIDENCE_EPS)
+                 & (abs(c_p) / len2 <= COINCIDENCE_EPS) & (abs(c_q) / len2 <= COINCIDENCE_EPS))
+    den = _where(parallel, 1.0, den)
+    t, u = c_p / den, -c_r / den
+    missed = _outside(t) | _outside(u)
+    left = legs_overlap | _not(shared) & _where(parallel, collinear, _not(missed))
+    n_left = np.count_nonzero(left)
+    if not n_left:
+        return _where(shared, _SHARED, _DISJOINT), w, w
+    if isinstance(left, np.ndarray) and n_left <= _FEW_LEFT:
+        kind, point, far = np.where(shared, _SHARED, _DISJOINT), np.array(w), np.array(w)
+        for k in np.flatnonzero(left).tolist():
+            kind[k], point[:, k], far[:, k] = _classify(*((x[k].item(), y[k].item()) for x, y in (p, q, r, s)))
+        return kind, tuple(point), tuple(far)
+
+    # The other segment's ends projected on each one's line, as a parameter
+    # of it: t_r, t_s on p-q, u_p, u_q on r-s.
+    t_r, t_s = (ex * d1x + ey * d1y) / nn1, (fx * d1x + fy * d1y) / nn1
+    u_p, u_q = -(ex * d2x + ey * d2y) / nn2, (hx * d2x + hy * d2y) / nn2
+
+    # Collinear segments overlap by more than COINCIDENCE_EPS, or touch
+    # end to end across a gap inside both segments' end bands.
+    lo, hi = _where(t_r <= t_s, t_r, t_s), _where(t_r <= t_s, t_s, t_r)
+    lo, hi = _where(lo < 0.0, 0.0, lo), _where(hi > 1.0, 1.0, hi)
+    gap = (lo - hi) * len1
+    par_overlap = collinear & (-gap > COINCIDENCE_EPS)
+    par_touch = collinear & (gap <= PARAM_EPS * len1) & (gap <= PARAM_EPS * len2)
+
+    # A ProperCrossing lies strictly inside both end bands. Near parallel,
+    # t and u carry rounding far above PARAM_EPS, so an end in a band is
+    # confirmed by projecting it onto the other segment (u1, t2): outside
+    # [-PARAM_EPS, 1 + PARAM_EPS] the pair is Disjoint, and in an end band
+    # the two ends meet once the other end's projection is confirmed the
+    # same way.
+    end1_p, end2_r = t <= 0.5, u <= 0.5
+    u1, t2 = _where(end1_p, u_p, u_q), _where(end2_r, t_r, t_s)
+    t_end, u_end = _in_end_band(t), _in_end_band(u)
+    both = (t_end | _in_end_band(t2)) & (u_end | _in_end_band(u1)) & (t_end | u_end)
+    missed = missed | (t_end | both) & _outside(u1) | (u_end | both) & _outside(t2)
+
+    kind = _where(shared, _where(legs_overlap, _OVERLAP, _SHARED), _where(
+        parallel, _where(par_overlap, _OVERLAP, _where(par_touch, _SHARED, _DISJOINT)), _where(
+            missed, _DISJOINT, _where(t_end | u_end, _where(both, _SHARED, _ON_INTERIOR), _CROSSING))))
+    # Only a contact away from w needs more than w.
+    if not np.count_nonzero((kind != _DISJOINT) & (legs_overlap | _not(shared))):
+        return kind, w, w
+    # The contact point: on p-q at lo or t, or an end of p-q (w, the end
+    # nearer the gap, or the one nearer t when t is in a band), else of r-s.
+    # An overlap's far end: that of the shorter leg from w, or p + hi*d1.
+    end = _where_xy(parallel | both | t_end,
+                    _where_xy(_where(parallel, lo + hi <= 1.0, end1_p), p, q), _where_xy(end2_r, r, s))
+    tau = _where(parallel, lo, t)
+    along = _not(shared) & _where(parallel, par_overlap, _not(t_end | u_end))
+    point = _where_xy(along, (px + tau * d1x, py + tau * d1y), _where_xy(shared, w, end))
+    far = _where_xy(len1 < len2, _where_xy(at_p, q, p), _where_xy(pr | qr, s, r))
+    return kind, point, _where_xy(shared, far, (px + hi * d1x, py + hi * d1y))
 
 
 def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     """Classify how two segments meet.
 
     Returns one of Disjoint, AtSharedEndpoint, ProperCrossing,
-    EndpointOnInterior, or CollinearOverlap. A ProperCrossing point lies
-    strictly inside both segments (parametric coordinate in
-    [PARAM_EPS, 1 - PARAM_EPS]); contact inside the band is reported as
-    endpoint contact instead, so planarization cannot fabricate
-    near-endpoint crossings.
-
-    Segments with an endpoint w in common (equal coordinates) are decided
-    first, exactly, and not by the parallel test or the parametric solve:
-    they overlap along the shorter segment when both leave w on the same
-    side and the far end of the shorter lies within COINCIDENCE_EPS of the
-    longer one's line, and otherwise meet only at w (AtSharedEndpoint).
-
-    Near parallel the solve's t and u carry rounding far above PARAM_EPS,
-    so an endpoint contact is confirmed by projecting the endpoint onto the
-    other segment. Outside [-PARAM_EPS, 1 + PARAM_EPS] the pair is Disjoint;
-    in an end band the two ends meet (AtSharedEndpoint) once the other
-    end's projection is confirmed the same way.
+    EndpointOnInterior, or CollinearOverlap: _classify's answer on one
+    row, so the kind is the same for either argument order and either
+    direction of each segment, and a point is p + t * (q - p) on s1, or an
+    end. A ProperCrossing point lies strictly inside both segments
+    (parametric coordinate in [PARAM_EPS, 1 - PARAM_EPS]); contact inside
+    the band is reported as endpoint contact instead, so planarization
+    cannot fabricate near-endpoint crossings. Segments with an endpoint in
+    common are decided first and exactly, and parallel ones are collinear
+    when each one's ends lie within COINCIDENCE_EPS of the other's line.
     """
-    p, q = s1.p, s1.q
-    r, s = s2.p, s2.q
-    shared = _from_shared_endpoint(p, q, r, s)
-    if shared is not None:
-        return shared
-    d1x, d1y = q.x - p.x, q.y - p.y
-    d2x, d2y = s.x - r.x, s.y - r.y
-    len1 = math.hypot(d1x, d1y)
-    len2 = math.hypot(d2x, d2y)
-    den = d1x * d2y - d1y * d2x
-
-    if abs(den) <= _PARALLEL_EPS * len1 * len2:
-        # Parallel. Collinear only if both endpoints of s2 sit on line(s1).
-        off_r = abs(d1x * (r.y - p.y) - d1y * (r.x - p.x)) / len1
-        off_s = abs(d1x * (s.y - p.y) - d1y * (s.x - p.x)) / len1
-        if off_r > COINCIDENCE_EPS or off_s > COINCIDENCE_EPS:
-            return Disjoint()
-        t_r, t_s = _projected_param(s1, r), _projected_param(s1, s)
-        lo, hi = (t_r, t_s) if t_r <= t_s else (t_s, t_r)
-        lo = max(lo, 0.0)
-        hi = min(hi, 1.0)
-        if (hi - lo) * len1 > COINCIDENCE_EPS:
-            return CollinearOverlap(Segment(_point_on(s1, lo), _point_on(s1, hi)))
-        if (lo - hi) * len1 <= PARAM_EPS * min(len1, len2):
-            # A gap inside both segments' end bands: single-point contact,
-            # which for collinear segments happens only endpoint to endpoint.
-            return AtSharedEndpoint(_snap_endpoint(s1, 0.5 * (lo + hi)))
-        return Disjoint()
-
-    # Solve p + t*d1 = r + u*d2.
-    ex, ey = r.x - p.x, r.y - p.y
-    t = (ex * d2y - ey * d2x) / den
-    u = (ex * d1y - ey * d1x) / den
-    if not (_in_range(t) and _in_range(u)):
-        return Disjoint()
-    t_end = _in_endpoint_band(t)
-    u_end = _in_endpoint_band(u)
-    if not (t_end or u_end):
-        return ProperCrossing(_point_on(s1, t))
-    end1, end2 = _snap_endpoint(s1, t), _snap_endpoint(s2, u)
-    u1, t2 = _projected_param(s2, end1), _projected_param(s1, end2)
-    both = t_end and (u_end or _in_endpoint_band(u1)) or u_end and _in_endpoint_band(t2)
-    if (t_end or both) and not _in_range(u1) or (u_end or both) and not _in_range(t2):
-        return Disjoint()
-    return AtSharedEndpoint(end1) if both else EndpointOnInterior(end1 if t_end else end2)
+    ends = (s1.p.x, s1.p.y), (s1.q.x, s1.q.y), (s2.p.x, s2.p.y), (s2.q.x, s2.q.y)
+    code, (x0, y0), (x1, y1) = _classify(*ends)
+    if code == _OVERLAP:
+        return CollinearOverlap(Segment(Point(x0, y0), Point(x1, y1)))
+    return Disjoint() if code == _DISJOINT else _KINDS[code](Point(x0, y0))

@@ -18,16 +18,16 @@ import numpy as np
 
 from . import _kernels
 from .geom import (
+    _CROSSING,
     COINCIDENCE_EPS,
     PARAM_EPS,
-    _PARALLEL_EPS,
     CollinearOverlap,
-    EndpointOnInterior,
     IntersectionKind,
     Point,
-    ProperCrossing,
     Segment,
     Vec,
+    _classify,
+    _contact_pad,
     _projected_param,
     intersect,
 )
@@ -111,12 +111,6 @@ def _checked_id(v: Vertex) -> str:
     if v.label is not None and not isinstance(v.label, str):
         raise InvariantViolation(f"vertex {vid}: label {v.label!r} is not a string")
     return vid
-
-
-# Boxes are widened by this factor beyond the distance they must cover, so
-# that rounding in their ends and in the predicates they stand in for
-# cannot drop a pair.
-_BOX_SLACK = 1.01
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -230,6 +224,11 @@ class Net:
             ends=_read_only(ends.reshape(-1, 2)),
             index=index,
         )
+
+    def __reduce__(self):
+        # a pickled or copied net passes the checking path again, which
+        # leaves its arrays read-only
+        return Net._from_columns, (self.ids, self.balanced, self.labels, self.pos, self.edges)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -396,95 +395,27 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     )
 
 
-# The kinds of contact that verify reports and planarize acts on.
-_REPORTED = (ProperCrossing, EndpointOnInterior, CollinearOverlap)
-
-
-def _candidate_pairs(net: Net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge index arrays (i, j), i < j, of the broad phase's candidate
-    pairs in lexicographic order, and the mask of those that intersect may
-    report (_REPORTED). A pair outside the mask is one that intersect
-    calls Disjoint or AtSharedEndpoint.
-
-    The broad phase keeps the pairs whose bounding boxes overlap once each
-    box is padded by intersect's own acceptance bands, COINCIDENCE_EPS +
-    PARAM_EPS * length, and _BOX_SLACK. A pair whose padded boxes are
-    apart is one that intersect calls Disjoint in exact arithmetic. Only
-    rounding in intersect's parametric solve of a nearly parallel pair
-    could accept such a pair, at a point that lies on neither segment; the
-    index drops it.
-
-    The mask is a filtered predicate (Shewchuk 1997): it drops a pair only
-    where intersect's answer is clear. dot, cross, den, t and u below are
-    intersect's own IEEE expressions on the same coordinates, so they are
-    its values bit for bit. Only the lengths differ: _kernels.norms and
-    math.hypot each round a length to within a few ulps, so no test that
-    reads a length can flip under a bound twice intersect's.
-
-    - Edges with a common vertex w (by index: Net rejects distinct
-      vertices within COINCIDENCE_EPS, so this is intersect's coordinate
-      equality) leave w along legs a and b. intersect answers
-      AtSharedEndpoint when dot(a, b) <= 0, and also when
-      |cross(a, b)| / max(|a|, |b|) > COINCIDENCE_EPS. The mask drops
-      the first exactly and the second past 2 * COINCIDENCE_EPS.
-    - Other edges are Disjoint when they are not parallel, |den| >
-      _PARALLEL_EPS * len1 * len2, and their parametric t or u lies outside
-      [-PARAM_EPS, 1 + PARAM_EPS]. The mask drops them past twice the
-      parallel threshold, and outside [-2 * PARAM_EPS, 1 + 2 * PARAM_EPS]
-      for spare.
-    """
-    ends, pos = net.ends, net.pos
-    p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
-    length = _kernels.norms(p1 - p0)
-    pad = (COINCIDENCE_EPS + PARAM_EPS * length) * _BOX_SLACK
-    i, j = _box_pairs(np.minimum(p0, p1) - pad[:, None], np.maximum(p0, p1) + pad[:, None])
-    ei, ej = ends[i], ends[j]
-    same = (ei[:, :, None] == ej[:, None, :]).reshape(-1, 4)
-    shared = same.any(axis=1)
-    keep = np.ones(len(i), dtype=bool)
-
-    # column k of ei and column m of ej hold the common vertex w
-    s = np.flatnonzero(shared)
-    k, m = np.divmod(same[s].argmax(axis=1), 2)
-    w = pos[ei[s, k]]
-    la, lb = pos[ei[s, 1 - k]] - w, pos[ej[s, 1 - m]] - w
-    dot = la[:, 0] * lb[:, 0] + la[:, 1] * lb[:, 1]
-    cross = la[:, 0] * lb[:, 1] - la[:, 1] * lb[:, 0]
-    wide = np.abs(cross) > 2.0 * COINCIDENCE_EPS * np.maximum(length[i[s]], length[j[s]])
-    keep[s] = ~((dot <= 0.0) | wide)
-
-    n = np.flatnonzero(~shared)
-    p, r = pos[ei[n, 0]], pos[ej[n, 0]]
-    d1, d2, e = pos[ei[n, 1]] - p, pos[ej[n, 1]] - r, r - p
-    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (e[:, 0] * d2[:, 1] - e[:, 1] * d2[:, 0]) / den
-        u = (e[:, 0] * d1[:, 1] - e[:, 1] * d1[:, 0]) / den
-    band = 2.0 * PARAM_EPS
-    nonparallel = np.abs(den) > 2.0 * _PARALLEL_EPS * length[i[n]] * length[j[n]]
-    outside = (t < -band) | (t > 1.0 + band) | (u < -band) | (u > 1.0 + band)
-    keep[n] = ~(nonparallel & outside)
-    return i, j, keep
-
-
 def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     """Every pair of edges that cross, touch at an interior point or
     overlap, as (e1, e2, kind) with e1 before e2 in net.edges, in
-    lexicographic order of the pair; kind is intersect's answer, one of
-    _REPORTED. Pairs that meet only at a shared endpoint are left out.
+    lexicographic order of the pair; kind is intersect's answer, a
+    ProperCrossing, EndpointOnInterior or CollinearOverlap. Pairs that meet
+    only at a shared endpoint are left out.
 
-    intersect decides only the candidate pairs that _candidate_pairs
-    cannot rule out in numpy; see there for the bound argument. Each
-    Segment is built once, for the edges those pairs touch.
+    The candidates are the pairs whose bounding boxes overlap once each is
+    padded by geom._contact_pad. geom._classify decides them in one pass,
+    and intersect builds the answer of each pair it reports.
     """
-    edges = net.edges
-    i, j, keep = _candidate_pairs(net)
-    i, j = i[keep].tolist(), j[keep].tolist()
-    segs = {k: net.segment(edges[k]) for k in {*i, *j}}
-    for k, m in zip(i, j):
-        kind = intersect(segs[k], segs[m])
-        if isinstance(kind, _REPORTED):
-            yield edges[k], edges[m], kind
+    edges, ends, pos = net.edges, net.ends, net.pos
+    p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
+    pad = _contact_pad(_kernels.norms(p1 - p0))[:, None]
+    i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
+    # rows p, q, r, s of the ends, as (x, y) coordinate arrays
+    pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
+    kind = _classify(*pqrs.transpose(1, 0, 2))[0]
+    reported = kind >= _CROSSING
+    for k, m in zip(i[reported].tolist(), j[reported].tolist()):
+        yield edges[k], edges[m], intersect(net.segment(edges[k]), net.segment(edges[m]))
 
 
 def planarize(net: Net) -> Net:

@@ -7,6 +7,8 @@ import math
 import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from geonets import (
     Edge,
     IntersectionKind,
@@ -24,14 +26,7 @@ from geonets import (
     planarize,
     unit_vector,
 )
-from geonets.geom import (
-    COINCIDENCE_EPS,
-    CollinearOverlap,
-    EndpointOnInterior,
-    ProperCrossing,
-    distance,
-    intersect,
-)
+from geonets.geom import _CROSSING, COINCIDENCE_EPS, _classify, distance, intersect
 
 
 def random_net(rng: random.Random) -> Net:
@@ -62,19 +57,29 @@ def random_net(rng: random.Random) -> Net:
     return Net(vertices, sorted(edges))
 
 
+# all_segment_pairs classifies at most this many pairs in one array call,
+# which holds its memory to a few MB.
+_ORACLE_BLOCK = 1 << 14
+
+
 def all_segment_pairs(net: Net) -> List[Tuple[Edge, Edge, IntersectionKind]]:
-    """Oracle for net._segment_pairs: intersect on every pair of edges, in
-    lexicographic order of the pair, keeping the pairs that cross, touch
-    at an interior point or overlap."""
+    """Oracle for net._segment_pairs: every pair of edges, without a broad
+    phase, classified by geom._classify in array calls of _ORACLE_BLOCK
+    pairs, from the coordinates of net.segment, in lexicographic order of
+    the pair. The pairs that cross, touch at an interior point or overlap
+    are kept, each with intersect's answer."""
     edges = net.edges
     segs = [net.segment(e) for e in edges]
-    found = []
-    for i, s1 in enumerate(segs):
-        for j in range(i + 1, len(segs)):
-            kind = intersect(s1, segs[j])
-            if isinstance(kind, (ProperCrossing, EndpointOnInterior, CollinearOverlap)):
-                found.append((edges[i], edges[j], kind))
-    return found
+    # rows px, py, qx, qy of the edges
+    xy = np.array([(s.p.x, s.p.y, s.q.x, s.q.y) for s in segs]).reshape(-1, 4).T.copy()
+    i, j = np.triu_indices(len(segs), 1)
+    kinds = [np.empty(0, dtype=int)]
+    for k in range(0, len(i), _ORACLE_BLOCK):
+        a, b = xy[:, i[k:k + _ORACLE_BLOCK]], xy[:, j[k:k + _ORACLE_BLOCK]]
+        kinds.append(_classify((a[0], a[1]), (a[2], a[3]), (b[0], b[1]), (b[2], b[3]))[0])
+    reported = np.concatenate(kinds) >= _CROSSING
+    return [(edges[k], edges[m], intersect(segs[k], segs[m]))
+            for k, m in zip(i[reported].tolist(), j[reported].tolist())]
 
 
 def first_coincident_pair(vertices: Sequence[Vertex]) -> Optional[Tuple[str, str]]:

@@ -19,7 +19,7 @@ from geonets import (
     rotate,
     unit_vector,
 )
-from geonets.geom import COINCIDENCE_EPS, PARAM_EPS, _PARALLEL_EPS, DegenerateSegment
+from geonets.geom import _KINDS, COINCIDENCE_EPS, PARAM_EPS, _PARALLEL_EPS, DegenerateSegment, _classify
 
 
 def test_point_rejects_non_finite():
@@ -231,39 +231,86 @@ def test_intersect_symmetric_in_argument_order():
 
 
 
-def _near_endpoint_pair(rng):
-    """Segments s1 = p-q and s2 starting near q: within three of s1's end
-    bands along it and a tenth of COINCIDENCE_EPS across it. With
-    probability 0.4, s2 leaves within three _PARALLEL_EPS of s1's direction,
-    else in any direction. Either segment may be reversed; the third value
-    says whether s2 is near parallel."""
+def _near_endpoint_ends(rng):
+    """The ends p, q, r, s of segments s1 = p-q and s2 = r-s, s2 starting
+    near q: within three of s1's end bands along it and COINCIDENCE_EPS
+    across it. With probability 0.4, s2 leaves within three _PARALLEL_EPS
+    of s1's direction, else in any direction. Either segment may be
+    reversed; the second value says whether s2 is near parallel."""
     th = rng.uniform(0, 2 * math.pi)
     l1, l2 = rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0)
-    p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-    q = Point(p.x + l1 * math.cos(th), p.y + l1 * math.sin(th))
+    p = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+    q = (p[0] + l1 * math.cos(th), p[1] + l1 * math.sin(th))
     along = rng.uniform(-3, 3) * PARAM_EPS * l1
-    across = rng.uniform(-0.1, 0.1) * COINCIDENCE_EPS
-    r = Point(q.x + along * math.cos(th) - across * math.sin(th),
-              q.y + along * math.sin(th) + across * math.cos(th))
+    across = rng.uniform(-1, 1) * COINCIDENCE_EPS
+    r = (q[0] + along * math.cos(th) - across * math.sin(th),
+         q[1] + along * math.sin(th) + across * math.cos(th))
     near_parallel = rng.random() < 0.4
     phi = th + rng.uniform(-3, 3) * _PARALLEL_EPS if near_parallel else rng.uniform(0, 2 * math.pi)
-    s = Point(r.x + l2 * math.cos(phi), r.y + l2 * math.sin(phi))
-    s1 = Segment(p, q) if rng.random() < 0.5 else Segment(q, p)
-    s2 = Segment(r, s) if rng.random() < 0.5 else Segment(s, r)
-    return s1, s2, near_parallel
+    s = (r[0] + l2 * math.cos(phi), r[1] + l2 * math.sin(phi))
+    s1 = (p, q) if rng.random() < 0.5 else (q, p)
+    s2 = (r, s) if rng.random() < 0.5 else (s, r)
+    return (*s1, *s2), near_parallel
 
 
-def test_intersect_near_endpoint_pairs_symmetric_in_argument_order():
-    # A collinear gap between two ends is end contact only inside both
-    # segments' end bands; measured in s1's band alone, about 1.6% of these
-    # pairs were Disjoint one way round and AtSharedEndpoint the other.
+def _ends(pairs):
+    """The ends p, q, r, s of each segment pair, as an (n, 4, 2) array."""
+    return np.array([[(s.p.x, s.p.y), (s.q.x, s.q.y)] for pair in pairs for s in pair]).reshape(-1, 4, 2)
+
+
+def _classified(ends):
+    """_classify on the rows of an (n, 4, 2) array of ends p, q, r, s, in
+    one array call: the kind codes, contact points and far ends."""
+    kind, point, far = _classify(*ends.transpose(1, 2, 0))
+    return kind, np.transpose(point), np.transpose(far)
+
+
+# _eight_orders as permutations of the ends p, q, r, s
+_EIGHT_ORDERS = [(0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 3, 2), (3, 2, 0, 1),
+                 (1, 0, 2, 3), (2, 3, 1, 0), (1, 0, 3, 2), (3, 2, 1, 0)]
+
+
+def test_intersect_near_endpoint_pairs_agree_in_all_eight_orders():
+    # Every test reads both segments alike. Collinearity measured as the
+    # offsets of s2's ends from s1's line alone changed the kind of 13 to 16
+    # of 100,000 such pairs with the argument order, most of them
+    # CollinearOverlap one way and Disjoint the other.
     rng = random.Random(5)
-    near_parallel = 0
-    for _ in range(20_000):
-        s1, s2, parallel = _near_endpoint_pair(rng)
-        near_parallel += parallel
-        assert type(intersect(s1, s2)) is type(intersect(s2, s1)), (s1, s2)
-    assert 7_000 < near_parallel < 9_000
+    pairs = [_near_endpoint_ends(rng) for _ in range(20_000)]
+    assert 7_000 < sum(parallel for _, parallel in pairs) < 9_000
+    ends = np.array([pqrs for pqrs, _ in pairs])
+    kinds = np.stack([_classified(ends[:, order])[0] for order in _EIGHT_ORDERS], axis=1)
+    differ = np.flatnonzero((kinds != kinds[:, :1]).any(axis=1))
+    assert len(differ) == 0, pairs[differ[0]]
+    assert {_KINDS[k] for k in np.unique(kinds)} == set(_KINDS)
+
+
+def _answer(kind, point, far):
+    """The IntersectionKind of one row of _classify's output."""
+    if _KINDS[kind] is CollinearOverlap:
+        return CollinearOverlap(Segment(Point(*point), Point(*far)))
+    return Disjoint() if _KINDS[kind] is Disjoint else _KINDS[kind](Point(*point))
+
+
+def test_intersect_is_the_classifier_on_one_row():
+    # intersect runs _classify on floats; the array rows must give the
+    # same kinds and the same point bits
+    rng = random.Random(13)
+    ends = (_near_endpoint_ends(rng)[0] for _ in range(1_000))
+    pairs = [(Segment(Point(*p), Point(*q)), Segment(Point(*r), Point(*s))) for p, q, r, s in ends]
+    pairs += [(Segment(*pts[:2]), Segment(*pts[2:]))
+              for pts in ([Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(4)] for _ in range(1_000))]
+    for la, lb, angle in ((5.0, 4.0, 2e-12), (5.0, 0.5, 1.5e-9), (2.0, 3.0, 0.3)):
+        pairs += [_legs(rng, la, lb, angle, same_side=True) for _ in range(200)]
+    pairs += list(_eight_orders(Segment(Point(0, 0), Point(3, 0)), Segment(Point(1, 0), Point(5, 0))))
+    ends = _ends(pairs)
+    answers = [intersect(s1, s2) for s1, s2 in pairs]
+    assert {type(a) for a in answers} == set(_KINDS)
+    # in arrays of three rows the rows left open are finished one at a time
+    for size, n in ((len(ends), len(ends)), (3, 1_200)):
+        blocks = (map(np.ndarray.tolist, _classified(ends[k:k + size])) for k in range(0, n, size))
+        assert [_answer(*row) for block in blocks for row in zip(*block)] == answers[:n]
+
 
 def _eight_orders(s1, s2):
     """Both argument orders, with each segment either way round."""

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import re
 
@@ -147,6 +149,15 @@ def test_net_lookups():
     assert net.degree("p1") == 1
     assert net.incident_edges("p1") == (("p1", "p3"),)
     assert net.adjacency["p1"] == ("p3",)
+
+
+def test_pickled_and_copied_nets_keep_read_only_columns(paper_net):
+    for twin in (pickle.loads(pickle.dumps(paper_net)), copy.deepcopy(paper_net), copy.copy(paper_net)):
+        assert twin == paper_net and hash(twin) == hash(paper_net)
+        for column in (twin.pos, twin.balanced, twin.ends):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[1]
 
 
 def test_columns_are_read_only_and_every_entry_point_agrees(paper_net, overlay_net):
@@ -609,6 +620,28 @@ def test_relabeled():
     assert out.vertex("z").pos == Point(0, 0)
     with pytest.raises(InvariantViolation, match="^vertex id 7 is not a non-empty string$"):
         relabeled(net, {"b": 7})
+
+
+def _found_pairs(findings, mapping):
+    """The edge pairs of verify findings, each id renamed through mapping."""
+    return {frozenset(edge_key(*(mapping.get(v, v) for v in e)) for e in (e1, e2))
+            for e1, e2, _ in findings}
+
+
+def test_verify_finds_the_same_overlay_after_relabeling():
+    # Two nearly collinear segments that overlap by 6.8e-9 at b and c:
+    # c and d lie 0.9987e-9 and 1.0015e-9 off a-b's line, a and b 0.9937e-9
+    # and 0.9987e-9 off c-d's. Renaming a <-> c and b <-> d hands intersect
+    # the two edges in the other order, which must not change what verify
+    # finds.
+    net = Net([
+        _v("a", 0.23707926858757444, 2.7306701216512437), _v("b", 5.832855283650639, 3.1064604959203135),
+        _v("c", 5.832855276845726, 3.1064604964643037), _v("d", 8.841741629565497, 3.3085255050695843),
+    ], [("a", "b"), ("c", "d")])
+    swap = {"a": "c", "c": "a", "b": "d", "d": "b"}
+    report, swapped = verify(net), verify(relabeled(net, swap))
+    assert _found_pairs(report.overlay_findings, {}) == _found_pairs(swapped.overlay_findings, swap)
+    assert _found_pairs(report.unplanarized_crossings, {}) == _found_pairs(swapped.unplanarized_crossings, swap)
 
 
 def test_edge_subnet():
