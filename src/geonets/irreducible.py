@@ -5,38 +5,37 @@ balanced vertex stays balanced with respect to the edges chosen at it
 (a vertex with no chosen edges is trivially balanced; pins carry no
 constraint). A net with no proper subnet is irreducible.
 
-The search treats each balanced vertex as a constraint whose admissible
-values are its balanced edge subsets. Edges that every subset at some
-vertex holds together or not at all are tied, and the ties split the
-edges into classes (union-find; equivalent-literal substitution in SAT
-terms), so each class is decided as one. The search runs unit propagation
-over shared edges: from every vertex of the seed class, then after every
-branch from the vertices at the edges the branch decided, so a vertex is
-checked again whenever one of its edges is decided. Seeding every class
-in turn either finds a subnet (then shrunk to a minimal one) or proves
-that no edge lies in any proper subnet, with the ties and a propagation
-trace as the certificate.
+Each balanced vertex is a constraint whose admissible values are its
+balanced edge subsets. Edges that every subset at some vertex holds
+together or not at all are tied, and the ties split the edges into classes
+(union-find; equivalent-literal substitution in SAT terms). Every subnet is
+a union of classes, so the search decides classes, bit c of a class bitset
+for class c in ascending order of lowest edge. A vertex keeps the subsets
+that hold each class whole or not at all; if only the empty set and its
+full star are left, it says no more than its ties and drops out.
 
-A search state is a pair of edge bitsets (ins, outs): bit i stands for
-net.edges[i], ins holds the edges chosen so far and outs the edges ruled
-out. Each balanced vertex's subsets are edge bitsets too, so a subset fits
-a state when it holds every chosen edge at the vertex and no ruled-out
-one; the edges every fitting subset holds are forced in, and the edges
-none holds are forced out. A branch picks one fitting subset m at a
-vertex with incident edges inc and moves to (ins | m, outs | inc & ~m).
-The search branches at the first balanced vertex of the lowest open edge,
-one neither chosen nor ruled out; a state with no open edge is complete.
+A search state is a pair of class bitsets (ins, outs), chosen and ruled
+out. The classes that every subset fitting the state at a vertex holds are
+forced in, those that none holds forced out. Unit propagation runs from
+every vertex of the seed class, then after every branch from the vertices
+at the classes it decided. A branch picks one fitting subset m at a vertex
+with classes inc: (ins | m, outs | inc & ~m). It is taken at the lowest
+open class, at the first balanced vertex of its lowest edge; one that
+dropped out offers the empty set and the class. Seeding every class in
+turn either finds a subnet (then shrunk to a minimal one) or proves that no
+edge lies in any proper subnet, with the ties and a propagation trace as
+the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, _check_tol, edge_key, verify
+from .net import DEFAULT_TOL, Edge, Net, _check_tol, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -50,47 +49,40 @@ class SearchBudgetExceeded(RuntimeError):
     """Subnet search exceeded its node budget."""
 
 
-def _tables(
-    net: Net, vids: Sequence[str], tol: float
-) -> Tuple[List[int], List[List[int]], float, float]:
-    """The subset tables of the balanced vertices vids, in edge bitsets
-    (bit r for net.edges[r]): each vertex's edges, and its balanced subsets
-    in ascending order. Then the largest norm among those subsets, and the
-    least norm among the rejected ones (inf if there is none); a subset is
-    accepted when its norm is at most tol. The unit vectors of all legs
-    come from one call, and the stars of each degree share one
-    star_subsets call at tol.
-    """
-    stars = [net.adjacency[vid] for vid in vids]
-    for vid, star in zip(vids, stars):
-        if len(star) > MAX_SUBSET_DEGREE:
-            raise DegreeTooLarge(f"vertex {vid} has degree {len(star)} > {MAX_SUBSET_DEGREE}")
-    # A star's legs go to its neighbours in id order, which is also the
-    # order of its edges in net.edges, so leg i is the star's i-th lowest
-    # edge bit and ascending leg masks map to ascending edge bitsets.
-    bits = [[1 << net.edge_index[edge_key(vid, w)] for w in star] for vid, star in zip(vids, stars)]
-    legs = [[net.index[vid], net.index[w]] for vid, star in zip(vids, stars) for w in star]
-    vecs = _kernels.unit_vectors(net.pos, np.array(legs, dtype=np.int64).reshape(-1, 2))
-    starts = np.cumsum([0] + [len(star) for star in stars])
-    by_degree: Dict[int, List[int]] = {}
-    for k, star in enumerate(stars):
-        by_degree.setdefault(len(star), []).append(k)
-    masks: List[List[int]] = [[] for _ in vids]
-    accepted, rejected = 0.0, np.inf
-    for d, members in by_degree.items():
-        legs_of = starts[members][:, None] + np.arange(d)
-        star, mask, norm, least = _kernels.star_subsets(vecs[legs_of], tol)
+def _tables(net: Net, rows: Sequence[int], tol: float) -> Tuple[list, float, float]:
+    """The balanced subsets at the vertex rows, one star_subsets call per
+    degree: (groups, accepted, rejected). A group holds the stars of one
+    degree d as (members, legs, star, held): the stars' positions in rows,
+    each star's d edges ascending, and per accepted subset its star and
+    whether it holds each leg, each star's in ascending order of the bit
+    masks over its legs. A subset is accepted when the norm of its
+    unit-vector sum is at most tol; accepted is the largest such norm, and
+    rejected the least norm of a rejected subset, inf if there is none."""
+    degree = [len(net.adjacency[net.ids[k]]) for k in rows]
+    for k, d in zip(rows, degree):
+        if d > MAX_SUBSET_DEGREE:
+            raise DegreeTooLarge(f"vertex {net.ids[k]} has degree {d} > {MAX_SUBSET_DEGREE}")
+    # Slot 2r + i of ends holds end i of edge r, a leg at that end; slot ^ 1
+    # is its far end. Sorted stably by vertex, a star's legs are in edge order.
+    flat = net.ends.ravel()
+    wanted = np.zeros(len(net.ids), dtype=bool)
+    wanted[rows] = True
+    legs = np.flatnonzero(wanted[flat])
+    legs = legs[np.argsort(flat[legs], kind="stable")]
+    first = np.searchsorted(flat[legs], rows)
+    groups, accepted, rejected = [], 0.0, np.inf
+    for d in sorted(set(degree)):
+        members = np.flatnonzero(np.array(degree) == d)
+        slot = legs[first[members][:, None] + np.arange(d)]
+        vecs = _kernels.unit_vectors(net.pos, np.stack((flat[slot], flat[slot ^ 1]), axis=-1).reshape(-1, 2))
+        star, mask, norm, least = _kernels.star_subsets(vecs.reshape(len(members), d, 2), tol)
         accepted = max(accepted, float(norm.max()))
         rejected = min(rejected, least)
-        for k, m in zip(star.tolist(), mask.tolist()):
-            k = members[k]
-            masks[k].append(sum(b for i, b in enumerate(bits[k]) if m >> i & 1))
-    return [sum(b) for b in bits], masks, accepted, rejected
+        groups.append((members, slot >> 1, star, (mask[:, None] >> np.arange(d) & 1).astype(bool)))
+    return groups, accepted, rejected
 
 
-def balanced_edge_subsets(
-    net: Net, vertex_id: str, tol: float = DEFAULT_TOL
-) -> List[Tuple[Edge, ...]]:
+def balanced_edge_subsets(net: Net, vertex_id: str, tol: float = DEFAULT_TOL) -> List[Tuple[Edge, ...]]:
     """All subsets of the edges at a balanced vertex whose unit vectors
     sum to zero within tol, each in net.edges order. They come in
     ascending order of their bit masks over the vertex's edges (bit i for
@@ -102,32 +94,28 @@ def balanced_edge_subsets(
     ValueError unless tol is finite and nonnegative.
     """
     _check_tol(tol)
-    if not net.balanced[net._row(vertex_id)]:
-        raise ValueError(
-            f"vertex {vertex_id} is unbalanced; every edge subset is admissible"
-        )
-    _, (masks,), _, _ = _tables(net, [vertex_id], tol)
-    return [tuple(net.edges[r] for r in _rows(m)) for m in masks]
+    k = net._row(vertex_id)
+    if not net.balanced[k]:
+        raise ValueError(f"vertex {vertex_id} is unbalanced; every edge subset is admissible")
+    ((_, (legs,), _, held),), _, _ = _tables(net, [k], tol)
+    return [tuple(net.edges[r] for r, h in zip(legs.tolist(), row) if h) for row in held.tolist()]
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One step of an irreducibility certificate: a tie, or a propagation
-    event while testing a seed edge class.
+    """One step of an irreducibility certificate: a tie or a search event.
 
     A tie step is TraceStep(e, vertex, (f,), (), tie=True): every balanced
-    subset at vertex holds both e and f or neither, so seeding e forces f
-    in and no subnet holds one of them without the other. The ties come
-    first, one for each union of two edge classes, so a net with E edges
-    and C classes has E - C of them.
+    subset at vertex holds both e and f or neither, so no subnet holds one
+    of them without the other. The ties come first, one for each union of
+    two edge classes: E - C of them for E edges and C classes.
 
-    The other steps belong to the seed named by their seed field. vertex is
-    None for the seed assignment itself and for the whole-net conflict;
-    conflict is a reason string when the step ended the seed. A seed
-    assignment is TraceStep(seed, None, (seed,), ()), where seed is the
-    lowest edge of its class in net.edges order: the classes are seeded
-    once each, in ascending order of that edge, and each class's search
-    excludes exactly the classes seeded before it.
+    The other steps belong to the seed named by their seed field, and name
+    each class by its lowest edge in net.edges order: the seed assignment
+    TraceStep(seed, None, (seed,), ()), once per class in ascending order,
+    its search excluding the classes seeded before it; forcing steps, with
+    the classes forced in and out at vertex, each ascending; and a
+    conflict with its reason, at a vertex or (vertex None) the whole net.
     """
 
     seed: Edge
@@ -153,53 +141,87 @@ class Reducible:
 SubnetCertificate = Union[Irreducible, Reducible]
 
 
-class _Ctx:
-    """Immutable search tables plus a shared node budget.
+def _class_tables(group: tuple, class_of: np.ndarray, bit: np.ndarray) -> list:
+    """(star, classes, table) for each star of a _tables group that says
+    more than its ties: its position in rows, its classes and its subsets
+    that hold each class whole or not at all, as bitsets of bit[c] = 1 << c."""
+    members, legs, star, held = group
+    cls = class_of[legs]
+    # rep[s, i] is the lowest leg of star s in leg i's class.
+    rep = (cls[:, :, None] == cls[:, None, :]).argmax(axis=2)
+    full = np.bincount(star[held.all(axis=1)], minlength=len(members)) > 0
+    keep = ~((rep == 0).all(axis=1) & full)
+    rows = keep[star] & (held == np.take_along_axis(held, rep[star], axis=1)).all(axis=1)
+    weight = bit[np.where(rep == np.arange(legs.shape[1]), cls, -1)]  # bit[-1] is 0
+    tables: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(keep).tolist()}
+    values = np.where(held[rows], weight[star[rows]], 0).sum(axis=1)
+    for s, m in zip(star[rows].tolist(), values.tolist()):
+        tables[s].append(m)
+    return [(int(members[s]), int(weight[s].sum()), table) for s, table in tables.items()]
 
-    Edge i is bit i of every edge bitset. Balanced vertex k is named
-    balanced[k]; inc_bits[k] and masks[k] are its edges and its balanced
-    subsets, as _tables gives them. One walk over each vertex's rows,
-    ascending, with the vertices in balanced order, builds the rest:
-    vertices_of[r] lists the k at edge r; two edges at a vertex are tied
-    when their columns in its table are equal, and ties holds one (vertex
-    id, e, f) for each union that joined two classes, with e the lowest row
-    at the vertex that shares f's column; classes holds the edge classes as
-    bitsets, in ascending order of their lowest edge.
+
+class _Ctx:
+    """Class-level search tables from _tables' groups at the vertices
+    vids, and a shared node budget. ties holds one (vertex id, e, f) per
+    union of two classes, e the edge of f's lead. class_of[r] is edge r's
+    class, and seeds[c] the lowest edge of class c. The vertices that
+    _class_tables keeps are named by names, in vids order, with classes
+    inc[k] and table masks[k]; vertices_of[c] lists those at class c.
+    branch[c] is (k, inc, masks) of the first vertex at class c's lowest
+    edge, where the search branches when c is the lowest open class; k is
+    -1 when that vertex dropped out.
     """
 
-    def __init__(
-        self, edges: Sequence[Edge], balanced: Sequence[str], inc: List[int], masks: List[List[int]]
-    ):
-        self.edges: List[Edge] = list(edges)
-        self.full = (1 << len(self.edges)) - 1
-        self.balanced: List[str] = list(balanced)
-        self.inc_bits: List[int] = list(inc)
-        self.masks: List[List[int]] = list(masks)
-        self.vertices_of: List[List[int]] = [[] for _ in self.edges]
-        parent = list(range(len(self.edges)))
-
-        def find(r: int) -> int:
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
-
+    def __init__(self, edges: Sequence[Edge], vids: Sequence[str], groups: list):
+        # A leg's lead is the lowest leg whose column over its star's
+        # subsets equals its own. at[r] is the first star at edge r.
+        found = [(np.empty(0, dtype=np.int64),) * 4]
+        at = np.full(len(edges), len(vids))
+        for members, legs, star, held in groups:
+            starts = np.searchsorted(star, np.arange(len(members)))
+            lead = np.logical_or.reduceat(held[:, :, None] != held[:, None, :], starts, axis=0).argmin(axis=2)
+            s, leg = np.nonzero(lead != np.arange(legs.shape[1]))
+            found.append((members[s], leg, legs[s, lead[s, leg]], legs[s, leg]))
+            np.minimum.at(at, legs.ravel(), members.repeat(legs.shape[1]))
+        on, leg, lead_edge, leg_edge = (np.concatenate(parts) for parts in zip(*found))
+        order = np.lexsort((leg, on))
+        # Union-find with path halving, written out: calls to find, min and
+        # max took as long again as the rest of the walk on a honeycomb.
+        parent = list(range(len(edges)))
         self.ties: List[Tuple[str, int, int]] = []
-        for k, (vid, bits, table) in enumerate(zip(self.balanced, self.inc_bits, self.masks)):
-            lead: Dict[Tuple[int, ...], int] = {}
-            for f in _rows(bits):
-                self.vertices_of[f].append(k)
-                e = lead.setdefault(tuple(m >> f & 1 for m in table), f)
-                a, b = find(e), find(f)
-                if a != b:
-                    # Each root is the lowest row of its class.
-                    parent[max(a, b)] = min(a, b)
-                    self.ties.append((vid, e, f))
-        classes: Dict[int, int] = {}
-        for r in range(len(self.edges)):
-            root = find(r)
-            classes[root] = classes.get(root, 0) | 1 << r
-        self.classes: List[int] = list(classes.values())
+        for k, e, f in zip(*(column[order].tolist() for column in (on, lead_edge, leg_edge))):
+            a, b = e, f
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                # Each root is the lowest edge of its class.
+                parent[a if a > b else b] = b if a > b else a
+                self.ties.append((vids[k], e, f))
+        root = np.array(parent, dtype=np.int64)
+        for _ in range(len(parent).bit_length()):
+            root = root[root]
+        is_root = root == np.arange(len(root))
+        lowest = np.flatnonzero(is_root)
+        self.seeds: List[Edge] = [edges[r] for r in lowest.tolist()]
+        self.class_of = np.cumsum(is_root)[root] - 1
+        self.full = (1 << len(self.seeds)) - 1
+
+        bit = np.array([1 << c for c in range(len(self.seeds))] + [0], dtype=object)
+        kept = sorted(row for group in groups for row in _class_tables(group, self.class_of, bit))
+        self.names: List[str] = [vids[k] for k, _, _ in kept]
+        self.inc: List[int] = [inc for _, inc, _ in kept]
+        self.masks: List[List[int]] = [table for _, _, table in kept]
+        self.vertices_of: List[List[int]] = [[] for _ in self.seeds]
+        for k, inc in enumerate(self.inc):
+            for c in _rows(inc):
+                self.vertices_of[c].append(k)
+        slot = {vertex: k for k, (vertex, _, _) in enumerate(kept)}
+        self.branch = [(k, self.inc[k], self.masks[k]) if k >= 0 else (k, 1 << c, [0, 1 << c])
+                       for c, k in enumerate(slot.get(v, -1) for v in at[lowest].tolist())]
         self.nodes_left = _NODE_BUDGET
 
     def charge(self) -> None:
@@ -207,13 +229,8 @@ class _Ctx:
         if self.nodes_left < 0:
             raise SearchBudgetExceeded(f"exceeded {_NODE_BUDGET} search nodes")
 
-    def edges_of(self, rows: Iterable[int]) -> Tuple[Edge, ...]:
-        return tuple(self.edges[r] for r in rows)
-
-
-def _lowest(bits: int) -> int:
-    """Index of the lowest set bit."""
-    return (bits & -bits).bit_length() - 1
+    def named(self, classes: int) -> Tuple[Edge, ...]:
+        return tuple(self.seeds[c] for c in _rows(classes))
 
 
 def _rows(bits: int) -> List[int]:
@@ -226,23 +243,20 @@ def _rows(bits: int) -> List[int]:
     return rows
 
 
-def _conflict(
-    trace: Optional[List[TraceStep]], seed: Edge, vertex: Optional[str], reason: str
-) -> None:
+def _conflict(trace: Optional[List[TraceStep]], seed: Edge, vertex: Optional[str], reason: str) -> None:
     if trace is not None:
         trace.append(TraceStep(seed, vertex, (), (), conflict=reason))
 
 
-def _fitting(ctx: _Ctx, k: int, ins: int, outs: int) -> List[int]:
-    """The balanced subsets at vertex k that hold every chosen edge there
-    and no ruled-out one."""
-    need = ins & ctx.inc_bits[k]
-    return [m for m in ctx.masks[k] if m & need == need and not m & outs]
+def _fitting(inc: int, masks: List[int], ins: int, outs: int) -> List[int]:
+    """The subsets in masks, at a vertex with classes inc, that hold every
+    chosen class there and no ruled-out one."""
+    need = ins & inc
+    return [m for m in masks if m & need == need and not m & outs]
 
 
-def _propagate(
-    ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[TraceStep]], seed: Edge
-) -> Optional[Tuple[int, int]]:
+def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[TraceStep]],
+               seed: Edge) -> Optional[Tuple[int, int]]:
     """Unit propagation to fixpoint from the vertices k in queue. Returns
     (ins, outs), or None on a conflict."""
     pending = set(queue)
@@ -251,12 +265,11 @@ def _propagate(
         k = work.pop()
         pending.discard(k)
         ctx.charge()
-        cands = _fitting(ctx, k, ins, outs)
-        vid = ctx.balanced[k]
+        inc = ctx.inc[k]
+        cands = _fitting(inc, ctx.masks[k], ins, outs)
         if not cands:
-            _conflict(trace, seed, vid, "no balanced edge subset fits the current selection")
+            _conflict(trace, seed, ctx.names[k], "no balanced edge subset fits the current selection")
             return None
-        inc = ctx.inc_bits[k]
         every, some = inc, 0
         for m in cands:
             every &= m
@@ -266,37 +279,29 @@ def _propagate(
         if new_in or new_out:
             ins |= new_in
             outs |= new_out
-            rows_in, rows_out = _rows(new_in), _rows(new_out)
             if trace is not None:
-                trace.append(TraceStep(seed, vid, ctx.edges_of(rows_in), ctx.edges_of(rows_out)))
-            for r in rows_in + rows_out:
-                for w in ctx.vertices_of[r]:
+                trace.append(TraceStep(seed, ctx.names[k], ctx.named(new_in), ctx.named(new_out)))
+            for c in _rows(new_in | new_out):
+                for w in ctx.vertices_of[c]:
                     if w not in pending:
                         pending.add(w)
                         work.append(w)
     return ins, outs
 
 
-def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
-    """Depth-first search for a complete consistent state that holds the
-    edge class cls and avoids excluded; returns its chosen edges, or None.
-
-    The stack holds (ins, outs, queue) states, each propagated from its
-    queue when popped: the root from every vertex of the class, a branch
-    from the vertices at the edges it decided. Only the root is traced.
-    A propagated state branches over the fitting subsets of the first
-    balanced vertex at its lowest open edge. verify rejects edges between
-    two pins, so that vertex exists, and a state with no open edge has no
-    open balanced vertex: it is complete.
-    """
-    seed = ctx.edges[_lowest(cls)]
-    root = list(dict.fromkeys(w for r in _rows(cls) for w in ctx.vertices_of[r]))
-    stack = [(cls, excluded, root)]
+def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+    """Depth-first search for a complete consistent state that holds class
+    c and avoids excluded; returns its chosen classes, or None. Each state
+    popped off the stack is charged one node and propagated from its queue:
+    the root, which is the seed, from every vertex of the class, a branch
+    from the vertices at the classes it decided but the one it branched
+    at. Only the root is traced."""
+    seed = ctx.seeds[c]
+    stack = [(1 << c, excluded, ctx.vertices_of[c])]
     branched = False
     while stack:
         ins, outs, queue = stack.pop()
-        if branched:
-            ctx.charge()
+        ctx.charge()
         log = None if branched else trace
         state = _propagate(ctx, ins, outs, queue, log, seed)
         if state is None:
@@ -309,44 +314,38 @@ def _search(ctx: _Ctx, cls: int, excluded: int, trace: Optional[List[TraceStep]]
         free = ctx.full & ~(ins | outs)
         if not free:
             return ins
-        k = ctx.vertices_of[_lowest(free)][0]
-        inc = ctx.inc_bits[k]
-        decided = list(dict.fromkeys(w for r in _rows(inc & free) for w in ctx.vertices_of[r]))
-        for m in reversed(_fitting(ctx, k, ins, outs)):
+        k, inc, masks = ctx.branch[(free & -free).bit_length() - 1]
+        decided = list(dict.fromkeys(w for d in _rows(inc & free) for w in ctx.vertices_of[d] if w != k))
+        for m in reversed(_fitting(inc, masks, ins, outs)):
             stack.append((ins | m, outs | inc & ~m, decided))
         branched = True
     if branched:
-        reason = "exhaustive search found no proper subnet containing this edge class"
-        _conflict(trace, seed, None, reason)
+        _conflict(trace, seed, None, "exhaustive search found no proper subnet containing this edge class")
     return None
 
 
 def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
-    """Seed each edge class outside excluded, which is a union of classes,
-    in ascending order of its lowest edge and return the first subnet
-    found. A refuted class joins excluded whole."""
-    for cls in ctx.classes:
-        if cls & excluded:
+    """Seed each class outside excluded in ascending order and return the
+    first subnet found. A refuted class joins excluded."""
+    for c, seed in enumerate(ctx.seeds):
+        if excluded >> c & 1:
             continue
         if trace is not None:
-            seed = ctx.edges[_lowest(cls)]
             trace.append(TraceStep(seed, None, (seed,), ()))
-        found = _search(ctx, cls, excluded, trace)
+        found = _search(ctx, c, excluded, trace)
         if found is not None:
             return found
-        excluded |= cls
+        excluded |= 1 << c
     return None
 
 
 def _minimize(ctx: _Ctx, witness: int) -> int:
-    """Shrink witness to a subnet of it from which no edge class can be
-    dropped. Each class is tested once, in ascending order of its lowest
-    edge: a class that no subnet inside the witness avoids stays
-    unavoidable inside every smaller one. Every subnet is a union of
-    classes, so no single edge can be dropped either."""
-    for cls in ctx.classes:
-        if cls & witness:
-            smaller = _first_subnet(ctx, ctx.full & ~witness | cls, None)
+    """Shrink witness to a subnet of it from which no class, and so no
+    edge, can be dropped. Each class is tested once, in ascending order: a
+    class that no subnet inside the witness avoids stays unavoidable."""
+    for c in _rows(witness):
+        if witness >> c & 1:
+            smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << c, None)
             if smaller is not None:
                 witness = smaller
     return witness
@@ -355,22 +354,20 @@ def _minimize(ctx: _Ctx, witness: int) -> int:
 def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     """Search for a proper subnet of a valid net.
 
-    The search seeds edge classes, not edges. Two edges at a balanced
+    The search decides edge classes, not edges. Two edges at a balanced
     vertex are tied when every balanced subset there holds both or
     neither; the transitive closure of the ties splits the edges into
     classes, and every subnet is a union of classes.
 
     Returns Reducible with a minimal witness edge set (no single edge can
     be dropped and leave a proper subnet inside the rest of the witness),
-    or Irreducible with a trace: first the ties, one TraceStep(e, vertex,
-    (f,), (), tie=True) per union of two classes, then every class's
-    propagation, from every vertex of the class up to its conflict. A
-    seed step names its class's lowest edge; the classes come once each,
-    in ascending order of that edge, and each class's search excludes the
-    classes before it, which its seed step does not repeat. Branch
-    refutations are not recorded, only that a class's branches all
-    failed. Branches live on an explicit stack, so deep searches do not
-    hit Python's recursion limit.
+    or Irreducible with a trace: first the ties, one per union of two
+    classes, then every class's seed and propagation up to its conflict,
+    naming each class by its lowest edge (see TraceStep). Propagation visits
+    only vertices whose subsets say more than their ties, so a net of one
+    class is refuted by its seed alone. Branch refutations are not
+    recorded, only that a class's branches all failed. Branches live on an
+    explicit stack, so deep searches do not hit Python's recursion limit.
 
     Both carry tol_margin = (low, high). A subset passes the accept test
     when the norm of its unit-vector sum is at most tol. low is the least
@@ -386,18 +383,20 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     report = verify(net, tol)
     if not report.passed:
         raise ValueError("net does not verify; irreducibility is undefined for it")
-    balanced = [net.ids[k] for k in net.free.tolist()]
-    inc, masks, accepted, high = _tables(net, balanced, tol)
+    rows = net.free.tolist()
+    groups, accepted, high = _tables(net, rows, tol)
     # verify sums each star in another order than star_subsets; cover both.
     tol_margin = (max(report.max_residual, accepted), high)
-    ctx = _Ctx(net.edges, balanced, inc, masks)
-    trace = [TraceStep(ctx.edges[e], vid, (ctx.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
+    ctx = _Ctx(net.edges, [net.ids[k] for k in rows], groups)
+    trace = [TraceStep(net.edges[e], vid, (net.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
     found = _first_subnet(ctx, 0, trace)
     if found is not None:
+        chosen = np.zeros(len(ctx.seeds), dtype=bool)
+        chosen[_rows(_minimize(ctx, found))] = True
         # A frozenset's iteration order, and so its repr, depends on how it
         # was built. Building it from a set keeps printed certificates the
         # same across releases.
-        witness = frozenset(set(ctx.edges_of(_rows(_minimize(ctx, found)))))
+        witness = frozenset(set(tuple(net.edges[r] for r in np.flatnonzero(chosen[ctx.class_of]).tolist())))
         return Reducible(witness, tol_margin)
     return Irreducible(tuple(trace), tol_margin)
 

@@ -395,16 +395,16 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     )
 
 
-def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
+def _meeting_segments(net: Net) -> Iterator[Tuple[Edge, Segment, Edge, Segment]]:
     """Every pair of edges that cross, touch at an interior point or
-    overlap, as (e1, e2, kind) with e1 before e2 in net.edges, in
-    lexicographic order of the pair; kind is intersect's answer, a
-    ProperCrossing, EndpointOnInterior or CollinearOverlap. Pairs that meet
+    overlap, as (e1, s1, e2, s2) with e1 before e2 in net.edges and s1, s2
+    their segments, in lexicographic order of the pair. Pairs that meet
     only at a shared endpoint are left out.
 
     The candidates are the pairs whose bounding boxes overlap once each is
-    padded by geom._contact_pad. geom._classify decides them in one pass,
-    and intersect builds the answer of each pair it reports.
+    padded by geom._contact_pad, and geom._classify decides them in one
+    pass. The segment of each edge in a reported pair is built once, from
+    the ends already gathered for the pass.
     """
     edges, ends, pos = net.edges, net.ends, net.pos
     p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
@@ -412,10 +412,18 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
     # rows p, q, r, s of the ends, as (x, y) coordinate arrays
     pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
-    kind = _classify(*pqrs.transpose(1, 0, 2))[0]
-    reported = kind >= _CROSSING
-    for k, m in zip(i[reported].tolist(), j[reported].tolist()):
-        yield edges[k], edges[m], intersect(net.segment(edges[k]), net.segment(edges[m]))
+    reported = _classify(*pqrs.transpose(1, 0, 2))[0] >= _CROSSING
+    i, j = i[reported].tolist(), j[reported].tolist()
+    segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in dict.fromkeys(i + j)}
+    for k, m in zip(i, j):
+        yield edges[k], segs[k], edges[m], segs[m]
+
+
+def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
+    """The pairs of _meeting_segments as (e1, e2, kind), kind intersect's
+    answer: a ProperCrossing, EndpointOnInterior or CollinearOverlap."""
+    for e1, s1, e2, s2 in _meeting_segments(net):
+        yield e1, e2, intersect(s1, s2)
 
 
 def planarize(net: Net) -> Net:
@@ -435,11 +443,12 @@ def planarize(net: Net) -> Net:
     the distance below which Net rejects two vertices as coincident.
     A net with no interior intersections is returned unchanged.
     """
-    contacts: List[Tuple[Edge, Edge, Point]] = []
-    for e1, e2, kind in _segment_pairs(net):
+    contacts: List[Tuple[Edge, Segment, Edge, Segment, Point]] = []
+    for e1, s1, e2, s2 in _meeting_segments(net):
+        kind = intersect(s1, s2)
         if isinstance(kind, CollinearOverlap):
             raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
-        contacts.append((e1, e2, kind.point))
+        contacts.append((e1, s1, e2, s2, kind.point))
     if not contacts:
         return net
 
@@ -451,7 +460,7 @@ def planarize(net: Net) -> Net:
     # in id order, then minted ones in the order they were minted.
     nv = len(net.ids)
     near: List[List[int]] = [[] for _ in contacts]
-    points = np.concatenate((net.pos, [(pt.x, pt.y) for _, _, pt in contacts]))
+    points = np.concatenate((net.pos, [(pt.x, pt.y) for *_, pt in contacts]))
     for i, j in _close_pairs(points, COINCIDENCE_EPS):
         if j >= nv:
             near[j - nv].append(i)
@@ -460,14 +469,14 @@ def planarize(net: Net) -> Net:
     taken = set(ids)
     fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
     cuts: Dict[Edge, Dict[str, float]] = {}
-    for k, (e1, e2, pt) in enumerate(contacts):
+    for k, (e1, s1, e2, s2, pt) in enumerate(contacts):
         row = next((owner[c] for c in near[k] if owner[c] is not None), None)
         if row is None:
             row = owner[nv + k] = len(ids)
             ids.append(next(fresh))
             xy.append((pt.x, pt.y))
-        for e in (e1, e2):
-            t = _projected_param(net.segment(e), Point(*xy[row]))
+        for e, seg in ((e1, s1), (e2, s2)):
+            t = _projected_param(seg, Point(*xy[row]))
             if PARAM_EPS < t < 1.0 - PARAM_EPS:
                 cuts.setdefault(e, {}).setdefault(ids[row], t)
 

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -391,11 +392,11 @@ def _nonempty_subsets(edges):
 
 
 @pytest.mark.parametrize(
-    "name, nodes", [("paper", 16), ("overlay", 92), ("x", 3)], ids=["paper", "overlay", "x"]
+    "name, nodes", [("paper", 1), ("overlay", 42), ("x", 3)], ids=["paper", "overlay", "x"]
 )
 def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
-    # every propagation step and every branch costs one node; paper16 is
-    # one edge class, so its one seed checks each balanced vertex once
+    # every seed, every vertex check in propagation and every branch costs
+    # one node; paper16 is one edge class, so its seed alone refutes it
     net = planarized_x_net() if name == "x" else request.getfixturevalue(f"{name}_net")
     monkeypatch.setattr(irreducible, "_NODE_BUDGET", nodes)
     find_proper_subnet(net)
@@ -406,10 +407,11 @@ def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
 
 def test_one_class_net_is_refuted_in_one_pass_over_its_vertices(monkeypatch):
     # 1,835 edges in one class: seeding each edge in turn took hundreds of
-    # thousands of nodes, one class seed checks each balanced vertex once
+    # thousands of nodes, and checking each balanced vertex after the one
+    # class seed took one per vertex. No vertex says more than its ties, so
+    # the seed is the one node.
     net = honeycomb(40, 32)
-    balanced = sum(v.kind is B for v in net.vertices)
-    monkeypatch.setattr(irreducible, "_NODE_BUDGET", balanced + 2)
+    monkeypatch.setattr(irreducible, "_NODE_BUDGET", 1)
     cert = find_proper_subnet(net)
     assert isinstance(cert, Irreducible)
     assert sum(step.tie for step in cert.trace) == len(net.edges) - 1
@@ -430,9 +432,10 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 def test_search_fits_each_node_once(monkeypatch):
-    # _propagate fits once per node it charges, and each branch point once
-    # more: a branched state charges a node, and each seeded class's root
-    # is the one branch point that charges none.
+    # _fitting runs once per vertex check and once per branch point. Each
+    # check costs a node, and so does each popped state, the seed included,
+    # which is where every branch point is. The one class seeded here finds
+    # the witness, a single tripod that minimizing cannot shrink.
     counts = {"fitting": 0, "nodes": 0, "classes": 0}
 
     def counted(name, real):
@@ -444,9 +447,10 @@ def test_search_fits_each_node_once(monkeypatch):
     monkeypatch.setattr(irreducible, "_fitting", counted("fitting", irreducible._fitting))
     monkeypatch.setattr(irreducible._Ctx, "charge", counted("nodes", irreducible._Ctx.charge))
     monkeypatch.setattr(irreducible, "_search", counted("classes", irreducible._search))
-    find_proper_subnet(tripod_overlay(7, 0))
-    assert counts["nodes"] > 1000
-    assert counts["fitting"] <= counts["nodes"] + counts["classes"]
+    cert = find_proper_subnet(tripod_overlay(7, 0))
+    assert len(cert.witness) == 23
+    assert counts == {"fitting": 665, "nodes": 666, "classes": 1}
+    assert counts["fitting"] <= counts["nodes"]
 
 
 # sha256 over (verdict, trace or sorted witness, tol_margin) of each net
@@ -466,11 +470,41 @@ def test_certificates_do_not_depend_on_the_branch_vertex():
     assert digest.hexdigest() == SEARCH_SHA256
 
 
+# sha256 over (verdict, sorted witness, tol_margin, tie steps) of the same
+# nets, as the edge-level search gave them: what a search over edge
+# classes must keep, whatever its forcing steps say
+OUTCOME_SHA256 = "22383ddc250c48e4efc15e34dc32536ce18472dbf95f38b14a3eadd70d7ed423"
+
+
+def test_verdicts_witnesses_margins_and_ties_are_pinned():
+    nets = [chord_arrangement(k, s)[0] for k in (4, 6, 8, 12) for s in range(10)]
+    nets += [tripod_overlay(n, s) for n in (6, 7) for s in range(3)]
+    digest = hashlib.sha256()
+    for net in filter(lambda net: verify(net).passed, nets):
+        cert = find_proper_subnet(net)
+        ties = tuple(step for step in cert.trace if step.tie) if isinstance(cert, Irreducible) else ()
+        witness = sorted(getattr(cert, "witness", ()))
+        digest.update(repr((type(cert).__name__, witness, cert.tol_margin, ties)).encode())
+    assert digest.hexdigest() == OUTCOME_SHA256
+
+
 def _hand_ctx(n, tables):
     """A search context on edges e0..e{n-1} from hand-built tables
-    {vid: (edge bitset, balanced subsets as ascending edge bitsets)}."""
+    {vid: (edge bitset, balanced subsets as ascending edge bitsets)},
+    grouped by degree as _tables groups the stars of a net."""
     edges = [("e", str(i)) for i in range(n)]
-    return irreducible._Ctx(edges, list(tables), *zip(*tables.values()))
+    by_degree = {}
+    for k, (inc, subsets) in enumerate(tables.values()):
+        legs = irreducible._rows(inc)
+        held = [[bool(m >> r & 1) for r in legs] for m in subsets]
+        by_degree.setdefault(len(legs), []).append((k, legs, held))
+    groups = [
+        (np.array([k for k, _, _ in stars]), np.array([legs for _, legs, _ in stars]),
+         np.array([s for s, (_, _, held) in enumerate(stars) for _ in held]),
+         np.array([row for _, _, held in stars for row in held], dtype=bool))
+        for stars in by_degree.values()
+    ]
+    return irreducible._Ctx(edges, list(tables), groups)
 
 
 def _edges(*rows):
@@ -480,43 +514,64 @@ def _edges(*rows):
 NO_FIT = "no balanced edge subset fits the current selection"
 
 
-def test_search_rechecks_a_vertex_whose_last_free_edges_a_branch_decides():
-    # Hand-built tables on 7 edges. Only v2 holds edge 0, and it needs a
-    # second edge with it; a branch at v0 decides v2's other edges.
+def test_class_tables_drop_split_subsets_and_vertices_their_ties_decide(paper_net):
+    # paper16 is one class, so every subset at a chord crossing that holds
+    # one chord and not another splits it, and no vertex remains; the one
+    # class branches on itself
+    rows = paper_net.free.tolist()
+    ctx = irreducible._Ctx(paper_net.edges, [paper_net.ids[k] for k in rows],
+                           irreducible._tables(paper_net, rows, 1e-9)[0])
+    assert (ctx.seeds, ctx.names, ctx.branch) == ([paper_net.edges[0]], [], [(-1, 1, [0, 1])])
+    # Hand-built: v0 holds edges 0-2 and v1 ties 1 and 2, so the subsets
+    # {0, 1} and {0, 2} at v0 split class {1, 2}; v1 drops out.
+    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101, 0b111]), "v1": (0b110, [0, 0b110])})
+    assert (ctx.ties, ctx.class_of.tolist(), ctx.seeds) == ([("v1", 1, 2)], [0, 1, 1], list(_edges(0, 1)))
+    assert (ctx.names, ctx.inc, ctx.masks) == (["v0"], [0b11], [[0, 0b11]])
+    assert ctx.branch == [(0, 0b11, [0, 0b11]), (0, 0b11, [0, 0b11])]
+
+
+def test_search_rechecks_a_vertex_whose_last_free_classes_a_branch_decides():
+    # Hand-built tables on 5 edges in 3 classes: {0}, {1, 3} tied at v2 and
+    # {2, 4} tied at v3. v1 takes class 0 with class 1 or with class 2.
+    # Propagation from the seed decides nothing, and the search branches
+    # at v0, the first vertex at edge 1. Its first subset leaves out both
+    # classes, which only the recheck of v1 refutes.
     tables = {
-        "v0": (0b0011010, [0, 0b10, 0b11000, 0b11010]),
-        "v1": (0b1100100, [0, 0b1100100]),
-        "v2": (0b0011011, [0, 3, 9, 10, 17, 18, 24, 27]),
+        "v0": (0b00110, [0, 0b00010, 0b00100, 0b00110]),
+        "v1": (0b11001, [0, 0b01001, 0b10001]),
+        "v2": (0b01010, [0, 0b01010]),
+        "v3": (0b10100, [0, 0b10100]),
     }
-    ctx = _hand_ctx(7, tables)
-    assert ctx.classes == [0b1, 0b10, 0b1100100, 0b11000]
-    found = irreducible._first_subnet(ctx, 0, None)
-    assert found is not None and 0 < found < ctx.full
-    for vid, (inc, masks) in tables.items():
-        assert found & inc in masks, vid
+    ctx = _hand_ctx(5, tables)
+    assert ctx.ties == [("v2", 1, 3), ("v3", 2, 4)]
+    assert (ctx.names, ctx.masks) == (["v0", "v1"], [[0, 0b010, 0b100, 0b110], [0, 0b011, 0b101]])
+    trace = []
+    assert irreducible._first_subnet(ctx, 0, trace) == 0b011
+    assert trace == [TraceStep(_edges(0)[0], None, _edges(0), ())]
+    assert irreducible._minimize(ctx, 0b011) == 0b011
 
 
 def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
-    # Seed edge 0 forces edges 1 and 2 in at v0, but {1, 2} alone is
+    # Seed edge 0 forces class {1, 2} in at v0, but {1, 2} alone is
     # balanced there too; v1 only holds edge 3 and admits none of it.
     ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])})
-    assert ctx.classes == [0b1, 0b110, 0b1000]
+    assert (ctx.class_of.tolist(), ctx.masks) == ([0, 1, 1, 2], [[0, 0b10, 0b11], [0]])
     first = irreducible._first_subnet(ctx, 0, None)
-    assert first == 0b0111
-    assert irreducible._minimize(ctx, first) == 0b0110
+    assert first == 0b011
+    assert irreducible._minimize(ctx, first) == 0b010
 
 
 def test_propagation_refutes_a_class_after_forcing_steps():
-    # Seeding edge 0 forces edges 1 and 2 in at v0, and v1 admits neither
-    # of its edges 1 and 3. The ties at v0 and v1 join 1, 2 and 3.
+    # Seeding edge 0 forces class {1, 2, 3} in at v0, and v1 admits
+    # neither of its edges 1 and 3. The ties at v0 and v1 join 1, 2 and 3.
     ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b110, 0b111]), "v1": (0b1010, [0])})
-    assert (ctx.classes, ctx.ties) == ([0b1, 0b1110], [("v0", 1, 2), ("v1", 1, 3)])
+    assert (ctx.ties, ctx.seeds, ctx.masks) == ([("v0", 1, 2), ("v1", 1, 3)], list(_edges(0, 1)), [[0, 2, 3], [0]])
     trace = []
     assert irreducible._first_subnet(ctx, 0, trace) is None
     e0, e1 = _edges(0, 1)
     assert trace == [
         TraceStep(e0, None, (e0,), ()),
-        TraceStep(e0, "v0", _edges(1, 2), ()),
+        TraceStep(e0, "v0", (e1,), ()),
         TraceStep(e0, "v1", (), (), conflict=NO_FIT),
         TraceStep(e1, None, (e1,), ()),
         TraceStep(e1, "v1", (), (), conflict=NO_FIT),
@@ -525,18 +580,21 @@ def test_propagation_refutes_a_class_after_forcing_steps():
 
 def test_branching_refutes_a_class_that_propagation_leaves_open():
     # Edge 0 goes with edge 1 or edge 2 at v0, so propagation from the
-    # seed decides nothing; v1 ties 1 and 2, so either branch fails there.
-    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101]), "v1": (0b110, [0, 0b110])})
-    assert (ctx.classes, ctx.ties) == ([0b1, 0b110], [("v1", 1, 2)])
+    # seed decides nothing; v1 and v2 admit none of edges 1 and 2, so
+    # either branch fails there.
+    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101]), "v1": (0b010, [0]), "v2": (0b100, [0])})
+    assert (ctx.ties, ctx.names) == ([], ["v0", "v1", "v2"])
     trace = []
     assert irreducible._first_subnet(ctx, 0, trace) is None
-    e0, e1 = _edges(0, 1)
+    e0, e1, e2 = _edges(0, 1, 2)
     exhaustive = "exhaustive search found no proper subnet containing this edge class"
     assert trace == [
         TraceStep(e0, None, (e0,), ()),
         TraceStep(e0, None, (), (), conflict=exhaustive),
         TraceStep(e1, None, (e1,), ()),
-        TraceStep(e1, "v0", (), (), conflict=NO_FIT),
+        TraceStep(e1, "v1", (), (), conflict=NO_FIT),
+        TraceStep(e2, None, (e2,), ()),
+        TraceStep(e2, "v2", (), (), conflict=NO_FIT),
     ]
 
 
@@ -582,11 +640,11 @@ def test_quarter_turn_rotation_preserves_the_verdict(paper_net, paper_cert):
 # --- edge classes -------------------------------------------------------------
 
 def _class_edges(net):
-    """The edge classes of the search context of net."""
-    balanced = [v.id for v in net.vertices if v.kind is B]
-    inc, masks, _, _ = irreducible._tables(net, balanced, 1e-9)
-    ctx = irreducible._Ctx(net.edges, balanced, inc, masks)
-    return [frozenset(ctx.edges_of(irreducible._rows(c))) for c in ctx.classes]
+    """The edge classes of the search context of net, in class order."""
+    rows = net.free.tolist()
+    ctx = irreducible._Ctx(net.edges, [net.ids[k] for k in rows], irreducible._tables(net, rows, 1e-9)[0])
+    classes = ctx.class_of.tolist()
+    return [frozenset(e for e, c in zip(net.edges, classes) if c == k) for k in range(len(ctx.seeds))]
 
 
 def _star_of_groups(rng, groups):
@@ -807,6 +865,19 @@ def _cancels_at(net, vid, edges):
     return math.hypot(sum(u.dx for u in units), sum(u.dy for u in units)) <= 1e-9
 
 
+def _star_tables(net, rows):
+    """{vertex id: (its edges as _tables orders its legs, its subsets as
+    masks over them)} from one _tables call on the vertex rows, and the
+    margin ends."""
+    groups, low, high = irreducible._tables(net, rows, 1e-9)
+    tables = {}
+    for members, legs, star, held in groups:
+        masks = (held << np.arange(legs.shape[1])).sum(axis=1)
+        for s, k in enumerate(members.tolist()):
+            tables[net.ids[rows[k]]] = (tuple(net.edges[r] for r in legs[s].tolist()), masks[star == s].tolist())
+    return tables, low, high
+
+
 @pytest.mark.parametrize("name", ["paper", "overlay", "tripods", "hubs"])
 def test_batched_tables_match_each_star_alone_and_brute_force(request, name):
     if name == "tripods":
@@ -816,16 +887,19 @@ def test_batched_tables_match_each_star_alone_and_brute_force(request, name):
         net = _paired_hubs(10)
     else:
         net = request.getfixturevalue(f"{name}_net")
-    vids = [v.id for v in net.vertices if v.kind is B]
-    inc, masks, low, high = irreducible._tables(net, vids, 1e-9)
+    rows = net.free.tolist()
+    tables, low, high = _star_tables(net, rows)
+    assert sorted(tables) == [net.ids[k] for k in rows]
     lows, highs = [], []
-    for vid, star_inc, star_masks in zip(vids, inc, masks):
-        (alone_inc,), (alone_masks,), alone_low, alone_high = irreducible._tables(net, [vid], 1e-9)
-        assert (alone_inc, alone_masks) == (star_inc, star_masks), vid
+    for k in rows:
+        vid = net.ids[k]
+        alone, alone_low, alone_high = _star_tables(net, [k])
+        assert alone == {vid: tables[vid]}, vid
         lows.append(alone_low)
         highs.append(alone_high)
-        assert irreducible._rows(star_inc) == [net.edges.index(e) for e in net.incident_edges(vid)]
-        table = [tuple(net.edges[r] for r in irreducible._rows(m)) for m in star_masks]
+        edges, masks = tables[vid]
+        assert edges == net.incident_edges(vid)
+        table = [tuple(e for i, e in enumerate(edges) if m >> i & 1) for m in masks]
         if net.degree(vid) <= 12:
             expected = brute_force_balanced_subsets(net, vid)
         else:
@@ -836,10 +910,10 @@ def test_batched_tables_match_each_star_alone_and_brute_force(request, name):
                         for k in range(len(pairs) + 1)
                         for chosen in itertools.combinations(pairs, k)]
         assert sorted(map(sorted, table)) == sorted(map(sorted, expected)), vid
-        assert star_masks == sorted(star_masks)
+        assert masks == sorted(masks)
     assert (low, high) == (max(lows), min(highs))
     # the margin ends bound the brute-force tables, up to rounding
-    for vid in vids:
+    for vid in tables:
         if net.degree(vid) <= 12:
             for end in (low + 1e-15, max(high - 1e-15, 0.0)):
                 assert brute_force_balanced_subsets(net, vid, end) == balanced_edge_subsets(net, vid)
