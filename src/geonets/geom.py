@@ -163,10 +163,12 @@ def _contact_pad(length: np.ndarray) -> np.ndarray:
     return (COINCIDENCE_EPS + PARAM_EPS * length) * 1.01
 
 
-def _projected_param(seg: Segment, pt: Point) -> float:
-    """Parametric coordinate of pt's orthogonal projection onto seg's line."""
-    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-    return ((pt.x - seg.p.x) * dx + (pt.y - seg.p.y) * dy) / (dx * dx + dy * dy)
+def _projected_param(p, q, w) -> float:
+    """Parametric coordinate of w's orthogonal projection onto the line
+    through p and q, each an (x, y) pair: 0 at p and 1 at q."""
+    (px, py), (qx, qy), (wx, wy) = p, q, w
+    dx, dy = qx - px, qy - py
+    return ((wx - px) * dx + (wy - py) * dy) / (dx * dx + dy * dy)
 
 
 # _classify runs on coordinate arrays, and on plain floats for the one pair

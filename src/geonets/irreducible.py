@@ -58,7 +58,7 @@ def _tables(net: Net, rows: Sequence[int], tol: float) -> Tuple[list, float, flo
     masks over its legs. A subset is accepted when the norm of its
     unit-vector sum is at most tol; accepted is the largest such norm, and
     rejected the least norm of a rejected subset, inf if there is none."""
-    degree = [len(net.adjacency[net.ids[k]]) for k in rows]
+    degree = net._degrees[rows].tolist()
     for k, d in zip(rows, degree):
         if d > MAX_SUBSET_DEGREE:
             raise DegreeTooLarge(f"vertex {net.ids[k]} has degree {d} > {MAX_SUBSET_DEGREE}")

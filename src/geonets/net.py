@@ -150,14 +150,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Net:
     """Immutable net value, held as columns sorted by id: ids, balanced,
     labels and pos (x, y) per vertex; edges as sorted canonical (min, max)
-    pairs, and ends, their vertex rows. balanced, pos and ends are read-only
-    numpy arrays. Nets with the same content are equal regardless of
-    construction order. As in a net document, each Vertex given to Net has
-    a non-empty str id, a Point pos, a VertexKind kind and a str or None
-    label; Net raises InvariantViolation for any other field."""
+    pairs, and ends, their vertex rows; index maps each id to its row.
+    balanced, pos and ends are read-only numpy arrays. Nets with the same
+    content are equal regardless of construction order. As in a net
+    document, each Vertex given to Net has a non-empty str id, a Point pos,
+    a VertexKind kind and a str or None label; Net raises
+    InvariantViolation for any other field."""
 
     ids: Tuple[str, ...]
     balanced: np.ndarray
@@ -165,6 +167,7 @@ class Net:
     pos: np.ndarray
     edges: Tuple[Edge, ...]
     ends: np.ndarray
+    index: Dict[str, int]
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]]):
         verts = list(vertices)
@@ -214,7 +217,6 @@ class Net:
         for i, j in _close_pairs(pos, COINCIDENCE_EPS):
             raise CoincidentVertices(ids[i], ids[j])
         ends = np.array([(index[u], index[v]) for u, v in canon], dtype=np.int64)
-        # index is also the cached property's value, already built
         vars(self).update(
             ids=ids,
             balanced=_read_only(np.asarray(balanced, dtype=bool)[order]),
@@ -229,12 +231,6 @@ class Net:
         # a pickled or copied net passes the checking path again, which
         # leaves its arrays read-only
         return Net._from_columns, (self.ids, self.balanced, self.labels, self.pos, self.edges)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def _content(self) -> tuple:
         # pos by float value, so that 0.0 and -0.0 compare and hash alike
@@ -253,10 +249,6 @@ class Net:
         return f"Net(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @cached_property
-    def index(self) -> Dict[str, int]:
-        return {vid: k for k, vid in enumerate(self.ids)}
-
-    @cached_property
     def edge_index(self) -> Dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -264,6 +256,11 @@ class Net:
     def free(self) -> np.ndarray:
         """Rows of the balanced vertices, ascending."""
         return _read_only(np.flatnonzero(self.balanced))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        """Number of edges at every vertex, row k for vertex k."""
+        return _read_only(np.bincount(self.ends.ravel(), minlength=len(self.ids)))
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -298,8 +295,7 @@ class Net:
         return self.vertices[self._row(vid)]
 
     def degree(self, vid: str) -> int:
-        self._row(vid)
-        return len(self.adjacency[vid])
+        return int(self._degrees[self._row(vid)])
 
     def incident_edges(self, vid: str) -> Tuple[Edge, ...]:
         self._row(vid)
@@ -316,7 +312,7 @@ def balance_residual(net: Net, vid: str) -> Vec:
     Zero (within tolerance) exactly at balanced vertices of a valid net.
     """
     k = net._row(vid)
-    if not net.adjacency[vid]:
+    if not net._degrees[k]:
         raise IsolatedVertex(f"vertex {vid} has no incident edges")
     rx, ry = net.residuals[k]
     return (float(rx), float(ry))
@@ -351,7 +347,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     """
     _check_tol(tol)
     norm = _kernels.norms(net.residuals)
-    degrees = np.bincount(net.ends.ravel(), minlength=len(net.ids)).tolist()
+    degrees = net._degrees.tolist()
     residuals: Dict[str, float] = {}
     degree_violations: List[Tuple[str, int]] = []
     for k in net.free.tolist():
@@ -395,11 +391,12 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     )
 
 
-def _meeting_segments(net: Net) -> Iterator[Tuple[Edge, Segment, Edge, Segment]]:
+def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     """Every pair of edges that cross, touch at an interior point or
-    overlap, as (e1, s1, e2, s2) with e1 before e2 in net.edges and s1, s2
-    their segments, in lexicographic order of the pair. Pairs that meet
-    only at a shared endpoint are left out.
+    overlap, as (e1, e2, kind) with e1 before e2 in net.edges, in
+    lexicographic order of the pair, and kind intersect's answer: a
+    ProperCrossing, EndpointOnInterior or CollinearOverlap. Pairs that
+    meet only at a shared endpoint are left out.
 
     The candidates are the pairs whose bounding boxes overlap once each is
     padded by geom._contact_pad, and geom._classify decides them in one
@@ -416,14 +413,7 @@ def _meeting_segments(net: Net) -> Iterator[Tuple[Edge, Segment, Edge, Segment]]
     i, j = i[reported].tolist(), j[reported].tolist()
     segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in dict.fromkeys(i + j)}
     for k, m in zip(i, j):
-        yield edges[k], segs[k], edges[m], segs[m]
-
-
-def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
-    """The pairs of _meeting_segments as (e1, e2, kind), kind intersect's
-    answer: a ProperCrossing, EndpointOnInterior or CollinearOverlap."""
-    for e1, s1, e2, s2 in _meeting_segments(net):
-        yield e1, e2, intersect(s1, s2)
+        yield edges[k], edges[m], intersect(segs[k], segs[m])
 
 
 def planarize(net: Net) -> Net:
@@ -443,12 +433,11 @@ def planarize(net: Net) -> Net:
     the distance below which Net rejects two vertices as coincident.
     A net with no interior intersections is returned unchanged.
     """
-    contacts: List[Tuple[Edge, Segment, Edge, Segment, Point]] = []
-    for e1, s1, e2, s2 in _meeting_segments(net):
-        kind = intersect(s1, s2)
+    contacts: List[Tuple[Edge, Edge, Point]] = []
+    for e1, e2, kind in _segment_pairs(net):
         if isinstance(kind, CollinearOverlap):
             raise OverlayEdges(f"edges {e1} and {e2} overlap collinearly")
-        contacts.append((e1, s1, e2, s2, kind.point))
+        contacts.append((e1, e2, kind.point))
     if not contacts:
         return net
 
@@ -465,18 +454,18 @@ def planarize(net: Net) -> Net:
         if j >= nv:
             near[j - nv].append(i)
     owner: List[Optional[int]] = [*range(nv), *(None for _ in contacts)]
-    ids, xy = list(net.ids), net.pos.tolist()
+    index, ids, xy = net.index, list(net.ids), net.pos.tolist()
     taken = set(ids)
     fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
     cuts: Dict[Edge, Dict[str, float]] = {}
-    for k, (e1, s1, e2, s2, pt) in enumerate(contacts):
+    for k, (e1, e2, pt) in enumerate(contacts):
         row = next((owner[c] for c in near[k] if owner[c] is not None), None)
         if row is None:
             row = owner[nv + k] = len(ids)
             ids.append(next(fresh))
             xy.append((pt.x, pt.y))
-        for e, seg in ((e1, s1), (e2, s2)):
-            t = _projected_param(seg, Point(*xy[row]))
+        for e in (e1, e2):
+            t = _projected_param(xy[index[e[0]]], xy[index[e[1]]], xy[row])
             if PARAM_EPS < t < 1.0 - PARAM_EPS:
                 cuts.setdefault(e, {}).setdefault(ids[row], t)
 

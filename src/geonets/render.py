@@ -34,8 +34,11 @@ def render_svg(
     Edges are line elements (the highlight subset in a distinct stroke),
     unbalanced vertices larger filled circles than balanced ones, and the
     viewport fits the drawing with a 5% margin. Output is deterministic
-    for a given net and options.
+    for a given net and options. Raises ValueError unless width is an int
+    >= 1 (a bool is refused).
     """
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(f"width must be an integer >= 1, got {width!r}")
     marked = {edge_key(*e) for e in highlight}
     xy, balanced = net.pos.tolist(), net.balanced.tolist()
     xs = [x for x, _ in xy] or [0.0]

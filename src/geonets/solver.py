@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
 from .net import DEFAULT_TOL, CoincidentVertices, Net, _check_tol
@@ -110,18 +108,19 @@ def relax(
     entry is the previous one minus the decrease the Armijo test accepted,
     so the trace never rises. Raises VertexCollision, naming the shortest
     edge, if the descent path collapses an edge, and ValueError unless
-    step is finite and positive and tol finite and nonnegative.
+    step is finite and positive, tol finite and nonnegative and max_iter
+    an int >= 0 (a bool or a float is refused).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     _check_tol(tol)
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
     # An edgeless balanced vertex never moves, and no path joins it to a pin.
-    free = net.free[np.bincount(net.ends.ravel(), minlength=len(net.ids))[net.free] > 0]
+    free = net.free[net._degrees[net.free] > 0]
     out_pos, accepted, trace, stop, halvings, final, refreshes = _kernels.descend(
-        net.pos, free, net.ends, float(step), float(tol), int(max_iter)
+        net.pos, free, net.ends, float(step), float(tol), max_iter
     )
     if stop == "collided":
         d = out_pos[net.ends[:, 1]] - out_pos[net.ends[:, 0]]

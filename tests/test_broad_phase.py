@@ -324,6 +324,21 @@ def test_verify_decides_only_the_pairs_that_meet_on_a_honeycomb(monkeypatch):
     assert len(calls) == len(crossings)
 
 
+def test_planarize_takes_its_pairs_from_one_segment_pairs_pass(monkeypatch):
+    passes = []
+    real = geonets.net._segment_pairs
+
+    def counted(net):
+        passes.append(net)
+        return real(net)
+
+    monkeypatch.setattr(geonets.net, "_segment_pairs", counted)
+    raw = raw_tripod_overlay(7, 0)
+    out = planarize(raw)
+    assert passes == [raw]
+    assert verify(out).passed
+
+
 def _turned_net(net, angle):
     c, s = math.cos(angle), math.sin(angle)
     return Net([Vertex(v.id, Point(c * v.pos.x - s * v.pos.y, s * v.pos.x + c * v.pos.y), v.kind, v.label)

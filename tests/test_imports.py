@@ -154,8 +154,9 @@ def test_each_module_imports_only_lower_layers():
 
 def _one_view_breaks(sources):
     """(module, line, what) of each Vertex(...) call and each read of an
-    .arrays attribute outside construct.py and Net.vertices: everywhere
-    else a net is read through its columns."""
+    .arrays attribute outside construct.py and Net.vertices, and of each
+    read of .adjacency outside net.py: everywhere else a net is read
+    through its columns."""
     found = []
     for module, text in sources.items():
         if module == "construct.py":
@@ -173,18 +174,22 @@ def _one_view_breaks(sources):
                 found.append((module, node.lineno, "Vertex("))
             elif isinstance(node, ast.Attribute) and node.attr == "arrays":
                 found.append((module, node.lineno, ".arrays"))
+            elif isinstance(node, ast.Attribute) and node.attr == "adjacency" and module != "net.py":
+                found.append((module, node.lineno, ".adjacency"))
     return sorted(found)
 
 
 def test_one_view_breaks_finds_vertex_round_trips():
     sources = {
         "net.py": "class Net:\n    def vertices(self):\n        return (Vertex(1),)\n"
-                  "def moved(net):\n    return Net([Vertex(2)], net.arrays.edges)\n",
-        "solver.py": "from . import net\nv = net.Vertex(3)\n",
+                  "def moved(net):\n    return Net([Vertex(2)], net.arrays.edges)\n"
+                  "def degree(net, v):\n    return len(net.adjacency[v])\n",
+        "solver.py": "from . import net\nv = net.Vertex(3)\ndef degree(n, v):\n    return len(n.adjacency[v])\n",
         "construct.py": "v = Vertex(4)\n",
     }
     assert _one_view_breaks(sources) == [
         ("net.py", 5, ".arrays"), ("net.py", 5, "Vertex("), ("solver.py", 2, "Vertex("),
+        ("solver.py", 4, ".adjacency"),
     ]
 
 

@@ -469,6 +469,13 @@ def test_render_counts(paper_net):
     assert svg.count("<text ") == 0
 
 
+def test_render_rejects_a_width_below_one_or_not_an_int(paper_net):
+    for width in (0, -10, True, 2.5, 800.0, "800", None):
+        with pytest.raises(ValueError, match="width must be an integer >= 1"):
+            render_svg(paper_net, width=width)
+    assert 'width="1" ' in render_svg(paper_net, width=1)
+
+
 def test_render_is_deterministic(paper_net):
     assert render_svg(paper_net) == render_svg(paper_net)
     assert render_svg(paper_net, highlight=()) == render_svg(paper_net)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -20,11 +21,13 @@ from geonets import (
     balance_residual,
     edge_key,
     edge_subnet,
+    find_proper_subnet,
     is_symmetric_under_quarter_turn,
     moved,
     parse,
     planarize,
     relabeled,
+    relax,
     serialize,
     verify,
 )
@@ -201,6 +204,32 @@ def test_columns_of_empty_net():
     net = Net(vertices=(), edges=())
     assert net.pos.shape == (0, 2) and net.ends.shape == (0, 2) and net.balanced.shape == (0,)
     assert parse(serialize(net)) == net
+
+
+def test_degrees_are_a_read_only_column_of_edge_counts(paper_net, overlay_net, tripod_net):
+    for net in (paper_net, overlay_net, tripod_net, honeycomb(8, 6), tripod_overlay(6, 0)):
+        degrees = net._degrees
+        assert degrees.tolist() == [len(net.adjacency[vid]) for vid in net.ids]
+        assert [net.degree(vid) for vid in net.ids] == degrees.tolist()
+        with pytest.raises(ValueError):
+            degrees[0] = 0
+    net = x_net()
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field '_degrees'"):
+        net._degrees = np.zeros(4, dtype=np.int64)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'pos'"):
+        del net.pos
+
+
+def test_verify_relax_and_the_search_read_degrees_without_the_adjacency(paper_net, tripod_net):
+    paper = parse(serialize(paper_net))
+    assert verify(paper).passed
+    find_proper_subnet(paper)
+    bent = parse(serialize(moved(tripod_net, "f", Point(2.0, 2.0))))
+    assert relax(bent).converged
+    for net in (paper, bent):
+        for vid in net.ids:
+            balance_residual(net, vid)
+        assert "adjacency" not in vars(net)
 
 
 def test_segment_pairs_yield_meeting_pairs_in_order():

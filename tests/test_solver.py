@@ -121,8 +121,9 @@ def test_relax_validates_parameters(tripod_net):
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             relax(tripod_net, tol=tol)
-    with pytest.raises(ValueError):
-        relax(tripod_net, max_iter=-1)
+    for max_iter in (-1, math.inf, 2.5, 3.0, True, False, "5", None):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            relax(tripod_net, max_iter=max_iter)
     # max_iter=0 is a pure convergence probe
     probe = relax(moved(tripod_net, "f", Point(2.0, 2.0)), max_iter=0)
     assert probe.iterations == 0
