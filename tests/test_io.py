@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import random
@@ -428,6 +429,47 @@ def test_parse_outcomes_on_mutated_documents():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def _last_row_faults():
+    """Valid documents of one to seven vertices whose only fault is in the
+    last vertex row or the last edge row, where a column-wise check of the
+    earlier rows passes and the fault must still be found and named."""
+    for n in range(1, 8):
+        rows = [{"id": f"v{i}", "x": 0.5 * i, "y": 10.0 * i, "kind": "balanced" if i % 2 else "unbalanced"}
+                for i in range(n)]
+        edges = [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)]
+        last = rows[-1]
+        for key, value in (("x", 3), ("y", float("nan")), ("kind", "pinned"), ("label", 7),
+                           ("id", None), ("x", -0.0), ("y", 10**400), ("label", None)):
+            row = dict(last)
+            if value is None and key == "id":
+                del row["id"]
+            else:
+                row[key] = value
+            yield json.dumps({"format_version": 1, "vertices": rows[:-1] + [row], "edges": edges})
+        for edge in (["v0"], ["v0", 1], ["v0", "v0"], ["v0", "ghost"], ["v1", "v0"]):
+            yield json.dumps({"format_version": 1, "vertices": rows, "edges": edges + [edge]})
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return serialize(parse(text))
+    except (ParseError, InvariantViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 over the outcome of each of the 2,000 mutated documents and of
+# _last_row_faults: the serialized net, or the exception's class and message.
+PARSE_OUTCOME_SHA256 = "6dc03bccb29b2956d17fa957a238d444962e2a2ed3a5a0801814ab1b80eae41f"
+
+
+def test_parse_outcomes_are_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for text in [mutated_document(rng) for _ in range(2000)] + list(_last_row_faults()):
+        digest.update(_parse_outcome(text).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == PARSE_OUTCOME_SHA256
+
+
 def test_parse_reads_int_coordinates_as_floats():
     net = parse(_doc(vertices=[
         {"id": "a", "x": 0, "y": -3, "kind": "unbalanced"},
@@ -467,6 +509,23 @@ def test_render_counts(paper_net):
     assert svg.count("<line ") == 44
     assert svg.count("<circle ") == 20
     assert svg.count("<text ") == 0
+
+
+# sha256 over render_svg of paper16, overlay, a Fermat tripod and a honeycomb,
+# each plain, with labels and with five highlighted edges.
+RENDER_SHA256 = "cc4a061624bb2291f16f3be9ca497f9ca326bc0c5b1eaeaba1f3188282f753c2"
+
+
+def test_render_bytes_are_pinned(paper_net, overlay_net):
+    tripod = build_fermat_tripod(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)))
+    digest = hashlib.sha256()
+    for net in (paper_net, overlay_net, tripod, honeycomb(8, 6)):
+        # every other edge given as (v, u), which render_svg must match too
+        picked = [net.edges[k % len(net.edges)] for k in (0, 2, 3, 5, 8)]
+        highlight = [e[::-1] if k % 2 else e for k, e in enumerate(picked)]
+        for options in ({}, {"show_labels": True}, {"highlight": highlight}):
+            digest.update(render_svg(net, **options).encode("utf-8"))
+    assert digest.hexdigest() == RENDER_SHA256
 
 
 def test_render_rejects_a_width_below_one_or_not_an_int(paper_net):

@@ -136,6 +136,37 @@ def test_net_names_the_smallest_duplicate():
     assert str(_refused(verts, edges)) == "duplicate edge: ('a', 'b')"
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        pytest.param([("a", "ghost"), ("b", "b")], "edge endpoint ghost is not a vertex", id="unknown-then-loop"),
+        pytest.param([("b", "b"), ("a", "ghost")], "self-loop edge at b", id="loop-then-unknown"),
+        pytest.param([("ghost", "ghost")], "self-loop edge at ghost", id="loop-at-unknown"),
+        pytest.param([("a", "b"), ("b", "a"), ("c", "ghost")], "edge endpoint ghost is not a vertex",
+                     id="duplicate-then-unknown"),
+        pytest.param([("b", "c"), ("c", "b"), ("a", "b"), ("b", "a")], "duplicate edge: ('a', 'b')",
+                     id="two-duplicates"),
+        pytest.param([("c", "a"), ("a", "c")], "duplicate edge: ('a', 'c')", id="reversed-first"),
+    ],
+)
+def test_net_names_the_first_faulty_edge_row(edges, message):
+    # a row's own fault is named for the first such row in input order,
+    # before any duplicate; a duplicate is named as its canonical pair
+    verts = [_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)]
+    assert str(_refused(verts, edges)) == message
+
+
+def test_net_names_a_row_that_is_not_a_pair_before_a_later_duplicate():
+    # parse refuses such a row as a ParseError of its own, so Net and the
+    # column path are compared
+    edges = [("a", "b"), ("a", "b", "c"), ("b", "a")]
+    message = "edge row ('a', 'b', 'c') is not a pair of vertex ids"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        Net(vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)), edges=edges)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        Net._from_columns(["a", "b", "c"], [False] * 3, [None] * 3, [(0, 0), (1, 0), (2, 0)], edges)
+
+
 def test_net_names_the_first_coincident_pair():
     # a-d and b-c both coincide; the pair with the smaller first id is named
     verts = [_v("a", 0, 0), _v("b", 5, 0), _v("c", 5, 1e-12), _v("d", 1e-12, 0)]
