@@ -26,14 +26,19 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, List, Optional, Tuple
+
+import numpy as np
 
 from .net import Net, VertexKind
 
 FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in VertexKind}
+_BALANCED = VertexKind.BALANCED.value
+_LABEL_TYPES = {str, type(None)}
 _KIND_TEXT = {k is VertexKind.BALANCED: _string(k.value) for k in VertexKind}
 
 
@@ -115,6 +120,35 @@ def _vertex(row: Any, n: int) -> Tuple[str, Tuple[float, float], bool, Optional[
     return vid, (x, y), _KINDS[kind] is VertexKind.BALANCED, label
 
 
+def _vertex_columns(rows: list) -> tuple:
+    """The ids, balanced flags, labels and (x, y) positions of the vertex
+    rows. They are checked column by column: each column's set of types,
+    and one finiteness test over the coordinates. Only when that check
+    fails are the rows checked one by one with _vertex, which raises the
+    first faulty row's ParseError or reads int coordinates as floats."""
+    try:
+        ids = [row["id"] for row in rows]
+        xs = [row["x"] for row in rows]
+        ys = [row["y"] for row in rows]
+        kinds = [row["kind"] for row in rows]
+        labels = [row.get("label") for row in rows]
+        typed = (
+            {*map(type, ids)} <= {str} and all(ids)
+            and {*map(type, xs), *map(type, ys)} <= {float}
+            and {*kinds} <= _KINDS.keys()
+            and {*map(type, labels)} <= _LABEL_TYPES
+        )
+    except (TypeError, KeyError):  # a row that is not an object, a missing field, a list kind
+        typed = False
+    # a sum of floats is finite only if every term is
+    if typed and math.isfinite(sum(xs) + sum(ys)):
+        xy = np.fromiter(chain(xs, ys), np.float64, 2 * len(rows)).reshape(2, -1).T
+        return ids, [kind == _BALANCED for kind in kinds], labels, xy
+    checked = [_vertex(row, n) for n, row in enumerate(rows)]
+    ids, xy, balanced, labels = zip(*checked) if checked else ((),) * 4
+    return ids, balanced, labels, xy
+
+
 def parse(text: str) -> Net:
     try:
         doc = json.loads(text)
@@ -139,13 +173,12 @@ def parse(text: str) -> Net:
     if not isinstance(raw_edges, list):
         raise ParseError("edges: must be a list")
 
-    rows = [_vertex(row, n) for n, row in enumerate(raw_vertices)]
+    ids, balanced, labels, xy = _vertex_columns(raw_vertices)
     for n, row in enumerate(raw_edges):
         if type(row) is not list or len(row) != 2:
             raise ParseError(f"edges[{n}]: must be a pair of vertex ids")
         if type(row[0]) is not str or type(row[1]) is not str:
             raise ParseError(f"edges[{n}]: endpoints must be strings")
-    ids, xy, balanced, labels = zip(*rows) if rows else ((),) * 4
     return Net._from_columns(ids, balanced, labels, xy, raw_edges)
 
 

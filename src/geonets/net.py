@@ -113,6 +113,25 @@ def _checked_id(v: Vertex) -> str:
     return vid
 
 
+def _checked_ends(rows: Sequence, index: Dict[str, int]) -> Iterator[int]:
+    """The vertex rows of the ends of each edge row in turn, once that edge
+    row is a pair of distinct vertex ids; raises for the first that is not."""
+    for e in rows:
+        try:
+            if isinstance(e, str):
+                raise TypeError  # a string would unpack into its characters
+            u, v = e
+            u_in, v_in = u in index, v in index
+        except (TypeError, ValueError):
+            raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
+        if u == v:
+            raise InvariantViolation(f"self-loop edge at {u}")
+        if not (u_in and v_in):
+            raise InvariantViolation(f"edge endpoint {v if u_in else u} is not a vertex")
+        yield index[u]
+        yield index[v]
+
+
 def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), i < j, of the closed boxes [lo[i], hi[i]] (rows
     of x, y) that overlap, sorted lexicographically by (i, j).
@@ -123,14 +142,16 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     whose y ranges overlap too are kept. Time and memory grow with the
     pairs in the x windows, not with the square of the number of boxes.
     """
-    order = np.argsort(lo[:, 0], kind="stable")
-    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    (x0, y0), (x1, y1) = lo.T, hi.T
+    order = x0.argsort(kind="stable")
+    ends = x0[order].searchsorted(x1[order], side="right")
     counts = ends - np.arange(1, len(order) + 1)
-    first = np.repeat(np.arange(len(order)), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    first = np.arange(len(order)).repeat(counts)
+    starts = (counts.cumsum() - counts).repeat(counts)
     a, b = order[first], order[np.arange(len(first)) - starts + first + 1]
-    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
-    i, j = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
+    keep = (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+    a, b = a[keep], b[keep]
+    i, j = np.minimum(a, b), np.maximum(a, b)
     pick = np.lexsort((j, i))
     return i[pick], j[pick]
 
@@ -186,44 +207,50 @@ class Net:
 
     def _set_columns(self, ids, balanced, labels, pos, edges) -> None:
         """The one checking path: sorts the columns by id, then finds the
-        smallest duplicate id, a bad edge row, the smallest duplicate edge
-        and the first coincident pair, in that order."""
+        smallest duplicate id, the first edge row in input order that is
+        not a pair of distinct vertex ids, the smallest duplicate edge and
+        the first coincident pair, in that order."""
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids = tuple(ids[k] for k in order)
-        dup = _first_repeat(ids)
-        if dup is not None:
-            raise InvariantViolation(f"duplicate vertex id: {dup}")
-        index = {vid: k for k, vid in enumerate(ids)}
-        canon: List[Edge] = []
-        for e in edges:
-            try:
-                if isinstance(e, str):
-                    raise TypeError  # a string would unpack into its characters
-                u, v = e
-                u_in, v_in = u in index, v in index
-            except (TypeError, ValueError):
-                raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
-            if u == v:
-                raise InvariantViolation(f"self-loop edge at {u}")
-            if not (u_in and v_in):
-                raise InvariantViolation(f"edge endpoint {v if u_in else u} is not a vertex")
-            canon.append(edge_key(u, v))
-        canon.sort()
-        dup_e = _first_repeat(canon)
-        if dup_e is not None:
-            raise InvariantViolation(f"duplicate edge: {dup_e}")
+        ids = tuple(map(ids.__getitem__, order))
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            raise InvariantViolation(f"duplicate vertex id: {_first_repeat(ids)}")
+        rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+        try:
+            if str in {*map(type, rows)} or {*map(len, rows)} - {2}:
+                raise TypeError  # a string would unpack into its characters
+            endpoints = itertools.chain.from_iterable(rows)
+            ends = np.fromiter(map(index.__getitem__, endpoints), np.int64, 2 * len(rows))
+        except (TypeError, KeyError, ValueError):  # some row is not a pair of vertex ids
+            ends = np.fromiter(_checked_ends(rows, index), np.int64)
+        # each row as (min, max), still in input order: rows are in id
+        # order, so these are the rows of the canonical (min, max) id pairs
+        ends = ends.reshape(-1, 2)
+        ends.sort(axis=1)
+        lo, hi = ends.T
+        loops = lo == hi
+        if loops.any():
+            raise InvariantViolation(f"self-loop edge at {ids[lo[loops.argmax()]]}")
+        keys = lo * len(ids) + hi
+        ends = ends[keys.argsort()]
+        keys.sort()
+        repeats = keys[1:] == keys[:-1]
+        if repeats.any():
+            i, j = ends[repeats.argmax()].tolist()
+            raise InvariantViolation(f"duplicate edge: {(ids[i], ids[j])}")
         # Fancy indexing copies, so no caller's array is frozen below.
-        pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)[order]
+        take = np.fromiter(order, np.intp, len(order))
+        pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)[take]
         for i, j in _close_pairs(pos, COINCIDENCE_EPS):
             raise CoincidentVertices(ids[i], ids[j])
-        ends = np.array([(index[u], index[v]) for u, v in canon], dtype=np.int64)
+        lo, hi = ends.T.tolist()
         vars(self).update(
             ids=ids,
-            balanced=_read_only(np.asarray(balanced, dtype=bool)[order]),
-            labels=tuple(labels[k] for k in order),
+            balanced=_read_only(np.asarray(balanced, dtype=bool)[take]),
+            labels=tuple(map(labels.__getitem__, order)),
             pos=_read_only(pos),
-            edges=tuple(canon),
-            ends=_read_only(ends.reshape(-1, 2)),
+            edges=tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi))),
+            ends=_read_only(ends),
             index=index,
         )
 

@@ -40,23 +40,20 @@ def render_svg(
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"width must be an integer >= 1, got {width!r}")
     marked = {edge_key(*e) for e in highlight}
-    xy, balanced = net.pos.tolist(), net.balanced.tolist()
-    xs = [x for x, _ in xy] or [0.0]
-    ys = [y for _, y in xy] or [0.0]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    (xs, ys), balanced = net.pos.T.tolist(), net.balanced.tolist()
+    min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
+    min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)
     span = max(max_x - min_x, max_y - min_y, 1e-6)
     pad = _MARGIN_FRAC * span
     world_w = (max_x - min_x) + 2.0 * pad
     world_h = (max_y - min_y) + 2.0 * pad
     scale = width / world_w
     height = max(1, round(world_h * scale))
-
-    def sx(x: float) -> float:
-        return (x - (min_x - pad)) * scale
-
-    def sy(y: float) -> float:
-        return ((max_y + pad) - y) * scale
+    left, top = min_x - pad, max_y + pad
+    # each vertex's place on the canvas, and its text, computed once
+    cx = [(x - left) * scale for x in xs]
+    cy = [(top - y) * scale for y in ys]
+    tx, ty = list(map(_fmt, cx)), list(map(_fmt, cy))
 
     out: List[str] = []
     out.append(
@@ -64,29 +61,24 @@ def render_svg(
         f'viewBox="0 0 {width} {height}">'
     )
     for e, (i, j) in zip(net.edges, net.ends.tolist()):
-        (px, py), (qx, qy) = xy[i], xy[j]
         if e in marked:
             stroke, sw = _HIGHLIGHT_STROKE, _HIGHLIGHT_WIDTH
         else:
             stroke, sw = _EDGE_STROKE, _EDGE_WIDTH
         out.append(
-            f'  <line x1="{_fmt(sx(px))}" y1="{_fmt(sy(py))}" '
-            f'x2="{_fmt(sx(qx))}" y2="{_fmt(sy(qy))}" '
+            f'  <line x1="{tx[i]}" y1="{ty[i]}" x2="{tx[j]}" y2="{ty[j]}" '
             f'stroke="{stroke}" stroke-width="{sw}"/>'
         )
-    for (x, y), b in zip(xy, balanced):
+    for x, y, b in zip(tx, ty, balanced):
         r, fill = (_BALANCED_R, _BALANCED_FILL) if b else (_UNBALANCED_R, _UNBALANCED_FILL)
-        out.append(
-            f'  <circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-            f'r="{r}" fill="{fill}"/>'
-        )
+        out.append(f'  <circle cx="{x}" cy="{y}" r="{r}" fill="{fill}"/>')
     if show_labels:
-        for vid, (x, y), b, label in zip(net.ids, xy, balanced, net.labels):
+        for vid, x, y, b, label in zip(net.ids, cx, cy, balanced, net.labels):
             r = _BALANCED_R if b else _UNBALANCED_R
             text = label if label is not None else vid
             out.append(
-                f'  <text x="{_fmt(sx(x) + r + 2.0)}" '
-                f'y="{_fmt(sy(y) - r - 2.0)}" '
+                f'  <text x="{_fmt(x + r + 2.0)}" '
+                f'y="{_fmt(y - r - 2.0)}" '
                 f'font-family="monospace" font-size="11">{escape(text, quote=False)}</text>'
             )
     out.append("</svg>")
