@@ -1,6 +1,7 @@
 """Numeric kernels, vectorized with numpy: balance residuals, total length,
-gradient descent and balanced-subset enumeration; and reaches_all, the one
-graph search, for verify's connectivity and descent's pin reachability.
+gradient descent and balanced-subset enumeration; and unions, the one
+union-find, for verify's connectivity, descent's pin reachability and the
+subnet search's edge classes.
 
 A net enters as a (V, 2) float64 position array and an (E, 2) int64 array
 of vertex-index pairs, as held by `Net.pos` and `Net.ends`.
@@ -112,21 +113,28 @@ def _backtrack(pos, free, edges, a, la, p, rp, step):
 _METRIC_MAX_FREE = 350
 
 
-def reaches_all(n: int, sources, edges: np.ndarray) -> bool:
-    """Whether a path of edges joins each of the n vertices to one of
-    sources: an iterative depth-first search over the rows of edges."""
-    nbrs = [[] for _ in range(n)]
-    for u, v in edges.tolist():
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    stack = list(sources)
-    seen = set(stack)
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def unions(n: int, a, b):
+    """Union-find over the items 0..n-1 with path halving (Tarjan 1975),
+    written out: calls to find, min and max took as long again as the
+    rest on a honeycomb. Joins a[i] and b[i] for each i in turn, rooting
+    each set at its lowest item. Returns (joined, root): the ascending
+    indices i whose pair joined two sets, and each item's root (int64)."""
+    parent = list(range(n))
+    joined = []
+    for i, x, y in zip(range(len(a)), a, b):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[x if x > y else y] = y if x > y else x
+            joined.append(i)
+    root = np.array(parent, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        root = root[root]
+    return joined, root
 
 
 def _metric_index(n: int, free: np.ndarray, edges: np.ndarray):
@@ -237,10 +245,12 @@ def descend(pos, free, edges, step0, tol, max_iter):
             stop = "max_iter"
             break
         if metric is None:
-            pinned = np.ones(pos.shape[0], dtype=bool)
-            pinned[free] = False
-            metric = free.size <= _METRIC_MAX_FREE and reaches_all(
-                pos.shape[0], np.flatnonzero(pinned).tolist(), edges)
+            metric = free.size <= _METRIC_MAX_FREE
+            if metric:
+                # pins in each set, counted at its root: its size less its free rows
+                root = unions(pos.shape[0], *edges.T.tolist())[1]
+                pins = np.bincount(root, minlength=pos.shape[0]) - np.bincount(root[free], minlength=pos.shape[0])
+                metric = bool(pins[root[free]].all())
             if metric:
                 index = _metric_index(pos.shape[0], free, edges)
         y = None if s is None else r_prev - rf

@@ -185,25 +185,9 @@ class _Ctx:
             np.minimum.at(at, legs.ravel(), members.repeat(legs.shape[1]))
         on, leg, lead_edge, leg_edge = (np.concatenate(parts) for parts in zip(*found))
         order = np.lexsort((leg, on))
-        # Union-find with path halving, written out: calls to find, min and
-        # max took as long again as the rest of the walk on a honeycomb.
-        parent = list(range(len(edges)))
-        self.ties: List[Tuple[str, int, int]] = []
-        for k, e, f in zip(*(column[order].tolist() for column in (on, lead_edge, leg_edge))):
-            a, b = e, f
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                # Each root is the lowest edge of its class.
-                parent[a if a > b else b] = b if a > b else a
-                self.ties.append((vids[k], e, f))
-        root = np.array(parent, dtype=np.int64)
-        for _ in range(len(parent).bit_length()):
-            root = root[root]
+        ks, es, fs = (column[order].tolist() for column in (on, lead_edge, leg_edge))
+        joined, root = _kernels.unions(len(edges), es, fs)
+        self.ties: List[Tuple[str, int, int]] = [(vids[ks[i]], es[i], fs[i]) for i in joined]
         is_root = root == np.arange(len(root))
         lowest = np.flatnonzero(is_root)
         self.seeds: List[Edge] = [edges[r] for r in lowest.tolist()]
@@ -388,7 +372,7 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     # verify sums each star in another order than star_subsets; cover both.
     tol_margin = (max(report.max_residual, accepted), high)
     ctx = _Ctx(net.edges, [net.ids[k] for k in rows], groups)
-    trace = [TraceStep(net.edges[e], vid, (net.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
+    trace: List[TraceStep] = []
     found = _first_subnet(ctx, 0, trace)
     if found is not None:
         chosen = np.zeros(len(ctx.seeds), dtype=bool)
@@ -398,7 +382,8 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
         # same across releases.
         witness = frozenset(set(tuple(net.edges[r] for r in np.flatnonzero(chosen[ctx.class_of]).tolist())))
         return Reducible(witness, tol_margin)
-    return Irreducible(tuple(trace), tol_margin)
+    ties = [TraceStep(net.edges[e], vid, (net.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
+    return Irreducible((*ties, *trace), tol_margin)
 
 
 def is_irreducible(net: Net, tol: float = DEFAULT_TOL) -> Tuple[bool, SubnetCertificate]:

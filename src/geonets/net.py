@@ -113,21 +113,28 @@ def _checked_id(v: Vertex) -> str:
     return vid
 
 
+def _edge_pair(e) -> Tuple:
+    """The two ends of the edge row e, once e is a pair (a str is not) of
+    hashable items; raises InvariantViolation for any other row."""
+    try:
+        if isinstance(e, str):
+            raise TypeError  # a string would unpack into its characters
+        u, v = e
+        hash((u, v))
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
+    return u, v
+
+
 def _checked_ends(rows: Sequence, index: Dict[str, int]) -> Iterator[int]:
     """The vertex rows of the ends of each edge row in turn, once that edge
     row is a pair of distinct vertex ids; raises for the first that is not."""
     for e in rows:
-        try:
-            if isinstance(e, str):
-                raise TypeError  # a string would unpack into its characters
-            u, v = e
-            u_in, v_in = u in index, v in index
-        except (TypeError, ValueError):
-            raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
+        u, v = _edge_pair(e)
         if u == v:
             raise InvariantViolation(f"self-loop edge at {u}")
-        if not (u_in and v_in):
-            raise InvariantViolation(f"edge endpoint {v if u_in else u} is not a vertex")
+        if u not in index or v not in index:
+            raise InvariantViolation(f"edge endpoint {v if u in index else u} is not a vertex")
         yield index[u]
         yield index[v]
 
@@ -328,10 +335,6 @@ class Net:
         self._row(vid)
         return tuple(edge_key(vid, w) for w in self.adjacency[vid])
 
-    def segment(self, e: Edge) -> Segment:
-        p, q = self.pos[[self._row(e[0]), self._row(e[1])]].tolist()
-        return Segment(Point(*p), Point(*q))
-
 
 def balance_residual(net: Net, vid: str) -> Vec:
     """Sum of unit vectors along all edges leaving vid.
@@ -396,8 +399,8 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     pinned = ~net.balanced[net.ends].any(axis=1)
     unb_unb = [net.edges[k] for k in np.flatnonzero(pinned).tolist()]
 
-    # from vertex row 0, when there is one
-    connected = _kernels.reaches_all(len(net.ids), range(len(net.ids))[:1], net.ends)
+    # every root is vertex row 0, the lowest
+    connected = bool((_kernels.unions(len(net.ids), *net.ends.T.tolist())[1] == 0).all())
     passed = (
         max_residual <= tol
         and not degree_violations
@@ -555,11 +558,11 @@ def relabeled(net: Net, mapping: Dict[str, str]) -> Net:
 
 def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
     """Materialize an edge subset as a net; vertices incident to no chosen
-    edge are dropped."""
-    chosen = {edge_key(*e) for e in edges}
-    parent = set(net.edges)
+    edge are dropped. Raises InvariantViolation for a row that is not a
+    pair of vertex ids, or an edge not in net."""
+    chosen = {edge_key(*_edge_pair(e)) for e in edges}
     for e in chosen:
-        if e not in parent:
+        if e not in net.edge_index:
             raise InvariantViolation(f"edge {e} is not in the parent net")
     keep = {u for e in chosen for u in e}
     rows = [k for k, vid in enumerate(net.ids) if vid in keep]

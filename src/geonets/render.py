@@ -5,7 +5,7 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable, List, Sequence
 
-from .net import Net, edge_key
+from .net import Net, _edge_pair, edge_key
 
 _EDGE_STROKE = "#222222"
 _EDGE_WIDTH = 1.5
@@ -35,11 +35,12 @@ def render_svg(
     unbalanced vertices larger filled circles than balanced ones, and the
     viewport fits the drawing with a 5% margin. Output is deterministic
     for a given net and options. Raises ValueError unless width is an int
-    >= 1 (a bool is refused).
+    >= 1 (a bool is refused), InvariantViolation if a highlight row is not
+    a pair of vertex ids.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"width must be an integer >= 1, got {width!r}")
-    marked = {edge_key(*e) for e in highlight}
+    marked = {edge_key(*_edge_pair(e)) for e in highlight}
     (xs, ys), balanced = net.pos.T.tolist(), net.balanced.tolist()
     min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
     min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)

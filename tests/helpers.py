@@ -15,6 +15,7 @@ from geonets import (
     Irreducible,
     Net,
     Point,
+    Segment,
     Triangle,
     Vertex,
     VertexKind,
@@ -62,14 +63,20 @@ def random_net(rng: random.Random) -> Net:
 _ORACLE_BLOCK = 1 << 14
 
 
+def edge_segment(net: Net, e: Edge) -> Segment:
+    """The Segment of edge e, between the net.pos rows of its ends."""
+    p, q = net.pos[[net.index[e[0]], net.index[e[1]]]].tolist()
+    return Segment(Point(*p), Point(*q))
+
+
 def all_segment_pairs(net: Net) -> List[Tuple[Edge, Edge, IntersectionKind]]:
     """Oracle for net._segment_pairs: every pair of edges, without a broad
     phase, classified by geom._classify in array calls of _ORACLE_BLOCK
-    pairs, from the coordinates of net.segment, in lexicographic order of
+    pairs, from the coordinates of edge_segment, in lexicographic order of
     the pair. The pairs that cross, touch at an interior point or overlap
     are kept, each with intersect's answer."""
     edges = net.edges
-    segs = [net.segment(e) for e in edges]
+    segs = [edge_segment(net, e) for e in edges]
     # rows px, py, qx, qy of the edges
     xy = np.array([(s.p.x, s.p.y, s.q.x, s.q.y) for s in segs]).reshape(-1, 4).T.copy()
     i, j = np.triu_indices(len(segs), 1)

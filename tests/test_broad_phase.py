@@ -45,6 +45,7 @@ from geonets.net import CoincidentVertices, _close_pairs, _segment_pairs
 from helpers import (
     all_segment_pairs,
     chord_arrangement,
+    edge_segment,
     first_coincident_pair,
     honeycomb,
     pinned_paper16,
@@ -125,7 +126,7 @@ def test_an_endpoint_about_param_eps_past_the_other_end(angle, factor, meets):
     pairs = list(_segment_pairs(net))
     assert pairs == all_segment_pairs(net)
     # s00 and s01 meet end to end, which _segment_pairs leaves out
-    kind = intersect(net.segment(("s00a", "s00b")), net.segment(("s01a", "s01b")))
+    kind = intersect(edge_segment(net, ("s00a", "s00b")), edge_segment(net, ("s01a", "s01b")))
     assert isinstance(kind, AtSharedEndpoint if meets else Disjoint)
     expected = [(("s02a", "s02b"), ("s03a", "s03b"))]
     assert [(e1, e2) for e1, e2, _ in pairs] == (expected if meets else [])
@@ -455,7 +456,7 @@ def test_legs_from_one_vertex_about_coincidence_eps_from_one_line(factor, short_
         + [Vertex(f"v{k}", Point(r * math.cos(a), r * math.sin(a)), U) for k, (r, a) in enumerate(legs)],
         [("v0", "w"), ("v1", "w")],
     )
-    kind = intersect(net.segment(("v0", "w")), net.segment(("v1", "w")))
+    kind = intersect(edge_segment(net, ("v0", "w")), edge_segment(net, ("v1", "w")))
     assert isinstance(kind, CollinearOverlap if factor < 1 else AtSharedEndpoint)
     assert _assert_callers_follow_intersect(net) == ([] if factor > 1 else [(("v0", "w"), ("v1", "w"), kind)])
 
@@ -473,7 +474,7 @@ def test_segments_about_the_parallel_threshold_apart_in_direction(factor, start,
     if start > 1 + PARAM_EPS:
         # s01's start projects past s00's end, however the near-parallel
         # solve rounds t and u
-        assert isinstance(intersect(*map(net.segment, net.edges)), Disjoint)
+        assert isinstance(intersect(*(edge_segment(net, e) for e in net.edges)), Disjoint)
         report = verify(planarize(net))
         assert report.unplanarized_crossings == [] and report.overlay_findings == []
 

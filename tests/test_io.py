@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import struct
 import xml.etree.ElementTree as ET
 
@@ -546,6 +547,16 @@ def test_render_highlight(paper_net):
     assert svg.count('stroke="#c0392b"') == 2
     plain = render_svg(paper_net)
     assert plain.count('stroke="#c0392b"') == 0
+
+
+@pytest.mark.parametrize("row", ["af", ("a", "f", "b"), ("a", ["f"])],
+                         ids=["two-char-str", "three-ids", "list-endpoint"])
+def test_render_refuses_a_highlight_row_that_is_not_a_pair(row):
+    # as Net does: "af" is not read as the edge a-f
+    message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        render_svg(small_net(), highlight=[("b", "f"), row])
+    assert render_svg(small_net(), highlight=[("f", "a")]).count('stroke="#c0392b"') == 1
 
 
 def test_render_labels(paper_net):

@@ -405,6 +405,25 @@ def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
         find_proper_subnet(net)
 
 
+@pytest.mark.parametrize(
+    "name, verdict, ties", [("overlay", Reducible, 0), ("tripod", Reducible, 0), ("paper", Irreducible, 43)],
+    ids=["overlay", "tripod_overlay(6, 0)", "paper"],
+)
+def test_tie_steps_are_built_only_for_an_irreducible_verdict(request, monkeypatch, name, verdict, ties):
+    # a Reducible result carries no trace, so the search builds no tie step
+    net = tripod_overlay(6, 0) if name == "tripod" else request.getfixturevalue(f"{name}_net")
+    built = []
+
+    class Counted(TraceStep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.tie)
+
+    monkeypatch.setattr(irreducible, "TraceStep", Counted)
+    assert isinstance(find_proper_subnet(net), verdict)
+    assert sum(built) == ties
+
+
 def test_one_class_net_is_refuted_in_one_pass_over_its_vertices(monkeypatch):
     # 1,835 edges in one class: seeding each edge in turn took hundreds of
     # thousands of nodes, and checking each balanced vertex after the one

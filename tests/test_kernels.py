@@ -115,7 +115,8 @@ def test_damped_newton_metric_is_positive_definite():
         net = random_net(random.Random(seed))
         n = net.pos.shape[0]
         pins = np.setdiff1d(np.arange(n), net.free).tolist()
-        if not net.free.size or not _kernels.reaches_all(n, pins, net.ends):
+        root = _kernels.unions(n, *net.ends.T.tolist())[1]
+        if not net.free.size or not np.isin(root[net.free], root[pins]).all():
             continue
         a, la = _kernels._edge_vectors(net.pos, net.ends)
         mu = float(_kernels.norms(_kernels.residuals(net.pos, net.ends)[net.free]).max())
@@ -128,29 +129,37 @@ def test_damped_newton_metric_is_positive_definite():
     assert checked > 200
 
 
-def _reaches_all_by_closure(n, sources, edges):
-    """Oracle for reaches_all: the transitive closure of the adjacency
-    matrix, squared until it stops growing."""
+def _closure(n, edges):
+    """Oracle for unions: the transitive closure of the adjacency matrix,
+    squared until it stops growing."""
     reach = np.eye(n, dtype=bool)
     for u, v in edges:
         reach[u, v] = reach[v, u] = True
     while True:
         grown = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
         if np.array_equal(grown, reach):
-            break
+            return reach
         reach = grown
-    return bool(reach[:, sorted(sources)].any(axis=1).all())
 
 
-def test_reaches_all_matches_the_transitive_closure():
+def _reaches_all_by_closure(n, sources, edges):
+    return bool(_closure(n, edges)[:, sorted(sources)].any(axis=1).all())
+
+
+def test_unions_match_the_transitive_closure():
     rng = random.Random(3)
     seen = {"n0": 0, "n1": 0, "isolated": 0, "no-source": 0, "components": 0, True: 0, False: 0}
     for _ in range(600):
         n = rng.randint(0, 12)
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n + 2))] if n > 1 else []
         sources = rng.sample(range(n), rng.randint(0, min(n, 3)))
-        rows = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-        got = _kernels.reaches_all(n, sources, rows)
+        joined, root = _kernels.unions(n, [u for u, _ in edges], [v for _, v in edges])
+        reach = _closure(n, edges)
+        # each root is the lowest item of its closure class
+        assert root.tolist() == [int(row.argmax()) for row in reach], (n, edges)
+        # pair i joins two sets exactly when no earlier pair connects its ends
+        assert joined == [i for i, (u, v) in enumerate(edges) if not _closure(n, edges[:i])[u, v]], (n, edges)
+        got = set(root.tolist()) <= set(root[sources].tolist())
         assert got == _reaches_all_by_closure(n, sources, edges), (n, sources, edges)
         ends = {u for e in edges for u in e}
         seen["n0"] += n == 0

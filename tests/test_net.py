@@ -414,7 +414,7 @@ def test_verify_passes_on_paper_net(paper_net):
     report = verify(paper_net)
     assert report.passed
     assert report.max_residual < 1e-9
-    assert report.connected
+    assert report.connected is True  # a Python bool, which json can write
     assert not report.degree_violations
     assert not report.overlay_findings
     assert not report.unplanarized_crossings
@@ -472,7 +472,7 @@ def test_verify_flags_disconnected():
         vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 5, 5), _v("d", 6, 5)),
         edges=(("a", "b"), ("c", "d")),
     )
-    assert not verify(net).connected
+    assert verify(net).connected is False
 
 
 def test_verify_flags_collinear_overlay():
@@ -711,6 +711,18 @@ def test_edge_subnet():
     assert len(sub.edges) == 2
     with pytest.raises(ValueError):
         edge_subnet(net, [("p1", "p2")])
+
+
+@pytest.mark.parametrize("row", ["ab", ("a", "b", "c"), ("a", ["b"])],
+                         ids=["two-char-str", "three-ids", "list-endpoint"])
+def test_edge_subnet_refuses_a_row_that_is_not_a_pair(row):
+    # as Net does: "ab" is not read as the edge a-b
+    net = Net(vertices=[_v(vid, k, k % 2) for k, vid in enumerate("abcd")],
+              edges=[("a", "b"), ("b", "c"), ("c", "d")])
+    message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        edge_subnet(net, [("c", "d"), row])
+    assert edge_subnet(net, [("b", "a")]).edges == (("a", "b"),)
 
 
 def test_total_edge_length():
