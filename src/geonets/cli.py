@@ -92,7 +92,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"vertices: {len(net.ids)} "
             f"({balanced} balanced, {len(net.ids) - balanced} unbalanced)"
         )
-        print(f"edges: {len(net.edges)}")
+        print(f"edges: {len(net.ends)}")
         print(f"max residual: {report.max_residual:.3e} (tol {args.tol:g})")
         print(f"connected: {'yes' if report.connected else 'no'}")
 

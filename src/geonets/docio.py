@@ -40,22 +40,11 @@ _KINDS = {k.value: k for k in VertexKind}
 _BALANCED = VertexKind.BALANCED.value
 _LABEL_TYPES = {str, type(None)}
 _KIND_TEXT = {k is VertexKind.BALANCED: _string(k.value) for k in VertexKind}
+_LABEL_KEY = ',\n      "label": '
 
 
 class ParseError(ValueError):
     """Malformed net document."""
-
-
-def _vertex_text(vid: str, x: float, y: float, balanced: bool, label: Optional[str]) -> str:
-    # Net holds str ids and labels and float coordinates.
-    label_text = "" if label is None else ',\n      "label": ' + _string(label)
-    return (
-        '    {\n      "id": ' + _string(vid)
-        + ',\n      "x": ' + float.__repr__(x)
-        + ',\n      "y": ' + float.__repr__(y)
-        + ',\n      "kind": ' + _KIND_TEXT[balanced]
-        + label_text + "\n    }"
-    )
 
 
 def _list_text(rows: List[str]) -> str:
@@ -63,12 +52,17 @@ def _list_text(rows: List[str]) -> str:
 
 
 def serialize(net: Net) -> str:
-    rows = zip(net.ids, net.pos.tolist(), net.balanced.tolist(), net.labels)
-    vertices = [_vertex_text(vid, x, y, b, label) for vid, (x, y), b, label in rows]
-    edges = [
-        "    [\n      " + _string(u) + ",\n      " + _string(v) + "\n    ]"
-        for u, v in net.edges
+    # Net holds str ids and labels and float coordinates; each id is
+    # quoted once, for its vertex row and its edge rows.
+    quoted = list(map(_string, net.ids))
+    labels = ["" if label is None else _LABEL_KEY + _string(label) for label in net.labels]
+    rows = zip(quoted, net.pos.tolist(), net.balanced.tolist(), labels)
+    vertices = [
+        f'    {{\n      "id": {vid},\n      "x": {x!r},\n      "y": {y!r},\n'
+        f'      "kind": {_KIND_TEXT[b]}{label}\n    }}'
+        for vid, (x, y), b, label in rows
     ]
+    edges = [f"    [\n      {quoted[i]},\n      {quoted[j]}\n    ]" for i, j in net.ends.tolist()]
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n'
         f'  "vertices": {_list_text(vertices)},\n'

@@ -87,12 +87,6 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _first_repeat(items: Sequence):
-    """The first item equal to its successor, else None. In a sorted
-    sequence this is the smallest repeated item."""
-    return next((a for a, b in zip(items, items[1:]) if a == b), None)
-
-
 def _valid_id(vid) -> str:
     """vid, once it is a non-empty str, as a net document's ids are."""
     if not isinstance(vid, str) or not vid:
@@ -124,6 +118,14 @@ def _edge_pair(e) -> Tuple:
     except (TypeError, ValueError):
         raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids") from None
     return u, v
+
+
+def _edge_row(e) -> Edge:
+    """edge_key of the row e, once e is a pair of str ids (_edge_pair)."""
+    u, v = _edge_pair(e)
+    if not (isinstance(u, str) and isinstance(v, str)):
+        raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids")
+    return edge_key(u, v)
 
 
 def _checked_ends(rows: Sequence, index: Dict[str, int]) -> Iterator[int]:
@@ -181,19 +183,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Net:
     """Immutable net value, held as columns sorted by id: ids, balanced,
-    labels and pos (x, y) per vertex; edges as sorted canonical (min, max)
-    pairs, and ends, their vertex rows; index maps each id to its row.
-    balanced, pos and ends are read-only numpy arrays. Nets with the same
-    content are equal regardless of construction order. As in a net
-    document, each Vertex given to Net has a non-empty str id, a Point pos,
-    a VertexKind kind and a str or None label; Net raises
-    InvariantViolation for any other field."""
+    labels and pos (x, y) per vertex; ends, the sorted (min, max) vertex
+    rows of the edges, and edges, their id pairs, built on first read;
+    index maps each id to its row. balanced, pos and ends are read-only
+    numpy arrays. Nets with the same content are equal regardless of
+    construction order. As in a net document, each Vertex given to Net has
+    a non-empty str id, a Point pos, a VertexKind kind and a str or None
+    label; Net raises InvariantViolation for any other field."""
 
     ids: Tuple[str, ...]
     balanced: np.ndarray
     labels: Tuple[Optional[str], ...]
     pos: np.ndarray
-    edges: Tuple[Edge, ...]
     ends: np.ndarray
     index: Dict[str, int]
 
@@ -202,26 +203,21 @@ class Net:
         ids = [_checked_id(v) for v in verts]
         balanced = [v.kind is VertexKind.BALANCED for v in verts]
         xy = [(v.pos.x, v.pos.y) for v in verts]
-        self._set_columns(ids, balanced, [v.label for v in verts], xy, edges)
+        vars(self).update(vars(Net._from_columns(ids, balanced, [v.label for v in verts], xy, edges)))
 
     @classmethod
-    def _from_columns(cls, *columns) -> "Net":
-        """The net of the well-typed columns (ids, balanced, labels, pos,
-        edges) in any row order, checked as Net() checks its vertices."""
-        net = cls.__new__(cls)
-        net._set_columns(*columns)
-        return net
-
-    def _set_columns(self, ids, balanced, labels, pos, edges) -> None:
-        """The one checking path: sorts the columns by id, then finds the
-        smallest duplicate id, the first edge row in input order that is
-        not a pair of distinct vertex ids, the smallest duplicate edge and
-        the first coincident pair, in that order."""
+    def _from_columns(cls, ids, balanced, labels, pos, edges) -> "Net":
+        """The net of the well-typed columns in any row order, checked as
+        Net() checks its vertices. It finds the smallest duplicate id, the
+        first edge row in input order that is not a pair of distinct vertex
+        ids and the smallest duplicate edge (the topology half), then the
+        first coincident pair (the geometry half, all that _with_pos runs)."""
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids = tuple(map(ids.__getitem__, order))
         index = dict(zip(ids, range(len(ids))))
-        if len(index) < len(ids):
-            raise InvariantViolation(f"duplicate vertex id: {_first_repeat(ids)}")
+        if len(index) < len(ids):  # ids are sorted, so the first repeat is the smallest
+            first = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            raise InvariantViolation(f"duplicate vertex id: {first}")
         rows = edges if isinstance(edges, (list, tuple)) else list(edges)
         try:
             if str in {*map(type, rows)} or {*map(len, rows)} - {2}:
@@ -250,16 +246,24 @@ class Net:
         pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)[take]
         for i, j in _close_pairs(pos, COINCIDENCE_EPS):
             raise CoincidentVertices(ids[i], ids[j])
-        lo, hi = ends.T.tolist()
-        vars(self).update(
-            ids=ids,
-            balanced=_read_only(np.asarray(balanced, dtype=bool)[take]),
-            labels=tuple(map(labels.__getitem__, order)),
-            pos=_read_only(pos),
-            edges=tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi))),
-            ends=_read_only(ends),
-            index=index,
-        )
+        labels = tuple(map(labels.__getitem__, order))
+        return cls._derived(ids, np.asarray(balanced, dtype=bool)[take], labels, pos, ends, index)
+
+    @classmethod
+    def _derived(cls, ids, balanced, labels, pos, ends, index) -> "Net":
+        """The net of columns in id order whose topology comes from a checked
+        net, unchecked: relax and moved check new positions (_with_pos), and
+        edge_subnet renumbers a row subset, which needs no check."""
+        net = cls.__new__(cls)
+        vars(net).update(ids=ids, balanced=_read_only(balanced), labels=labels,
+                         pos=_read_only(pos), ends=_read_only(ends), index=index)
+        return net
+
+    def _with_pos(self, pos: np.ndarray) -> "Net":
+        """This net at pos, a fresh (n, 2) array it keeps read-only, once no two vertices coincide."""
+        for i, j in _close_pairs(pos, COINCIDENCE_EPS):
+            raise CoincidentVertices(self.ids[i], self.ids[j])
+        return Net._derived(self.ids, self.balanced, self.labels, pos, self.ends, self.index)
 
     def __reduce__(self):
         # a pickled or copied net passes the checking path again, which
@@ -269,7 +273,7 @@ class Net:
     def _content(self) -> tuple:
         # pos by float value, so that 0.0 and -0.0 compare and hash alike
         xy = tuple(self.pos.ravel().tolist())
-        return (self.ids, self.edges, self.labels, self.balanced.tobytes(), xy)
+        return (self.ids, self.ends.tobytes(), self.labels, self.balanced.tobytes(), xy)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -281,6 +285,12 @@ class Net:
 
     def __repr__(self) -> str:
         return f"Net(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The canonical (min, max) id pair of each row of ends."""
+        lo, hi = self.ends.T.tolist()
+        return tuple(zip(map(self.ids.__getitem__, lo), map(self.ids.__getitem__, hi)))
 
     @cached_property
     def edge_index(self) -> Dict[Edge, int]:
@@ -397,7 +407,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
             unplanarized.append((e1, e2, kind.point))
 
     pinned = ~net.balanced[net.ends].any(axis=1)
-    unb_unb = [net.edges[k] for k in np.flatnonzero(pinned).tolist()]
+    unb_unb = [(net.ids[i], net.ids[j]) for i, j in net.ends[pinned].tolist()]
 
     # every root is vertex row 0, the lowest
     connected = bool((_kernels.unions(len(net.ids), *net.ends.T.tolist())[1] == 0).all())
@@ -433,7 +443,7 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     pass. The segment of each edge in a reported pair is built once, from
     the ends already gathered for the pass.
     """
-    edges, ends, pos = net.edges, net.ends, net.pos
+    ends, pos = net.ends, net.pos
     p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
     pad = _contact_pad(_kernels.norms(p1 - p0))[:, None]
     i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
@@ -441,9 +451,11 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
     reported = _classify(*pqrs.transpose(1, 0, 2))[0] >= _CROSSING
     i, j = i[reported].tolist(), j[reported].tolist()
-    segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in dict.fromkeys(i + j)}
+    ids, rows = net.ids, dict.fromkeys(i + j)
+    segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in rows}
+    names = {k: (ids[a], ids[b]) for k, (a, b) in zip(rows, ends[list(rows)].tolist())}
     for k, m in zip(i, j):
-        yield edges[k], edges[m], intersect(segs[k], segs[m])
+        yield names[k], names[m], intersect(segs[k], segs[m])
 
 
 def planarize(net: Net) -> Net:
@@ -560,14 +572,14 @@ def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
     """Materialize an edge subset as a net; vertices incident to no chosen
     edge are dropped. Raises InvariantViolation for a row that is not a
     pair of vertex ids, or an edge not in net."""
-    chosen = {edge_key(*_edge_pair(e)) for e in edges}
+    chosen = {_edge_row(e) for e in edges}
     for e in chosen:
         if e not in net.edge_index:
             raise InvariantViolation(f"edge {e} is not in the parent net")
-    keep = {u for e in chosen for u in e}
-    rows = [k for k, vid in enumerate(net.ids) if vid in keep]
-    return Net._from_columns(
-        [net.ids[k] for k in rows], net.balanced[rows], [net.labels[k] for k in rows],
-        net.pos[rows], sorted(chosen),
-    )
-
+    # the kept rows keep their order, so renumbering them keeps ends sorted
+    picked = net.ends[sorted(map(net.edge_index.__getitem__, chosen))]
+    keep, ends = np.unique(picked.ravel(), return_inverse=True)
+    ids = tuple(map(net.ids.__getitem__, keep.tolist()))
+    labels = tuple(map(net.labels.__getitem__, keep.tolist()))
+    index = dict(zip(ids, range(len(ids))))
+    return Net._derived(ids, net.balanced[keep], labels, net.pos[keep], ends.reshape(-1, 2), index)

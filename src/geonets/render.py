@@ -5,12 +5,10 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable, List, Sequence
 
-from .net import Net, _edge_pair, edge_key
+from .net import Net, _edge_row
 
-_EDGE_STROKE = "#222222"
-_EDGE_WIDTH = 1.5
-_HIGHLIGHT_STROKE = "#c0392b"
-_HIGHLIGHT_WIDTH = 3.0
+_EDGE_STYLE = 'stroke="#222222" stroke-width="1.5"'
+_HIGHLIGHT_STYLE = 'stroke="#c0392b" stroke-width="3.0"'
 _BALANCED_FILL = "#2980b9"
 _BALANCED_R = 3.0
 _UNBALANCED_FILL = "#333333"
@@ -40,7 +38,9 @@ def render_svg(
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"width must be an integer >= 1, got {width!r}")
-    marked = {edge_key(*_edge_pair(e)) for e in highlight}
+    # the (min, max) rows of the highlighted edges, as in net.ends
+    index = net.index
+    marked = {(index[u], index[v]) for u, v in map(_edge_row, highlight) if u in index and v in index}
     (xs, ys), balanced = net.pos.T.tolist(), net.balanced.tolist()
     min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
     min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)
@@ -61,15 +61,9 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    for e, (i, j) in zip(net.edges, net.ends.tolist()):
-        if e in marked:
-            stroke, sw = _HIGHLIGHT_STROKE, _HIGHLIGHT_WIDTH
-        else:
-            stroke, sw = _EDGE_STROKE, _EDGE_WIDTH
-        out.append(
-            f'  <line x1="{tx[i]}" y1="{ty[i]}" x2="{tx[j]}" y2="{ty[j]}" '
-            f'stroke="{stroke}" stroke-width="{sw}"/>'
-        )
+    for i, j in net.ends.tolist():
+        style = _HIGHLIGHT_STYLE if marked and (i, j) in marked else _EDGE_STYLE
+        out.append(f'  <line x1="{tx[i]}" y1="{ty[i]}" x2="{tx[j]}" y2="{ty[j]}" {style}/>')
     for x, y, b in zip(tx, ty, balanced):
         r, fill = (_BALANCED_R, _BALANCED_FILL) if b else (_UNBALANCED_R, _UNBALANCED_FILL)
         out.append(f'  <circle cx="{x}" cy="{y}" r="{r}" fill="{fill}"/>')

@@ -62,7 +62,7 @@ def moved(net: Net, vid: str, pos: Point) -> Net:
     """Copy of net with one vertex repositioned."""
     xy = net.pos.copy()
     xy[net._row(vid)] = (pos.x, pos.y)
-    return Net._from_columns(net.ids, net.balanced, net.labels, xy, net.edges)
+    return net._with_pos(xy)
 
 
 def relax(
@@ -124,13 +124,13 @@ def relax(
     )
     if stop == "collided":
         d = out_pos[net.ends[:, 1]] - out_pos[net.ends[:, 0]]
-        shortest = net.edges[int(_kernels.norms(d).argmin())]
+        shortest = tuple(net.ids[k] for k in net.ends[_kernels.norms(d).argmin()].tolist())
         raise VertexCollision(
             f"edge {shortest} collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )
 
     try:
-        result_net = Net._from_columns(net.ids, net.balanced, net.labels, out_pos, net.edges)
+        result_net = net._with_pos(out_pos)
     except CoincidentVertices as exc:
         u, v = exc.ids
         raise VertexCollision(f"vertices {u} and {v} collided") from None

@@ -154,9 +154,10 @@ def test_each_module_imports_only_lower_layers():
 
 def _one_view_breaks(sources):
     """(module, line, what) of each Vertex(...) call and each read of an
-    .arrays attribute outside construct.py and Net.vertices, and of each
-    read of .adjacency outside net.py: everywhere else a net is read
-    through its columns."""
+    .arrays attribute outside construct.py and Net.vertices, of each read
+    of .adjacency outside net.py, and of each read of .edges outside
+    net.py and irreducible.py, whose certificates name edges: everywhere
+    else a net is read through its columns."""
     found = []
     for module, text in sources.items():
         if module == "construct.py":
@@ -176,6 +177,9 @@ def _one_view_breaks(sources):
                 found.append((module, node.lineno, ".arrays"))
             elif isinstance(node, ast.Attribute) and node.attr == "adjacency" and module != "net.py":
                 found.append((module, node.lineno, ".adjacency"))
+            elif (isinstance(node, ast.Attribute) and node.attr == "edges"
+                  and module not in ("net.py", "irreducible.py")):
+                found.append((module, node.lineno, ".edges"))
     return sorted(found)
 
 
@@ -184,12 +188,14 @@ def test_one_view_breaks_finds_vertex_round_trips():
         "net.py": "class Net:\n    def vertices(self):\n        return (Vertex(1),)\n"
                   "def moved(net):\n    return Net([Vertex(2)], net.arrays.edges)\n"
                   "def degree(net, v):\n    return len(net.adjacency[v])\n",
-        "solver.py": "from . import net\nv = net.Vertex(3)\ndef degree(n, v):\n    return len(n.adjacency[v])\n",
+        "solver.py": "from . import net\nv = net.Vertex(3)\ndef degree(n, v):\n    return len(n.adjacency[v])\n"
+                     "def size(n):\n    return len(n.edges)\n",
+        "irreducible.py": "def witness(n, k):\n    return n.edges[k]\n",
         "construct.py": "v = Vertex(4)\n",
     }
     assert _one_view_breaks(sources) == [
         ("net.py", 5, ".arrays"), ("net.py", 5, "Vertex("), ("solver.py", 2, "Vertex("),
-        ("solver.py", 4, ".adjacency"),
+        ("solver.py", 4, ".adjacency"), ("solver.py", 6, ".edges"),
     ]
 
 

@@ -549,8 +549,8 @@ def test_render_highlight(paper_net):
     assert plain.count('stroke="#c0392b"') == 0
 
 
-@pytest.mark.parametrize("row", ["af", ("a", "f", "b"), ("a", ["f"])],
-                         ids=["two-char-str", "three-ids", "list-endpoint"])
+@pytest.mark.parametrize("row", ["af", ("a", "f", "b"), ("a", ["f"]), ("f", 1), (1, "f")],
+                         ids=["two-char-str", "three-ids", "list-endpoint", "str-int", "int-str"])
 def test_render_refuses_a_highlight_row_that_is_not_a_pair(row):
     # as Net does: "af" is not read as the edge a-f
     message = re.escape(f"edge row {row!r} is not a pair of vertex ids")

@@ -28,6 +28,7 @@ from geonets import (
     planarize,
     relabeled,
     relax,
+    render_svg,
     serialize,
     verify,
 )
@@ -261,6 +262,59 @@ def test_verify_relax_and_the_search_read_degrees_without_the_adjacency(paper_ne
         for vid in net.ids:
             balance_residual(net, vid)
         assert "adjacency" not in vars(net)
+
+
+def _same_net(derived, checked):
+    assert derived == checked and hash(derived) == hash(checked)
+    assert serialize(derived) == serialize(checked)
+    assert derived.index == checked.index and derived.ends.tolist() == checked.ends.tolist()
+    for column in (derived.pos, derived.balanced, derived.ends):
+        assert not column.flags.writeable
+
+
+def test_derived_nets_equal_the_checked_nets_of_their_columns(paper_net, overlay_net, tripod_net):
+    # relax, moved and edge_subnet share or renumber a checked net's
+    # topology instead of checking it again
+    for net in (paper_net, overlay_net, tripod_net, honeycomb(8, 6), tripod_overlay(6, 0)):
+        k = int(net.free[len(net.free) // 2])
+        xy = net.pos.copy()
+        xy[k] += (1e-6, -1e-6)
+        bent = moved(net, net.ids[k], Point(*xy[k].tolist()))
+        _same_net(bent, Net._from_columns(net.ids, net.balanced, net.labels, xy, net.edges))
+        relaxed = relax(bent, max_iter=2).net
+        _same_net(relaxed, Net._from_columns(net.ids, net.balanced, net.labels, relaxed.pos, net.edges))
+        picked = net.edges[1::3]
+        rows = sorted({net.index[vid] for e in picked for vid in e})
+        _same_net(edge_subnet(net, picked), Net._from_columns(
+            [net.ids[r] for r in rows], net.balanced[rows], [net.labels[r] for r in rows],
+            net.pos[rows], picked,
+        ))
+        assert edge_subnet(net, net.edges) == net
+        assert edge_subnet(net, ()) == Net((), ())
+
+
+def test_a_derived_net_refuses_coincident_vertices(paper_net):
+    near = paper_net.vertex("b1").pos
+    with pytest.raises(CoincidentVertices) as info:
+        moved(paper_net, "a1", Point(near.x + 1e-10, near.y))
+    assert info.value.ids == ("a1", "b1")
+
+
+def test_edges_is_a_view_over_ends_built_on_first_read(paper_net, overlay_net, tripod_net):
+    for net in (paper_net, overlay_net, tripod_net, honeycomb(8, 6), tripod_overlay(6, 0)):
+        fresh = parse(serialize(net))
+        assert "edges" not in vars(fresh)
+        assert fresh.edges == tuple((net.ids[a], net.ids[b]) for a, b in net.ends.tolist())
+        assert fresh.edges is fresh.edges and fresh.edges == net.edges
+    # verify's findings, relax, serialize and render_svg read ends
+    for start in (x_net(), paper_net, moved(tripod_net, "f", Point(2.0, 2.0))):
+        net = parse(serialize(start))
+        verify(net)
+        relaxed = relax(net).net
+        for n in (net, relaxed):
+            serialize(n)
+            render_svg(n)
+            assert "edges" not in vars(n)
 
 
 def test_segment_pairs_yield_meeting_pairs_in_order():
@@ -713,8 +767,8 @@ def test_edge_subnet():
         edge_subnet(net, [("p1", "p2")])
 
 
-@pytest.mark.parametrize("row", ["ab", ("a", "b", "c"), ("a", ["b"])],
-                         ids=["two-char-str", "three-ids", "list-endpoint"])
+@pytest.mark.parametrize("row", ["ab", ("a", "b", "c"), ("a", ["b"]), ("f", 1), (1, "f")],
+                         ids=["two-char-str", "three-ids", "list-endpoint", "str-int", "int-str"])
 def test_edge_subnet_refuses_a_row_that_is_not_a_pair(row):
     # as Net does: "ab" is not read as the edge a-b
     net = Net(vertices=[_v(vid, k, k % 2) for k, vid in enumerate("abcd")],

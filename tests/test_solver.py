@@ -568,7 +568,7 @@ def test_relax_raises_when_unjoined_vertices_meet():
         vertices=(_v("a", 0.0, -1.0), _v("b", 0.0, 1.0), _v("m", 0.1, 0.0, B), _v("n", -0.1, 0.0, B)),
         edges=(("a", "m"), ("m", "b"), ("a", "n"), ("n", "b")),
     )
-    with pytest.raises(VertexCollision, match="vertices m and n collided"):
+    with pytest.raises(VertexCollision, match="^vertices m and n collided$"):
         relax(net)
 
 
