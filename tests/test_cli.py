@@ -12,7 +12,8 @@ from geonets import cli, irreducible, relax
 from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
 
-from helpers import least_rejected_norm
+from geonets import verify
+from helpers import chord_arrangement, honeycomb, least_rejected_norm
 
 
 def run(capsys, *argv):
@@ -208,6 +209,35 @@ def test_irreducible_exits_3_when_the_search_runs_out_of_nodes(tmp_path, capsys,
     assert code == 3
     assert stdout == ""
     assert stderr == "error: SearchBudgetExceeded: exceeded 0 search nodes\n"
+
+
+# sha256 over (name, exit code, stdout, --witness-out bytes or None) of
+# `geonets irreducible` on the three fixtures, two honeycombs and the chord
+# arrangements that verify
+IRREDUCIBLE_STDOUT_SHA256 = "d646a917f4762efaccae107811f26379faf0ce8f4750319afcb1ea539204dc34"
+
+
+def test_irreducible_output_is_pinned(tmp_path, capsys):
+    nets = [(f"honeycomb({c}, {r})", honeycomb(c, r)) for c, r in ((6, 5), (20, 16))]
+    nets += [(f"chords({k}, {s})", chord_arrangement(k, s)[0]) for k in range(4, 13) for s in range(3)]
+    paths = []
+    for fixture in ("paper16", "overlay", "fermat-tripod"):
+        paths.append((fixture, tmp_path / f"{fixture}.json"))
+        run(capsys, "build", fixture, "--out", str(paths[-1][1]))
+    for name, net in nets:
+        if verify(net).passed:
+            paths.append((name, tmp_path / f"{len(paths)}.json"))
+            save(net, str(paths[-1][1]))
+    digest = hashlib.sha256()
+    for name, path in paths:
+        witness = tmp_path / "witness.json"
+        code, stdout, _ = run(capsys, "irreducible", str(path), "--witness-out", str(witness))
+        body = witness.read_bytes() if witness.exists() else None
+        if body is not None:
+            witness.unlink()
+        digest.update(repr((name, code, stdout, body)).encode())
+    assert len(paths) == 10
+    assert digest.hexdigest() == IRREDUCIBLE_STDOUT_SHA256
 
 
 # --- relax -------------------------------------------------------------------
