@@ -119,12 +119,7 @@ def _cmd_irreducible(args: argparse.Namespace) -> int:
         print(f"error: SearchBudgetExceeded: {exc}", file=sys.stderr)
         return 3
     if isinstance(cert, Irreducible):
-        ties = sum(step.tie for step in cert.trace)
-        classes = sum(step.vertex is None and step.conflict is None for step in cert.trace)
-        forced = sum(
-            step.vertex is not None and step.conflict is None and not step.tie
-            for step in cert.trace
-        )
+        ties, classes, forced = cert._counts()
         print(
             f"irreducible: no proper subnet; {_count(classes, 'edge class', 'edge classes')} "
             f"({_count(ties, 'tie', 'ties')}) refuted in {forced} propagation steps"

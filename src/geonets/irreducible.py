@@ -30,6 +30,7 @@ the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -116,6 +117,12 @@ class TraceStep:
     its search excluding the classes seeded before it; forcing steps, with
     the classes forced in and out at vertex, each ascending; and a
     conflict with its reason, at a vertex or (vertex None) the whole net.
+
+    The search builds neither kind: it keeps the ties as integer columns,
+    one row (vertex row, edge row, edge row) each, and the search events
+    as rows (seed class, vertex row or -1, in-mask, out-mask, conflict
+    code), the masks class bitsets. Irreducible.trace builds the steps
+    from those columns on first read.
     """
 
     seed: Edge
@@ -126,10 +133,69 @@ class TraceStep:
     tie: bool = False
 
 
-@dataclass(frozen=True)
+# The reason of each conflict code of a search event; code 0 is no conflict.
+_REASONS = (
+    None,
+    "no balanced edge subset fits the current selection",
+    "propagation selects every edge; the subnet is not proper",
+    "exhaustive search found no proper subnet containing this edge class",
+)
+_NO_FIT, _ALL_EDGES, _EXHAUSTED = 1, 2, 3
+
+
+def _named(ids: Tuple[str, ...], ends: np.ndarray, rows) -> List[Edge]:
+    """The (min, max) id pair of each edge row in rows, as Net.edges names it."""
+    lo, hi = ends[rows].T.tolist()
+    return list(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
+
+
+@dataclass(frozen=True, init=False)
 class Irreducible:
+    """An irreducibility certificate: its trace (see TraceStep) and tol_margin.
+
+    One from find_proper_subnet holds the search's integer columns and
+    builds trace from them on first read; equality, hashing, repr and
+    pickling go by trace and tol_margin, as for one built from a trace."""
+
+    # trace stays a field, so that fields(), replace() and the generated
+    # ==, hash and repr read it; for a certificate from the search, the
+    # cached property below builds it.
     trace: Tuple[TraceStep, ...]
     tol_margin: Tuple[float, float]
+
+    def __init__(self, trace: Tuple[TraceStep, ...], tol_margin: Tuple[float, float]):
+        vars(self).update(trace=trace, tol_margin=tol_margin)
+
+    @classmethod
+    def _of_columns(cls, net: Net, ctx: "_Ctx", events: List[tuple], tol_margin) -> "Irreducible":
+        cert = cls.__new__(cls)
+        vars(cert).update(_columns=(net.ids, net.ends, ctx.seeds, ctx.ties, events), tol_margin=tol_margin)
+        return cert
+
+    @cached_property
+    def trace(self) -> Tuple[TraceStep, ...]:
+        """The ties, then the search events, named by their ids."""
+        ids, ends, seeds, ties, events = self._columns
+        vertex, e, f = ties.T
+        tied = zip(_named(ids, ends, e), vertex.tolist(), _named(ids, ends, f))
+        steps = [TraceStep(a, ids[k], (b,), (), tie=True) for a, k, b in tied]
+        seed = _named(ids, ends, seeds)
+        for c, k, ins, outs, code in events:
+            steps.append(TraceStep(seed[c], ids[k] if k >= 0 else None, tuple(seed[d] for d in _rows(ins)),
+                                   tuple(seed[d] for d in _rows(outs)), _REASONS[code]))
+        return tuple(steps)
+
+    def _counts(self) -> Tuple[int, int, int]:
+        """The trace's ties, seeded classes and forcing steps, counted in
+        the columns of a certificate from find_proper_subnet."""
+        _, _, _, ties, events = self._columns
+        seeded = sum(k < 0 and not code for _, k, _, _, code in events)
+        forced = sum(k >= 0 and not code for _, k, _, _, code in events)
+        return len(ties), seeded, forced
+
+    def __reduce__(self):
+        # a copy carries the steps, not the net's columns
+        return Irreducible, (self.trace, self.tol_margin)
 
 
 @dataclass(frozen=True)
@@ -161,22 +227,23 @@ def _class_tables(group: tuple, class_of: np.ndarray, bit: np.ndarray) -> list:
 
 
 class _Ctx:
-    """Class-level search tables from _tables' groups at the vertices
-    vids, and a shared node budget. ties holds one (vertex id, e, f) per
-    union of two classes, e the edge of f's lead. class_of[r] is edge r's
-    class, and seeds[c] the lowest edge of class c. The vertices that
-    _class_tables keeps are named by names, in vids order, with classes
-    inc[k] and table masks[k]; vertices_of[c] lists those at class c.
-    branch[c] is (k, inc, masks) of the first vertex at class c's lowest
-    edge, where the search branches when c is the lowest open class; k is
-    -1 when that vertex dropped out.
+    """Class-level search tables, over n edge rows, from _tables' groups at
+    the vertex rows vrows, and a shared node budget. ties is an (E - C, 3)
+    integer array with one row (vertex row, e, f) per union of two classes,
+    e the edge row of f's lead. class_of[r] is edge r's class, and seeds[c]
+    the lowest edge row of class c. The vertices that _class_tables keeps
+    have vertex rows rows, in vrows order, classes inc[k] and table
+    masks[k]; vertices_of[c] lists those at class c. branch[c] is (k, inc,
+    masks) of the first vertex at class c's lowest edge, where the search
+    branches when c is the lowest open class; k is -1 when that vertex
+    dropped out. Nothing here names an edge or a vertex by its id.
     """
 
-    def __init__(self, edges: Sequence[Edge], vids: Sequence[str], groups: list):
+    def __init__(self, n: int, vrows: Sequence[int], groups: list):
         # A leg's lead is the lowest leg whose column over its star's
         # subsets equals its own. at[r] is the first star at edge r.
         found = [(np.empty(0, dtype=np.int64),) * 4]
-        at = np.full(len(edges), len(vids))
+        at = np.full(n, len(vrows))
         for members, legs, star, held in groups:
             starts = np.searchsorted(star, np.arange(len(members)))
             lead = np.logical_or.reduceat(held[:, :, None] != held[:, None, :], starts, axis=0).argmin(axis=2)
@@ -185,18 +252,19 @@ class _Ctx:
             np.minimum.at(at, legs.ravel(), members.repeat(legs.shape[1]))
         on, leg, lead_edge, leg_edge = (np.concatenate(parts) for parts in zip(*found))
         order = np.lexsort((leg, on))
-        ks, es, fs = (column[order].tolist() for column in (on, lead_edge, leg_edge))
-        joined, root = _kernels.unions(len(edges), es, fs)
-        self.ties: List[Tuple[str, int, int]] = [(vids[ks[i]], es[i], fs[i]) for i in joined]
+        ks, es, fs = (column[order] for column in (on, lead_edge, leg_edge))
+        joined, root = _kernels.unions(n, es.tolist(), fs.tolist())
+        joined = np.array(joined, dtype=np.int64)
+        self.ties = np.stack((np.asarray(vrows, dtype=np.int64)[ks[joined]], es[joined], fs[joined]), axis=1)
         is_root = root == np.arange(len(root))
         lowest = np.flatnonzero(is_root)
-        self.seeds: List[Edge] = [edges[r] for r in lowest.tolist()]
+        self.seeds: List[int] = lowest.tolist()
         self.class_of = np.cumsum(is_root)[root] - 1
         self.full = (1 << len(self.seeds)) - 1
 
         bit = np.array([1 << c for c in range(len(self.seeds))] + [0], dtype=object)
         kept = sorted(row for group in groups for row in _class_tables(group, self.class_of, bit))
-        self.names: List[str] = [vids[k] for k, _, _ in kept]
+        self.rows: List[int] = [vrows[k] for k, _, _ in kept]
         self.inc: List[int] = [inc for _, inc, _ in kept]
         self.masks: List[List[int]] = [table for _, _, table in kept]
         self.vertices_of: List[List[int]] = [[] for _ in self.seeds]
@@ -213,9 +281,6 @@ class _Ctx:
         if self.nodes_left < 0:
             raise SearchBudgetExceeded(f"exceeded {_NODE_BUDGET} search nodes")
 
-    def named(self, classes: int) -> Tuple[Edge, ...]:
-        return tuple(self.seeds[c] for c in _rows(classes))
-
 
 def _rows(bits: int) -> List[int]:
     """Indices of the set bits, ascending."""
@@ -227,9 +292,9 @@ def _rows(bits: int) -> List[int]:
     return rows
 
 
-def _conflict(trace: Optional[List[TraceStep]], seed: Edge, vertex: Optional[str], reason: str) -> None:
+def _conflict(trace: Optional[List[tuple]], c: int, k: int, code: int) -> None:
     if trace is not None:
-        trace.append(TraceStep(seed, vertex, (), (), conflict=reason))
+        trace.append((c, k, 0, 0, code))
 
 
 def _fitting(inc: int, masks: List[int], ins: int, outs: int) -> List[int]:
@@ -239,10 +304,11 @@ def _fitting(inc: int, masks: List[int], ins: int, outs: int) -> List[int]:
     return [m for m in masks if m & need == need and not m & outs]
 
 
-def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[TraceStep]],
-               seed: Edge) -> Optional[Tuple[int, int]]:
-    """Unit propagation to fixpoint from the vertices k in queue. Returns
-    (ins, outs), or None on a conflict."""
+def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[tuple]],
+               seed: int) -> Optional[Tuple[int, int]]:
+    """Unit propagation to fixpoint from the vertices k in queue, recording
+    its events for the seed class in trace. Returns (ins, outs), or None
+    on a conflict."""
     pending = set(queue)
     work = list(queue)
     while work:
@@ -252,7 +318,7 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
         inc = ctx.inc[k]
         cands = _fitting(inc, ctx.masks[k], ins, outs)
         if not cands:
-            _conflict(trace, seed, ctx.names[k], "no balanced edge subset fits the current selection")
+            _conflict(trace, seed, ctx.rows[k], _NO_FIT)
             return None
         every, some = inc, 0
         for m in cands:
@@ -264,7 +330,7 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
             ins |= new_in
             outs |= new_out
             if trace is not None:
-                trace.append(TraceStep(seed, ctx.names[k], ctx.named(new_in), ctx.named(new_out)))
+                trace.append((seed, ctx.rows[k], new_in, new_out, 0))
             for c in _rows(new_in | new_out):
                 for w in ctx.vertices_of[c]:
                     if w not in pending:
@@ -273,27 +339,26 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
     return ins, outs
 
 
-def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[tuple]]) -> Optional[int]:
     """Depth-first search for a complete consistent state that holds class
     c and avoids excluded; returns its chosen classes, or None. Each state
     popped off the stack is charged one node and propagated from its queue:
     the root, which is the seed, from every vertex of the class, a branch
     from the vertices at the classes it decided but the one it branched
     at. Only the root is traced."""
-    seed = ctx.seeds[c]
     stack = [(1 << c, excluded, ctx.vertices_of[c])]
     branched = False
     while stack:
         ins, outs, queue = stack.pop()
         ctx.charge()
         log = None if branched else trace
-        state = _propagate(ctx, ins, outs, queue, log, seed)
+        state = _propagate(ctx, ins, outs, queue, log, c)
         if state is None:
             continue
         ins, outs = state
         # ins and outs are disjoint, so ins == full means nothing is excluded.
         if ins == ctx.full:
-            _conflict(log, seed, None, "propagation selects every edge; the subnet is not proper")
+            _conflict(log, c, -1, _ALL_EDGES)
             continue
         free = ctx.full & ~(ins | outs)
         if not free:
@@ -304,18 +369,19 @@ def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[TraceStep]]) 
             stack.append((ins | m, outs | inc & ~m, decided))
         branched = True
     if branched:
-        _conflict(trace, seed, None, "exhaustive search found no proper subnet containing this edge class")
+        _conflict(trace, c, -1, _EXHAUSTED)
     return None
 
 
-def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[TraceStep]]) -> Optional[int]:
+def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[tuple]]) -> Optional[int]:
     """Seed each class outside excluded in ascending order and return the
-    first subnet found. A refuted class joins excluded."""
-    for c, seed in enumerate(ctx.seeds):
+    first subnet found. A refuted class joins excluded. trace, unless None,
+    receives the search events (see TraceStep)."""
+    for c in range(len(ctx.seeds)):
         if excluded >> c & 1:
             continue
         if trace is not None:
-            trace.append(TraceStep(seed, None, (seed,), ()))
+            trace.append((c, -1, 1 << c, 0, 0))
         found = _search(ctx, c, excluded, trace)
         if found is not None:
             return found
@@ -353,6 +419,11 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     recorded, only that a class's branches all failed. Branches live on an
     explicit stack, so deep searches do not hit Python's recursion limit.
 
+    The search works on vertex and edge rows and builds neither TraceStep
+    nor net.edges: it keeps the ties and search events as integer columns,
+    from which Irreducible.trace builds its steps on first read, and names
+    only the witness's own edges, from net.ids and net.ends.
+
     Both carry tol_margin = (low, high). A subset passes the accept test
     when the norm of its unit-vector sum is at most tol. low is the least
     tolerance at which every balanced subset passes it and the net passes
@@ -371,19 +442,18 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     groups, accepted, high = _tables(net, rows, tol)
     # verify sums each star in another order than star_subsets; cover both.
     tol_margin = (max(report.max_residual, accepted), high)
-    ctx = _Ctx(net.edges, [net.ids[k] for k in rows], groups)
-    trace: List[TraceStep] = []
-    found = _first_subnet(ctx, 0, trace)
+    ctx = _Ctx(len(net.ends), rows, groups)
+    events: List[tuple] = []
+    found = _first_subnet(ctx, 0, events)
     if found is not None:
         chosen = np.zeros(len(ctx.seeds), dtype=bool)
         chosen[_rows(_minimize(ctx, found))] = True
         # A frozenset's iteration order, and so its repr, depends on how it
         # was built. Building it from a set keeps printed certificates the
         # same across releases.
-        witness = frozenset(set(tuple(net.edges[r] for r in np.flatnonzero(chosen[ctx.class_of]).tolist())))
+        witness = frozenset(set(_named(net.ids, net.ends, np.flatnonzero(chosen[ctx.class_of]))))
         return Reducible(witness, tol_margin)
-    ties = [TraceStep(net.edges[e], vid, (net.edges[f],), (), tie=True) for vid, e, f in ctx.ties]
-    return Irreducible((*ties, *trace), tol_margin)
+    return Irreducible._of_columns(net, ctx, events, tol_margin)
 
 
 def is_irreducible(net: Net, tol: float = DEFAULT_TOL) -> Tuple[bool, SubnetCertificate]:

@@ -260,9 +260,12 @@ class Net:
         return net
 
     def _with_pos(self, pos: np.ndarray) -> "Net":
-        """This net at pos, a fresh (n, 2) array it keeps read-only, once no two vertices coincide."""
-        for i, j in _close_pairs(pos, COINCIDENCE_EPS):
-            raise CoincidentVertices(self.ids[i], self.ids[j])
+        """This net at pos, a fresh (n, 2) array it keeps read-only, once no
+        two vertices coincide. Positions equal to this net's passed that
+        check already, so they skip it."""
+        if not np.array_equal(pos, self.pos):
+            for i, j in _close_pairs(pos, COINCIDENCE_EPS):
+                raise CoincidentVertices(self.ids[i], self.ids[j])
         return Net._derived(self.ids, self.balanced, self.labels, pos, self.ends, self.index)
 
     def __reduce__(self):

@@ -240,6 +240,36 @@ def test_irreducible_output_is_pinned(tmp_path, capsys):
     assert digest.hexdigest() == IRREDUCIBLE_STDOUT_SHA256
 
 
+def test_irreducible_counts_without_trace_steps_or_edge_names(tmp_path, capsys, monkeypatch):
+    # the search keeps its trace as rows and the command counts those rows,
+    # so neither a TraceStep nor the net's edges view is built
+    from geonets import Net
+
+    path = tmp_path / "honeycomb.json"
+    save(honeycomb(20, 16), str(path))
+    built = {"steps": 0, "edges": 0}
+
+    class Counted(irreducible.TraceStep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["steps"] += 1
+
+    real = Net.__dict__["edges"].func
+
+    def edges(net):
+        built["edges"] += 1
+        return real(net)
+
+    monkeypatch.setattr(irreducible, "TraceStep", Counted)
+    monkeypatch.setattr(Net, "edges", property(edges))
+    code, stdout, _ = run(capsys, "irreducible", str(path))
+    assert code == 0
+    assert stdout.startswith("irreducible: no proper subnet; 1 edge class (436 ties) refuted in 0 propagation steps\n")
+    assert built == {"steps": 0, "edges": 0}
+    assert len(load(str(path)).edges) == 437
+    assert built == {"steps": 0, "edges": 1}
+
+
 # --- relax -------------------------------------------------------------------
 
 def _perturbed_paper16(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import inspect
 import itertools
 import math
+import pickle
 import random
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -410,7 +413,10 @@ def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
     ids=["overlay", "tripod_overlay(6, 0)", "paper"],
 )
 def test_tie_steps_are_built_only_for_an_irreducible_verdict(request, monkeypatch, name, verdict, ties):
-    # a Reducible result carries no trace, so the search builds no tie step
+    # The search keeps its trace as integer rows and builds no step for
+    # any verdict; an Irreducible builds its steps on the first read of
+    # trace, once. The session's paper_cert may have been read already, so
+    # the certificate here is a fresh one.
     net = tripod_overlay(6, 0) if name == "tripod" else request.getfixturevalue(f"{name}_net")
     built = []
 
@@ -420,8 +426,41 @@ def test_tie_steps_are_built_only_for_an_irreducible_verdict(request, monkeypatc
             built.append(self.tie)
 
     monkeypatch.setattr(irreducible, "TraceStep", Counted)
-    assert isinstance(find_proper_subnet(net), verdict)
-    assert sum(built) == ties
+    cert = find_proper_subnet(net)
+    assert isinstance(cert, verdict)
+    assert built == []
+    if verdict is Irreducible:
+        trace = cert.trace
+        assert (sum(built), len(built)) == (ties, len(trace))
+        assert cert.trace is trace
+        assert len(built) == len(trace)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_a_searched_certificate_is_the_value_of_its_trace(paper_net, tripod_net, double_tripod_net, read):
+    # A certificate from the search builds its trace from rows on first
+    # read; before and after that read it equals, hashes, prints and
+    # pickles as the certificate built from the same trace. The
+    # SEARCH_SHA256 corpus holds no irreducible net, so these are the
+    # fixtures' irreducible nets and a honeycomb.
+    def searched():
+        cert = find_proper_subnet(net)
+        if read:
+            cert.trace
+        return cert
+
+    round_trips = (lambda c: c, lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy)
+    for net in (paper_net, honeycomb(8, 6), tripod_net, double_tripod_net):
+        cert = find_proper_subnet(net)
+        built = Irreducible(cert.trace, cert.tol_margin)
+        assert isinstance(cert.trace, tuple) and all(type(step) is TraceStep for step in cert.trace)
+        for round_trip in round_trips:
+            assert round_trip(searched()) == built and built == round_trip(searched())
+            assert hash(round_trip(searched())) == hash(built)
+            assert repr(round_trip(searched())) == repr(built)
+        assert searched() != Irreducible(cert.trace, (0.0, math.inf))
+        assert searched() != Irreducible(cert.trace[1:], cert.tol_margin)
+        assert {searched(), built} == {built}
 
 
 def test_one_class_net_is_refuted_in_one_pass_over_its_vertices(monkeypatch):
@@ -508,10 +547,14 @@ def test_verdicts_witnesses_margins_and_ties_are_pinned():
 
 
 def _hand_ctx(n, tables):
-    """A search context on edges e0..e{n-1} from hand-built tables
+    """A search context on edge rows 0..n-1 from hand-built tables
     {vid: (edge bitset, balanced subsets as ascending edge bitsets)},
-    grouped by degree as _tables groups the stars of a net."""
-    edges = [("e", str(i)) for i in range(n)]
+    grouped by degree as _tables groups the stars of a net, the vertex
+    row of each vid its position in tables; and a stand-in for the net,
+    with ids and ends only, that names vertex row k by its vid and edge
+    row r by _edges(r)."""
+    ids = (*tables, "e", *map(str, range(n)))
+    ends = np.array([(len(tables), len(tables) + 1 + r) for r in range(n)], dtype=np.int64).reshape(-1, 2)
     by_degree = {}
     for k, (inc, subsets) in enumerate(tables.values()):
         legs = irreducible._rows(inc)
@@ -523,11 +566,17 @@ def _hand_ctx(n, tables):
          np.array([row for _, _, held in stars for row in held], dtype=bool))
         for stars in by_degree.values()
     ]
-    return irreducible._Ctx(edges, list(tables), groups)
+    return irreducible._Ctx(n, range(len(tables)), groups), SimpleNamespace(ids=ids, ends=ends)
 
 
 def _edges(*rows):
     return tuple(("e", str(r)) for r in rows)
+
+
+def _steps(ctx, net, events):
+    """The search events, after the ties, as Irreducible.trace names them."""
+    trace = irreducible.Irreducible._of_columns(net, ctx, events, (0.0, 0.0)).trace
+    return list(trace[len(ctx.ties):])
 
 
 NO_FIT = "no balanced edge subset fits the current selection"
@@ -538,14 +587,13 @@ def test_class_tables_drop_split_subsets_and_vertices_their_ties_decide(paper_ne
     # one chord and not another splits it, and no vertex remains; the one
     # class branches on itself
     rows = paper_net.free.tolist()
-    ctx = irreducible._Ctx(paper_net.edges, [paper_net.ids[k] for k in rows],
-                           irreducible._tables(paper_net, rows, 1e-9)[0])
-    assert (ctx.seeds, ctx.names, ctx.branch) == ([paper_net.edges[0]], [], [(-1, 1, [0, 1])])
+    ctx = irreducible._Ctx(len(paper_net.ends), rows, irreducible._tables(paper_net, rows, 1e-9)[0])
+    assert (ctx.seeds, ctx.rows, ctx.branch) == ([0], [], [(-1, 1, [0, 1])])
     # Hand-built: v0 holds edges 0-2 and v1 ties 1 and 2, so the subsets
     # {0, 1} and {0, 2} at v0 split class {1, 2}; v1 drops out.
-    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101, 0b111]), "v1": (0b110, [0, 0b110])})
-    assert (ctx.ties, ctx.class_of.tolist(), ctx.seeds) == ([("v1", 1, 2)], [0, 1, 1], list(_edges(0, 1)))
-    assert (ctx.names, ctx.inc, ctx.masks) == (["v0"], [0b11], [[0, 0b11]])
+    ctx, _ = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101, 0b111]), "v1": (0b110, [0, 0b110])})
+    assert (ctx.ties.tolist(), ctx.class_of.tolist(), ctx.seeds) == ([[1, 1, 2]], [0, 1, 1], [0, 1])
+    assert (ctx.rows, ctx.inc, ctx.masks) == ([0], [0b11], [[0, 0b11]])
     assert ctx.branch == [(0, 0b11, [0, 0b11]), (0, 0b11, [0, 0b11])]
 
 
@@ -561,19 +609,20 @@ def test_search_rechecks_a_vertex_whose_last_free_classes_a_branch_decides():
         "v2": (0b01010, [0, 0b01010]),
         "v3": (0b10100, [0, 0b10100]),
     }
-    ctx = _hand_ctx(5, tables)
-    assert ctx.ties == [("v2", 1, 3), ("v3", 2, 4)]
-    assert (ctx.names, ctx.masks) == (["v0", "v1"], [[0, 0b010, 0b100, 0b110], [0, 0b011, 0b101]])
+    ctx, net = _hand_ctx(5, tables)
+    assert ctx.ties.tolist() == [[2, 1, 3], [3, 2, 4]]
+    assert (ctx.rows, ctx.masks) == ([0, 1], [[0, 0b010, 0b100, 0b110], [0, 0b011, 0b101]])
     trace = []
     assert irreducible._first_subnet(ctx, 0, trace) == 0b011
-    assert trace == [TraceStep(_edges(0)[0], None, _edges(0), ())]
+    assert trace == [(0, -1, 0b001, 0, 0)]
+    assert _steps(ctx, net, trace) == [TraceStep(_edges(0)[0], None, _edges(0), ())]
     assert irreducible._minimize(ctx, 0b011) == 0b011
 
 
 def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
     # Seed edge 0 forces class {1, 2} in at v0, but {1, 2} alone is
     # balanced there too; v1 only holds edge 3 and admits none of it.
-    ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])})
+    ctx, _ = _hand_ctx(4, {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])})
     assert (ctx.class_of.tolist(), ctx.masks) == ([0, 1, 1, 2], [[0, 0b10, 0b11], [0]])
     first = irreducible._first_subnet(ctx, 0, None)
     assert first == 0b011
@@ -583,12 +632,12 @@ def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
 def test_propagation_refutes_a_class_after_forcing_steps():
     # Seeding edge 0 forces class {1, 2, 3} in at v0, and v1 admits
     # neither of its edges 1 and 3. The ties at v0 and v1 join 1, 2 and 3.
-    ctx = _hand_ctx(4, {"v0": (0b0111, [0, 0b110, 0b111]), "v1": (0b1010, [0])})
-    assert (ctx.ties, ctx.seeds, ctx.masks) == ([("v0", 1, 2), ("v1", 1, 3)], list(_edges(0, 1)), [[0, 2, 3], [0]])
+    ctx, net = _hand_ctx(4, {"v0": (0b0111, [0, 0b110, 0b111]), "v1": (0b1010, [0])})
+    assert (ctx.ties.tolist(), ctx.seeds, ctx.masks) == ([[0, 1, 2], [1, 1, 3]], [0, 1], [[0, 2, 3], [0]])
     trace = []
     assert irreducible._first_subnet(ctx, 0, trace) is None
     e0, e1 = _edges(0, 1)
-    assert trace == [
+    assert _steps(ctx, net, trace) == [
         TraceStep(e0, None, (e0,), ()),
         TraceStep(e0, "v0", (e1,), ()),
         TraceStep(e0, "v1", (), (), conflict=NO_FIT),
@@ -601,13 +650,13 @@ def test_branching_refutes_a_class_that_propagation_leaves_open():
     # Edge 0 goes with edge 1 or edge 2 at v0, so propagation from the
     # seed decides nothing; v1 and v2 admit none of edges 1 and 2, so
     # either branch fails there.
-    ctx = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101]), "v1": (0b010, [0]), "v2": (0b100, [0])})
-    assert (ctx.ties, ctx.names) == ([], ["v0", "v1", "v2"])
+    ctx, net = _hand_ctx(3, {"v0": (0b111, [0, 0b011, 0b101]), "v1": (0b010, [0]), "v2": (0b100, [0])})
+    assert (ctx.ties.tolist(), ctx.rows) == ([], [0, 1, 2])
     trace = []
     assert irreducible._first_subnet(ctx, 0, trace) is None
     e0, e1, e2 = _edges(0, 1, 2)
     exhaustive = "exhaustive search found no proper subnet containing this edge class"
-    assert trace == [
+    assert _steps(ctx, net, trace) == [
         TraceStep(e0, None, (e0,), ()),
         TraceStep(e0, None, (), (), conflict=exhaustive),
         TraceStep(e1, None, (e1,), ()),
@@ -661,7 +710,7 @@ def test_quarter_turn_rotation_preserves_the_verdict(paper_net, paper_cert):
 def _class_edges(net):
     """The edge classes of the search context of net, in class order."""
     rows = net.free.tolist()
-    ctx = irreducible._Ctx(net.edges, [net.ids[k] for k in rows], irreducible._tables(net, rows, 1e-9)[0])
+    ctx = irreducible._Ctx(len(net.ends), rows, irreducible._tables(net, rows, 1e-9)[0])
     classes = ctx.class_of.tolist()
     return [frozenset(e for e, c in zip(net.edges, classes) if c == k) for k in range(len(ctx.seeds))]
 

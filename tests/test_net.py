@@ -32,6 +32,7 @@ from geonets import (
     serialize,
     verify,
 )
+from geonets import net as net_module
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
@@ -295,9 +296,25 @@ def test_derived_nets_equal_the_checked_nets_of_their_columns(paper_net, overlay
 
 def test_a_derived_net_refuses_coincident_vertices(paper_net):
     near = paper_net.vertex("b1").pos
-    with pytest.raises(CoincidentVertices) as info:
-        moved(paper_net, "a1", Point(near.x + 1e-10, near.y))
-    assert info.value.ids == ("a1", "b1")
+    for onto in (Point(near.x + 1e-10, near.y), near):
+        with pytest.raises(CoincidentVertices) as info:
+            moved(paper_net, "a1", onto)
+        assert info.value.ids == ("a1", "b1")
+
+
+def test_a_derived_net_at_its_own_positions_skips_the_coincidence_check(monkeypatch, paper_net):
+    # positions equal to a checked net's passed the check already
+    honey = honeycomb(20, 16)
+    calls = []
+    real = net_module._close_pairs
+    monkeypatch.setattr(net_module, "_close_pairs", lambda *args: calls.append(1) or real(*args))
+    result = relax(honey, max_iter=0)
+    assert (result.iterations, result.net) == (0, honey)
+    same = moved(paper_net, "a1", paper_net.vertex("a1").pos)
+    assert same == paper_net and same.pos is not paper_net.pos and not same.pos.flags.writeable
+    assert calls == []
+    moved(paper_net, "a1", Point(0.5, 0.5))
+    assert calls == [1]
 
 
 def test_edges_is_a_view_over_ends_built_on_first_read(paper_net, overlay_net, tripod_net):
