@@ -413,7 +413,7 @@ def test_search_node_budget_boundary(request, monkeypatch, name, nodes):
     ids=["overlay", "tripod_overlay(6, 0)", "paper"],
 )
 def test_tie_steps_are_built_only_for_an_irreducible_verdict(request, monkeypatch, name, verdict, ties):
-    # The search keeps its trace as integer rows and builds no step for
+    # The search keeps its trace as integer columns and builds no step for
     # any verdict; an Irreducible builds its steps on the first read of
     # trace, once. The session's paper_cert may have been read already, so
     # the certificate here is a fresh one.
@@ -438,7 +438,7 @@ def test_tie_steps_are_built_only_for_an_irreducible_verdict(request, monkeypatc
 
 @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
 def test_a_searched_certificate_is_the_value_of_its_trace(paper_net, tripod_net, double_tripod_net, read):
-    # A certificate from the search builds its trace from rows on first
+    # A certificate from the search builds its trace from columns on first
     # read; before and after that read it equals, hashes, prints and
     # pickles as the certificate built from the same trace. The
     # SEARCH_SHA256 corpus holds no irreducible net, so these are the
