@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -330,6 +331,47 @@ def _legs(rng, la, lb, angle, same_side):
     a = Point(w.x + la * math.cos(th), w.y + la * math.sin(th))
     b = Point(w.x + lb * math.cos(th + angle), w.y + lb * math.sin(th + angle))
     return Segment(w, a), Segment(w, b)
+
+
+def _collinear(rng, offset):
+    """Segments along one random line, the second moved offset across it:
+    it starts anywhere from before the first to beyond it, or within three
+    of the first's end bands of its far end."""
+    w = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    th = rng.uniform(0, 2 * math.pi)
+    c, s = math.cos(th), math.sin(th)
+    l1, l2 = rng.uniform(0.5, 5), rng.uniform(0.5, 5)
+    a = rng.uniform(-l2 - 1, l1 + 1) if rng.random() < 0.5 else l1 * (1 + rng.uniform(-3, 3) * PARAM_EPS)
+    r = Point(w.x + a * c - offset * s, w.y + a * s + offset * c)
+    return Segment(w, Point(w.x + l1 * c, w.y + l1 * s)), Segment(r, Point(r.x + l2 * c, r.y + l2 * s))
+
+
+def _intersect_corpus():
+    """Segment pairs near every band edge of intersect, with random ones."""
+    rng = random.Random(17)
+    for _ in range(8_000):
+        p, q, r, s = _near_endpoint_ends(rng)[0]
+        yield Segment(Point(*p), Point(*q)), Segment(Point(*r), Point(*s))
+    for _ in range(2_000):
+        yield Segment(*(Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2))), \
+            Segment(*(Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2)))
+    for la, lb, angle in ((5.0, 4.0, 2e-12), (5.0, 0.5, 1.5e-9), (5.0, 4.0, 5e-10), (2.0, 3.0, 0.3)):
+        for same_side in (True, False):
+            for _ in range(150):
+                yield _legs(rng, la, lb, angle, same_side)
+    for offset in (0.0, 0.5e-9, 2e-9):
+        for _ in range(400):
+            yield _collinear(rng, offset)
+
+
+# sha256 over the repr of intersect on _intersect_corpus, in all eight
+# orders of each pair: it pins every kind and every coordinate.
+INTERSECT_SHA256 = "349863d8842d8335a4d60e1f8f818904cc885c3147326d97bae2fdb0471e768a"
+
+
+def test_intersect_answers_are_pinned():
+    answers = (repr(intersect(a, b)) for pair in _intersect_corpus() for a, b in _eight_orders(*pair))
+    assert hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest() == INTERSECT_SHA256
 
 
 def test_intersect_pass_through_meets_only_at_the_shared_endpoint():
