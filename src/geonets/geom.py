@@ -2,9 +2,10 @@
 
 Points, unit vectors, angles (degrees, unsigned), exact quarter-turn
 rotation, and robust segment-intersection classification: one classifier,
-_classify, decides arrays of segment pairs in numpy, and intersect is it
-on one pair. Everything is an immutable value; everything else in the
-package builds on this.
+_classify, whose first stage settles arrays of segment pairs in numpy,
+and intersect, which decides one pair on floats, the pairs that stage
+leaves open included. Everything is an immutable value; everything else
+in the package builds on this.
 """
 
 from __future__ import annotations
@@ -150,10 +151,12 @@ IntersectionKind = Union[
 ]
 
 
-# Kind codes of _classify: the index of each kind in _KINDS. The codes from
-# _CROSSING on are the contacts that verify reports and planarize acts on.
+# Kind codes of _classify: the index of each kind in _KINDS, and _OPEN for
+# a pair that its first stage leaves to intersect. _CONTACTS are the kinds
+# that verify reports and planarize acts on.
 _KINDS = (Disjoint, AtSharedEndpoint, ProperCrossing, EndpointOnInterior, CollinearOverlap)
-_DISJOINT, _SHARED, _CROSSING, _ON_INTERIOR, _OVERLAP = range(len(_KINDS))
+_DISJOINT, _SHARED, _CROSSING, _ON_INTERIOR, _OVERLAP, _OPEN = range(len(_KINDS) + 1)
+_CONTACTS = _KINDS[_CROSSING:]
 
 
 def _contact_pad(length: np.ndarray) -> np.ndarray:
@@ -171,10 +174,9 @@ def _projected_param(p, q, w) -> float:
     return ((wx - px) * dx + (wy - py) * dy) / (dx * dx + dy * dy)
 
 
-# _classify runs on coordinate arrays, and on plain floats for the one pair
-# of intersect: in one-element arrays numpy's cost per call made a pair take
-# 200-300 us, against 10-20 us on floats. These helpers act alike on both;
-# ~ is no logical negation on a Python bool.
+# _classify's first stage runs on coordinate arrays, and on the plain floats
+# of intersect's one pair. These helpers act alike on both; ~ is no logical
+# negation on a Python bool.
 def _not(c):
     return c ^ True
 
@@ -187,12 +189,6 @@ def _where(c, a, b):
     return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
 
 
-def _where_xy(c, a, b):
-    if isinstance(c, np.ndarray):
-        return np.where(c, a[0], b[0]), np.where(c, a[1], b[1])
-    return a if c else b
-
-
 def _outside(t):
     return (t < -PARAM_EPS) | (t > 1.0 + PARAM_EPS)
 
@@ -201,25 +197,19 @@ def _in_end_band(t):
     return (t <= PARAM_EPS) | (t >= 1.0 - PARAM_EPS)
 
 
-# Up to this many rows left open by _classify's first stage are finished
-# one at a time on floats, 10-20 us a row, which beats its later stages on
-# arrays of any length (100-300 us).
-_FEW_LEFT = 4
-
-
 def _classify(p, q, r, s):
-    """intersect on every row: how segment p-q meets segment r-s, each end
-    an (x, y) pair of coordinate arrays, or of floats for one row. Returns
-    the kind codes, the contact point (x, y) and the far end (x, y) of an
-    overlap; rows of unreported kinds hold stale coordinates.
-
-    Each test reads both segments alike, so the kind does not depend on
-    their order or direction, short of rounding within a few ulps of a
-    band's edge. A contact point is one of the four ends, or p + t * (q -
-    p) on the first segment.
+    """How segment p-q meets segment r-s, each end an (x, y) pair of
+    coordinate arrays, or of floats for one pair.
 
     The tests run in stages, as in a filtered predicate (Shewchuk 1997),
-    but each stage is exact; a later stage runs only when some row needs it.
+    and each stage is exact. On arrays only the first runs, and each row
+    gets _SHARED or _DISJOINT when it settles the row, else _OPEN. On
+    floats the pair is decided: the kind code, the contact point (x, y)
+    and the far end (x, y) of an overlap; unreported kinds hold stale
+    coordinates. Each test reads both segments alike, so the kind does
+    not depend on their order or direction, short of rounding within a
+    few ulps of a band's edge. A contact point is one of the four ends,
+    or p + t * (q - p) on the first segment.
     """
     (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
     d1x, d1y, d2x, d2y = qx - px, qy - py, sx - rx, sy - ry
@@ -245,85 +235,79 @@ def _classify(p, q, r, s):
     legs_dot = d1x * d2x + d1y * d2y
     legs_overlap = (((pr | qs) & (legs_dot > 0.0) | (ps | qr) & (legs_dot < 0.0))
                     & ((abs_den / len1 <= COINCIDENCE_EPS) | (abs_den / len2 <= COINCIDENCE_EPS)))
-    w = _where_xy(at_p, p, q)
 
     # Parallel segments may meet only when collinear: each one's ends lie
     # within COINCIDENCE_EPS of the other's line. Other segments meet only
     # where the solve of p + t*d1 = r + u*d2 puts t and u in [-PARAM_EPS,
-    # 1 + PARAM_EPS]. Any other pair without a common end is Disjoint, and
-    # when no pair is left open the later stages are skipped.
+    # 1 + PARAM_EPS]. Any other pair without a common end is Disjoint.
     parallel = abs_den <= _PARALLEL_EPS * (len1 * len2)
     collinear = (parallel & (abs(c_r) / len1 <= COINCIDENCE_EPS) & (abs(c_s) / len1 <= COINCIDENCE_EPS)
                  & (abs(c_p) / len2 <= COINCIDENCE_EPS) & (abs(c_q) / len2 <= COINCIDENCE_EPS))
     den = _where(parallel, 1.0, den)
     t, u = c_p / den, -c_r / den
-    missed = _outside(t) | _outside(u)
-    left = legs_overlap | _not(shared) & _where(parallel, collinear, _not(missed))
-    n_left = np.count_nonzero(left)
-    if not n_left:
-        return _where(shared, _SHARED, _DISJOINT), w, w
-    if isinstance(left, np.ndarray) and n_left <= _FEW_LEFT:
-        kind, point, far = np.where(shared, _SHARED, _DISJOINT), np.array(w), np.array(w)
-        for k in np.flatnonzero(left).tolist():
-            kind[k], point[:, k], far[:, k] = _classify(*((x[k].item(), y[k].item()) for x, y in (p, q, r, s)))
-        return kind, tuple(point), tuple(far)
+    left = legs_overlap | _not(shared) & _where(parallel, collinear, _not(_outside(t) | _outside(u)))
+    if isinstance(left, np.ndarray):
+        return np.where(left, _OPEN, np.where(shared, _SHARED, _DISJOINT))
+    w = p if at_p else q
+    if shared:
+        if not legs_overlap:
+            return _SHARED, w, w
+        # the legs overlap from w to the far end of the shorter one
+        return _OVERLAP, w, (q if at_p else p) if len1 < len2 else (s if pr | qr else r)
+    if not left:
+        return _DISJOINT, w, w
 
-    # The other segment's ends projected on each one's line, as a parameter
-    # of it: t_r, t_s on p-q, u_p, u_q on r-s.
+    # r and s projected on p-q's line, as a parameter of it.
     t_r, t_s = (ex * d1x + ey * d1y) / nn1, (fx * d1x + fy * d1y) / nn1
-    u_p, u_q = -(ex * d2x + ey * d2y) / nn2, (hx * d2x + hy * d2y) / nn2
 
-    # Collinear segments overlap by more than COINCIDENCE_EPS, or touch
-    # end to end across a gap inside both segments' end bands.
-    lo, hi = _where(t_r <= t_s, t_r, t_s), _where(t_r <= t_s, t_s, t_r)
-    lo, hi = _where(lo < 0.0, 0.0, lo), _where(hi > 1.0, 1.0, hi)
-    gap = (lo - hi) * len1
-    par_overlap = collinear & (-gap > COINCIDENCE_EPS)
-    par_touch = collinear & (gap <= PARAM_EPS * len1) & (gap <= PARAM_EPS * len2)
+    # Collinear segments overlap by more than COINCIDENCE_EPS, from p +
+    # lo*d1 to p + hi*d1, or touch end to end across a gap inside both
+    # segments' end bands, at the end of p-q nearer the gap.
+    if parallel:
+        lo, hi = (t_r, t_s) if t_r <= t_s else (t_s, t_r)
+        lo, hi = 0.0 if lo < 0.0 else lo, 1.0 if hi > 1.0 else hi
+        gap = (lo - hi) * len1
+        if -gap > COINCIDENCE_EPS:
+            return _OVERLAP, (px + lo * d1x, py + lo * d1y), (px + hi * d1x, py + hi * d1y)
+        if gap <= PARAM_EPS * len1 and gap <= PARAM_EPS * len2:
+            return _SHARED, (p if lo + hi <= 1.0 else q), w
+        return _DISJOINT, w, w
 
     # A ProperCrossing lies strictly inside both end bands. Near parallel,
     # t and u carry rounding far above PARAM_EPS, so an end in a band is
-    # confirmed by projecting it onto the other segment (u1, t2): outside
-    # [-PARAM_EPS, 1 + PARAM_EPS] the pair is Disjoint, and in an end band
-    # the two ends meet once the other end's projection is confirmed the
-    # same way.
-    end1_p, end2_r = t <= 0.5, u <= 0.5
-    u1, t2 = _where(end1_p, u_p, u_q), _where(end2_r, t_r, t_s)
+    # confirmed by projecting it onto the other segment (u1 on r-s, t2 on
+    # p-q): outside [-PARAM_EPS, 1 + PARAM_EPS] the pair is Disjoint, and in
+    # an end band the two ends meet once the other end's projection is
+    # confirmed the same way. The contact is then the end of p-q nearer t,
+    # else the end of r-s nearer u.
     t_end, u_end = _in_end_band(t), _in_end_band(u)
-    both = (t_end | _in_end_band(t2)) & (u_end | _in_end_band(u1)) & (t_end | u_end)
-    missed = missed | (t_end | both) & _outside(u1) | (u_end | both) & _outside(t2)
-
-    kind = _where(shared, _where(legs_overlap, _OVERLAP, _SHARED), _where(
-        parallel, _where(par_overlap, _OVERLAP, _where(par_touch, _SHARED, _DISJOINT)), _where(
-            missed, _DISJOINT, _where(t_end | u_end, _where(both, _SHARED, _ON_INTERIOR), _CROSSING))))
-    # Only a contact away from w needs more than w.
-    if not np.count_nonzero((kind != _DISJOINT) & (legs_overlap | _not(shared))):
-        return kind, w, w
-    # The contact point: on p-q at lo or t, or an end of p-q (w, the end
-    # nearer the gap, or the one nearer t when t is in a band), else of r-s.
-    # An overlap's far end: that of the shorter leg from w, or p + hi*d1.
-    end = _where_xy(parallel | both | t_end,
-                    _where_xy(_where(parallel, lo + hi <= 1.0, end1_p), p, q), _where_xy(end2_r, r, s))
-    tau = _where(parallel, lo, t)
-    along = _not(shared) & _where(parallel, par_overlap, _not(t_end | u_end))
-    point = _where_xy(along, (px + tau * d1x, py + tau * d1y), _where_xy(shared, w, end))
-    far = _where_xy(len1 < len2, _where_xy(at_p, q, p), _where_xy(pr | qr, s, r))
-    return kind, point, _where_xy(shared, far, (px + hi * d1x, py + hi * d1y))
+    if not (t_end or u_end):
+        return _CROSSING, (px + t * d1x, py + t * d1y), w
+    end1_p, end2_r = t <= 0.5, u <= 0.5
+    u1 = -(ex * d2x + ey * d2y) / nn2 if end1_p else (hx * d2x + hy * d2y) / nn2
+    t2 = t_r if end2_r else t_s
+    both = (t_end or _in_end_band(t2)) and (u_end or _in_end_band(u1))
+    if (t_end or both) and _outside(u1) or (u_end or both) and _outside(t2):
+        return _DISJOINT, w, w
+    end = (p if end1_p else q) if t_end or both else (r if end2_r else s)
+    return (_SHARED if both else _ON_INTERIOR), end, w
 
 
 def intersect(s1: Segment, s2: Segment) -> IntersectionKind:
     """Classify how two segments meet.
 
     Returns one of Disjoint, AtSharedEndpoint, ProperCrossing,
-    EndpointOnInterior, or CollinearOverlap: _classify's answer on one
-    row, so the kind is the same for either argument order and either
-    direction of each segment, and a point is p + t * (q - p) on s1, or an
-    end. A ProperCrossing point lies strictly inside both segments
-    (parametric coordinate in [PARAM_EPS, 1 - PARAM_EPS]); contact inside
-    the band is reported as endpoint contact instead, so planarization
-    cannot fabricate near-endpoint crossings. Segments with an endpoint in
-    common are decided first and exactly, and parallel ones are collinear
-    when each one's ends lie within COINCIDENCE_EPS of the other's line.
+    EndpointOnInterior, or CollinearOverlap: _classify's answer on the
+    floats of one pair, the one place where a pair is decided beyond its
+    first stage. The kind is the same for either argument order and
+    either direction of each segment, and a point is p + t * (q - p) on
+    s1, or an end. A ProperCrossing point lies strictly inside both
+    segments (parametric coordinate in [PARAM_EPS, 1 - PARAM_EPS]);
+    contact inside the band is reported as endpoint contact instead, so
+    planarization cannot fabricate near-endpoint crossings. Segments with
+    an endpoint in common are decided first and exactly, and parallel
+    ones are collinear when each one's ends lie within COINCIDENCE_EPS of
+    the other's line.
     """
     ends = (s1.p.x, s1.p.y), (s1.q.x, s1.q.y), (s2.p.x, s2.p.y), (s2.q.x, s2.q.y)
     code, (x0, y0), (x1, y1) = _classify(*ends)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .geom import (
-    _CROSSING,
+    _CONTACTS,
+    _OPEN,
     COINCIDENCE_EPS,
     PARAM_EPS,
     CollinearOverlap,
@@ -442,9 +443,10 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     meet only at a shared endpoint are left out.
 
     The candidates are the pairs whose bounding boxes overlap once each is
-    padded by geom._contact_pad, and geom._classify decides them in one
-    pass. The segment of each edge in a reported pair is built once, from
-    the ends already gathered for the pass.
+    padded by geom._contact_pad. geom._classify's numpy stage settles those
+    that meet at a common vertex or not at all, and intersect decides each
+    pair it leaves open. The segment of each edge in an open pair is built
+    once, from the ends already gathered for the numpy stage.
     """
     ends, pos = net.ends, net.pos
     p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
@@ -452,13 +454,14 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
     # rows p, q, r, s of the ends, as (x, y) coordinate arrays
     pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
-    reported = _classify(*pqrs.transpose(1, 0, 2))[0] >= _CROSSING
-    i, j = i[reported].tolist(), j[reported].tolist()
+    left = _classify(*pqrs.transpose(1, 0, 2)) == _OPEN
+    i, j = i[left].tolist(), j[left].tolist()
     ids, rows = net.ids, dict.fromkeys(i + j)
     segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in rows}
     names = {k: (ids[a], ids[b]) for k, (a, b) in zip(rows, ends[list(rows)].tolist())}
     for k, m in zip(i, j):
-        yield names[k], names[m], intersect(segs[k], segs[m])
+        if isinstance(kind := intersect(segs[k], segs[m]), _CONTACTS):
+            yield names[k], names[m], kind
 
 
 def planarize(net: Net) -> Net:

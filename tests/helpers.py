@@ -27,7 +27,7 @@ from geonets import (
     planarize,
     unit_vector,
 )
-from geonets.geom import _CROSSING, COINCIDENCE_EPS, _classify, distance, intersect
+from geonets.geom import _CONTACTS, _OPEN, COINCIDENCE_EPS, _classify, distance, intersect
 
 
 def random_net(rng: random.Random) -> Net:
@@ -58,7 +58,7 @@ def random_net(rng: random.Random) -> Net:
     return Net(vertices, sorted(edges))
 
 
-# all_segment_pairs classifies at most this many pairs in one array call,
+# all_segment_pairs settles at most this many pairs in one array call,
 # which holds its memory to a few MB.
 _ORACLE_BLOCK = 1 << 14
 
@@ -71,22 +71,24 @@ def edge_segment(net: Net, e: Edge) -> Segment:
 
 def all_segment_pairs(net: Net) -> List[Tuple[Edge, Edge, IntersectionKind]]:
     """Oracle for net._segment_pairs: every pair of edges, without a broad
-    phase, classified by geom._classify in array calls of _ORACLE_BLOCK
-    pairs, from the coordinates of edge_segment, in lexicographic order of
-    the pair. The pairs that cross, touch at an interior point or overlap
-    are kept, each with intersect's answer."""
+    phase, in lexicographic order of the pair, from the coordinates of
+    edge_segment. The first stage of geom._classify runs over them in
+    array calls of _ORACLE_BLOCK pairs, intersect decides each pair it
+    leaves open, and the pairs that cross, touch at an interior point or
+    overlap are kept, each with intersect's answer."""
     edges = net.edges
     segs = [edge_segment(net, e) for e in edges]
     # rows px, py, qx, qy of the edges
     xy = np.array([(s.p.x, s.p.y, s.q.x, s.q.y) for s in segs]).reshape(-1, 4).T.copy()
     i, j = np.triu_indices(len(segs), 1)
-    kinds = [np.empty(0, dtype=int)]
+    codes = [np.empty(0, dtype=int)]
     for k in range(0, len(i), _ORACLE_BLOCK):
         a, b = xy[:, i[k:k + _ORACLE_BLOCK]], xy[:, j[k:k + _ORACLE_BLOCK]]
-        kinds.append(_classify((a[0], a[1]), (a[2], a[3]), (b[0], b[1]), (b[2], b[3]))[0])
-    reported = np.concatenate(kinds) >= _CROSSING
-    return [(edges[k], edges[m], intersect(segs[k], segs[m]))
-            for k, m in zip(i[reported].tolist(), j[reported].tolist())]
+        codes.append(_classify((a[0], a[1]), (a[2], a[3]), (b[0], b[1]), (b[2], b[3])))
+    left = np.concatenate(codes) == _OPEN
+    answers = ((edges[k], edges[m], intersect(segs[k], segs[m]))
+               for k, m in zip(i[left].tolist(), j[left].tolist()))
+    return [answer for answer in answers if isinstance(answer[2], _CONTACTS)]
 
 
 def first_coincident_pair(vertices: Sequence[Vertex]) -> Optional[Tuple[str, str]]:

@@ -3,9 +3,10 @@
 _segment_pairs and _close_pairs look up candidates through one box index,
 and Net's coincidence check, planarize's landing and the quarter-turn test
 take their point pairs from _close_pairs; these tests hold each to the
-answer of testing every pair. The segment-pair oracle classifies every
-pair of edges in one array call, so a pair the broad phase drops shows as
-a difference; more tests sit at each band of the classifier.
+answer of testing every pair. The segment-pair oracle runs the numpy
+stage of the classifier over every pair of edges and intersect on each
+pair it leaves open, so a pair the broad phase drops shows as a
+difference; more tests sit at each band of the classifier.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+import geonets.geom
 import geonets.net
 from geonets import (
     Net,
@@ -31,7 +33,10 @@ from geonets import (
     verify,
 )
 from geonets.geom import (
+    _DISJOINT,
+    _OPEN,
     _PARALLEL_EPS,
+    _SHARED,
     COINCIDENCE_EPS,
     PARAM_EPS,
     AtSharedEndpoint,
@@ -338,6 +343,31 @@ def test_planarize_takes_its_pairs_from_one_segment_pairs_pass(monkeypatch):
     out = planarize(raw)
     assert passes == [raw]
     assert verify(out).passed
+
+
+@pytest.mark.parametrize("make, reported", [
+    pytest.param(lambda: _jittered_paper16(0), 2, id="jittered-paper16"),
+    pytest.param(lambda: raw_tripod_overlay(7, 0), 319, id="raw-tripod-overlay-7"),
+])
+def test_segment_pairs_classify_each_open_pair_once_on_floats(monkeypatch, make, reported):
+    # the numpy stage settles or leaves open each candidate, and only
+    # intersect runs _classify on floats, once for each open pair
+    real, left, on_floats = geonets.geom._classify, [], []
+
+    def counted(*ends):
+        out = real(*ends)
+        if isinstance(ends[0][0], np.ndarray):
+            assert isinstance(out, np.ndarray) and set(np.unique(out).tolist()) <= {_DISJOINT, _SHARED, _OPEN}
+            left.append(np.count_nonzero(out == _OPEN))
+        else:
+            on_floats.append(ends)
+        return out
+
+    net = make()
+    monkeypatch.setattr(geonets.geom, "_classify", counted)
+    monkeypatch.setattr(geonets.net, "_classify", counted)
+    pairs = list(_segment_pairs(net))
+    assert len(left) == 1 and len(on_floats) == left[0] >= len(pairs) == reported
 
 
 def _turned_net(net, angle):
