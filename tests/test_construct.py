@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from geonets import (
     fermat_point,
     place_boundary,
     rotate,
+    serialize,
     verify,
 )
 
@@ -359,3 +361,29 @@ def test_overlay_net_custom_terminals_shift():
     assert verify(net).passed
     b2 = net.vertex("B2").pos
     assert (b2.x, b2.y) == pytest.approx((0.0, 10.0), abs=1e-9)
+
+
+# sha256 over serialize of the paper net, the overlay at its default and at
+# shifted terminals, a Fermat tripod and a double tripod: they pin every
+# fixture's ids, kinds, positions and edges bit for bit.
+CONSTRUCT_SHA256 = "4ff68dc8bd4a406390606ea3aab7bafa720fb69ce4e8a9de127207eb2aad38e1"
+
+
+def test_fixture_nets_are_pinned():
+    shifted = build_overlay_net(
+        Point(-5.196152422706632, 13.0),
+        Point(5.196152422706632, 13.0),
+        Point(-2.598076211353316, 2.5),
+        Point(2.598076211353316, 2.5),
+    )
+    nets = (
+        build_paper_net(),
+        build_overlay_net(),
+        shifted,
+        build_fermat_tripod(Triangle(ORIGIN, Point(1.0, 0.0), Point(0.0, 1.0))),
+        build_double_tripod(Point(-2.0, 1.0), Point(-2.0, -1.0), Point(2.0, 1.0), Point(2.0, -1.0)),
+    )
+    digest = hashlib.sha256()
+    for net in nets:
+        digest.update(serialize(net).encode("utf-8"))
+    assert digest.hexdigest() == CONSTRUCT_SHA256
