@@ -254,27 +254,25 @@ def descend(pos, free, edges, step0, tol, max_iter):
             if metric:
                 index = _metric_index(pos.shape[0], free, edges)
         y = None if s is None else r_prev - rf
+        # the columns r and y, then M^-1 r and M^-1 y; M = I without the metric
+        solved = rf.reshape(-1, 1) if y is None else np.stack((rf.ravel(), y.ravel()), axis=1)
         if metric:
-            rhs = rf.reshape(-1, 1) if y is None else np.stack((rf.ravel(), y.ravel()), axis=1)
             m = _metric(index, a, la, residual)
             refreshes += 1
             try:
-                solved = np.linalg.solve(m, rhs)
+                solved = np.linalg.solve(m, solved)
             except np.linalg.LinAlgError:
                 # a pivot rounded to zero: mu / length is down at the
                 # rounding level of H, as where H is singular along a
                 # straight chain, and no step can be resolved
                 stop = "stalled"
                 break
-            p = solved[:, 0].reshape(rf.shape)
-        else:
-            p = rf
+        p = solved[:, 0].reshape(rf.shape)
         trial = step0
         if y is not None:
             sy = float((s * y).sum())
             if sy > 0.0:
-                hy = solved[:, 1].reshape(y.shape) if metric else y
-                trial = sy / float((y * hy).sum())
+                trial = sy / float((y * solved[:, 1].reshape(y.shape)).sum())
         rp = float((rf * p).sum())
         delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial)
         halved = failed

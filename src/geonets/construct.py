@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geom import COINCIDENCE_EPS, Point, angle_at, distance, rotate
-from .net import Net, Vertex, VertexKind, planarize, relabeled
+from .net import Net, planarize, relabeled
 
 # Square-symmetric 16-vertex construction. The inner square of balanced
 # vertices a1..a4 sits on the unit circle; the octagon vertices b1..b4 on
@@ -108,14 +108,19 @@ def fermat_point(tri: Triangle) -> Point:
     )
 
 
+def _net(pins: Dict[str, Point], free: Dict[str, Point], edges: Sequence[Tuple[str, str]]) -> Net:
+    """The net of the pinned and the balanced vertices, each id -> position,
+    and the edge rows, checked as Net() checks them."""
+    ids, points = [*pins, *free], [*pins.values(), *free.values()]
+    balanced = [False] * len(pins) + [True] * len(free)
+    return Net._from_columns(ids, balanced, [None] * len(ids), [(p.x, p.y) for p in points], edges)
+
+
 def build_fermat_tripod(tri: Triangle) -> Net:
     """Net with the three corners pinned and one balanced vertex at the
     Fermat point."""
-    f = fermat_point(tri)
-    corners = tri.corners()
-    verts = [Vertex(f"t{i + 1}", p, VertexKind.UNBALANCED) for i, p in enumerate(corners)]
-    verts.append(Vertex("f", f, VertexKind.BALANCED))
-    return Net(verts, [("f", f"t{i + 1}") for i in range(3)])
+    pins = {f"t{i + 1}": p for i, p in enumerate(tri.corners())}
+    return _net(pins, {"f": fermat_point(tri)}, [("f", f"t{i + 1}") for i in range(3)])
 
 
 def _double_fermat(p1: Point, p2: Point, q1: Point, q2: Point) -> Tuple[Point, Point]:
@@ -144,16 +149,8 @@ def build_double_tripod(p1: Point, p2: Point, q1: Point, q2: Point) -> Net:
     junction f2 joins q1, q2, with a bridge edge f1-f2. Raises
     WideAngleTriangle when no double tripod joins the two pairs."""
     s1, s2 = _double_fermat(p1, p2, q1, q2)
-    verts = [
-        Vertex("t1", p1, VertexKind.UNBALANCED),
-        Vertex("t2", p2, VertexKind.UNBALANCED),
-        Vertex("t3", q1, VertexKind.UNBALANCED),
-        Vertex("t4", q2, VertexKind.UNBALANCED),
-        Vertex("f1", s1, VertexKind.BALANCED),
-        Vertex("f2", s2, VertexKind.BALANCED),
-    ]
     edges = [("f1", "t1"), ("f1", "t2"), ("f1", "f2"), ("f2", "t3"), ("f2", "t4")]
-    return Net(verts, edges)
+    return _net({"t1": p1, "t2": p2, "t3": q1, "t4": q2}, {"f1": s1, "f2": s2}, edges)
 
 
 DEFAULT_OVERLAY_TERMINALS: Tuple[Point, Point, Point, Point] = (
@@ -192,20 +189,8 @@ def build_overlay_net(
     b2, y2 = _double_fermat(ta, tc, tx, tz)
     ell, en = _double_fermat(ta, tx, tc, tz)
 
-    verts = [
-        Vertex("A", ta, VertexKind.UNBALANCED),
-        Vertex("C", tc, VertexKind.UNBALANCED),
-        Vertex("X", tx, VertexKind.UNBALANCED),
-        Vertex("Z", tz, VertexKind.UNBALANCED),
-        Vertex("B1", b1, VertexKind.BALANCED),
-        Vertex("B2", b2, VertexKind.BALANCED),
-        Vertex("B3", b3, VertexKind.BALANCED),
-        Vertex("Y1", y1, VertexKind.BALANCED),
-        Vertex("Y2", y2, VertexKind.BALANCED),
-        Vertex("Y3", y3, VertexKind.BALANCED),
-        Vertex("L", ell, VertexKind.BALANCED),
-        Vertex("N", en, VertexKind.BALANCED),
-    ]
+    pins = {"A": ta, "C": tc, "X": tx, "Z": tz}
+    free = {"B1": b1, "B2": b2, "B3": b3, "Y1": y1, "Y2": y2, "Y3": y3, "L": ell, "N": en}
     edges = [
         ("B1", "A"), ("B1", "C"), ("B1", "X"),
         ("B3", "A"), ("B3", "C"), ("B3", "Z"),
@@ -215,7 +200,7 @@ def build_overlay_net(
         ("L", "A"), ("L", "X"), ("L", "N"), ("N", "C"), ("N", "Z"),
         ("A", "Z"), ("C", "X"),
     ]
-    return planarize(Net(verts, edges))
+    return planarize(_net(pins, free, edges))
 
 
 def build_octagon() -> Tuple[List[Point], List[Point]]:
@@ -250,12 +235,9 @@ def build_paper_net() -> Net:
     d1 = fermat_point(Triangle(b_pts[0], c_pts[0], c_pts[1]))
     d_pts = [rotate(d1, k) for k in range(4)]
 
-    verts: List[Vertex] = []
-    for i in range(4):
-        verts.append(Vertex(f"a{i + 1}", a_pts[i], VertexKind.BALANCED))
-        verts.append(Vertex(f"b{i + 1}", b_pts[i], VertexKind.BALANCED))
-        verts.append(Vertex(f"c{i + 1}", c_pts[i], VertexKind.UNBALANCED))
-        verts.append(Vertex(f"d{i + 1}", d_pts[i], VertexKind.BALANCED))
+    pins = {f"c{i + 1}": p for i, p in enumerate(c_pts)}
+    free = {f"{name}{i + 1}": p for name, pts in (("a", a_pts), ("b", b_pts), ("d", d_pts))
+            for i, p in enumerate(pts)}
 
     edges: List[Tuple[str, str]] = []
     for i in range(4):
@@ -270,14 +252,13 @@ def build_paper_net() -> Net:
         edges.append((f"d{j}", f"c{j}"))
         edges.append((f"d{j}", f"c{k}"))
 
-    flat = planarize(Net(verts, edges))
+    flat = planarize(_net(pins, free, edges))
 
-    original = {v.id for v in verts}
     mapping = {}
-    for v in flat.vertices:
-        if v.id in original:
+    for vid, (x, y) in zip(flat.ids, flat.pos.tolist()):
+        if vid in pins or vid in free:
             continue
-        theta = math.degrees(math.atan2(v.pos.y, v.pos.x)) % 360.0
+        theta = math.degrees(math.atan2(y, x)) % 360.0
         quadrant = round((theta - 45.0) / 90.0) % 4
-        mapping[v.id] = f"x{int(quadrant) + 1}"
+        mapping[vid] = f"x{int(quadrant) + 1}"
     return relabeled(flat, mapping)

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .net import DEFAULT_TOL, Edge, Net, _check_tol, verify
+from .net import DEFAULT_TOL, Edge, Net, _check_tol, _named, verify
 
 MAX_SUBSET_DEGREE = 24
 _NODE_BUDGET = 100_000_000
@@ -99,7 +99,8 @@ def balanced_edge_subsets(net: Net, vertex_id: str, tol: float = DEFAULT_TOL) ->
     if not net.balanced[k]:
         raise ValueError(f"vertex {vertex_id} is unbalanced; every edge subset is admissible")
     ((_, (legs,), _, held),), _, _ = _tables(net, [k], tol)
-    return [tuple(net.edges[r] for r, h in zip(legs.tolist(), row) if h) for row in held.tolist()]
+    names = _named(net.ids, net.ends, legs)
+    return [tuple(e for e, h in zip(names, row) if h) for row in held.tolist()]
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,6 @@ _REASONS = (
     "exhaustive search found no proper subnet containing this edge class",
 )
 _NO_FIT, _ALL_EDGES, _EXHAUSTED = 1, 2, 3
-
-
-def _named(ids: Tuple[str, ...], ends: np.ndarray, rows) -> List[Edge]:
-    """The (min, max) id pair of each edge row in rows, as Net.edges names it."""
-    lo, hi = ends[rows].T.tolist()
-    return list(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
 
 @dataclass(frozen=True, init=False)

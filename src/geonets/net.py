@@ -46,6 +46,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raises ValueError unless value is an int >= least; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class InvariantViolation(ValueError):
     """A net-level structural invariant is broken."""
 
@@ -127,6 +133,13 @@ def _edge_row(e) -> Edge:
     if not (isinstance(u, str) and isinstance(v, str)):
         raise InvariantViolation(f"edge row {e!r} is not a pair of vertex ids")
     return edge_key(u, v)
+
+
+def _named(ids: Sequence[str], ends: np.ndarray, rows) -> List[Edge]:
+    """The (min, max) id pair of each edge row in rows (anything that
+    indexes the rows of ends): the one place edge rows are named by ids."""
+    lo, hi = ends[rows].T.tolist()
+    return list(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
 
 def _checked_ends(rows: Sequence, index: Dict[str, int]) -> Iterator[int]:
@@ -240,8 +253,7 @@ class Net:
         keys.sort()
         repeats = keys[1:] == keys[:-1]
         if repeats.any():
-            i, j = ends[repeats.argmax()].tolist()
-            raise InvariantViolation(f"duplicate edge: {(ids[i], ids[j])}")
+            raise InvariantViolation(f"duplicate edge: {_named(ids, ends, [repeats.argmax()])[0]}")
         # Fancy indexing copies, so no caller's array is frozen below.
         take = np.fromiter(order, np.intp, len(order))
         pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)[take]
@@ -293,11 +305,12 @@ class Net:
     @cached_property
     def edges(self) -> Tuple[Edge, ...]:
         """The canonical (min, max) id pair of each row of ends."""
-        lo, hi = self.ends.T.tolist()
-        return tuple(zip(map(self.ids.__getitem__, lo), map(self.ids.__getitem__, hi)))
+        return tuple(_named(self.ids, self.ends, slice(None)))
 
     @cached_property
     def edge_index(self) -> Dict[Edge, int]:
+        """The row of each canonical edge: the one place id pairs are
+        looked up as edge rows."""
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
@@ -387,9 +400,11 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     relaxes it to 1 because collinear pass-through vertices of degree 2
     are legitimate there (their residual check still applies).
 
-    Raises ValueError unless tol is finite and nonnegative.
+    Raises ValueError unless tol is finite and nonnegative and
+    min_balanced_degree an int >= 0 (a bool or a float is refused).
     """
     _check_tol(tol)
+    _check_int("min_balanced_degree", min_balanced_degree, 0)
     norm = _kernels.norms(net.residuals)
     degrees = net._degrees.tolist()
     residuals: Dict[str, float] = {}
@@ -411,7 +426,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
             unplanarized.append((e1, e2, kind.point))
 
     pinned = ~net.balanced[net.ends].any(axis=1)
-    unb_unb = [(net.ids[i], net.ids[j]) for i, j in net.ends[pinned].tolist()]
+    unb_unb = _named(net.ids, net.ends, pinned)
 
     # every root is vertex row 0, the lowest
     connected = bool((_kernels.unions(len(net.ids), *net.ends.T.tolist())[1] == 0).all())
@@ -456,9 +471,9 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
     left = _classify(*pqrs.transpose(1, 0, 2)) == _OPEN
     i, j = i[left].tolist(), j[left].tolist()
-    ids, rows = net.ids, dict.fromkeys(i + j)
+    rows = list(dict.fromkeys(i + j))
     segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in rows}
-    names = {k: (ids[a], ids[b]) for k, (a, b) in zip(rows, ends[list(rows)].tolist())}
+    names = dict(zip(rows, _named(net.ids, ends, rows)))
     for k, m in zip(i, j):
         if isinstance(kind := intersect(segs[k], segs[m]), _CONTACTS):
             yield names[k], names[m], kind
@@ -576,14 +591,15 @@ def relabeled(net: Net, mapping: Dict[str, str]) -> Net:
 
 def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:
     """Materialize an edge subset as a net; vertices incident to no chosen
-    edge are dropped. Raises InvariantViolation for a row that is not a
-    pair of vertex ids, or an edge not in net."""
-    chosen = {_edge_row(e) for e in edges}
-    for e in chosen:
+    edge are dropped. Raises InvariantViolation at the first row, in input
+    order, that is not a pair of vertex ids or not an edge of net."""
+    chosen = set()
+    for e in map(_edge_row, edges):
         if e not in net.edge_index:
             raise InvariantViolation(f"edge {e} is not in the parent net")
+        chosen.add(net.edge_index[e])
     # the kept rows keep their order, so renumbering them keeps ends sorted
-    picked = net.ends[sorted(map(net.edge_index.__getitem__, chosen))]
+    picked = net.ends[sorted(chosen)]
     keep, ends = np.unique(picked.ravel(), return_inverse=True)
     ids = tuple(map(net.ids.__getitem__, keep.tolist()))
     labels = tuple(map(net.labels.__getitem__, keep.tolist()))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable, List, Sequence
 
-from .net import Net, _edge_row
+from .net import Net, _check_int, _edge_row
 
 _EDGE_STYLE = 'stroke="#222222" stroke-width="1.5"'
 _HIGHLIGHT_STYLE = 'stroke="#c0392b" stroke-width="3.0"'
@@ -36,11 +36,9 @@ def render_svg(
     >= 1 (a bool is refused), InvariantViolation if a highlight row is not
     a pair of vertex ids.
     """
-    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-        raise ValueError(f"width must be an integer >= 1, got {width!r}")
-    # the (min, max) rows of the highlighted edges, as in net.ends
-    index = net.index
-    marked = {(index[u], index[v]) for u, v in map(_edge_row, highlight) if u in index and v in index}
+    _check_int("width", width, 1)
+    # the rows of the highlighted edges; None stands for one not in the net
+    marked = {net.edge_index.get(e) for e in map(_edge_row, highlight)}
     (xs, ys), balanced = net.pos.T.tolist(), net.balanced.tolist()
     min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
     min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)
@@ -61,8 +59,8 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    for i, j in net.ends.tolist():
-        style = _HIGHLIGHT_STYLE if marked and (i, j) in marked else _EDGE_STYLE
+    for k, (i, j) in enumerate(net.ends.tolist()):
+        style = _HIGHLIGHT_STYLE if k in marked else _EDGE_STYLE
         out.append(f'  <line x1="{tx[i]}" y1="{ty[i]}" x2="{tx[j]}" y2="{ty[j]}" {style}/>')
     for x, y, b in zip(tx, ty, balanced):
         r, fill = (_BALANCED_R, _BALANCED_FILL) if b else (_UNBALANCED_R, _UNBALANCED_FILL)

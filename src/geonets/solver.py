@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 from . import _kernels
 from .geom import COINCIDENCE_EPS, Point, Vec
-from .net import DEFAULT_TOL, CoincidentVertices, Net, _check_tol
+from .net import DEFAULT_TOL, CoincidentVertices, Net, _check_int, _check_tol, _named
 
 
 class VertexCollision(RuntimeError):
@@ -114,8 +114,7 @@ def relax(
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     _check_tol(tol)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_int("max_iter", max_iter, 0)
 
     # An edgeless balanced vertex never moves, and no path joins it to a pin.
     free = net.free[net._degrees[net.free] > 0]
@@ -124,7 +123,7 @@ def relax(
     )
     if stop == "collided":
         d = out_pos[net.ends[:, 1]] - out_pos[net.ends[:, 0]]
-        shortest = tuple(net.ids[k] for k in net.ends[_kernels.norms(d).argmin()].tolist())
+        (shortest,) = _named(net.ids, net.ends, [_kernels.norms(d).argmin()])
         raise VertexCollision(
             f"edge {shortest} collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )

@@ -2,9 +2,12 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -538,6 +541,13 @@ def test_verify_rejects_a_bad_tolerance(tol):
         verify(x_net(), tol)
 
 
+@pytest.mark.parametrize("value", ["3", None, 2.5, True, -1], ids=["str", "none", "float", "bool", "negative"])
+def test_verify_rejects_a_bad_min_balanced_degree(value):
+    message = re.escape(f"min_balanced_degree must be an integer >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify(x_net(), min_balanced_degree=value)
+
+
 def test_verify_flags_disconnected():
     net = Net(
         vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 5, 5), _v("d", 6, 5)),
@@ -782,6 +792,24 @@ def test_edge_subnet():
     assert len(sub.edges) == 2
     with pytest.raises(ValueError):
         edge_subnet(net, [("p1", "p2")])
+
+
+def test_edge_subnet_names_the_first_absent_edge_under_any_hash_seed():
+    # string hashing is salted per process, so a set of the rows would
+    # name a different absent edge from one run to the next
+    script = (
+        "from geonets import build_paper_net, edge_subnet\n"
+        "try:\n"
+        "    edge_subnet(build_paper_net(), [('a1', 'b1'), ('a1', 'zz'), ('b1', 'qq'), ('c1', 'c2')])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "edge ('a1', 'zz') is not in the parent net\n"), done.stderr
 
 
 @pytest.mark.parametrize("row", ["ab", ("a", "b", "c"), ("a", ["b"]), ("f", 1), (1, "f")],
