@@ -463,6 +463,29 @@ def test_a_searched_certificate_is_the_value_of_its_trace(paper_net, tripod_net,
         assert {searched(), built} == {built}
 
 
+# sha256 over (trace, tol_margin, _counts()) of the irreducible
+# certificates below. Every one of these nets is one edge class, so the
+# trace is its ties and one seed; the hand-built tables further down pin
+# the forcing, branching and exhaustion events.
+TRACE_SHA256 = "031a627d02008c1c499e6c6c7c19231c8aabc6f5563868c22fe6ec6634dc2392"
+
+
+def test_irreducible_traces_are_pinned(paper_net):
+    nets = [
+        paper_net,
+        build_fermat_tripod(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))),
+        build_double_tripod(Point(-2.0, 1.0), Point(-2.0, -1.0), Point(2.0, 1.0), Point(2.0, -1.0)),
+        honeycomb(4, 3), honeycomb(8, 6), honeycomb(20, 16),
+    ]
+    nets += [relax(pinned_paper16(s, 0.05)).net for s in range(6)]
+    digest = hashlib.sha256()
+    for net in nets:
+        cert = find_proper_subnet(net)
+        assert isinstance(cert, Irreducible)
+        digest.update(repr((cert.trace, cert.tol_margin, cert._counts())).encode())
+    assert digest.hexdigest() == TRACE_SHA256
+
+
 def test_one_class_net_is_refuted_in_one_pass_over_its_vertices(monkeypatch):
     # 1,835 edges in one class: seeding each edge in turn took hundreds of
     # thousands of nodes, and checking each balanced vertex after the one
