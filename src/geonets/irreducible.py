@@ -149,8 +149,9 @@ class Irreducible:
     """An irreducibility certificate: its trace (see TraceStep) and tol_margin.
 
     One from find_proper_subnet holds the search's integer columns and
-    builds trace from them on first read; equality, hashing, repr and
-    pickling go by trace and tol_margin, as for one built from a trace."""
+    builds trace from them on first read; equality, hashing and repr go by
+    trace and tol_margin, as for one built from a trace. A copy or pickle
+    keeps the form of its original: columns, steps or both."""
 
     # trace stays a field, so that fields(), replace() and the generated
     # ==, hash and repr read it; for a certificate from the search, the
@@ -188,15 +189,16 @@ class Irreducible:
         forced = sum(k >= 0 and not code for _, k, _, _, code in events)
         return len(ties), seeded, forced
 
-    def __reduce__(self):
-        # a copy carries the steps, not the net's columns
-        return Irreducible, (self.trace, self.tol_margin)
-
 
 @dataclass(frozen=True)
 class Reducible:
     witness: FrozenSet[Edge]
     tol_margin: Tuple[float, float]
+
+    def __repr__(self) -> str:
+        # sorted: a frozenset of str pairs iterates in per-process hash order
+        body = "{" + ", ".join(map(repr, sorted(self.witness))) + "}" if self.witness else ""
+        return f"{type(self).__qualname__}(witness=frozenset({body}), tol_margin={self.tol_margin!r})"
 
 
 SubnetCertificate = Union[Irreducible, Reducible]
@@ -287,11 +289,6 @@ def _rows(bits: int) -> List[int]:
     return rows
 
 
-def _conflict(trace: Optional[List[tuple]], c: int, k: int, code: int) -> None:
-    if trace is not None:
-        trace.append((c, k, 0, 0, code))
-
-
 def _fitting(inc: int, masks: List[int], ins: int, outs: int) -> List[int]:
     """The subsets in masks, at a vertex with classes inc, that hold every
     chosen class there and no ruled-out one."""
@@ -299,10 +296,10 @@ def _fitting(inc: int, masks: List[int], ins: int, outs: int) -> List[int]:
     return [m for m in masks if m & need == need and not m & outs]
 
 
-def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional[List[tuple]],
+def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], events: List[tuple],
                seed: int) -> Optional[Tuple[int, int]]:
-    """Unit propagation to fixpoint from the vertices k in queue, recording
-    its events for the seed class in trace. Returns (ins, outs), or None
+    """Unit propagation to fixpoint from the vertices k in queue, appending
+    its events for the seed class to events. Returns (ins, outs), or None
     on a conflict."""
     pending = set(queue)
     work = list(queue)
@@ -313,7 +310,7 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
         inc = ctx.inc[k]
         cands = _fitting(inc, ctx.masks[k], ins, outs)
         if not cands:
-            _conflict(trace, seed, ctx.rows[k], _NO_FIT)
+            events.append((seed, ctx.rows[k], 0, 0, _NO_FIT))
             return None
         every, some = inc, 0
         for m in cands:
@@ -324,8 +321,7 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
         if new_in or new_out:
             ins |= new_in
             outs |= new_out
-            if trace is not None:
-                trace.append((seed, ctx.rows[k], new_in, new_out, 0))
+            events.append((seed, ctx.rows[k], new_in, new_out, 0))
             for c in _rows(new_in | new_out):
                 for w in ctx.vertices_of[c]:
                     if w not in pending:
@@ -334,26 +330,25 @@ def _propagate(ctx: _Ctx, ins: int, outs: int, queue: List[int], trace: Optional
     return ins, outs
 
 
-def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[tuple]]) -> Optional[int]:
+def _search(ctx: _Ctx, c: int, excluded: int, events: List[tuple]) -> Optional[int]:
     """Depth-first search for a complete consistent state that holds class
     c and avoids excluded; returns its chosen classes, or None. Each state
     popped off the stack is charged one node and propagated from its queue:
     the root, which is the seed, from every vertex of the class, a branch
     from the vertices at the classes it decided but the one it branched
-    at. Only the root is traced."""
+    at. Only the root's events, and an exhaustion after it branched, reach events."""
     stack = [(1 << c, excluded, ctx.vertices_of[c])]
-    branched = False
+    log = events
     while stack:
         ins, outs, queue = stack.pop()
         ctx.charge()
-        log = None if branched else trace
         state = _propagate(ctx, ins, outs, queue, log, c)
         if state is None:
             continue
         ins, outs = state
         # ins and outs are disjoint, so ins == full means nothing is excluded.
         if ins == ctx.full:
-            _conflict(log, c, -1, _ALL_EDGES)
+            log.append((c, -1, 0, 0, _ALL_EDGES))
             continue
         free = ctx.full & ~(ins | outs)
         if not free:
@@ -362,22 +357,22 @@ def _search(ctx: _Ctx, c: int, excluded: int, trace: Optional[List[tuple]]) -> O
         decided = list(dict.fromkeys(w for d in _rows(inc & free) for w in ctx.vertices_of[d] if w != k))
         for m in reversed(_fitting(inc, masks, ins, outs)):
             stack.append((ins | m, outs | inc & ~m, decided))
-        branched = True
-    if branched:
-        _conflict(trace, c, -1, _EXHAUSTED)
+        # Later states' events are dropped; a new list per branch point bounds them.
+        log = []
+    if log is not events:
+        events.append((c, -1, 0, 0, _EXHAUSTED))
     return None
 
 
-def _first_subnet(ctx: _Ctx, excluded: int, trace: Optional[List[tuple]]) -> Optional[int]:
+def _first_subnet(ctx: _Ctx, excluded: int, events: List[tuple]) -> Optional[int]:
     """Seed each class outside excluded in ascending order and return the
-    first subnet found. A refuted class joins excluded. trace, unless None,
-    receives the search events (see TraceStep)."""
+    first subnet found. A refuted class joins excluded. The search events
+    are appended to events (see TraceStep)."""
     for c in range(len(ctx.seeds)):
         if excluded >> c & 1:
             continue
-        if trace is not None:
-            trace.append((c, -1, 1 << c, 0, 0))
-        found = _search(ctx, c, excluded, trace)
+        events.append((c, -1, 1 << c, 0, 0))
+        found = _search(ctx, c, excluded, events)
         if found is not None:
             return found
         excluded |= 1 << c
@@ -390,7 +385,7 @@ def _minimize(ctx: _Ctx, witness: int) -> int:
     class that no subnet inside the witness avoids stays unavoidable."""
     for c in _rows(witness):
         if witness >> c & 1:
-            smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << c, None)
+            smaller = _first_subnet(ctx, ctx.full & ~witness | 1 << c, [])
             if smaller is not None:
                 witness = smaller
     return witness
@@ -443,10 +438,7 @@ def find_proper_subnet(net: Net, tol: float = DEFAULT_TOL) -> SubnetCertificate:
     if found is not None:
         chosen = np.zeros(len(ctx.seeds), dtype=bool)
         chosen[_rows(_minimize(ctx, found))] = True
-        # A frozenset's iteration order, and so its repr, depends on how it
-        # was built. Building it from a set keeps printed certificates the
-        # same across releases.
-        witness = frozenset(set(_named(net.ids, net.ends, np.flatnonzero(chosen[ctx.class_of]))))
+        witness = frozenset(_named(net.ids, net.ends, np.flatnonzero(chosen[ctx.class_of])))
         return Reducible(witness, tol_margin)
     return Irreducible._of_columns(net, ctx, events, tol_margin)
 

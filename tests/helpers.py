@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,6 +31,16 @@ from geonets import (
     unit_vector,
 )
 from geonets.geom import _CONTACTS, _OPEN, COINCIDENCE_EPS, _classify, distance, intersect
+
+
+def run_python(args: Sequence[str], **env: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on args in a new process, with the repository's
+    src first on PYTHONPATH and env added to the environment; its output is
+    captured as text."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_net(rng: random.Random) -> Net:

@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -13,7 +10,7 @@ from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
 
 from geonets import verify
-from helpers import chord_arrangement, honeycomb, least_rejected_norm
+from helpers import chord_arrangement, honeycomb, least_rejected_norm, run_python
 
 
 def run(capsys, *argv):
@@ -498,12 +495,8 @@ def test_module_entry_point_exits_with_the_command_codes(tmp_path):
     # process exit status through sys.exit(main())
     from geonets import Net, Point, Vertex, VertexKind
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
     def cli_process(*argv):
-        return subprocess.run([sys.executable, "-m", "geonets.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return run_python(["-m", "geonets.cli", *argv])
 
     assert cli_process("--help").returncode == 0
     built = cli_process("build", "fermat-tripod")

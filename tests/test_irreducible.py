@@ -53,6 +53,7 @@ from helpers import (
     pinned_paper16,
     raw_tripod_overlay,
     replay_ties,
+    run_python,
     subset_is_balanced,
     tripod_overlay,
 )
@@ -374,6 +375,26 @@ def test_overlay_certificate(overlay_case):
     assert report.max_residual < 1e-9
 
 
+def test_a_reducible_prints_the_same_under_any_hash_seed(overlay_cert):
+    # A frozenset of str pairs iterates in the order of the per-process
+    # string hash, so the generated repr listed the overlay's witness in a
+    # different order under each seed.
+    script = ("from geonets import build_overlay_net, find_proper_subnet\n"
+              "print(find_proper_subnet(build_overlay_net()))\n")
+    printed = set()
+    for seed in ("0", "1", "2"):
+        done = run_python(["-c", script], PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        printed.add(done.stdout)
+    witness = ", ".join(map(repr, sorted(overlay_cert.witness)))
+    margin = overlay_cert.tol_margin
+    assert printed == {f"Reducible(witness=frozenset({{{witness}}}), tol_margin={margin!r})\n"}
+    assert eval(repr(overlay_cert)) == overlay_cert
+    empty = Reducible(frozenset(), (0.0, 1.0))
+    assert repr(empty) == "Reducible(witness=frozenset(), tol_margin=(0.0, 1.0))"
+    assert eval(repr(empty)) == empty
+
+
 def test_overlay_witness_is_minimal(overlay_case):
     net, cert = overlay_case
     w = sorted(cert.witness)
@@ -461,6 +482,35 @@ def test_a_searched_certificate_is_the_value_of_its_trace(paper_net, tripod_net,
         assert searched() != Irreducible(cert.trace, (0.0, math.inf))
         assert searched() != Irreducible(cert.trace[1:], cert.tol_margin)
         assert {searched(), built} == {built}
+
+
+def test_a_copy_of_a_searched_certificate_keeps_its_columns(paper_net, monkeypatch):
+    # A copy or pickle of a certificate from the search carries its integer
+    # columns: making it builds no step, it counts from its columns as the
+    # original does, and it equals, hashes and prints as the certificate
+    # built from the same trace. A built certificate copies as its steps.
+    built = []
+
+    class Counted(TraceStep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    round_trips = (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)))
+    for net in (paper_net, honeycomb(8, 6)):
+        first = find_proper_subnet(net)
+        expected = Irreducible(first.trace, first.tol_margin)
+        for round_trip in round_trips:
+            cert = find_proper_subnet(net)
+            with monkeypatch.context() as patched:
+                patched.setattr(irreducible, "TraceStep", Counted)
+                copied = round_trip(cert)
+                assert copied._counts() == cert._counts() == first._counts()
+            assert built == []
+            assert copied == expected and hash(copied) == hash(expected)
+            assert repr(copied) == repr(expected)
+            assert round_trip(expected) == expected
+            assert vars(round_trip(expected)).keys() == {"trace", "tol_margin"}
 
 
 # sha256 over (trace, tol_margin, _counts()) of the irreducible
@@ -647,7 +697,7 @@ def test_minimize_shrinks_a_first_subnet_that_is_not_minimal():
     # balanced there too; v1 only holds edge 3 and admits none of it.
     ctx, _ = _hand_ctx(4, {"v0": (0b0111, [0, 0b0110, 0b0111]), "v1": (0b1000, [0])})
     assert (ctx.class_of.tolist(), ctx.masks) == ([0, 1, 1, 2], [[0, 0b10, 0b11], [0]])
-    first = irreducible._first_subnet(ctx, 0, None)
+    first = irreducible._first_subnet(ctx, 0, [])
     assert first == 0b011
     assert irreducible._minimize(ctx, first) == 0b010
 

@@ -2,12 +2,9 @@ import copy
 import dataclasses
 import json
 import math
-import os
 import pickle
 import random
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -39,7 +36,7 @@ from geonets import net as net_module
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
-from helpers import honeycomb, random_net, tripod_overlay
+from helpers import honeycomb, random_net, run_python, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -804,11 +801,8 @@ def test_edge_subnet_names_the_first_absent_edge_under_any_hash_seed():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        done = run_python(["-c", script], PYTHONHASHSEED=seed)
         assert (done.returncode, done.stdout) == (0, "edge ('a1', 'zz') is not in the parent net\n"), done.stderr
 
 

@@ -1,9 +1,6 @@
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from geonets import (
 from geonets import _kernels
 from geonets.net import UnknownVertex
 
-from helpers import honeycomb, pinned_paper16, random_net, tripod_overlay
+from helpers import honeycomb, pinned_paper16, random_net, run_python, tripod_overlay
 
 B = VertexKind.BALANCED
 U = VertexKind.UNBALANCED
@@ -541,9 +538,7 @@ def test_relax_imports_no_scipy(paper_net):
         "ma = sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
         "assert not ma, ma\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = run_python(["-c", script])
     assert done.returncode == 0, done.stderr
 
 
