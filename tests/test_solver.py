@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -430,6 +431,26 @@ def test_relax_runs_are_pinned(paper_net):
                 body = str(exc)
             digest.update(repr(body).encode())
     assert digest.hexdigest() == RELAX_SHA256
+
+
+# sha256 over each relax run below stopped after 1, 2, 3 and 5 steps, at
+# the default step and at step 8, whose first trials fail the Armijo test:
+# the relaxed document, the whole length trace, halvings, refreshes, stop
+# reason and final residual, so that every iterate is pinned and not just
+# the last length. honeycomb(40, 32) takes the identity metric.
+ITERATE_SHA256 = "546b47fccedaae85c88e201a2d9be4af37eaf1138f88fb376ed29147f72956b1"
+
+
+def test_descent_iterates_are_pinned(paper_net):
+    nets = [_perturbed(paper_net, s, 0.014) for s in range(6)] + [pinned_paper16(0, 0.05)]
+    nets += [_perturbed(honeycomb(12, 10), 0, 0.05), _perturbed(honeycomb(40, 32), 0, 0.05)]
+    digest = hashlib.sha256()
+    for net in nets:
+        for step, max_iter in itertools.product((0.1, 8.0), (1, 2, 3, 5)):
+            r = relax(net, step=step, max_iter=max_iter)
+            body = (serialize(r.net), r.length_trace, r.halvings, r.refreshes, r.stop_reason, r.final_residual)
+            digest.update(repr(body).encode())
+    assert digest.hexdigest() == ITERATE_SHA256
 
 
 # helpers.random_net seeds 0-299 that have no pin, and the step at which
