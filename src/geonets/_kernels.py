@@ -16,18 +16,23 @@ BACKEND = "numpy"
 _MAX_HALVINGS = 60
 _ARMIJO_C = 1e-4
 _MIN_SEP = 1e-9  # geom.COINCIDENCE_EPS, which _kernels cannot import
+_XY = np.array([[0], [1]])  # the coordinate axis, down a column
 
 
 def norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each vector along the last axis of v: the one
-    formula for every length, residual and subset-sum norm."""
-    return np.sqrt((v * v).sum(axis=-1))
+    """Euclidean norm of each plane vector along the last axis of v: the
+    one formula for every length, residual and subset-sum norm. The two
+    squares are added elementwise, which gives the value of a sum over
+    the last axis at a fraction of its cost."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1])
 
 
 def _edge_vectors(pos: np.ndarray, edges: np.ndarray):
     """Vector of each edge, from its first endpoint to its second, and its
     length."""
-    d = pos[edges[:, 1]] - pos[edges[:, 0]]
+    ends = np.take(pos, edges, axis=0)
+    d = ends[:, 1] - ends[:, 0]
     return d, norms(d)
 
 
@@ -37,13 +42,27 @@ def unit_vectors(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return d / ln[:, None]
 
 
-def _unit_sums(n: int, edges: np.ndarray, d: np.ndarray, ln: np.ndarray) -> np.ndarray:
+def _unit_slots(edges: np.ndarray) -> np.ndarray:
+    """The (vertex, coordinate) slot, 2 * vertex + coordinate, of each entry
+    of _unit_sums' units: for x and then for y, each edge's first endpoint
+    in edge order, then each edge's second."""
+    return (2 * edges.T.reshape(1, -1) + _XY).ravel()
+
+
+def _unit_sums(n: int, edges: np.ndarray, d: np.ndarray, ln: np.ndarray,
+               slots=None, units=None) -> np.ndarray:
     # One scatter-add over (vertex, coordinate) slots: +u at each edge's
-    # first endpoint, then -u at its second, each in edge order.
-    u = d / ln[:, None]
-    slots = 2 * edges.T.reshape(-1, 1) + (0, 1)
-    sums = np.bincount(slots.ravel(), np.concatenate((u, -u)).ravel(), minlength=2 * n)
-    return sums.reshape(n, 2)
+    # first endpoint, then -u at its second, each in edge order; a slot
+    # takes its terms in that order whatever the other slots take between
+    # them. slots is _unit_slots(edges) and units a (2, 2E) array, given by
+    # a caller that sums on the same edges again; units is left holding
+    # the x and the y coordinates of u, then of -u.
+    e = ln.shape[0]
+    units = np.empty((2, 2 * e)) if units is None else units
+    np.divide(d.T, ln, out=units[:, :e])
+    np.negative(units[:, :e], out=units[:, e:])
+    slots = _unit_slots(edges) if slots is None else slots
+    return np.bincount(slots, units.ravel(), minlength=2 * n).reshape(n, 2)
 
 
 def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -55,32 +74,56 @@ def net_length(pos: np.ndarray, edges: np.ndarray) -> float:
     return float(_edge_vectors(pos, edges)[1].sum())
 
 
-def _decrease(a: np.ndarray, la: np.ndarray, delta: np.ndarray, edges: np.ndarray) -> float:
+def _decrease(a: np.ndarray, la: np.ndarray, w: np.ndarray, prods: np.ndarray) -> float:
     # total_length(pos) - total_length(pos + delta), summed per edge in a
     # cancellation-free form. With a the old edge vector and w the change
     # (difference of endpoint displacements), |b|^2 = |a|^2 + 2 a.w + |w|^2,
     # so the per-edge drop is -(2 a.w + |w|^2) / (|a| + |b|). Forming w from
     # delta instead of b - a keeps the error relative to |w|, which resolves
     # decreases far below the fp resolution of the total length itself.
-    w = delta[edges[:, 1]] - delta[edges[:, 0]]
-    lb = norms(a + w)
-    num = -(2.0 * (a * w).sum(axis=1) + (w * w).sum(axis=1))
-    return float((num / (la + lb)).sum())
+    # prods, (3, E, 2), takes the products a * w, w * w and b * b, so that
+    # one sum of their two columns gives a.w, |w|^2 and |b|^2; the drops
+    # are summed positive and negated after, which rounds alike.
+    np.multiply(a, w, out=prods[0])
+    np.multiply(w, w, out=prods[1])
+    b = np.add(a, w, out=prods[2])
+    np.multiply(b, b, out=b)
+    aw, ww, bb = prods[..., 0] + prods[..., 1]
+    return -float(np.add.reduce((2.0 * aw + ww) / (la + np.sqrt(bb))))
 
 
-def _backtrack(pos, free, edges, a, la, p, rp, step):
+def _ends_rows(n: int, free: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(E, 2): the free row of each edge end, i for free[i] and m = free.size
+    for a pin."""
+    row = np.full(n, free.size, dtype=np.int64)
+    row[free] = np.arange(free.size)
+    return row[edges]
+
+
+def _step_buffers(n: int, free: np.ndarray, edges: np.ndarray):
+    """The Armijo test's parts that depend only on free and edges: the free
+    row of each edge end (_ends_rows), an (m + 1, 2) displacement whose
+    last row stays zero for the pins, and _decrease's (3, E, 2) products."""
+    return _ends_rows(n, free, edges), np.zeros((free.size + 1, 2)), np.empty((3, edges.shape[0], 2))
+
+
+def _backtrack(pos, free, edges, a, la, p, rp, step, buffers=None):
     """Halve step until the Armijo sufficient-decrease test holds along the
     direction p of the free rows, with rp the residual's inner product
-    with p; a and la are the edge vectors and lengths at pos.
+    with p; a and la are the edge vectors and lengths at pos. buffers is
+    _step_buffers(n, free, edges), given by a caller that tests again.
 
     Returns (displacement, decrease in total length, failed tests); the
     displacement is None after _MAX_HALVINGS failures.
     """
-    delta = np.zeros_like(pos)
+    rows, moves, prods = _step_buffers(pos.shape[0], free, edges) if buffers is None else buffers
     for failed in range(_MAX_HALVINGS):
-        delta[free] = step * p
-        dec = _decrease(a, la, delta, edges)
+        np.multiply(p, step, out=moves[:-1])
+        ends = np.take(moves, rows, axis=0)
+        dec = _decrease(a, la, ends[:, 1] - ends[:, 0], prods)
         if dec >= _ARMIJO_C * step * rp:
+            delta = np.zeros(pos.shape)
+            delta[free] = moves[:-1]
             return delta, dec, failed
         step *= 0.5
     return None, 0.0, _MAX_HALVINGS
@@ -137,43 +180,62 @@ def unions(n: int, a, b):
     return joined, root
 
 
+# Per 2x2 block entry xx, xy, yx and yy: its row and column offset in M
+# from the block's corner (2i, 2j) for free rows i and j, its row in
+# _metric's per-edge table, whose rows are u_x^2 / length + mu / length,
+# u_y^2 / length + mu / length and u_x u_y / length, and its sign.
+_BLOCK_ROW, _BLOCK_COL = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+_BLOCK_TABLE = np.array([1, 2, 2, 0])
+_BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _metric_index(n: int, free: np.ndarray, edges: np.ndarray):
     """Where the entries of each edge's 2x2 block land in the dense
     (2m x 2m) metric over the free coordinates, coordinate c of free row i
     at 2i + c. Each edge (u, v) adds its block at the row pairs (u, u) and
     (v, v) and subtracts it at (u, v) and (v, u); pairs that meet a pin
-    are dropped. Returns (slots, edge, sign, size): for each kept pair,
-    its edge and sign, and slots holding the flat positions of block
-    entries xx, xy, yx and yy in turn. It depends only on free and edges.
+    are dropped. Returns (slots, take, sign, size), each of the first three
+    with a row of four per kept pair, for its block entries xx, xy, yx and
+    yy in turn: their flat positions in M, the flat positions in _metric's
+    (3, E) table of the entries that fill them, and the signs that turn
+    those into the pair's entries. It depends only on free and edges.
     """
-    m = free.size
-    row = np.full(n, -1, dtype=np.int64)
-    row[free] = np.arange(m)
-    i, j = row[edges[:, 0]], row[edges[:, 1]]
+    m, e = free.size, edges.shape[0]
+    i, j = _ends_rows(n, free, edges).T
     ii, jj = np.concatenate((i, j, i, j)), np.concatenate((i, j, j, i))
-    keep = np.flatnonzero((ii >= 0) & (jj >= 0))
-    ii, jj = ii[keep], jj[keep]
-    slots = [(2 * ii + c) * (2 * m) + 2 * jj + d for c, d in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    edge = keep % edges.shape[0]
-    sign = np.where(keep < 2 * edges.shape[0], 1.0, -1.0)
-    return np.concatenate(slots), edge, sign, 2 * m
+    keep = np.flatnonzero((ii < m) & (jj < m))
+    at = 2 * (2 * m * ii[keep] + jj[keep])[:, None]
+    slots = at + 2 * m * _BLOCK_ROW + _BLOCK_COL
+    take = e * _BLOCK_TABLE + (keep % e)[:, None]
+    sign = np.where(keep < 2 * e, 1.0, -1.0)[:, None] * _BLOCK_SIGN
+    return slots.ravel(), take, sign, 2 * m
 
 
-def _metric(index, a: np.ndarray, la: np.ndarray, mu: float) -> np.ndarray:
+def _metric(index, a: np.ndarray, la: np.ndarray, mu: float, u=None) -> np.ndarray:
     """M = H + mu * L_w over the free coordinates, from the edge vectors a,
-    the lengths la and the slot index of _metric_index. H, the Hessian of
-    total length, has the block (I - u u^T) / length for an edge of unit
-    vector u, written as n n^T / length with n = (-u_y, u_x) so that no
-    cancellation in 1 - u_x^2 makes a diagonal entry negative; L_w, the
-    weighted graph Laplacian, has I / length. The damping is its own term,
-    mu / length, so that it survives however small mu is beside 1."""
-    slots, edge, sign, size = index
-    ln = la[edge]
-    w = sign / ln
-    ux, uy = a[edge, 0] / ln, a[edge, 1] / ln
-    xy = -ux * uy * w
-    vals = np.concatenate((uy * uy * w + mu * w, xy, xy, ux * ux * w + mu * w))
-    return np.bincount(slots, vals, minlength=size * size).reshape(size, size)
+    the lengths la and the slot index of _metric_index; u is the unit
+    vectors a / la as rows of x and y coordinates, given by a caller that
+    has them. H, the Hessian of total length, has the block
+    (I - u u^T) / length for an edge of unit vector u, written as
+    n n^T / length with n = (-u_y, u_x) so that no cancellation in
+    1 - u_x^2 makes a diagonal entry negative; L_w, the weighted graph
+    Laplacian, has I / length. The damping is its own term, mu / length,
+    so that it survives however small mu is beside 1. Each edge's entries
+    are computed once and signed per pair: a sign of -1 commutes with every
+    rounding."""
+    slots, take, sign, size = index
+    u = a.T / la if u is None else u
+    w = 1.0 / la
+    table = np.empty((3, la.shape[0]))
+    sq, xy = table[:2], table[2]
+    np.multiply(u, u, out=sq)
+    np.multiply(sq, w, out=sq)
+    np.add(sq, mu * w, out=sq)
+    np.multiply(u[0], u[1], out=xy)
+    np.multiply(xy, w, out=xy)
+    vals = np.take(table, take)
+    vals *= sign
+    return np.bincount(slots, vals.ravel(), minlength=size * size).reshape(size, size)
 
 
 def descend(pos, free, edges, step0, tol, max_iter):
@@ -209,9 +271,22 @@ def descend(pos, free, edges, step0, tol, max_iter):
     from the trial step by halving; if every halving fails from a BB step,
     the ladder is tried once more from step0. Each trace entry is the
     previous one minus the decrease the Armijo test accepted, so the
-    length trace over accepted iterates never rises. The edge vectors and
-    lengths are evaluated once per iterate and serve the collision test,
-    the residual, the metric and every Armijo test.
+    length trace over accepted iterates never rises; its first entry is
+    the sum of the first iterate's lengths.
+
+    One iterate makes one gather of the edge ends, whose vectors and
+    lengths serve the collision test, the residual, the metric and every
+    Armijo test; one scatter of the unit vectors into the residual, whose
+    unit vectors the metric reuses; one build of M, one solve, one reduce
+    for r.p, s.y and y.M^-1 y, and one Armijo test when nothing halves.
+    The residual's slots and unit-vector buffer are made once per call.
+    The metric's index, the Armijo test's buffers and the right-hand sides
+    are made once the first convergence test fails, so a net that is
+    balanced already makes none of them. Every float comes out as from
+    the plain form that makes each array afresh, by the same operations
+    in the same order, and tests/test_solver.py pins every iterate. On
+    perturbed paper16 (16 free rows, 44 edges) an iterate takes about
+    77 us, and 94 us in that form (2-vCPU VM, interleaved).
 
     Returns (positions, accepted steps, length trace, stop reason,
     halvings, residual, refreshes). Each iterate is tested in this order:
@@ -225,19 +300,22 @@ def descend(pos, free, edges, step0, tol, max_iter):
     the identity metric).
     """
     pos = pos.copy()
-    trace = [net_length(pos, edges)]
+    n, e = pos.shape[0], edges.shape[0]
+    slots, units = _unit_slots(edges), np.empty((2, 2 * e))
+    trace = []
     accepted = halvings = refreshes = 0
     s = r_prev = None
     residual = np.inf
-    index = None  # the metric's slot index, once descent takes the metric
     metric = None  # None until the first direction; then True or False
     while True:
         a, la = _edge_vectors(pos, edges)
-        if la.min(initial=np.inf) < _MIN_SEP:
+        if not trace:
+            trace.append(float(np.add.reduce(la)))
+        if np.minimum.reduce(la, initial=np.inf) < _MIN_SEP:
             stop = "collided"
             break
-        rf = _unit_sums(pos.shape[0], edges, a, la)[free]
-        residual = float(norms(rf).max(initial=0.0))
+        rf = _unit_sums(n, edges, a, la, slots, units)[free]
+        residual = float(np.maximum.reduce(norms(rf), initial=0.0))
         if residual <= tol:
             stop = "converged"
             break
@@ -248,16 +326,24 @@ def descend(pos, free, edges, step0, tol, max_iter):
             metric = free.size <= _METRIC_MAX_FREE
             if metric:
                 # pins in each set, counted at its root: its size less its free rows
-                root = unions(pos.shape[0], *edges.T.tolist())[1]
-                pins = np.bincount(root, minlength=pos.shape[0]) - np.bincount(root[free], minlength=pos.shape[0])
+                root = unions(n, *edges.T.tolist())[1]
+                pins = np.bincount(root, minlength=n) - np.bincount(root[free], minlength=n)
                 metric = bool(pins[root[free]].all())
             if metric:
-                index = _metric_index(pos.shape[0], free, edges)
-        y = None if s is None else r_prev - rf
-        # the columns r and y, then M^-1 r and M^-1 y; M = I without the metric
-        solved = rf.reshape(-1, 1) if y is None else np.stack((rf.ravel(), y.ravel()), axis=1)
+                index = _metric_index(n, free, edges)
+            buffers = _step_buffers(n, free, edges)
+            # the columns r and y, which M^-1 maps to p and M^-1 y, and the
+            # products summed to r.p, s.y and y.M^-1 y
+            rhs = np.empty((2 * free.size, 2))
+            r_col, y_col = (rhs.reshape(-1, 2, 2)[..., c] for c in (0, 1))
+            dots = np.empty((3,) + rf.shape)
+        if s is None:
+            y, solved = None, rf.reshape(-1, 1)
+        else:
+            np.copyto(r_col, rf)
+            y, solved = np.subtract(r_prev, rf, out=y_col), rhs
         if metric:
-            m = _metric(index, a, la, residual)
+            m = _metric(index, a, la, residual, units[:, :e])
             refreshes += 1
             try:
                 solved = np.linalg.solve(m, solved)
@@ -268,20 +354,23 @@ def descend(pos, free, edges, step0, tol, max_iter):
                 stop = "stalled"
                 break
         p = solved[:, 0].reshape(rf.shape)
-        trial = step0
-        if y is not None:
-            sy = float((s * y).sum())
-            if sy > 0.0:
-                trial = sy / float((y * solved[:, 1].reshape(y.shape)).sum())
-        rp = float((rf * p).sum())
-        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial)
+        np.multiply(rf, p, out=dots[0])
+        if y is None:
+            rp, sy = float(np.add.reduce(dots[0], axis=None)), 0.0
+        else:
+            np.multiply(s, y, out=dots[1])
+            np.multiply(y, solved[:, 1].reshape(y.shape), out=dots[2])
+            # each row is summed as the 1-D sum of its 2m products
+            rp, sy, yhy = np.add.reduce(dots.reshape(3, -1), axis=1).tolist()
+        trial = sy / yhy if sy > 0.0 else step0
+        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial, buffers)
         halved = failed
         if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0)
+            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0, buffers)
             halved += failed
         halvings += halved
         moved = None if delta is None else pos + delta
-        if moved is None or np.array_equal(moved, pos):
+        if moved is None or (moved == pos).all():
             stop = "stalled"
             break
         pos = moved

@@ -59,10 +59,14 @@ def length_gradient(net: Net) -> Dict[str, Vec]:
 
 
 def moved(net: Net, vid: str, pos: Point) -> Net:
-    """Copy of net with one vertex repositioned."""
+    """Copy of net with one vertex repositioned. Raises CoincidentVertices,
+    naming the vertex and the first other one by row, if it lands within
+    COINCIDENCE_EPS of another vertex: the pair that checking every pair
+    would raise first."""
+    row = net._row(vid)
     xy = net.pos.copy()
-    xy[net._row(vid)] = (pos.x, pos.y)
-    return net._with_pos(xy)
+    xy[row] = (pos.x, pos.y)
+    return net._with_pos(xy, row)
 
 
 def relax(

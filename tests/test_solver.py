@@ -176,6 +176,21 @@ def test_converged_relax_meets_its_tol_in_verify_at_every_norm_formula():
                 assert verify(result.net, tol).max_residual <= tol, (pins, tol)
 
 
+def test_relax_of_a_balanced_net_sets_up_nothing(paper_net, tripod_net, monkeypatch):
+    # the metric's index, the pin reachability and the step buffers are
+    # built once the first convergence test fails, so a net that passes it
+    # pays for none of them
+    def refused(*args):
+        raise AssertionError("descent set up for a balanced net")
+
+    for name in ("_metric_index", "unions", "_step_buffers"):
+        monkeypatch.setattr(_kernels, name, refused)
+    for net in (paper_net, honeycomb(8, 6), tripod_net):
+        result = relax(net)
+        assert (result.stop_reason, result.iterations, result.refreshes) == ("converged", 0, 0)
+        assert result.length_trace == (total_length(net),)
+
+
 def test_relax_does_not_size_buffers_from_max_iter(paper_net):
     result = relax(paper_net, max_iter=10**12)
     assert result.converged
