@@ -107,16 +107,16 @@ def _step_buffers(n: int, free: np.ndarray, edges: np.ndarray):
     return _ends_rows(n, free, edges), np.zeros((free.size + 1, 2)), np.empty((3, edges.shape[0], 2))
 
 
-def _backtrack(pos, free, edges, a, la, p, rp, step, buffers=None):
+def _backtrack(pos, free, edges, a, la, p, rp, step, buffers):
     """Halve step until the Armijo sufficient-decrease test holds along the
     direction p of the free rows, with rp the residual's inner product
-    with p; a and la are the edge vectors and lengths at pos. buffers is
-    _step_buffers(n, free, edges), given by a caller that tests again.
+    with p; a and la are the edge vectors and lengths at pos, and buffers
+    is _step_buffers(n, free, edges), which every test reuses.
 
     Returns (displacement, decrease in total length, failed tests); the
     displacement is None after _MAX_HALVINGS failures.
     """
-    rows, moves, prods = _step_buffers(pos.shape[0], free, edges) if buffers is None else buffers
+    rows, moves, prods = buffers
     for failed in range(_MAX_HALVINGS):
         np.multiply(p, step, out=moves[:-1])
         ends = np.take(moves, rows, axis=0)
@@ -211,12 +211,11 @@ def _metric_index(n: int, free: np.ndarray, edges: np.ndarray):
     return slots.ravel(), take, sign, 2 * m
 
 
-def _metric(index, a: np.ndarray, la: np.ndarray, mu: float, u=None) -> np.ndarray:
-    """M = H + mu * L_w over the free coordinates, from the edge vectors a,
-    the lengths la and the slot index of _metric_index; u is the unit
-    vectors a / la as rows of x and y coordinates, given by a caller that
-    has them. H, the Hessian of total length, has the block
-    (I - u u^T) / length for an edge of unit vector u, written as
+def _metric(index, u: np.ndarray, la: np.ndarray, mu: float) -> np.ndarray:
+    """M = H + mu * L_w over the free coordinates, from the edge unit
+    vectors u as a (2, E) array of x and y rows, the lengths la and the
+    slot index of _metric_index. H, the Hessian of total length, has the
+    block (I - u u^T) / length for an edge of unit vector u, written as
     n n^T / length with n = (-u_y, u_x) so that no cancellation in
     1 - u_x^2 makes a diagonal entry negative; L_w, the weighted graph
     Laplacian, has I / length. The damping is its own term, mu / length,
@@ -224,7 +223,6 @@ def _metric(index, a: np.ndarray, la: np.ndarray, mu: float, u=None) -> np.ndarr
     are computed once and signed per pair: a sign of -1 commutes with every
     rounding."""
     slots, take, sign, size = index
-    u = a.T / la if u is None else u
     w = 1.0 / la
     table = np.empty((3, la.shape[0]))
     sq, xy = table[:2], table[2]
@@ -343,7 +341,7 @@ def descend(pos, free, edges, step0, tol, max_iter):
             np.copyto(r_col, rf)
             y, solved = np.subtract(r_prev, rf, out=y_col), rhs
         if metric:
-            m = _metric(index, a, la, residual, units[:, :e])
+            m = _metric(index, units[:, :e], la, residual)
             refreshes += 1
             try:
                 solved = np.linalg.solve(m, solved)

@@ -179,22 +179,11 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return i[pick], j[pick]
 
 
-def _close_pairs(xy: np.ndarray, radius: float, row: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+def _close_pairs(xy: np.ndarray, radius: float) -> Iterator[Tuple[int, int]]:
     """Index pairs (i, j), i < j, in lexicographic order, of the rows of the
     (n, 2) array xy within radius of each other: _box_pairs on boxes padded
-    by radius, then geom.distance's math.hypot of the difference. Given a
-    row, only the pairs that hold it: its padded box against every other,
-    without the sweep, for positions whose other rows are known apart."""
-    if row is None:
-        i, j = _box_pairs(xy - radius, xy + radius)
-    else:
-        # the boxes as _box_pairs takes them, by coordinate: the sweep's
-        # pairs are those whose closed boxes overlap
-        (x0, y0), (x1, y1) = np.subtract(xy.T, radius, order="C"), np.add(xy.T, radius, order="C")
-        near = (x0 <= x1[row]) & (x0[row] <= x1) & (y0 <= y1[row]) & (y0[row] <= y1)
-        near[row] = False
-        other = np.flatnonzero(near)
-        i, j = np.minimum(other, row), np.maximum(other, row)
+    by radius, then geom.distance's math.hypot of the difference."""
+    i, j = _box_pairs(xy - radius, xy + radius)
     for a, b, (dx, dy) in zip(i.tolist(), j.tolist(), (xy[j] - xy[i]).tolist()):
         if math.hypot(dx, dy) <= radius:
             yield a, b
@@ -283,13 +272,12 @@ class Net:
                          pos=_read_only(pos), ends=_read_only(ends), index=index)
         return net
 
-    def _with_pos(self, pos: np.ndarray, row: Optional[int] = None) -> "Net":
+    def _with_pos(self, pos: np.ndarray) -> "Net":
         """This net at pos, a fresh (n, 2) array it keeps read-only, once no
         two vertices coincide. Positions equal to this net's passed that
-        check already, so they skip it; given a row, pos differs from this
-        net's at most there, and only the pairs that hold it are checked."""
+        check already, so they skip it."""
         if not np.array_equal(pos, self.pos):
-            for i, j in _close_pairs(pos, COINCIDENCE_EPS, row):
+            for i, j in _close_pairs(pos, COINCIDENCE_EPS):
                 raise CoincidentVertices(self.ids[i], self.ids[j])
         return Net._derived(self.ids, self.balanced, self.labels, pos, self.ends, self.index)
 

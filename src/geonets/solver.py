@@ -59,14 +59,10 @@ def length_gradient(net: Net) -> Dict[str, Vec]:
 
 
 def moved(net: Net, vid: str, pos: Point) -> Net:
-    """Copy of net with one vertex repositioned. Raises CoincidentVertices,
-    naming the vertex and the first other one by row, if it lands within
-    COINCIDENCE_EPS of another vertex: the pair that checking every pair
-    would raise first."""
-    row = net._row(vid)
+    """Copy of net with one vertex repositioned."""
     xy = net.pos.copy()
-    xy[row] = (pos.x, pos.y)
-    return net._with_pos(xy, row)
+    xy[net._row(vid)] = (pos.x, pos.y)
+    return net._with_pos(xy)
 
 
 def relax(

@@ -33,7 +33,7 @@ from geonets import (
     verify,
 )
 from geonets import net as net_module
-from geonets.net import COINCIDENCE_EPS, CoincidentVertices
+from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
 from helpers import honeycomb, random_net, run_python, tripod_overlay
@@ -300,72 +300,6 @@ def test_a_derived_net_refuses_coincident_vertices(paper_net):
         with pytest.raises(CoincidentVertices) as info:
             moved(paper_net, "a1", onto)
         assert info.value.ids == ("a1", "b1")
-
-
-def _first_pair_of_full_pass(net, vid, onto):
-    xy = net.pos.copy()
-    xy[net.index[vid]] = (onto.x, onto.y)
-    pair = next(net_module._close_pairs(xy, COINCIDENCE_EPS), None)
-    return xy, pair and (net.ids[pair[0]], net.ids[pair[1]])
-
-
-def _near_targets(net, rng, count):
-    # within, at and just past COINCIDENCE_EPS of another vertex: on a
-    # random bearing, and along each axis, where the padded boxes only touch
-    eps = COINCIDENCE_EPS
-    for _ in range(count):
-        vid = rng.choice(net.ids)
-        q = net.pos[rng.randrange(len(net.ids))]
-        rho = rng.choice((0.0, 0.5, 0.999999, 1.0, 1.000001, 1.5, 3.0)) * eps
-        theta = rng.choice((rng.uniform(0.0, 2.0 * math.pi), 0.0, math.pi / 2, math.pi, 1.5 * math.pi))
-        yield vid, Point(q[0] + rho * math.cos(theta), q[1] + rho * math.sin(theta))
-
-
-def test_moved_raises_the_pair_the_full_pass_raises_first(paper_net):
-    # moved checks the moved row against every other; the full pass over
-    # all pairs is the oracle for which pair, if any, it raises
-    rng = random.Random(41)
-    # a, b, y and z on the corners of a square of side 1.4 * COINCIDENCE_EPS:
-    # a vertex moved to its centre meets every other corner, and the pair
-    # with the lowest other row is raised
-    side = 1.4 * COINCIDENCE_EPS
-    square = Net([_v("a", 0, 0), _v("b", side, 0), _v("m", 5, 5), _v("y", 0, side), _v("z", side, side)],
-                 [("a", "m"), ("b", "m"), ("m", "y"), ("m", "z")])
-    centre = Point(side / 2, side / 2)
-    for vid, pair in (("m", ("a", "m")), ("a", ("a", "b")), ("z", ("a", "z"))):
-        assert _first_pair_of_full_pass(square, vid, centre)[1] == pair
-    cases = [(square, vid, centre) for vid in ("m", "a", "z")]
-    for net in (paper_net, honeycomb(40, 32)):
-        lo, hi = net.pos.min(axis=0), net.pos.max(axis=0)
-        cases += [(net, rng.choice(net.ids), Point(rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])))
-                  for _ in range(200)]
-        cases += [(net, vid, p) for vid, p in _near_targets(net, rng, 400)]
-    raised = 0
-    for net, vid, onto in cases:
-        xy, expected = _first_pair_of_full_pass(net, vid, onto)
-        try:
-            out = moved(net, vid, onto)
-        except CoincidentVertices as exc:
-            assert exc.ids == expected, (vid, onto)
-            raised += 1
-        else:
-            assert expected is None, (vid, onto)
-            assert out.pos.tobytes() == xy.tobytes()
-    assert 300 < raised < len(cases) - 400
-
-
-def test_moved_checks_one_row_without_the_sweep(monkeypatch):
-    net = honeycomb(40, 32)
-
-    def sweep(*args):
-        raise AssertionError("moved swept every box pair")
-
-    monkeypatch.setattr(net_module, "_box_pairs", sweep)
-    vid = net.ids[len(net.ids) // 2]
-    p = net.vertex(vid).pos
-    assert moved(net, vid, Point(p.x + 0.013, p.y - 0.021)).vertex(vid).pos == Point(p.x + 0.013, p.y - 0.021)
-    with pytest.raises(CoincidentVertices):
-        moved(net, vid, net.vertices[0].pos)
 
 
 def test_a_derived_net_at_its_own_positions_skips_the_coincidence_check(monkeypatch, paper_net):
