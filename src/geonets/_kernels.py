@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geom import COINCIDENCE_EPS
+
 BACKEND = "numpy"
 
 _MAX_HALVINGS = 60
 _ARMIJO_C = 1e-4
-_MIN_SEP = 1e-9  # geom.COINCIDENCE_EPS, which _kernels cannot import
 _XY = np.array([[0], [1]])  # the coordinate axis, down a column
 
 
@@ -107,7 +108,7 @@ def _step_buffers(n: int, free: np.ndarray, edges: np.ndarray):
     return _ends_rows(n, free, edges), np.zeros((free.size + 1, 2)), np.empty((3, edges.shape[0], 2))
 
 
-def _backtrack(pos, free, edges, a, la, p, rp, step, buffers):
+def _backtrack(pos, free, a, la, p, rp, step, buffers):
     """Halve step until the Armijo sufficient-decrease test holds along the
     direction p of the free rows, with rp the residual's inner product
     with p; a and la are the edge vectors and lengths at pos, and buffers
@@ -132,27 +133,26 @@ def _backtrack(pos, free, edges, a, la, p, rp, step, buffers):
 # The most free rows for which descent takes its step in the damped Newton
 # metric. Each iterate builds and solves a dense (2 free x 2 free) system,
 # whose cost grows as free^3, while the iterations it saves do not.
-# Relaxing perturbed honeycombs (+-0.05, seeds 0-3, 2-vCPU VM, ms), the
-# Laplacian metric this one replaced, then this metric, then the identity:
+# Relaxing perturbed square-ish honeycombs (+-0.05, seeds 0-3; best of 3 per
+# seed, 2-vCPU VM), in this metric and in the identity, ms (iterations):
 #
-#   free rows   Laplacian   damped Newton   identity
-#          56        8-10             4-5      14-20
-#          90       12-15           10-12      18-30
-#         132       16-18           23-30      23-43
-#         182       23-35           43-46      36-62
-#         240       36-54           71-75      35-58
-#         270      45-136          92-104      34-69
-#         306       42-56         124-135      45-65
-#         340       60-75         142-161      46-80
+#   free rows   damped Newton       identity
+#          56     2-2 (5-6)     6-8 (119-171)
+#          90     3-4 (5-6)    6-13 (113-158)
+#         132     7-7 (6-6)   11-12 (176-199)
+#         182   14-14 (6-6)   12-15 (189-242)
+#         240   22-27 (5-6)   15-17 (221-243)
+#         270   32-33 (6-6)   17-25 (227-332)
+#         306   43-44 (6-6)   21-29 (259-378)
+#         340   57-58 (6-6)   20-29 (241-335)
 #
 # Tripod overlays (+-0.01, seeds 0-3) take the metric or do not converge:
-# plain BB2 stops at 20,000 iterations on overlay(6, 0) and overlay(7, 0)
-# (seed 0; residuals 6.3e-7 and 3.9e-8). Overlay(6, 0), 129 free rows,
-# took 432-515 ms with the Laplacian metric and 48-52 ms with this one;
-# overlay(7, 0), 347 free rows, 1,692-2,852 ms and 349-488 ms. So the
-# ceiling keeps overlay(7, 0) in the metric, at the cost of the honeycombs
-# between about 200 and 350 free rows, where the identity is faster.
-# Larger nets take the identity metric.
+# the identity stops at 20,000 iterations on overlay(6, 0) and
+# overlay(7, 0) (seed 0; residuals 6.3e-7 and 3.9e-8). In the metric,
+# overlay(6, 0), 129 free rows, takes 19-22 ms and overlay(7, 0), 347 free
+# rows, 154-200 ms. So the ceiling keeps overlay(7, 0) in the metric, at
+# the cost of the honeycombs between about 180 and 350 free rows, where
+# the identity is faster. Larger nets take the identity metric.
 _METRIC_MAX_FREE = 350
 
 
@@ -282,13 +282,11 @@ def descend(pos, free, edges, step0, tol, max_iter):
     are made once the first convergence test fails, so a net that is
     balanced already makes none of them. Every float comes out as from
     the plain form that makes each array afresh, by the same operations
-    in the same order, and tests/test_solver.py pins every iterate. On
-    perturbed paper16 (16 free rows, 44 edges) an iterate takes about
-    77 us, and 94 us in that form (2-vCPU VM, interleaved).
+    in the same order, and tests/test_solver.py pins every iterate.
 
     Returns (positions, accepted steps, length trace, stop reason,
     halvings, residual, refreshes). Each iterate is tested in this order:
-    "collided" (an edge is shorter than _MIN_SEP), "converged" (largest
+    "collided" (an edge is shorter than COINCIDENCE_EPS), "converged" (largest
     free residual norm at most tol), "max_iter", and "stalled" (no
     acceptable step from step0, M singular in floating point, or an
     accepted step too small to change any position, which is not
@@ -304,12 +302,12 @@ def descend(pos, free, edges, step0, tol, max_iter):
     accepted = halvings = refreshes = 0
     s = r_prev = None
     residual = np.inf
-    metric = None  # None until the first direction; then True or False
+    index = buffers = None  # set up once the first convergence test fails
     while True:
         a, la = _edge_vectors(pos, edges)
         if not trace:
             trace.append(float(np.add.reduce(la)))
-        if np.minimum.reduce(la, initial=np.inf) < _MIN_SEP:
+        if np.minimum.reduce(la, initial=np.inf) < COINCIDENCE_EPS:
             stop = "collided"
             break
         rf = _unit_sums(n, edges, a, la, slots, units)[free]
@@ -320,15 +318,13 @@ def descend(pos, free, edges, step0, tol, max_iter):
         if accepted >= max_iter:
             stop = "max_iter"
             break
-        if metric is None:
-            metric = free.size <= _METRIC_MAX_FREE
-            if metric:
+        if buffers is None:
+            if free.size <= _METRIC_MAX_FREE:
                 # pins in each set, counted at its root: its size less its free rows
                 root = unions(n, *edges.T.tolist())[1]
                 pins = np.bincount(root, minlength=n) - np.bincount(root[free], minlength=n)
-                metric = bool(pins[root[free]].all())
-            if metric:
-                index = _metric_index(n, free, edges)
+                if pins[root[free]].all():
+                    index = _metric_index(n, free, edges)
             buffers = _step_buffers(n, free, edges)
             # the columns r and y, which M^-1 maps to p and M^-1 y, and the
             # products summed to r.p, s.y and y.M^-1 y
@@ -340,7 +336,7 @@ def descend(pos, free, edges, step0, tol, max_iter):
         else:
             np.copyto(r_col, rf)
             y, solved = np.subtract(r_prev, rf, out=y_col), rhs
-        if metric:
+        if index is not None:
             m = _metric(index, units[:, :e], la, residual)
             refreshes += 1
             try:
@@ -361,10 +357,10 @@ def descend(pos, free, edges, step0, tol, max_iter):
             # each row is summed as the 1-D sum of its 2m products
             rp, sy, yhy = np.add.reduce(dots.reshape(3, -1), axis=1).tolist()
         trial = sy / yhy if sy > 0.0 else step0
-        delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, trial, buffers)
+        delta, dec, failed = _backtrack(pos, free, a, la, p, rp, trial, buffers)
         halved = failed
         if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, edges, a, la, p, rp, step0, buffers)
+            delta, dec, failed = _backtrack(pos, free, a, la, p, rp, step0, buffers)
             halved += failed
         halvings += halved
         moved = None if delta is None else pos + delta

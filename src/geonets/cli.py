@@ -199,9 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_relax = sub.add_parser("relax", help="gradient-descent relaxation")
     p_relax.add_argument("file")
-    p_relax.add_argument("--step", type=float, default=0.1)
+    defaults = relax.__kwdefaults__
+    p_relax.add_argument("--step", type=float, default=defaults["step"])
     p_relax.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_relax.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
+    p_relax.add_argument("--max-iter", dest="max_iter", type=int, default=defaults["max_iter"])
     p_relax.add_argument("--out", help="write relaxed net here instead of stdout")
     p_relax.add_argument("--trace-out", dest="trace_out", help="write length trace JSON")
     p_relax.set_defaults(func=_cmd_relax)

@@ -78,8 +78,8 @@ def _fault(row: dict, key: str, n: int, problem: str) -> ParseError:
 
 
 def _coordinate(row: dict, key: str, n: int) -> float:
-    """row[key], which is not a finite float: the float an int equals, or
-    the ParseError that says why it is not a coordinate."""
+    """row[key] as a coordinate: a finite float, or the float an int
+    equals; else the ParseError that says why it is not one."""
     value = row.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fault(row, key, n, f"expected a number, got {type(value).__name__}")
@@ -100,11 +100,7 @@ def _vertex(row: Any, n: int) -> Tuple[str, Tuple[float, float], bool, Optional[
     vid = row.get("id")
     if type(vid) is not str or not vid:
         raise _fault(row, "id", n, "must be a non-empty string")
-    x, y = row.get("x"), row.get("y")
-    if type(x) is not float or not math.isfinite(x):
-        x = _coordinate(row, "x", n)
-    if type(y) is not float or not math.isfinite(y):
-        y = _coordinate(row, "y", n)
+    x, y = _coordinate(row, "x", n), _coordinate(row, "y", n)
     kind = row.get("kind")
     if type(kind) is not str or kind not in _KINDS:
         raise _fault(row, "kind", n, f"unknown kind {kind!r} (expected one of {sorted(_KINDS)})")

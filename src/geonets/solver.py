@@ -122,8 +122,8 @@ def relax(
         net.pos, free, net.ends, float(step), float(tol), max_iter
     )
     if stop == "collided":
-        d = out_pos[net.ends[:, 1]] - out_pos[net.ends[:, 0]]
-        (shortest,) = _named(net.ids, net.ends, [_kernels.norms(d).argmin()])
+        lengths = _kernels._edge_vectors(out_pos, net.ends)[1]
+        (shortest,) = _named(net.ids, net.ends, [lengths.argmin()])
         raise VertexCollision(
             f"edge {shortest} collapsed below {COINCIDENCE_EPS} after {accepted} steps"
         )

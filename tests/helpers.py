@@ -33,6 +33,15 @@ from geonets import (
 from geonets.geom import _CONTACTS, _OPEN, COINCIDENCE_EPS, _classify, distance, intersect
 
 
+B = VertexKind.BALANCED
+U = VertexKind.UNBALANCED
+
+
+def vertex(vid: str, x: float, y: float, kind: VertexKind = U, label: Optional[str] = None) -> Vertex:
+    """Vertex vid at (x, y), a pin unless kind says otherwise."""
+    return Vertex(vid, Point(x, y), kind, label)
+
+
 def run_python(args: Sequence[str], **env: str) -> subprocess.CompletedProcess:
     """Run this interpreter on args in a new process, with the repository's
     src first on PYTHONPATH and env added to the environment; its output is
@@ -120,20 +129,24 @@ def jitter(rng: random.Random, *points: Tuple[float, float]) -> List[Point]:
     return [Point(x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5)) for x, y in points]
 
 
+def perturbed(net: Net, seed: int, a: float, kind: VertexKind = B) -> Net:
+    """net with each vertex of kind, in id order, moved by a uniform draw
+    in [-a, a] from random.Random(seed) for x and then for y; the other
+    vertices stay where they were."""
+    rng = random.Random(seed)
+    vertices = [
+        Vertex(v.id, Point(v.pos.x + rng.uniform(-a, a), v.pos.y + rng.uniform(-a, a)), v.kind, v.label)
+        if v.kind is kind else v
+        for v in net.vertices
+    ]
+    return Net(vertices, net.edges)
+
+
 def pinned_paper16(seed: int, a: float) -> Net:
     """paper16, the paper's net of 4 pins and 16 balanced vertices, with
-    every pin moved by a uniform draw in [-a, a] per coordinate from
-    random.Random(seed); the balanced vertices stay where they were, so the
-    net needs relaxing."""
-    rng = random.Random(seed)
-    net = build_paper_net()
-    vertices = []
-    for v in net.vertices:
-        if v.kind is VertexKind.UNBALANCED:
-            pos = Point(v.pos.x + rng.uniform(-a, a), v.pos.y + rng.uniform(-a, a))
-            v = Vertex(v.id, pos, v.kind, v.label)
-        vertices.append(v)
-    return Net(vertices, net.edges)
+    every pin perturbed by a from seed; the balanced vertices stay where
+    they were, so the net needs relaxing."""
+    return perturbed(build_paper_net(), seed, a, U)
 
 
 def honeycomb(cols: int, rows: int) -> Net:

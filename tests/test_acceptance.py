@@ -20,7 +20,6 @@ from geonets import (
     Point,
     Reducible,
     Triangle,
-    VertexKind,
     WideAngleTriangle,
     angle_at,
     balanced_edge_subsets,
@@ -40,16 +39,17 @@ from geonets import (
 )
 
 from helpers import (
+    B,
+    U,
     brute_force_balanced_subsets,
     enumerate_proper_subnets,
     overlay_component_trees,
+    perturbed,
     random_net,
     replay_ties,
     subset_is_balanced,
 )
 
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
 ORIGIN = Point(0.0, 0.0)
 
 
@@ -244,14 +244,8 @@ def test_criterion_08_relax(paper_net):
     assert settled.converged
     assert settled.iterations == 0
 
-    rng = random.Random(7)
-    pert = paper_net
-    for v in paper_net.vertices:
-        if v.kind is B:
-            # per-component bound 0.014 keeps the displacement under 0.02
-            dx, dy = rng.uniform(-0.014, 0.014), rng.uniform(-0.014, 0.014)
-            pert = moved(pert, v.id, Point(v.pos.x + dx, v.pos.y + dy))
-    result = relax(pert)
+    # per-component bound 0.014 keeps the displacement under 0.02
+    result = relax(perturbed(paper_net, 7, 0.014))
     assert result.converged
     assert result.final_residual < 1e-9
     trace = result.length_trace

@@ -23,7 +23,6 @@ from geonets import (
     OverlayEdges,
     Point,
     Vertex,
-    VertexKind,
     build_overlay_net,
     build_paper_net,
     edge_subnet,
@@ -48,19 +47,19 @@ from geonets.geom import (
 from geonets.net import CoincidentVertices, _close_pairs, _segment_pairs
 
 from helpers import (
+    B,
+    U,
     all_segment_pairs,
     chord_arrangement,
     edge_segment,
     first_coincident_pair,
     honeycomb,
+    perturbed,
     pinned_paper16,
     random_net,
     raw_tripod_overlay,
     tripod_overlay,
 )
-
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
 
 
 def _net(segments):
@@ -346,7 +345,7 @@ def test_planarize_takes_its_pairs_from_one_segment_pairs_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("make, reported", [
-    pytest.param(lambda: _jittered_paper16(0), 2, id="jittered-paper16"),
+    pytest.param(lambda: perturbed(build_paper_net(), 0, 0.014), 2, id="jittered-paper16"),
     pytest.param(lambda: raw_tripod_overlay(7, 0), 319, id="raw-tripod-overlay-7"),
 ])
 def test_segment_pairs_classify_each_open_pair_once_on_floats(monkeypatch, make, reported):
@@ -387,24 +386,11 @@ def _chord_nets():
 _TURNS = (0.0, 0.1, math.pi / 6, 1.0, -2.5)
 
 
-def _jittered_paper16(seed, a=0.014):
-    """paper16 with every balanced vertex moved by a uniform draw in
-    [-a, a] per coordinate from random.Random(seed), as perfbench's
-    relax-paper16 workload makes its inputs."""
-    rng = random.Random(seed)
-    verts = []
-    for v in build_paper_net().vertices:
-        if v.kind is B:
-            v = Vertex(v.id, Point(v.pos.x + rng.uniform(-a, a), v.pos.y + rng.uniform(-a, a)), B, v.label)
-        verts.append(v)
-    return Net(verts, build_paper_net().edges)
-
-
 def _segment_pair_corpus():
     yield build_paper_net()
     yield build_overlay_net()
     for s in range(5):
-        yield _jittered_paper16(s)
+        yield perturbed(build_paper_net(), s, 0.014)
     for a in _TURNS:
         yield _turned_net(honeycomb(8, 6), a)
     for n in (6, 7, 8):

@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from geonets import cli, irreducible, relax
+from geonets import Net, cli, irreducible, relax
 from geonets.docio import load, parse, save
 from geonets.irreducible import SearchBudgetExceeded
 
 from geonets import verify
-from helpers import chord_arrangement, honeycomb, least_rejected_norm, run_python
+from helpers import chord_arrangement, honeycomb, least_rejected_norm, perturbed, run_python, vertex
 
 
 def run(capsys, *argv):
@@ -105,6 +105,15 @@ def test_verify_failing_net_exits_2(tmp_path, capsys):
     # a loose tolerance cannot rescue a genuinely unbalanced vertex
     code, _, _ = run(capsys, "verify", str(path), "--tol", "1e-3")
     assert code == 2
+
+
+def test_verify_json_lists_an_unplanarized_crossing(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    pins = [vertex(f"p{i}", x, y) for i, (x, y) in enumerate([(-1, -1), (1, -1), (1, 1), (-1, 1)], 1)]
+    save(Net(pins, [("p1", "p3"), ("p2", "p4")]), str(path))
+    code, stdout, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 2
+    assert json.loads(stdout)["unplanarized_crossings"] == [[["p1", "p3"], ["p2", "p4"], [0.0, 0.0]]]
 
 
 # --- irreducible -------------------------------------------------------------
@@ -272,20 +281,8 @@ def test_irreducible_counts_without_trace_steps_or_edge_names(tmp_path, capsys, 
 def _perturbed_paper16(tmp_path, capsys):
     src = tmp_path / "exact.json"
     run(capsys, "build", "paper16", "--out", str(src))
-    net = load(str(src))
-    import random
-
-    from geonets import Point, VertexKind
-    from geonets.solver import moved
-
-    rng = random.Random(3)
-    for v in net.vertices:
-        if v.kind is VertexKind.BALANCED:
-            net = moved(
-                net, v.id, Point(v.pos.x + rng.uniform(-0.01, 0.01), v.pos.y + rng.uniform(-0.01, 0.01))
-            )
     path = tmp_path / "perturbed.json"
-    save(net, str(path))
+    save(perturbed(load(str(src)), 3, 0.01), str(path))
     return path
 
 

@@ -13,7 +13,6 @@ from geonets import (
     INNER_RADIUS,
     Point,
     Triangle,
-    VertexKind,
     WideAngleTriangle,
     angle_at,
     build_double_tripod,
@@ -29,10 +28,8 @@ from geonets import (
     verify,
 )
 
-from helpers import jitter
+from helpers import B, U, jitter
 
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
 ORIGIN = Point(0.0, 0.0)
 
 

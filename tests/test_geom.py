@@ -102,6 +102,10 @@ def test_segment_rejects_degenerate():
         Segment(Point(0, 0), Point(0, 1e-12))
 
 
+def test_segment_length():
+    assert Segment(Point(1, 1), Point(4, 5)).length() == 5.0
+
+
 def test_intersect_proper_crossing():
     kind = intersect(
         Segment(Point(0, 0), Point(2, 2)), Segment(Point(0, 2), Point(2, 0))

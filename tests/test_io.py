@@ -18,7 +18,6 @@ from geonets import (
     Point,
     Triangle,
     Vertex,
-    VertexKind,
     build_fermat_tripod,
     edge_key,
     load,
@@ -29,10 +28,7 @@ from geonets import (
     serialize,
 )
 
-from helpers import honeycomb, random_net, tripod_overlay
-
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
+from helpers import B, U, honeycomb, perturbed, random_net, tripod_overlay
 
 
 def small_net() -> Net:
@@ -95,17 +91,6 @@ def reference_serialize(net: Net) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _relaxed_paper16(paper_net) -> Net:
-    rng = random.Random(7)
-    vertices = [
-        Vertex(v.id, Point(v.pos.x + rng.uniform(-0.01, 0.01), v.pos.y + rng.uniform(-0.01, 0.01)),
-               v.kind, v.label)
-        if v.kind is B else v
-        for v in paper_net.vertices
-    ]
-    return relax(Net(vertices, paper_net.edges)).net
-
-
 _AWKWARD = ['q"uote', "back\\slash", "tab\tnl\nnul\x00bel\x07del\x7f", "caf\u00e9", "\u6f22\u5b57",
             "\U0001f600", "\u2028", "/"]
 
@@ -143,7 +128,7 @@ def test_serialize_matches_json_dumps_on_hand_made_nets(net):
 def test_serialize_matches_json_dumps_on_built_nets(paper_net, overlay_net):
     tripod = build_fermat_tripod(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)))
     for net in (paper_net, overlay_net, tripod, honeycomb(8, 6), tripod_overlay(6, 0),
-                _relaxed_paper16(paper_net)):
+                relax(perturbed(paper_net, 7, 0.01)).net):
         assert serialize(net) == reference_serialize(net)
 
 

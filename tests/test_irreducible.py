@@ -22,7 +22,6 @@ from geonets import (
     TraceStep,
     Triangle,
     Vertex,
-    VertexKind,
     WideAngleTriangle,
     balanced_edge_subsets,
     build_double_tripod,
@@ -42,6 +41,7 @@ from geonets import (
 from geonets import irreducible
 
 from helpers import (
+    B,
     brute_force_balanced_subsets,
     chord_arrangement,
     edge_classes,
@@ -56,24 +56,18 @@ from helpers import (
     run_python,
     subset_is_balanced,
     tripod_overlay,
+    vertex,
 )
-
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
-
-
-def _v(vid, x, y, kind=U):
-    return Vertex(vid, Point(x, y), kind)
 
 
 def planarized_x_net() -> Net:
     return planarize(
         Net(
             vertices=(
-                _v("p1", -1, -1),
-                _v("p2", 1, -1),
-                _v("p3", 1, 1),
-                _v("p4", -1, 1),
+                vertex("p1", -1, -1),
+                vertex("p2", 1, -1),
+                vertex("p3", 1, 1),
+                vertex("p4", -1, 1),
             ),
             edges=(("p1", "p3"), ("p2", "p4")),
         )
@@ -109,11 +103,11 @@ def _bent_star(bend):
     degrees apart, each pair bent by `bend`. The bends cancel, so c
     balances; every union of one or two pairs has residual 2*sin(bend/2),
     and each of the two tripods sums to zero."""
-    verts, edges = [_v("c", 0, 0, B)], []
+    verts, edges = [vertex("c", 0, 0, B)], []
     for k in range(3):
         axis = 2 * math.pi * k / 3
         for side, angle in (("a", axis), ("b", axis + math.pi + bend)):
-            verts.append(_v(f"{side}{k}", math.cos(angle), math.sin(angle)))
+            verts.append(vertex(f"{side}{k}", math.cos(angle), math.sin(angle)))
             edges.append(("c", f"{side}{k}"))
     return Net(verts, edges)
 
@@ -163,7 +157,7 @@ def test_margin_high_end_is_the_least_rejected_norm(paper_net, paper_cert, overl
 
 def test_margin_of_a_net_with_no_balanced_vertex():
     # one lone pin: no subset table, so nothing is accepted or rejected
-    cert = find_proper_subnet(Net([_v("p", 0.0, 0.0)], []))
+    cert = find_proper_subnet(Net([vertex("p", 0.0, 0.0)], []))
     assert cert.tol_margin == (0.0, math.inf)
 
 
@@ -204,10 +198,10 @@ def test_subsets_reject_a_bad_tolerance(paper_net, tol):
 def _regular_star(n):
     """A balanced vertex c with n legs to pins t0..t{n-1}, 360/n degrees
     apart."""
-    verts = [_v("c", 0, 0, B)]
+    verts = [vertex("c", 0, 0, B)]
     for i in range(n):
         ang = 2 * math.pi * i / n
-        verts.append(_v(f"t{i}", math.cos(ang), math.sin(ang)))
+        verts.append(vertex(f"t{i}", math.cos(ang), math.sin(ang)))
     return Net(verts, [("c", f"t{i}") for i in range(n)])
 
 
@@ -289,10 +283,10 @@ def test_x_net_is_reducible():
 def test_find_proper_subnet_requires_a_valid_net():
     crossed = Net(
         vertices=(
-            _v("p1", -1, -1),
-            _v("p2", 1, -1),
-            _v("p3", 1, 1),
-            _v("p4", -1, 1),
+            vertex("p1", -1, -1),
+            vertex("p2", 1, -1),
+            vertex("p3", 1, 1),
+            vertex("p4", -1, 1),
         ),
         edges=(("p1", "p3"), ("p2", "p4")),
     )
@@ -792,12 +786,12 @@ def _star_of_groups(rng, groups):
     """A balanced vertex c whose legs come in groups at random angles and
     lengths: 2 for an opposite pair, 3 for a tripod. Generic angles make
     the balanced subsets exactly the unions of whole groups."""
-    verts, edges = [_v("c", 0, 0, B)], []
+    verts, edges = [vertex("c", 0, 0, B)], []
     for size in groups:
         turn = rng.uniform(0, 2 * math.pi)
         for k in range(size):
             angle, r = turn + 2 * math.pi * k / size, rng.uniform(1, 3)
-            verts.append(_v(f"t{len(edges)}", r * math.cos(angle), r * math.sin(angle)))
+            verts.append(vertex(f"t{len(edges)}", r * math.cos(angle), r * math.sin(angle)))
             edges.append(("c", f"t{len(edges)}"))
     return Net(verts, edges)
 
@@ -987,7 +981,7 @@ def _paired_hubs(pairs):
     pairs at generic angles. Every balanced subset at a hub is a union of
     its pairs."""
     rng = random.Random(pairs)
-    verts = [_v("h0", 0, 0, B), _v("h1", 10, 0, B), _v("b0", -2, 0), _v("b1", 12, 0)]
+    verts = [vertex("h0", 0, 0, B), vertex("h1", 10, 0, B), vertex("b0", -2, 0), vertex("b1", 12, 0)]
     edges = [("h0", "h1"), ("b0", "h0"), ("b1", "h1")]
     for h, cx in (("h0", 0.0), ("h1", 10.0)):
         for k in range(pairs - 1):
@@ -995,7 +989,7 @@ def _paired_hubs(pairs):
             for side, sign in (("p", 1.0), ("q", -1.0)):
                 vid = f"{h}{side}{k}"
                 r = rng.uniform(1, 3)
-                verts.append(_v(vid, cx + sign * r * math.cos(angle), sign * r * math.sin(angle)))
+                verts.append(vertex(vid, cx + sign * r * math.cos(angle), sign * r * math.sin(angle)))
                 edges.append((h, vid))
     return Net(verts, edges)
 

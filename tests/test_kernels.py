@@ -95,8 +95,14 @@ def test_descend_is_deterministic(paper_net):
 
 
 def test_descent_collides_at_the_coincidence_distance():
-    # _kernels sits at geom's layer and keeps its own copy of the constant
-    assert _kernels._MIN_SEP == COINCIDENCE_EPS
+    # an edge shorter than COINCIDENCE_EPS stops descent before any step;
+    # one of exactly that length does not
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+    free = np.array([2], dtype=np.int64)
+    for length, stop in ((np.nextafter(COINCIDENCE_EPS, 0.0), "collided"), (COINCIDENCE_EPS, "max_iter")):
+        pos = np.array([[0.0, 0.0], [length, 0.0], [0.3, 1.0]])
+        out = _kernels.descend(pos, free, edges, 0.1, 1e-9, 0)
+        assert (out[1], out[3]) == (0, stop)
 
 
 def test_descend_reports_a_stall(tripod_net, monkeypatch):

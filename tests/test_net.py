@@ -17,7 +17,6 @@ from geonets import (
     Point,
     UnknownVertex,
     Vertex,
-    VertexKind,
     balance_residual,
     edge_key,
     edge_subnet,
@@ -36,24 +35,17 @@ from geonets import net as net_module
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
-from helpers import honeycomb, random_net, run_python, tripod_overlay
-
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
-
-
-def _v(vid, x, y, kind=U, label=None):
-    return Vertex(vid, Point(x, y), kind, label)
+from helpers import B, U, honeycomb, random_net, run_python, tripod_overlay, vertex
 
 
 def x_net() -> Net:
     """Two crossing diagonals of a square, not yet planarized."""
     return Net(
         vertices=(
-            _v("p1", -1, -1),
-            _v("p2", 1, -1),
-            _v("p3", 1, 1),
-            _v("p4", -1, 1),
+            vertex("p1", -1, -1),
+            vertex("p2", 1, -1),
+            vertex("p3", 1, 1),
+            vertex("p4", -1, 1),
         ),
         edges=(("p1", "p3"), ("p2", "p4")),
     )
@@ -66,7 +58,7 @@ def test_edge_key_sorts():
 
 def test_net_sorts_vertices_and_edges():
     net = Net(
-        vertices=(_v("z", 0, 0), _v("a", 1, 0)),
+        vertices=(vertex("z", 0, 0), vertex("a", 1, 0)),
         edges=(("z", "a"),),
     )
     assert [v.id for v in net.vertices] == ["a", "z"]
@@ -92,11 +84,11 @@ def _refused(vertices, edges, error=InvariantViolation):
 
 
 def test_net_invariants():
-    _refused((_v("a", 0, 0), _v("a", 1, 0)), ())
-    _refused((_v("a", 0, 0),), (("a", "ghost"),))
-    _refused((_v("a", 0, 0), _v("b", 1, 0)), (("a", "a"),))
-    _refused((_v("a", 0, 0), _v("b", 1, 0)), (("a", "b"), ("b", "a")))
-    _refused((_v("a", 0, 0), _v("b", 0, 1e-12)), ())
+    _refused((vertex("a", 0, 0), vertex("a", 1, 0)), ())
+    _refused((vertex("a", 0, 0),), (("a", "ghost"),))
+    _refused((vertex("a", 0, 0), vertex("b", 1, 0)), (("a", "a"),))
+    _refused((vertex("a", 0, 0), vertex("b", 1, 0)), (("a", "b"), ("b", "a")))
+    _refused((vertex("a", 0, 0), vertex("b", 0, 1e-12)), ())
 
 
 @pytest.mark.parametrize(
@@ -104,11 +96,11 @@ def test_net_invariants():
     [
         pytest.param([Vertex(7, Point(0.0, 0.0), U)], "vertex id 7 is not a non-empty string", id="int-id"),
         pytest.param([Vertex("", Point(0.0, 0.0), U)], "vertex id '' is not a non-empty string", id="empty-id"),
-        pytest.param([_v("a", 0, 0, label=7)], "vertex a: label 7 is not a string", id="int-label"),
+        pytest.param([vertex("a", 0, 0, label=7)], "vertex a: label 7 is not a string", id="int-label"),
         pytest.param([Vertex("a", Point(0.0, 0.0), "balanced")],
                      "vertex a: kind 'balanced' is not a VertexKind", id="str-kind"),
         pytest.param([Vertex("a", (0.0, 0.0), U)], r"vertex a: pos \(0.0, 0.0\) is not a Point", id="tuple-pos"),
-        pytest.param([_v("a", 0, 0), Vertex(1, Point(1.0, 0.0), U), _v("b", 2, 0)],
+        pytest.param([vertex("a", 0, 0), Vertex(1, Point(1.0, 0.0), U), vertex("b", 2, 0)],
                      "vertex id 1 is not a non-empty string", id="mixed-ids"),
     ],
 )
@@ -122,7 +114,7 @@ def test_net_refuses_a_vertex_no_document_can_hold(vertices, message):
 def test_net_refuses_an_edge_row_that_is_not_a_pair(row):
     message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        Net(vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)), edges=[("a", "c"), row])
+        Net(vertices=(vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 2, 0)), edges=[("a", "c"), row])
     # parse refuses such a row itself, so the column path is called directly
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         Net._from_columns(
@@ -131,9 +123,9 @@ def test_net_refuses_an_edge_row_that_is_not_a_pair(row):
 
 
 def test_net_names_the_smallest_duplicate():
-    verts = [_v("c", 0, 0), _v("a", 1, 0), _v("c", 2, 0), _v("b", 3, 0), _v("a", 4, 0)]
+    verts = [vertex("c", 0, 0), vertex("a", 1, 0), vertex("c", 2, 0), vertex("b", 3, 0), vertex("a", 4, 0)]
     assert str(_refused(verts, ())) == "duplicate vertex id: a"
-    verts = [_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0), _v("d", 3, 0)]
+    verts = [vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 2, 0), vertex("d", 3, 0)]
     edges = [("d", "c"), ("b", "a"), ("c", "d"), ("a", "b")]
     assert str(_refused(verts, edges)) == "duplicate edge: ('a', 'b')"
 
@@ -154,7 +146,7 @@ def test_net_names_the_smallest_duplicate():
 def test_net_names_the_first_faulty_edge_row(edges, message):
     # a row's own fault is named for the first such row in input order,
     # before any duplicate; a duplicate is named as its canonical pair
-    verts = [_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)]
+    verts = [vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 2, 0)]
     assert str(_refused(verts, edges)) == message
 
 
@@ -164,14 +156,14 @@ def test_net_names_a_row_that_is_not_a_pair_before_a_later_duplicate():
     edges = [("a", "b"), ("a", "b", "c"), ("b", "a")]
     message = "edge row ('a', 'b', 'c') is not a pair of vertex ids"
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-        Net(vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 2, 0)), edges=edges)
+        Net(vertices=(vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 2, 0)), edges=edges)
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         Net._from_columns(["a", "b", "c"], [False] * 3, [None] * 3, [(0, 0), (1, 0), (2, 0)], edges)
 
 
 def test_net_names_the_first_coincident_pair():
     # a-d and b-c both coincide; the pair with the smaller first id is named
-    verts = [_v("a", 0, 0), _v("b", 5, 0), _v("c", 5, 1e-12), _v("d", 1e-12, 0)]
+    verts = [vertex("a", 0, 0), vertex("b", 5, 0), vertex("c", 5, 1e-12), vertex("d", 1e-12, 0)]
     error = _refused(verts, (), CoincidentVertices)
     assert str(error).startswith("vertices a and d coincide")
     assert error.ids == ("a", "d")
@@ -198,7 +190,7 @@ def test_pickled_and_copied_nets_keep_read_only_columns(paper_net):
 
 def test_columns_are_read_only_and_every_entry_point_agrees(paper_net, overlay_net):
     net = Net(
-        vertices=(_v("b", 3, 4), _v("a", 0, 0, B, "A"), _v("c", 0, 2, B)),
+        vertices=(vertex("b", 3, 4), vertex("a", 0, 0, B, "A"), vertex("c", 0, 2, B)),
         edges=(("b", "a"), ("a", "c")),
     )
     assert "vertices" not in vars(net)
@@ -225,10 +217,11 @@ def test_columns_are_read_only_and_every_entry_point_agrees(paper_net, overlay_n
         same = [parse(serialize(n)), relabeled(n, {}), edge_subnet(n, n.edges),
                 moved(n, vid, n.vertex(vid).pos)]
         assert all(other == n and hash(other) == hash(n) for other in same)
+        assert (n == object()) is False
         assert repr(n) == f"Net(vertices={n.vertices!r}, edges={n.edges!r})"
 
-    zero = Net((_v("a", 0.0, 1), _v("b", 1, 0.0)), (("a", "b"),))
-    signed = Net((_v("a", -0.0, 1), _v("b", 1, -0.0)), (("a", "b"),))
+    zero = Net((vertex("a", 0.0, 1), vertex("b", 1, 0.0)), (("a", "b"),))
+    signed = Net((vertex("a", -0.0, 1), vertex("b", 1, -0.0)), (("a", "b"),))
     assert zero.pos.tobytes() != signed.pos.tobytes()
     assert zero == signed and hash(zero) == hash(signed)
 
@@ -341,7 +334,7 @@ def test_segment_pairs_yield_meeting_pairs_in_order():
     # r-s crosses both diagonals; p1-p3 and p3-q meet only at p3, which
     # is left out
     net = Net(
-        vertices=x_net().vertices + (_v("q", 5, 5), _v("r", -2, 0.5), _v("s", 2, 0.5)),
+        vertices=x_net().vertices + (vertex("q", 5, 5), vertex("r", -2, 0.5), vertex("s", 2, 0.5)),
         edges=x_net().edges + (("p3", "q"), ("s", "r")),
     )
     pairs = list(_segment_pairs(net))
@@ -356,7 +349,7 @@ def test_segment_pairs_yield_meeting_pairs_in_order():
 def _chain(a, m, b):
     """Pins a and b joined through the balanced vertex m."""
     return Net(
-        vertices=(_v("a", *a), _v("m", *m, B), _v("b", *b)),
+        vertices=(vertex("a", *a), vertex("m", *m, B), vertex("b", *b)),
         edges=(("a", "m"), ("b", "m")),
     )
 
@@ -398,11 +391,11 @@ def test_verify_passes_a_chord_through_a_tripod_overlay_crossing():
     h = float.fromhex
     net = Net(
         vertices=(
-            _v("x771", h("-0x1.293236679af2bp+2"), h("-0x1.7be2744695b58p-4"), B),
-            _v("f", h("-0x1.293351e499188p+2"), h("-0x1.7afcd04973813p-4")),
-            _v("p4", h("-0x1.3fffcaaeab9dcp+2"), h("-0x1.717323417f8a2p-7")),
-            _v("x527", h("-0x1.291d40ab22aa0p+2"), h("-0x1.8cdcfc7c221d0p-4")),
-            _v("x774", h("-0x1.0b1636e8963dbp+2"), h("-0x1.9a4142e226b10p-3")),
+            vertex("x771", h("-0x1.293236679af2bp+2"), h("-0x1.7be2744695b58p-4"), B),
+            vertex("f", h("-0x1.293351e499188p+2"), h("-0x1.7afcd04973813p-4")),
+            vertex("p4", h("-0x1.3fffcaaeab9dcp+2"), h("-0x1.717323417f8a2p-7")),
+            vertex("x527", h("-0x1.291d40ab22aa0p+2"), h("-0x1.8cdcfc7c221d0p-4")),
+            vertex("x774", h("-0x1.0b1636e8963dbp+2"), h("-0x1.9a4142e226b10p-3")),
         ),
         edges=[("x771", w) for w in ("f", "p4", "x527", "x774")],
     )
@@ -416,7 +409,7 @@ def test_verify_passes_a_chord_through_a_tripod_overlay_crossing():
 def test_edges_leaving_a_vertex_in_one_direction_overlap():
     # c lies on a-b, so a-b and a-c share a and overlap from a to c
     net = Net(
-        vertices=(_v("a", 0, 0), _v("b", 2, 0), _v("c", 1, 0)),
+        vertices=(vertex("a", 0, 0), vertex("b", 2, 0), vertex("c", 1, 0)),
         edges=(("a", "b"), ("a", "c")),
     )
     assert [(e1, e2) for e1, e2, _ in verify(net).overlay_findings] == [(("a", "b"), ("a", "c"))]
@@ -426,7 +419,7 @@ def test_edges_leaving_a_vertex_in_one_direction_overlap():
 
 def test_balance_residual_degree_one_is_unit():
     net = Net(
-        vertices=(_v("a", 0, 0, B), _v("b", 3, 4)),
+        vertices=(vertex("a", 0, 0, B), vertex("b", 3, 4)),
         edges=(("a", "b"),),
     )
     rx, ry = balance_residual(net, "a")
@@ -436,7 +429,7 @@ def test_balance_residual_degree_one_is_unit():
 
 def test_balance_residual_straight_through_vertex_is_zero():
     net = Net(
-        vertices=(_v("a", -2, 0), _v("m", 0, 0, B), _v("b", 2, 0)),
+        vertices=(vertex("a", -2, 0), vertex("m", 0, 0, B), vertex("b", 2, 0)),
         edges=(("a", "m"), ("m", "b")),
     )
     rx, ry = balance_residual(net, "m")
@@ -444,7 +437,7 @@ def test_balance_residual_straight_through_vertex_is_zero():
 
 
 def test_balance_residual_isolated_vertex_raises():
-    net = Net(vertices=(_v("a", 0, 0, B), _v("b", 1, 0), _v("c", 2, 0)), edges=(("b", "c"),))
+    net = Net(vertices=(vertex("a", 0, 0, B), vertex("b", 1, 0), vertex("c", 2, 0)), edges=(("b", "c"),))
     with pytest.raises(IsolatedVertex):
         balance_residual(net, "a")
     with pytest.raises(UnknownVertex):
@@ -497,7 +490,7 @@ def test_verify_passes_on_paper_net(paper_net):
 
 def test_verify_flags_low_degree_balanced_vertex():
     net = Net(
-        vertices=(_v("a", -2, 0), _v("m", 0, 0, B), _v("b", 2, 0)),
+        vertices=(vertex("a", -2, 0), vertex("m", 0, 0, B), vertex("b", 2, 0)),
         edges=(("a", "m"), ("m", "b")),
     )
     report = verify(net)
@@ -547,7 +540,7 @@ def test_verify_rejects_a_bad_min_balanced_degree(value):
 
 def test_verify_flags_disconnected():
     net = Net(
-        vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 5, 5), _v("d", 6, 5)),
+        vertices=(vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 5, 5), vertex("d", 6, 5)),
         edges=(("a", "b"), ("c", "d")),
     )
     assert verify(net).connected is False
@@ -555,7 +548,7 @@ def test_verify_flags_disconnected():
 
 def test_verify_flags_collinear_overlay():
     net = Net(
-        vertices=(_v("a", 0, 0), _v("b", 4, 0), _v("c", 1, 0), _v("d", 3, 0)),
+        vertices=(vertex("a", 0, 0), vertex("b", 4, 0), vertex("c", 1, 0), vertex("d", 3, 0)),
         edges=(("a", "b"), ("c", "d")),
     )
     assert verify(net).overlay_findings
@@ -577,7 +570,7 @@ def test_planarize_is_idempotent_and_identity_on_clean_nets():
     out = planarize(x_net())
     assert planarize(out) is out
     clean = Net(
-        vertices=(_v("a", 0, 0), _v("b", 1, 0), _v("c", 0, 1)),
+        vertices=(vertex("a", 0, 0), vertex("b", 1, 0), vertex("c", 0, 1)),
         edges=(("a", "b"), ("a", "c")),
     )
     assert planarize(clean) is clean
@@ -586,7 +579,7 @@ def test_planarize_is_idempotent_and_identity_on_clean_nets():
 def test_planarize_splits_edge_at_existing_vertex():
     # endpoint of one edge lands inside another; no new vertex is minted
     net = Net(
-        vertices=(_v("a", -2, 0), _v("b", 2, 0), _v("t", 0, 0.0 + 3), _v("m", 0, 0, B)),
+        vertices=(vertex("a", -2, 0), vertex("b", 2, 0), vertex("t", 0, 0.0 + 3), vertex("m", 0, 0, B)),
         edges=(("a", "b"), ("m", "t")),
     )
     out = planarize(net)
@@ -601,12 +594,12 @@ def test_planarize_crossing_at_an_existing_vertex_mints_nothing():
     # a-b and c-d cross exactly at m, which also ends the edge m-w
     net = Net(
         vertices=(
-            _v("a", -1, -1),
-            _v("b", 1, 1),
-            _v("c", -1, 1),
-            _v("d", 1, -1),
-            _v("m", 0, 0, B),
-            _v("w", 0, 3),
+            vertex("a", -1, -1),
+            vertex("b", 1, 1),
+            vertex("c", -1, 1),
+            vertex("d", 1, -1),
+            vertex("m", 0, 0, B),
+            vertex("w", 0, 3),
         ),
         edges=(("a", "b"), ("c", "d"), ("m", "w")),
     )
@@ -616,17 +609,37 @@ def test_planarize_crossing_at_an_existing_vertex_mints_nothing():
     assert len(out.edges) == 5
 
 
+def test_planarize_cuts_no_edge_at_a_vertex_in_both_end_bands():
+    # a-b and c-d cross at the origin, just past PARAM_EPS along each from
+    # a and from c. The crossing lands on w, within COINCIDENCE_EPS of it,
+    # and w projects just inside both edges' end bands, so neither edge
+    # is cut and the net comes back as it was.
+    d, e = 1e-6 + 2e-10, 5e-10
+    net = Net(
+        vertices=(
+            vertex("a", -d, 0),
+            vertex("b", 1000 - d, 0),
+            vertex("c", 0, -d),
+            vertex("d", 0, 1000 - d),
+            vertex("w", -e, -e, B),
+        ),
+        edges=(("a", "b"), ("c", "d")),
+    )
+    assert [(e1, e2) for e1, e2, _ in verify(net).unplanarized_crossings] == [(("a", "b"), ("c", "d"))]
+    assert planarize(net) is net
+
+
 def test_planarize_merges_crossings_within_coincidence_eps():
     # e is lifted by 4e-10, so the three pairwise crossings lie within
     # 2e-10 of each other: one minted vertex takes all three lines
     net = Net(
         vertices=(
-            _v("a", -1, 0),
-            _v("b", 1, 0),
-            _v("c", -1, 1),
-            _v("d", 1, -1),
-            _v("e", -1, -1 + 4e-10),
-            _v("f", 1, 1),
+            vertex("a", -1, 0),
+            vertex("b", 1, 0),
+            vertex("c", -1, 1),
+            vertex("d", 1, -1),
+            vertex("e", -1, -1 + 4e-10),
+            vertex("f", 1, 1),
         ),
         edges=(("a", "b"), ("c", "d"), ("e", "f")),
     )
@@ -644,12 +657,12 @@ def test_planarize_merges_nearby_crossings():
     # three lines through one point give one minted vertex
     net = Net(
         vertices=(
-            _v("a", -1, 0),
-            _v("b", 1, 0),
-            _v("c", -1, 1),
-            _v("d", 1, -1),
-            _v("e", -1, -1),
-            _v("f", 1, 1),
+            vertex("a", -1, 0),
+            vertex("b", 1, 0),
+            vertex("c", -1, 1),
+            vertex("d", 1, -1),
+            vertex("e", -1, -1),
+            vertex("f", 1, 1),
         ),
         edges=(("a", "b"), ("c", "d"), ("e", "f")),
     )
@@ -661,7 +674,7 @@ def test_planarize_merges_nearby_crossings():
 
 def test_planarize_rejects_collinear_overlap():
     net = Net(
-        vertices=(_v("a", 0, 0), _v("b", 4, 0), _v("c", 1, 0), _v("d", 3, 0)),
+        vertices=(vertex("a", 0, 0), vertex("b", 4, 0), vertex("c", 1, 0), vertex("d", 3, 0)),
         edges=(("a", "b"), ("c", "d")),
     )
     with pytest.raises(OverlayEdges):
@@ -674,12 +687,12 @@ def test_planarize_rejects_two_edges_cut_into_the_same_piece():
     # at both, so both would give the edge x1-x2.
     net = Net(
         vertices=(
-            _v("a1", -2, 0),
-            _v("a2", 2, 0),
-            _v("b1", -2, -1 / 3),
-            _v("b2", 2, 1 / 3),
-            _v("c1", -2, (2 + 1.2e-9) / 6),
-            _v("c2", 2, -(2 - 1.2e-9) / 6),
+            vertex("a1", -2, 0),
+            vertex("a2", 2, 0),
+            vertex("b1", -2, -1 / 3),
+            vertex("b2", 2, 1 / 3),
+            vertex("c1", -2, (2 + 1.2e-9) / 6),
+            vertex("c2", 2, -(2 - 1.2e-9) / 6),
         ),
         edges=(("a1", "a2"), ("b1", "b2"), ("c1", "c2")),
     )
@@ -692,10 +705,10 @@ def test_planarize_rejects_two_edges_cut_into_the_same_piece():
 def test_planarize_skips_taken_ids():
     net = Net(
         vertices=(
-            _v("x1", -1, -1),
-            _v("p2", 1, -1),
-            _v("p3", 1, 1),
-            _v("p4", -1, 1),
+            vertex("x1", -1, -1),
+            vertex("p2", 1, -1),
+            vertex("p3", 1, 1),
+            vertex("p4", -1, 1),
         ),
         edges=(("x1", "p3"), ("p2", "p4")),
     )
@@ -710,10 +723,10 @@ def test_quarter_turn_symmetry(paper_net):
     # symmetry breaks when one vertex moves
     skew = Net(
         vertices=(
-            _v("p1", -1, -1),
-            _v("p2", 1, -1),
-            _v("p3", 1, 1.1),
-            _v("p4", -1, 1),
+            vertex("p1", -1, -1),
+            vertex("p2", 1, -1),
+            vertex("p3", 1, 1.1),
+            vertex("p4", -1, 1),
         ),
         edges=(("p1", "p3"), ("p2", "p4")),
     )
@@ -723,10 +736,10 @@ def test_quarter_turn_symmetry(paper_net):
 def test_quarter_turn_symmetry_checks_kind():
     net = Net(
         vertices=(
-            _v("p1", -1, -1, B),
-            _v("p2", 1, -1),
-            _v("p3", 1, 1),
-            _v("p4", -1, 1),
+            vertex("p1", -1, -1, B),
+            vertex("p2", 1, -1),
+            vertex("p3", 1, 1),
+            vertex("p4", -1, 1),
         ),
         edges=(("p1", "p3"), ("p2", "p4")),
     )
@@ -738,6 +751,15 @@ def test_quarter_turn_symmetry_needs_exactly_one_vertex_within_tol():
     assert is_symmetric_under_quarter_turn(net, 1.0)
     # each pin turns onto the next pin, but the centre is within 1.5 too
     assert not is_symmetric_under_quarter_turn(net, 1.5)
+    # each turned pin has one pin within tol, but two turn onto one: p1
+    # and p2 onto p2, and p0 and the lone p3 onto p1, which maps the
+    # triangle's edges onto themselves
+    path = Net((vertex("p1", -0.2, 1), vertex("p2", -0.2, 0), vertex("p3", 1.2, 0.8)),
+               (("p1", "p2"), ("p2", "p3")))
+    assert not is_symmetric_under_quarter_turn(path, 1.0)
+    pins = [vertex(f"p{i}", x, y) for i, (x, y) in enumerate([(0.3, -1), (1.1, 0.5), (-0.9, 0.7), (0.8, -1.2)])]
+    triangle = Net(pins, (("p0", "p1"), ("p0", "p2"), ("p1", "p2")))
+    assert not is_symmetric_under_quarter_turn(triangle, 1.2)
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
@@ -748,7 +770,7 @@ def test_quarter_turn_symmetry_rejects_a_bad_tolerance(paper_net, tol):
 
 def test_relabeled():
     net = Net(
-        vertices=(_v("a", 0, 0, U, "alpha"), _v("b", 1, 0)),
+        vertices=(vertex("a", 0, 0, U, "alpha"), vertex("b", 1, 0)),
         edges=(("a", "b"),),
     )
     out = relabeled(net, {"a": "z"})
@@ -773,8 +795,8 @@ def test_verify_finds_the_same_overlay_after_relabeling():
     # the two edges in the other order, which must not change what verify
     # finds.
     net = Net([
-        _v("a", 0.23707926858757444, 2.7306701216512437), _v("b", 5.832855283650639, 3.1064604959203135),
-        _v("c", 5.832855276845726, 3.1064604964643037), _v("d", 8.841741629565497, 3.3085255050695843),
+        vertex("a", 0.23707926858757444, 2.7306701216512437), vertex("b", 5.832855283650639, 3.1064604959203135),
+        vertex("c", 5.832855276845726, 3.1064604964643037), vertex("d", 8.841741629565497, 3.3085255050695843),
     ], [("a", "b"), ("c", "d")])
     swap = {"a": "c", "c": "a", "b": "d", "d": "b"}
     report, swapped = verify(net), verify(relabeled(net, swap))
@@ -810,7 +832,7 @@ def test_edge_subnet_names_the_first_absent_edge_under_any_hash_seed():
                          ids=["two-char-str", "three-ids", "list-endpoint", "str-int", "int-str"])
 def test_edge_subnet_refuses_a_row_that_is_not_a_pair(row):
     # as Net does: "ab" is not read as the edge a-b
-    net = Net(vertices=[_v(vid, k, k % 2) for k, vid in enumerate("abcd")],
+    net = Net(vertices=[vertex(vid, k, k % 2) for k, vid in enumerate("abcd")],
               edges=[("a", "b"), ("b", "c"), ("c", "d")])
     message = re.escape(f"edge row {row!r} is not a pair of vertex ids")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
@@ -820,7 +842,7 @@ def test_edge_subnet_refuses_a_row_that_is_not_a_pair(row):
 
 def test_total_edge_length():
     net = Net(
-        vertices=(_v("a", 0, 0), _v("b", 3, 4), _v("c", 3, 0)),
+        vertices=(vertex("a", 0, 0), vertex("b", 3, 4), vertex("c", 3, 0)),
         edges=(("a", "b"), ("b", "c")),
     )
     assert total_length(net) == pytest.approx(9.0)

@@ -12,7 +12,6 @@ from geonets import (
     Point,
     Triangle,
     Vertex,
-    VertexKind,
     VertexCollision,
     balance_residual,
     build_fermat_tripod,
@@ -30,18 +29,21 @@ from geonets import (
 from geonets import _kernels
 from geonets.net import UnknownVertex
 
-from helpers import honeycomb, pinned_paper16, random_net, run_python, tripod_overlay
-
-B = VertexKind.BALANCED
-U = VertexKind.UNBALANCED
-
-
-def _v(vid, x, y, kind=U):
-    return Vertex(vid, Point(x, y), kind)
+from helpers import (
+    B,
+    U,
+    honeycomb,
+    perturbed,
+    pinned_paper16,
+    random_net,
+    run_python,
+    tripod_overlay,
+    vertex,
+)
 
 
 def test_total_length_single_edge():
-    net = Net(vertices=(_v("a", 0, 0), _v("b", 3, 4)), edges=(("a", "b"),))
+    net = Net(vertices=(vertex("a", 0, 0), vertex("b", 3, 4)), edges=(("a", "b"),))
     assert total_length(net) == pytest.approx(5.0, abs=1e-15)
 
 
@@ -76,7 +78,7 @@ def test_length_gradient_is_negative_residual():
 
 def test_length_gradient_degree_one_magnitude_is_one():
     net = Net(
-        vertices=(_v("a", 0, 0, B), _v("b", 2, 1)),
+        vertices=(vertex("a", 0, 0, B), vertex("b", 2, 1)),
         edges=(("a", "b"),),
     )
     gx, gy = length_gradient(net)["a"]
@@ -104,7 +106,7 @@ def test_length_gradient_matches_finite_differences():
 
 
 def test_moved():
-    net = Net(vertices=(_v("a", 0, 0), _v("b", 1, 0)), edges=(("a", "b"),))
+    net = Net(vertices=(vertex("a", 0, 0), vertex("b", 1, 0)), edges=(("a", "b"),))
     out = moved(net, "a", Point(0.5, 0.5))
     assert out.vertex("a").pos == Point(0.5, 0.5)
     assert net.vertex("a").pos == Point(0, 0)
@@ -166,7 +168,7 @@ def test_converged_relax_meets_its_tol_in_verify_at_every_norm_formula():
         pins = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
         cx = sum(p.x for p in pins) / 3 + rng.uniform(-1e-3, 1e-3)
         cy = sum(p.y for p in pins) / 3
-        net = Net([_v("c", cx, cy, B)] + [Vertex(f"p{k}", p, U) for k, p in enumerate(pins)],
+        net = Net([vertex("c", cx, cy, B)] + [Vertex(f"p{k}", p, U) for k, p in enumerate(pins)],
                   [("c", f"p{k}") for k in range(3)])
         x, y = balance_residual(net, "c")
         for tol in (math.hypot(x, y), float(np.hypot(x, y)), math.sqrt(x * x + y * y)):
@@ -199,7 +201,7 @@ def test_relax_does_not_size_buffers_from_max_iter(paper_net):
 
 def test_relax_straightens_a_bent_chain():
     net = Net(
-        vertices=(_v("a", -2, 0), _v("m", 0.3, 0.9, B), _v("b", 2, 0)),
+        vertices=(vertex("a", -2, 0), vertex("m", 0.3, 0.9, B), vertex("b", 2, 0)),
         edges=(("a", "m"), ("m", "b")),
     )
     result = relax(net)
@@ -209,18 +211,8 @@ def test_relax_straightens_a_bent_chain():
     assert -2 < m.x < 2
 
 
-def _perturbed(net, seed, amplitude):
-    rng = random.Random(seed)
-    out = net
-    for v in net.vertices:
-        if v.kind is B:
-            dx, dy = rng.uniform(-amplitude, amplitude), rng.uniform(-amplitude, amplitude)
-            out = moved(out, v.id, Point(v.pos.x + dx, v.pos.y + dy))
-    return out
-
-
 def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
-    start = _perturbed(paper_net, 5, 0.01)
+    start = perturbed(paper_net, 5, 0.01)
     result = relax(start)
     assert result.converged
     assert result.final_residual < 1e-9
@@ -235,7 +227,7 @@ def test_relax_keeps_pins_fixed_and_trace_monotone(paper_net):
 
 @pytest.mark.parametrize("seed, amplitude", [(3, 0.01), (5, 0.01), (7, 0.014)])
 def test_relax_perturbed_paper_net_in_few_iterations(paper_net, seed, amplitude):
-    result = relax(_perturbed(paper_net, seed, amplitude))
+    result = relax(perturbed(paper_net, seed, amplitude))
     assert result.stop_reason == "converged"
     assert result.iterations < 20
     assert result.halvings <= result.iterations // 2
@@ -262,7 +254,7 @@ def test_damping_outlives_unit_roundoff_on_a_bent_chain():
     # 0.9 along the chain. With mu / length as its own term, the steps
     # past the default tol stay at the residual's scale.
     net = Net(
-        vertices=(_v("a", 0, 0), _v("m", 1, 0.3, B), _v("n", 2, -0.2, B), _v("b", 3, 0)),
+        vertices=(vertex("a", 0, 0), vertex("m", 1, 0.3, B), vertex("n", 2, -0.2, B), vertex("b", 3, 0)),
         edges=(("a", "m"), ("m", "n"), ("n", "b")),
     )
     result = relax(net, tol=0.0)
@@ -284,8 +276,8 @@ def test_relax_at_tol_zero_stalls_where_the_metric_rounds_to_singular():
         rng = random.Random(k)
         xs = sorted(rng.uniform(0, 3) for _ in range(3))
         net = Net(
-            vertices=[_v("a", 0, 0), _v("b", 3, 2.1)]
-            + [_v(f"m{i}", x, 0.7 * x + 1e-9 * rng.random(), B) for i, x in enumerate(xs)],
+            vertices=[vertex("a", 0, 0), vertex("b", 3, 2.1)]
+            + [vertex(f"m{i}", x, 0.7 * x + 1e-9 * rng.random(), B) for i, x in enumerate(xs)],
             edges=(("a", "m0"), ("m0", "m1"), ("m1", "m2"), ("m2", "b")),
         )
         result = relax(net, tol=0.0)
@@ -305,11 +297,11 @@ def test_descent_retries_from_step0_when_a_bb_trial_fails(paper_net, monkeypatch
 
     def logged(*args):
         out = backtrack(*args)
-        tries.append((args[7], out[0] is None))
+        tries.append((args[6], out[0] is None))
         return out
 
     monkeypatch.setattr(_kernels, "_backtrack", logged)
-    result = relax(_perturbed(paper_net, 0, 0.014), step=0.01)
+    result = relax(perturbed(paper_net, 0, 0.014), step=0.01)
     retries = sum(failed and step != 0.01 and then == 0.01
                   for (step, failed), (then, _) in zip(tries, tries[1:]))
     assert retries > 0
@@ -361,14 +353,16 @@ def test_descent_trial_step_is_the_short_barzilai_borwein_step(paper_net, monkey
     monkeypatch.setattr(_kernels, "_backtrack", logged)
     monkeypatch.setattr(_kernels, "_metric", built)
     step0 = 0.1
-    result = relax(_perturbed(paper_net, 0, 0.014), step=step0)
+    start = perturbed(paper_net, 0, 0.014)
+    result = relax(start, step=step0)
     assert result.stop_reason == "converged"
     assert result.refreshes == len(metrics) == result.iterations > 1
+    edges = start.ends
 
     pinned = built_count = 0
     s = rf_prev = prev_pos = None
     for args, (delta, _, failed) in calls:
-        pos, free, edges, a, la, p, rp, trial = args[:8]
+        pos, free, a, la, p, rp, trial = args[:7]
         # a retry from step0 tries the same iterate again
         if prev_pos is None or not np.array_equal(pos, prev_pos):
             m, mu = metrics[built_count]
@@ -414,7 +408,7 @@ def test_identity_metric_is_plain_bb2(paper_net, monkeypatch, seed):
     # replaced.
     iterations, halvings, sha256 = BB2_RUNS[seed]
     monkeypatch.setattr(_kernels, "_METRIC_MAX_FREE", 0)
-    result = relax(_perturbed(paper_net, seed, 0.014))
+    result = relax(perturbed(paper_net, seed, 0.014))
     assert (result.stop_reason, result.iterations, result.halvings) == ("converged", iterations, halvings)
     assert result.refreshes == 0
     assert hashlib.sha256(serialize(result.net).encode()).hexdigest() == sha256
@@ -430,10 +424,10 @@ RELAX_SHA256 = "992ea979c579ba80c4ba130eb199b954e7324bb5a94d35f2a6c8387eb87bd4bc
 
 
 def test_relax_runs_are_pinned(paper_net):
-    nets = [_perturbed(paper_net, s, 0.014) for s in range(6)]
+    nets = [perturbed(paper_net, s, 0.014) for s in range(6)]
     nets += [pinned_paper16(s, 0.05) for s in range(3)] + [pinned_paper16(13, 0.2)]
-    nets += [_perturbed(honeycomb(12, 10), s, 0.05) for s in range(2)]
-    nets += [_perturbed(honeycomb(40, 32), 0, 0.05), _perturbed(tripod_overlay(6, 0), 0, 0.01)]
+    nets += [perturbed(honeycomb(12, 10), s, 0.05) for s in range(2)]
+    nets += [perturbed(honeycomb(40, 32), 0, 0.05), perturbed(tripod_overlay(6, 0), 0, 0.01)]
     nets += [random_net(random.Random(s)) for s in range(40)]
     digest = hashlib.sha256()
     for net in nets:
@@ -457,8 +451,8 @@ ITERATE_SHA256 = "546b47fccedaae85c88e201a2d9be4af37eaf1138f88fb376ed29147f72956
 
 
 def test_descent_iterates_are_pinned(paper_net):
-    nets = [_perturbed(paper_net, s, 0.014) for s in range(6)] + [pinned_paper16(0, 0.05)]
-    nets += [_perturbed(honeycomb(12, 10), 0, 0.05), _perturbed(honeycomb(40, 32), 0, 0.05)]
+    nets = [perturbed(paper_net, s, 0.014) for s in range(6)] + [pinned_paper16(0, 0.05)]
+    nets += [perturbed(honeycomb(12, 10), 0, 0.05), perturbed(honeycomb(40, 32), 0, 0.05)]
     digest = hashlib.sha256()
     for net in nets:
         for step, max_iter in itertools.product((0.1, 8.0), (1, 2, 3, 5)):
@@ -499,8 +493,8 @@ def test_a_component_without_a_pin_takes_the_identity_metric(monkeypatch):
     # a pinned chain and, apart from it, two free vertices joined by one
     # edge: L_w is singular on that pair, however many pins the net has
     net = Net(
-        vertices=(_v("a", -2, 0), _v("m", 0.3, 0.9, B), _v("b", 2, 0),
-                  _v("p", 0.0, 3.0, B), _v("q", 1.0, 3.5, B)),
+        vertices=(vertex("a", -2, 0), vertex("m", 0.3, 0.9, B), vertex("b", 2, 0),
+                  vertex("p", 0.0, 3.0, B), vertex("q", 1.0, 3.5, B)),
         edges=(("a", "m"), ("m", "b"), ("p", "q")),
     )
     calls = []
@@ -525,7 +519,7 @@ def test_random_nets_relax_or_collide():
 
 def test_perturbed_tripod_overlay_relaxes_and_verifies():
     # BB2 stopped at 20,000 iterations with residual 6.3e-7 on this net
-    start = _perturbed(tripod_overlay(6, 0), 0, 0.01)
+    start = perturbed(tripod_overlay(6, 0), 0, 0.01)
     assert len(start.free) <= _kernels._METRIC_MAX_FREE
     result = relax(start)
     assert result.stop_reason == "converged"
@@ -543,7 +537,7 @@ def test_an_isolated_balanced_vertex_does_not_veto_the_metric(make, amplitude):
     # With the stray vertex z as a free row, no path joined every row to a
     # pin, and the whole net took plain BB2: 275 iterations on paper16,
     # and 20,000 without converging on overlay(6, 0).
-    start = _perturbed(make(), 0, amplitude)
+    start = perturbed(make(), 0, amplitude)
     stray = Net([*start.vertices, Vertex("z", Point(40.0, 40.0), B)], start.edges)
     base, result = relax(start), relax(stray, max_iter=20_000)
     assert result.stop_reason == "converged"
@@ -581,7 +575,7 @@ def test_relax_imports_no_scipy(paper_net):
 def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
     # relaxing straightens the chords through x1..x4 to within 1e-9 rad,
     # which once made verify report crossings beside those vertices
-    result = relax(_perturbed(paper_net, 0, 0.014))
+    result = relax(perturbed(paper_net, 0, 0.014))
     assert result.stop_reason == "converged"
     assert verify(result.net).passed
     cert = find_proper_subnet(result.net)
@@ -594,7 +588,7 @@ def test_relaxed_perturbed_paper_net_verifies_and_certifies(paper_net):
 
 
 def test_relax_stalls_when_step_moves_nothing(paper_net):
-    start = _perturbed(paper_net, 7, 0.014)
+    start = perturbed(paper_net, 7, 0.014)
     result = relax(start, step=1e-30, max_iter=2000)
     assert result.stop_reason == "stalled"
     assert result.iterations == 0
@@ -605,12 +599,12 @@ def test_relax_raises_on_edge_collapse():
     # two free vertices pulled through each other by a symmetric harness
     net = Net(
         vertices=(
-            _v("a", 0.0, 0.0),
-            _v("b", 1.0, 0.0),
-            _v("m", 0.5, 1e-6, B),
-            _v("n", 0.5, -1e-6, B),
-            _v("t", 0.5, 2.0),
-            _v("u", 0.5, -2.0),
+            vertex("a", 0.0, 0.0),
+            vertex("b", 1.0, 0.0),
+            vertex("m", 0.5, 1e-6, B),
+            vertex("n", 0.5, -1e-6, B),
+            vertex("t", 0.5, 2.0),
+            vertex("u", 0.5, -2.0),
         ),
         edges=(
             ("a", "m"), ("m", "b"), ("a", "n"), ("n", "b"),
@@ -624,7 +618,7 @@ def test_relax_raises_on_edge_collapse():
 def test_relax_raises_when_unjoined_vertices_meet():
     # m and n share both pins but no edge: each relaxes onto the segment a-b
     net = Net(
-        vertices=(_v("a", 0.0, -1.0), _v("b", 0.0, 1.0), _v("m", 0.1, 0.0, B), _v("n", -0.1, 0.0, B)),
+        vertices=(vertex("a", 0.0, -1.0), vertex("b", 0.0, 1.0), vertex("m", 0.1, 0.0, B), vertex("n", -0.1, 0.0, B)),
         edges=(("a", "m"), ("m", "b"), ("a", "n"), ("n", "b")),
     )
     with pytest.raises(VertexCollision, match="^vertices m and n collided$"):
