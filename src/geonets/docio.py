@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from .net import Net, VertexKind
+from .net import InvariantViolation, Net, VertexKind
 
 FORMAT_VERSION = 1
 
@@ -164,12 +164,27 @@ def parse(text: str) -> Net:
         raise ParseError("edges: must be a list")
 
     ids, balanced, labels, xy = _vertex_columns(raw_vertices)
-    for n, row in enumerate(raw_edges):
+    # Net refuses every row that is not a pair of vertex ids, but takes any
+    # pair, such as an object of two keys: a row that is not a list is
+    # refused here. The rows are checked one by one only when Net refuses
+    # them, so that the first faulty row's ParseError comes first.
+    if not {*map(type, raw_edges)} <= {list}:
+        _check_edge_rows(raw_edges)
+    try:
+        return Net._from_columns(ids, balanced, labels, xy, raw_edges)
+    except InvariantViolation:
+        _check_edge_rows(raw_edges)
+        raise
+
+
+def _check_edge_rows(rows: list) -> None:
+    """Raises the ParseError of the first edge row that is not a list of
+    two str ids, if there is one."""
+    for n, row in enumerate(rows):
         if type(row) is not list or len(row) != 2:
             raise ParseError(f"edges[{n}]: must be a pair of vertex ids")
         if type(row[0]) is not str or type(row[1]) is not str:
             raise ParseError(f"edges[{n}]: endpoints must be strings")
-    return Net._from_columns(ids, balanced, labels, xy, raw_edges)
 
 
 def save(net: Net, path: str) -> None:

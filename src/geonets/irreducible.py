@@ -59,10 +59,12 @@ def _tables(net: Net, rows: Sequence[int], tol: float) -> Tuple[list, float, flo
     masks over its legs. A subset is accepted when the norm of its
     unit-vector sum is at most tol; accepted is the largest such norm, and
     rejected the least norm of a rejected subset, inf if there is none."""
-    degree = net._degrees[rows].tolist()
-    for k, d in zip(rows, degree):
+    degree = net._degrees[rows]
+    degrees = degree.tolist()
+    for k, d in zip(rows, degrees):
         if d > MAX_SUBSET_DEGREE:
             raise DegreeTooLarge(f"vertex {net.ids[k]} has degree {d} > {MAX_SUBSET_DEGREE}")
+    rows = np.fromiter(rows, np.intp, len(rows))
     # Slot 2r + i of ends holds end i of edge r, a leg at that end; slot ^ 1
     # is its far end. Sorted stably by vertex, a star's legs are in edge order.
     flat = net.ends.ravel()
@@ -72,8 +74,8 @@ def _tables(net: Net, rows: Sequence[int], tol: float) -> Tuple[list, float, flo
     legs = legs[np.argsort(flat[legs], kind="stable")]
     first = np.searchsorted(flat[legs], rows)
     groups, accepted, rejected = [], 0.0, np.inf
-    for d in sorted(set(degree)):
-        members = np.flatnonzero(np.array(degree) == d)
+    for d in sorted(set(degrees)):
+        members = np.flatnonzero(degree == d)
         slot = legs[first[members][:, None] + np.arange(d)]
         vecs = _kernels.unit_vectors(net.pos, np.stack((flat[slot], flat[slot ^ 1]), axis=-1).reshape(-1, 2))
         star, mask, norm, least = _kernels.star_subsets(vecs.reshape(len(members), d, 2), tol)

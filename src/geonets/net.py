@@ -164,18 +164,29 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     at most its high x (one searchsorted end), and of those the pairs
     whose y ranges overlap too are kept. Time and memory grow with the
     pairs in the x windows, not with the square of the number of boxes.
+    When no x window holds a box, as in Net's coincidence check when no
+    two vertices are that close in x, the empty answer comes straight
+    after the searchsorted. The y test runs on positions in the sorted
+    order, so only the kept pairs are mapped back to box indices.
     """
     (x0, y0), (x1, y1) = lo.T, hi.T
     order = x0.argsort(kind="stable")
-    ends = x0[order].searchsorted(x1[order], side="right")
-    counts = ends - np.arange(1, len(order) + 1)
-    first = np.arange(len(order)).repeat(counts)
-    starts = (counts.cumsum() - counts).repeat(counts)
-    a, b = order[first], order[np.arange(len(first)) - starts + first + 1]
-    keep = (y0[a] <= y1[b]) & (y0[b] <= y1[a])
-    a, b = a[keep], b[keep]
+    n = len(order)
+    stop = x0[order].searchsorted(x1[order], side="right")
+    counts = stop - np.arange(1, n + 1)
+    if not counts.any():
+        return order[:0], order[:0]
+    # Pair t is (first, second) in sorted positions. The window of first
+    # holds positions first + 1 to stop - 1, and its pairs start at
+    # t = cumsum - counts, so second = t + stop - cumsum.
+    first = np.arange(n).repeat(counts)
+    second = np.arange(len(first)) + (stop - counts.cumsum()).repeat(counts)
+    y0, y1 = y0[order], y1[order]
+    keep = (y0[first] <= y1[second]) & (y0[second] <= y1[first])
+    a, b = order[first[keep]], order[second[keep]]
     i, j = np.minimum(a, b), np.maximum(a, b)
-    pick = np.lexsort((j, i))
+    # i * n + j orders the pairs as (i, j) does, and no two pairs tie
+    pick = (i * n + j).argsort()
     return i[pick], j[pick]
 
 
@@ -405,7 +416,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
     """
     _check_tol(tol)
     _check_int("min_balanced_degree", min_balanced_degree, 0)
-    norm = _kernels.norms(net.residuals)
+    norm = _kernels.norms(net.residuals).tolist()
     degrees = net._degrees.tolist()
     residuals: Dict[str, float] = {}
     degree_violations: List[Tuple[str, int]] = []
@@ -414,7 +425,7 @@ def verify(net: Net, tol: float = DEFAULT_TOL, *, min_balanced_degree: int = 3) 
         if deg < min_balanced_degree:
             degree_violations.append((vid, deg))
         if deg >= 1:
-            residuals[vid] = float(norm[k])
+            residuals[vid] = norm[k]
     max_residual = max(residuals.values(), default=0.0)
 
     overlay_findings: List[Tuple[Edge, Edge, IntersectionKind]] = []
@@ -460,16 +471,16 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     The candidates are the pairs whose bounding boxes overlap once each is
     padded by geom._contact_pad. geom._classify's numpy stage settles those
     that meet at a common vertex or not at all, and intersect decides each
-    pair it leaves open. The segment of each edge in an open pair is built
-    once, from the ends already gathered for the numpy stage.
+    pair it leaves open. Both read the ends p0 and p1 of each edge, which
+    are gathered once from pos: the numpy stage takes the four ends of the
+    candidates as rows of p0 and p1, and the segment of each edge in an
+    open pair is built once from its own rows.
     """
     ends, pos = net.ends, net.pos
     p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
     pad = _contact_pad(_kernels.norms(p1 - p0))[:, None]
     i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
-    # rows p, q, r, s of the ends, as (x, y) coordinate arrays
-    pqrs = pos.T[:, np.concatenate((ends[i], ends[j]), axis=1).T]
-    left = _classify(*pqrs.transpose(1, 0, 2)) == _OPEN
+    left = _classify(p0[i].T, p1[i].T, p0[j].T, p1[j].T) == _OPEN
     i, j = i[left].tolist(), j[left].tolist()
     rows = list(dict.fromkeys(i + j))
     segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in rows}

@@ -44,7 +44,7 @@ from geonets.geom import (
     distance,
     intersect,
 )
-from geonets.net import CoincidentVertices, _close_pairs, _segment_pairs
+from geonets.net import CoincidentVertices, _box_pairs, _close_pairs, _segment_pairs
 
 from helpers import (
     B,
@@ -185,6 +185,54 @@ def test_boxes_with_equal_low_x_tie_in_the_sort():
     ])
     _assert_matches_oracle(net)
     assert len(all_segment_pairs(net)) == 3
+
+
+def _overlapping_boxes(boxes):
+    """The oracle: every pair (i, j), i < j, of closed boxes (x0, y0, x1, y1)
+    that meet, tested pair by pair."""
+    return [(i, j) for i, (a0, b0, a1, b1) in enumerate(boxes) for j, (c0, d0, c1, d1) in enumerate(boxes)
+            if i < j and a0 <= c1 and c0 <= a1 and b0 <= d1 and d0 <= b1]
+
+
+def _random_boxes(rng, n):
+    boxes = []
+    for _ in range(n):
+        x, y = rng.choice([0.0, 1.0, rng.uniform(0, 4)]), rng.uniform(0, 4)
+        w, h = rng.choice([0.0, 0.5, rng.random()]), rng.choice([0.0, 1.0, rng.random()])
+        boxes.append((x, y, x + w, y + h))
+    return boxes
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        pytest.param([], id="none"),
+        pytest.param([(0.0, 0.0, 1.0, 1.0)], id="one"),
+        pytest.param([(0.0, 0.0, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0)], id="two-overlapping"),
+        pytest.param([(2.0, 0.0, 3.0, 1.0), (0.0, 0.0, 1.0, 1.0)], id="two-apart-in-x"),
+        pytest.param([(0.0, 0.0, 1.0, 1.0), (0.5, 2.0, 1.5, 3.0)], id="two-apart-in-y"),
+        # no x window holds a box: the sweep ends before the y test
+        pytest.param([(4.0, 0.0, 5.0, 9.0), (0.0, 0.0, 1.0, 9.0), (2.0, 0.0, 3.0, 9.0),
+                      (6.0, 0.0, 6.0, 0.0)], id="x-windows-empty"),
+        pytest.param([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0), (2.0, 0.0, 3.0, 1.0),
+                      (1.0, 2.0, 1.0, 3.0)], id="touching"),
+        pytest.param([(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 2.0),
+                      (0.0, 1.0, 2.0, 1.0), (1.0, 1.5, 1.0, 1.5)], id="zero-width"),
+        pytest.param([(0.0, 3.0, 1.0, 4.0), (0.0, 0.0, 2.0, 1.0), (0.0, 0.5, 0.0, 3.5),
+                      (0.0, 5.0, 3.0, 6.0), (0.0, -1.0, 0.5, 0.0)], id="equal-low-x"),
+    ]
+    + [pytest.param(_random_boxes(random.Random(n), n), id=f"random-{n}") for n in (3, 20, 60)],
+)
+def test_box_pairs_match_the_oracle(boxes):
+    lo = np.array([b[:2] for b in boxes], dtype=np.float64).reshape(-1, 2)
+    hi = np.array([b[2:] for b in boxes], dtype=np.float64).reshape(-1, 2)
+    i, j = _box_pairs(lo, hi)
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert list(zip(i.tolist(), j.tolist())) == _overlapping_boxes(boxes)
+    # an answer, empty too, indexes edge rows as _segment_pairs does
+    ends = np.arange(2 * max(len(boxes), 1)).reshape(-1, 2)
+    assert ends[i].T.shape == (2, len(i))
+    assert ends[j].shape == (len(j), 2)
 
 
 def _clustered_points(rng, radius):

@@ -510,3 +510,32 @@ def test_module_entry_point_exits_with_the_command_codes(tmp_path):
     assert wrong.stdout == ""
     assert wrong.stderr.startswith("error: UsageError: ")
     assert wrong.stderr.count("\n") == 1
+
+
+def test_cli_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
+    # test_solver.test_relax_imports_no_scipy holds relax, verify and the
+    # search to this rule; the commands add parse and save, planarize (in
+    # build), edge_subnet (irreducible --witness-out) and render_svg
+    script = (
+        "import sys\n"
+        "from geonets.cli import main\n"
+        "d = sys.argv[1] + '/'\n"
+        "runs = [\n"
+        "    (['build', 'overlay', '--out', d + 'overlay.json'], 0),\n"
+        "    (['build', 'paper16', '--out', d + 'paper16.json'], 0),\n"
+        "    (['verify', d + 'overlay.json'], 0),\n"
+        "    (['verify', '--json', d + 'paper16.json'], 0),\n"
+        "    (['relax', d + 'paper16.json', '--out', d + 'relaxed.json'], 0),\n"
+        "    (['irreducible', d + 'overlay.json', '--witness-out', d + 'witness.json'], 2),\n"
+        "    (['render', d + 'witness.json', '--out', d + 'witness.svg', '--labels'], 0),\n"
+        "]\n"
+        "for argv, code in runs:\n"
+        "    assert main(argv) == code, argv\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "ma = sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
+        "assert not ma, ma\n"
+    )
+    done = run_python(["-c", script, str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "overlay.json", "paper16.json", "relaxed.json", "witness.json", "witness.svg"}

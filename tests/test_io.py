@@ -294,6 +294,9 @@ _OK = {"id": "a", "x": 0.0, "y": 0.0, "kind": "unbalanced"}
         pytest.param(_doc(edges=[["a", "b", "c"]]), "edges[0]: must be a pair of vertex ids", id="triple-edge"),
         pytest.param(_doc(edges=[["a", "b"], [0, 1]]), "edges[1]: endpoints must be strings", id="int-endpoints"),
         pytest.param(_doc(edges=[{"a": "b"}]), "edges[0]: must be a pair of vertex ids", id="object-edge"),
+        # Net takes an object's two keys as a pair; a document does not
+        pytest.param(_doc(edges=[{"a": 0, "b": 1}]), "edges[0]: must be a pair of vertex ids",
+                     id="object-edge-of-two-ids"),
         # two faults: the check that comes first in document order wins
         pytest.param(
             _doc(vertices=[{"id": "a", "x": "0", "kind": "unbalanced"}]),
