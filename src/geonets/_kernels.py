@@ -1,5 +1,5 @@
 """Numeric kernels, vectorized with numpy: balance residuals, total length,
-gradient descent and balanced-subset enumeration; and unions, the one
+damped Newton descent and balanced-subset enumeration; and unions, the one
 union-find, for verify's connectivity, descent's pin reachability and the
 subnet search's edge classes.
 

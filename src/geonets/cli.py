@@ -113,11 +113,7 @@ def _count(n: int, one: str, many: str) -> str:
 
 def _cmd_irreducible(args: argparse.Namespace) -> int:
     net = load(args.file)
-    try:
-        cert = find_proper_subnet(net, tol=args.tol)
-    except SearchBudgetExceeded as exc:
-        print(f"error: SearchBudgetExceeded: {exc}", file=sys.stderr)
-        return 3
+    cert = find_proper_subnet(net, tol=args.tol)
     if isinstance(cert, Irreducible):
         ties, classes, forced = cert._counts()
         print(
@@ -230,9 +226,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except (ValueError, VertexCollision, OSError) as exc:
+    except (ValueError, VertexCollision, OSError, SearchBudgetExceeded) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, SearchBudgetExceeded) else 1
 
 
 if __name__ == "__main__":

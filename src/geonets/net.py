@@ -21,7 +21,6 @@ from .geom import (
     _CONTACTS,
     _OPEN,
     COINCIDENCE_EPS,
-    PARAM_EPS,
     CollinearOverlap,
     IntersectionKind,
     Point,
@@ -497,11 +496,14 @@ def planarize(net: Net) -> Net:
     a vertex: the first vertex of the net, else the first vertex minted so
     far, within COINCIDENCE_EPS of the contact point. When there is none,
     a balanced vertex x<n> is minted there at once, n the smallest number
-    whose id is not taken. Each edge of the pair that the vertex lies
-    strictly inside is cut at it, so a contact at an existing vertex keeps
-    that vertex and its kind. Edge pairs are processed in lexicographic
-    id-pair order, so the ids and the output are canonical. Collinear
-    overlaps, and two edges cut into the same piece, raise OverlayEdges.
+    whose id is not taken. Each edge of the pair is cut at that vertex
+    unless the vertex is one of the edge's two end rows, so a contact at an
+    existing vertex keeps that vertex and its kind, and every contact cuts
+    at least one edge: two edges that share an end are never reported as
+    meeting elsewhere. The cuts on an edge are ordered by their projection
+    onto it. Edge pairs are processed in lexicographic id-pair order, so
+    the ids and the output are canonical. Collinear overlaps, and two edges
+    cut into the same piece, raise OverlayEdges.
 
     There is no merge-radius parameter: contacts merge at COINCIDENCE_EPS,
     the distance below which Net rejects two vertices as coincident.
@@ -531,34 +533,34 @@ def planarize(net: Net) -> Net:
     index, ids, xy = net.index, list(net.ids), net.pos.tolist()
     taken = set(ids)
     fresh = (vid for vid in (f"x{n}" for n in itertools.count(1)) if vid not in taken)
-    cuts: Dict[Edge, Dict[str, float]] = {}
+    # the cuts on each edge, keyed by its (min, max) end rows: the parameter
+    # along the edge of each vertex row it is cut at
+    cuts: Dict[Tuple[int, int], Dict[int, float]] = {}
     for k, (e1, e2, pt) in enumerate(contacts):
         row = next((owner[c] for c in near[k] if owner[c] is not None), None)
         if row is None:
             row = owner[nv + k] = len(ids)
             ids.append(next(fresh))
             xy.append((pt.x, pt.y))
-        for e in (e1, e2):
-            t = _projected_param(xy[index[e[0]]], xy[index[e[1]]], xy[row])
-            if PARAM_EPS < t < 1.0 - PARAM_EPS:
-                cuts.setdefault(e, {}).setdefault(ids[row], t)
+        for a, b in ((index[e1[0]], index[e1[1]]), (index[e2[0]], index[e2[1]])):
+            if row != a and row != b:
+                cuts.setdefault((a, b), {}).setdefault(row, _projected_param(xy[a], xy[b], xy[row]))
 
-    if not cuts:
-        return net
-
-    # Each piece maps to the edge it was cut from; two edges cut into the
-    # same piece overlap along it.
-    pieces: Dict[Edge, Edge] = {}
-    for e in net.edges:
-        on_e = cuts.get(e, {})
-        chain = [e[0], *sorted(on_e, key=on_e.get), e[1]]
-        for piece in map(edge_key, chain, chain[1:]):
-            first = pieces.setdefault(piece, e)
-            if first != e:
-                raise OverlayEdges(f"edges {first} and {e} overlap along {piece}")
+    # Each piece, keyed by its (min, max) vertex rows, maps to the edge it
+    # was cut from; two edges cut into the same piece overlap along it.
+    pieces: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for a, b in net.ends.tolist():
+        on_e = cuts.get((a, b), {})
+        chain = [a, *sorted(on_e, key=on_e.get), b]
+        for piece in zip(map(min, chain, chain[1:]), map(max, chain, chain[1:])):
+            first = pieces.setdefault(piece, (a, b))
+            if first != (a, b):
+                f, e, p = (edge_key(ids[u], ids[v]) for u, v in (first, (a, b), piece))
+                raise OverlayEdges(f"edges {f} and {e} overlap along {p}")
     minted = len(ids) - nv
     balanced = [*net.balanced.tolist(), *[True] * minted]
-    return Net._from_columns(ids, balanced, [*net.labels, *[None] * minted], xy, list(pieces))
+    edges = [(ids[u], ids[v]) for u, v in pieces]
+    return Net._from_columns(ids, balanced, [*net.labels, *[None] * minted], xy, edges)
 
 
 def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
@@ -576,15 +578,16 @@ def is_symmetric_under_quarter_turn(net: Net, tol: float = DEFAULT_TOL) -> bool:
     for i, j in _close_pairs(np.concatenate((pos, turned)), tol):
         if i < nv <= j:
             hits[j - nv].append(i)
-    mapping: Dict[str, str] = {}
+    # image[k] is the row that vertex row k turns onto
+    image: List[int] = []
     for k, found in enumerate(hits):
         if len(found) != 1 or net.balanced[found[0]] != net.balanced[k]:
             return False
-        mapping[net.ids[k]] = net.ids[found[0]]
-    if len(set(mapping.values())) != nv:
+        image.append(found[0])
+    if len(set(image)) != nv:
         return False
-    mapped = {edge_key(mapping[u], mapping[v]) for u, v in net.edges}
-    return mapped == set(net.edges)
+    lo, hi = np.sort(np.asarray(image, dtype=np.int64)[net.ends], axis=1).T
+    return np.array_equal(np.sort(lo * nv + hi), np.sort(net.ends[:, 0] * nv + net.ends[:, 1]))
 
 
 def relabeled(net: Net, mapping: Dict[str, str]) -> Net:
@@ -592,12 +595,8 @@ def relabeled(net: Net, mapping: Dict[str, str]) -> Net:
 
     The mapping is applied atomically, so permutations are fine.
     """
-    def rename(vid: str) -> str:
-        return mapping.get(vid, vid)
-
-    ids = [_valid_id(rename(vid)) for vid in net.ids]
-    edges = [(rename(u), rename(v)) for u, v in net.edges]
-    return Net._from_columns(ids, net.balanced, net.labels, net.pos, edges)
+    ids = [_valid_id(mapping.get(vid, vid)) for vid in net.ids]
+    return Net._from_columns(ids, net.balanced, net.labels, net.pos, _named(ids, net.ends, slice(None)))
 
 
 def edge_subnet(net: Net, edges: Iterable[Edge]) -> Net:

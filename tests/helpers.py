@@ -391,6 +391,22 @@ def tripod_overlay(n: int, seed: int) -> Net:
     return planarize(raw_tripod_overlay(n, seed))
 
 
+def raw_polygon_diagonals(n: int) -> Net:
+    """Every diagonal of the regular n-gon, before planarization: pin p<k>
+    sits on a circle of radius 5 at angle 2*pi*k/n, and the sides are
+    left out."""
+    vertices = [Vertex(f"p{k}", _circle_point(2 * math.pi * k / n), VertexKind.UNBALANCED)
+                for k in range(n)]
+    edges = [(f"p{i}", f"p{j}") for i, j in itertools.combinations(range(n), 2)
+             if j - i not in (1, n - 1)]
+    return Net(vertices, edges)
+
+
+def polygon_diagonals(n: int) -> Net:
+    """raw_polygon_diagonals(n) with its crossings planarized."""
+    return planarize(raw_polygon_diagonals(n))
+
+
 def chord_arrangement(k: int, seed: int) -> Tuple[Net, List[Tuple[Point, Point]]]:
     """Planarized arrangement of k random chords of a radius-5 circle,
     pinned at both ends, and the chords' end points.

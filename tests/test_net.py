@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +37,17 @@ from geonets import net as net_module
 from geonets.net import CoincidentVertices
 from geonets.solver import total_length
 
-from helpers import B, U, honeycomb, random_net, run_python, tripod_overlay, vertex
+from helpers import (
+    B,
+    U,
+    chord_arrangement,
+    honeycomb,
+    polygon_diagonals,
+    random_net,
+    run_python,
+    tripod_overlay,
+    vertex,
+)
 
 
 def x_net() -> Net:
@@ -609,13 +621,12 @@ def test_planarize_crossing_at_an_existing_vertex_mints_nothing():
     assert len(out.edges) == 5
 
 
-def test_planarize_cuts_no_edge_at_a_vertex_in_both_end_bands():
-    # a-b and c-d cross at the origin, just past PARAM_EPS along each from
-    # a and from c. The crossing lands on w, within COINCIDENCE_EPS of it,
-    # and w projects just inside both edges' end bands, so neither edge
-    # is cut and the net comes back as it was.
+def _end_band_net() -> Net:
+    """a-b and c-d cross at the origin, just past PARAM_EPS along each from
+    a and from c; the isolated vertex w lies within COINCIDENCE_EPS of the
+    crossing and projects just inside both edges' end bands."""
     d, e = 1e-6 + 2e-10, 5e-10
-    net = Net(
+    return Net(
         vertices=(
             vertex("a", -d, 0),
             vertex("b", 1000 - d, 0),
@@ -625,8 +636,18 @@ def test_planarize_cuts_no_edge_at_a_vertex_in_both_end_bands():
         ),
         edges=(("a", "b"), ("c", "d")),
     )
+
+
+def test_planarize_cuts_both_edges_at_a_vertex_in_their_end_bands():
+    # The crossing lands on w, which ends neither edge, so both are cut at
+    # it and no crossing is left.
+    net = _end_band_net()
     assert [(e1, e2) for e1, e2, _ in verify(net).unplanarized_crossings] == [(("a", "b"), ("c", "d"))]
-    assert planarize(net) is net
+    out = planarize(net)
+    assert out.edges == (("a", "w"), ("b", "w"), ("c", "w"), ("d", "w"))
+    report = verify(out)
+    assert report.unplanarized_crossings == [] and report.overlay_findings == []
+    assert planarize(out) is out
 
 
 def test_planarize_merges_crossings_within_coincidence_eps():
@@ -717,6 +738,64 @@ def test_planarize_skips_taken_ids():
     assert out.vertex("x2").kind is B
 
 
+# sha256 of serialize(polygon_diagonals(n)), pinned while planarize still
+# decided each cut by the landing vertex's projection, and unchanged by the
+# end-row rule: they pin the vertex each contact lands on and the minted ids.
+POLYGON_PLANARIZE_SHA256 = {
+    5: "309bffba86a5a5af944a6ba8b0cfd24b30f11232306f56222f6e049d53da67ed",
+    6: "76b76763cd5b79ec103aaa76de200b96f0bae0c6d7910c142a981e3029a62f5a",
+    7: "dda25b47a530b6a05e97a87ee8c47b8cf4414fbb1c502b5abe64be58a912422b",
+    8: "92835f2322f6edd50f2474770d4a2033e8ddf58b3674ba6be14149cd1584af52",
+    9: "7148baf03304ce682de80641785a58966e25f849c8ad70a97adc6a4984764651",
+    10: "12b4aaed2e34a563da4ac8d99f30c299c1549bd955146edb5a418ea1ff02289b",
+    11: "ca748fb3354a68d3455b5493d2889b31b4749d036f05ae96be72cfd42ee7c3dc",
+    12: "a3f9375949b8bcb80e67ccd688661276785562af23fce247c8ce5261529999fe",
+    13: "ab8bc479fbf6662562a9a6f90830902a78d41a2dfe7d9cd0655f9bd77c3b566a",
+    14: "6c4ac9114fb6bccbe73a46798418d76dd9940b58aa26a382d28da0b033298b1c",
+    15: "a45c368a4db245507122bf6b0d52a75465a8b425e78279e0f29e0173807ce708",
+    16: "9e7a4fe11339be019c8e7b4697408e4c5dd9477f7d5cb61df613866090b61107",
+}
+
+
+def _diagonal_crossings(n: int) -> int:
+    """I(n), the number of interior intersection points of the diagonals of
+    the regular n-gon, in the closed form of Poonen & Rubinstein (1998), in
+    exact arithmetic."""
+    def d(m: int) -> int:
+        return 1 if n % m == 0 else 0
+
+    count = (
+        math.comb(n, 4) + Fraction(-5 * n**3 + 45 * n**2 - 70 * n + 24, 24) * d(2)
+        - Fraction(3 * n, 2) * d(4) + Fraction(-45 * n**2 + 262 * n, 6) * d(6)
+        + 42 * n * d(12) + 60 * n * d(18) + 35 * n * d(24) - 38 * n * d(30)
+        - 82 * n * d(42) - 330 * n * d(60) - 144 * n * d(84) - 96 * n * d(90)
+        - 144 * n * d(120) - 96 * n * d(210)
+    )
+    assert count.denominator == 1
+    return int(count)
+
+
+@pytest.mark.parametrize("n", sorted(POLYGON_PLANARIZE_SHA256))
+def test_planarized_polygon_diagonals_are_pinned(n):
+    net = polygon_diagonals(n)
+    assert len(net.free) == _diagonal_crossings(n)
+    assert hashlib.sha256(serialize(net).encode("utf-8")).hexdigest() == POLYGON_PLANARIZE_SHA256[n]
+
+
+@pytest.mark.parametrize("planarized", [
+    pytest.param(lambda: [tripod_overlay(n, s) for n in range(5, 9) for s in range(5)], id="tripod-overlays"),
+    pytest.param(lambda: [chord_arrangement(k, s)[0] for k in (6, 12, 24) for s in range(5)], id="chords"),
+    pytest.param(lambda: [planarize(random_net(random.Random(s))) for s in range(100)], id="random"),
+    pytest.param(lambda: [polygon_diagonals(n) for n in range(5, 17)], id="polygons"),
+    pytest.param(lambda: [planarize(_end_band_net())], id="end-bands"),
+])
+def test_planarize_output_verifies_planar_and_is_a_fixed_point(planarized):
+    for out in planarized():
+        report = verify(out)
+        assert report.unplanarized_crossings == [] and report.overlay_findings == [], out.ids
+        assert planarize(out) is out
+
+
 def test_quarter_turn_symmetry(paper_net):
     assert is_symmetric_under_quarter_turn(paper_net)
     assert is_symmetric_under_quarter_turn(planarize(x_net()))
@@ -731,6 +810,17 @@ def test_quarter_turn_symmetry(paper_net):
         edges=(("p1", "p3"), ("p2", "p4")),
     )
     assert not is_symmetric_under_quarter_turn(skew)
+
+
+def test_quarter_turn_symmetry_of_edges_the_turn_reverses():
+    # the turn takes p4 to p1 and p1 to p2, so the side p1-p4 goes to
+    # p2-p1, whose ends come in the other order; the diagonal p1-p3 goes
+    # to p2-p4, which is not an edge
+    square = x_net().pos.tolist()
+    sides = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p1", "p4")]
+    vertices = [vertex(f"p{k + 1}", x, y) for k, (x, y) in enumerate(square)]
+    assert is_symmetric_under_quarter_turn(Net(vertices, sides))
+    assert not is_symmetric_under_quarter_turn(Net(vertices, sides[1:] + [("p1", "p3")]))
 
 
 def test_quarter_turn_symmetry_checks_kind():
