@@ -50,25 +50,23 @@ def _unit_slots(edges: np.ndarray) -> np.ndarray:
     return (2 * edges.T.reshape(1, -1) + _XY).ravel()
 
 
-def _unit_sums(n: int, edges: np.ndarray, d: np.ndarray, ln: np.ndarray,
-               slots=None, units=None) -> np.ndarray:
+def _unit_sums(n: int, d: np.ndarray, ln: np.ndarray, slots: np.ndarray, units: np.ndarray) -> np.ndarray:
     # One scatter-add over (vertex, coordinate) slots: +u at each edge's
     # first endpoint, then -u at its second, each in edge order; a slot
     # takes its terms in that order whatever the other slots take between
-    # them. slots is _unit_slots(edges) and units a (2, 2E) array, given by
-    # a caller that sums on the same edges again; units is left holding
-    # the x and the y coordinates of u, then of -u.
+    # them. slots is _unit_slots(edges) and units a (2, 2E) array, which a
+    # caller that sums on the same edges again makes once; units is left
+    # holding the x and the y coordinates of u, then of -u.
     e = ln.shape[0]
-    units = np.empty((2, 2 * e)) if units is None else units
     np.divide(d.T, ln, out=units[:, :e])
     np.negative(units[:, :e], out=units[:, e:])
-    slots = _unit_slots(edges) if slots is None else slots
     return np.bincount(slots, units.ravel(), minlength=2 * n).reshape(n, 2)
 
 
 def residuals(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Sum of the unit vectors along the edges leaving each vertex."""
-    return _unit_sums(pos.shape[0], edges, *_edge_vectors(pos, edges))
+    units = np.empty((2, 2 * edges.shape[0]))
+    return _unit_sums(pos.shape[0], *_edge_vectors(pos, edges), _unit_slots(edges), units)
 
 
 def net_length(pos: np.ndarray, edges: np.ndarray) -> float:
@@ -108,14 +106,14 @@ def _step_buffers(n: int, free: np.ndarray, edges: np.ndarray):
     return _ends_rows(n, free, edges), np.zeros((free.size + 1, 2)), np.empty((3, edges.shape[0], 2))
 
 
-def _backtrack(pos, free, a, la, p, rp, step, buffers):
+def _backtrack(a, la, p, rp, step, buffers):
     """Halve step until the Armijo sufficient-decrease test holds along the
     direction p of the free rows, with rp the residual's inner product
-    with p; a and la are the edge vectors and lengths at pos, and buffers
-    is _step_buffers(n, free, edges), which every test reuses.
+    with p; a and la are the edge vectors and lengths at the iterate, and
+    buffers is _step_buffers(n, free, edges), which every test reuses.
 
-    Returns (displacement, decrease in total length, failed tests); the
-    displacement is None after _MAX_HALVINGS failures.
+    Returns (displacement of the free rows, decrease in total length,
+    failed tests); the displacement is None after _MAX_HALVINGS failures.
     """
     rows, moves, prods = buffers
     for failed in range(_MAX_HALVINGS):
@@ -123,9 +121,7 @@ def _backtrack(pos, free, a, la, p, rp, step, buffers):
         ends = np.take(moves, rows, axis=0)
         dec = _decrease(a, la, ends[:, 1] - ends[:, 0], prods)
         if dec >= _ARMIJO_C * step * rp:
-            delta = np.zeros(pos.shape)
-            delta[free] = moves[:-1]
-            return delta, dec, failed
+            return moves[:-1].copy(), dec, failed
         step *= 0.5
     return None, 0.0, _MAX_HALVINGS
 
@@ -239,7 +235,8 @@ def _metric(index, u: np.ndarray, la: np.ndarray, mu: float) -> np.ndarray:
 def descend(pos, free, edges, step0, tol, max_iter):
     """Descent on total length over the rows in free, along damped Newton
     directions, with Barzilai-Borwein trial steps under a monotone Armijo
-    test.
+    test. It reads every row and writes only the rows in free, so every
+    other row keeps its bits, -0.0 included.
 
     Total length is a sum of norms of affine maps of the free positions,
     so it is convex: its Hessian H, with the block (I - u u^T) / length
@@ -310,7 +307,7 @@ def descend(pos, free, edges, step0, tol, max_iter):
         if np.minimum.reduce(la, initial=np.inf) < COINCIDENCE_EPS:
             stop = "collided"
             break
-        rf = _unit_sums(n, edges, a, la, slots, units)[free]
+        rf = _unit_sums(n, a, la, slots, units)[free]
         residual = float(np.maximum.reduce(norms(rf), initial=0.0))
         if residual <= tol:
             stop = "converged"
@@ -357,18 +354,18 @@ def descend(pos, free, edges, step0, tol, max_iter):
             # each row is summed as the 1-D sum of its 2m products
             rp, sy, yhy = np.add.reduce(dots.reshape(3, -1), axis=1).tolist()
         trial = sy / yhy if sy > 0.0 else step0
-        delta, dec, failed = _backtrack(pos, free, a, la, p, rp, trial, buffers)
-        halved = failed
-        if delta is None and trial != step0:
-            delta, dec, failed = _backtrack(pos, free, a, la, p, rp, step0, buffers)
-            halved += failed
-        halvings += halved
-        moved = None if delta is None else pos + delta
-        if moved is None or (moved == pos).all():
+        s, dec, failed = _backtrack(a, la, p, rp, trial, buffers)
+        halvings += failed
+        if s is None and trial != step0:
+            s, dec, failed = _backtrack(a, la, p, rp, step0, buffers)
+            halvings += failed
+        old = pos[free]
+        moved = old if s is None else old + s
+        if (moved == old).all():
             stop = "stalled"
             break
-        pos = moved
-        s, r_prev = delta[free], rf
+        pos[free] = moved
+        r_prev = rf
         accepted += 1
         trace.append(trace[-1] - dec)
     return pos, accepted, trace, stop, halvings, residual, refreshes

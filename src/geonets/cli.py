@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_irr.add_argument("--witness-out", dest="witness_out")
     p_irr.set_defaults(func=_cmd_irreducible)
 
-    p_relax = sub.add_parser("relax", help="gradient-descent relaxation")
+    p_relax = sub.add_parser("relax", help="damped Newton relaxation")
     p_relax.add_argument("file")
     defaults = relax.__kwdefaults__
     p_relax.add_argument("--step", type=float, default=defaults["step"])

@@ -87,8 +87,9 @@ def relax(
     counts these builds. Nets with more balanced vertices than
     _kernels._METRIC_MAX_FREE, or with one that no path joins to a pin
     (L_w is then singular), take the identity metric, p = r, and
-    refreshes is 0. A balanced vertex with no edge stays put and does not
-    veto the metric.
+    refreshes is 0. Descent writes only the balanced vertices that have an
+    edge: the pins, and a balanced vertex with no edge, which does not veto
+    the metric, keep their coordinates bit for bit, -0.0 included.
 
     The trial step is the short Barzilai-Borwein step in this metric,
     s.y / y.M^-1 y, from the last accepted move (s the change in

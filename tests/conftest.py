@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from typing import Dict
 
@@ -69,6 +70,11 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter):
+    # The relax pins hash np.linalg.solve's bits, which depend on the BLAS
+    # thread count from about 100 rows up: every log says what it ran with
+    threads = (f"{name}={os.environ.get(name, 'unset')}"
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    terminalreporter.write_line(f"BLAS threads: {' '.join(threads)} cpu_count={os.cpu_count()}")
     if not _criterion_outcomes:
         return
     terminalreporter.write_sep("-", "acceptance criteria")

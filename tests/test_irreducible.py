@@ -51,6 +51,7 @@ from helpers import (
     jitter,
     least_rejected_norm,
     pinned_paper16,
+    polygon_diagonals,
     raw_tripod_overlay,
     replay_ties,
     run_python,
@@ -611,6 +612,23 @@ def test_verdicts_witnesses_margins_and_ties_are_pinned():
         witness = sorted(getattr(cert, "witness", ()))
         digest.update(repr((type(cert).__name__, witness, cert.tol_margin, ties)).encode())
     assert digest.hexdigest() == OUTCOME_SHA256
+
+
+# sha256 over (verdict, sorted witness, tol_margin) of the planarized
+# diagonals of the regular n-gon for n = 5-16, in SEARCH_SHA256's form:
+# every one is reducible, with a witness of 3-31 edges
+POLYGON_SHA256 = "c5f50db1a1b02f4e9259a4894197903083c9496851876587bf31caff402b5363"
+
+
+def test_polygon_diagonal_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(5, 17):
+        net = polygon_diagonals(n)
+        cert = find_proper_subnet(net)
+        assert isinstance(cert, Reducible), n
+        assert verify(edge_subnet(net, cert.witness), min_balanced_degree=1).passed, n
+        digest.update(repr((type(cert).__name__, sorted(cert.witness), cert.tol_margin)).encode())
+    assert digest.hexdigest() == POLYGON_SHA256
 
 
 def _hand_ctx(n, tables):

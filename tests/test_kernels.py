@@ -56,7 +56,8 @@ def test_unit_sums_match_add_at_bit_for_bit():
             d, ln = _kernels._edge_vectors(moved, edges)
             if ln.min(initial=np.inf) == 0.0:
                 continue
-            got = _kernels._unit_sums(len(moved), edges, d, ln)
+            units = np.empty((2, 2 * len(edges)))
+            got = _kernels._unit_sums(len(moved), d, ln, _kernels._unit_slots(edges), units)
             assert got.tobytes() == _unit_sums_by_add_at(len(moved), edges, d, ln).tobytes()
             checked += 1
     assert checked >= 100
