@@ -4,8 +4,11 @@ Points, unit vectors, angles (degrees, unsigned), exact quarter-turn
 rotation, and robust segment-intersection classification: one classifier,
 _classify, whose first stage settles arrays of segment pairs in numpy,
 and intersect, which decides one pair on floats, the pairs that stage
-leaves open included. Everything is an immutable value; everything else
-in the package builds on this.
+leaves open included. The first stage has two halves, _legs_overlap for
+a pair with an end in common and _apart for one without: _classify
+tells the two by equal coordinates, and net._segment_pairs by equal end
+rows. Everything is an immutable value; everything else in the package
+builds on this.
 """
 
 from __future__ import annotations
@@ -197,63 +200,86 @@ def _in_end_band(t):
     return (t <= PARAM_EPS) | (t >= 1.0 - PARAM_EPS)
 
 
+def _legs_overlap(same, flip, d1, d2, len1, len2):
+    """The common-end half of _classify's first stage: whether segments
+    of vectors d1 and d2, each an (x, y) pair, and lengths len1 and len2,
+    that have an end w in common overlap along the shorter. same holds
+    when w is the first end of both or the second of both, flip when it
+    is the first of one and the second of the other; where neither holds
+    the answer is False. The legs from w overlap when they leave w on
+    the same side and the far end of the shorter lies within
+    COINCIDENCE_EPS of the longer one's line; otherwise they meet only
+    at w."""
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    legs_dot = d1x * d2x + d1y * d2y
+    abs_den = abs(d1x * d2y - d1y * d2x)
+    return ((same & (legs_dot > 0.0) | flip & (legs_dot < 0.0))
+            & ((abs_den / len1 <= COINCIDENCE_EPS) | (abs_den / len2 <= COINCIDENCE_EPS)))
+
+
+def _apart(d1, d2, e, f, h, len1, len2):
+    """The apart half of _classify's first stage, for segments p-q and
+    r-s of lengths len1 and len2 with no end in common, given as the
+    vectors d1 = q - p, d2 = s - r, e = r - p, f = s - p and h = q - r,
+    each an (x, y) pair: whether they may meet, whether they are
+    parallel, and the t and u of the solve below.
+
+    Parallel segments may meet only when collinear: each one's ends lie
+    within COINCIDENCE_EPS of the other's line. Other segments meet only
+    where the solve of p + t*d1 = r + u*d2 puts t and u in [-PARAM_EPS,
+    1 + PARAM_EPS]. Any other pair is Disjoint.
+    """
+    (d1x, d1y), (d2x, d2y), (ex, ey), (fx, fy), (hx, hy) = d1, d2, e, f, h
+    den = d1x * d2y - d1y * d2x
+    # The offset of each segment's ends from the other's line, times that
+    # one's length: r and s from p-q's (c_r, c_s), p and q from r-s's.
+    c_r, c_s = d1x * ey - d1y * ex, d1x * fy - d1y * fx
+    c_p, c_q = ex * d2y - ey * d2x, d2x * hy - d2y * hx
+    parallel = abs(den) <= _PARALLEL_EPS * (len1 * len2)
+    collinear = (parallel & (abs(c_r) / len1 <= COINCIDENCE_EPS) & (abs(c_s) / len1 <= COINCIDENCE_EPS)
+                 & (abs(c_p) / len2 <= COINCIDENCE_EPS) & (abs(c_q) / len2 <= COINCIDENCE_EPS))
+    den = _where(parallel, 1.0, den)
+    t, u = c_p / den, -c_r / den
+    return _where(parallel, collinear, _not(_outside(t) | _outside(u))), parallel, t, u
+
+
 def _classify(p, q, r, s):
     """How segment p-q meets segment r-s, each end an (x, y) pair of
     coordinate arrays, or of floats for one pair.
 
     The tests run in stages, as in a filtered predicate (Shewchuk 1997),
-    and each stage is exact. On arrays only the first runs, and each row
-    gets _SHARED or _DISJOINT when it settles the row, else _OPEN. On
-    floats the pair is decided: the kind code, the contact point (x, y)
-    and the far end (x, y) of an overlap; unreported kinds hold stale
-    coordinates. Each test reads both segments alike, so the kind does
-    not depend on their order or direction, short of rounding within a
-    few ulps of a band's edge. A contact point is one of the four ends,
-    or p + t * (q - p) on the first segment.
+    and each stage is exact. The first is _legs_overlap for a pair with
+    an end in common (equal coordinates), else _apart. On arrays only
+    the first stage runs, and each row gets _SHARED or _DISJOINT when it
+    settles the row, else _OPEN. On floats the pair is decided: the kind
+    code, the contact point (x, y) and the far end (x, y) of an overlap;
+    unreported kinds hold stale coordinates. Each test reads both
+    segments alike, so the kind does not depend on their order or
+    direction, short of rounding within a few ulps of a band's edge. A
+    contact point is one of the four ends, or p + t * (q - p) on the
+    first segment.
     """
     (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
     d1x, d1y, d2x, d2y = qx - px, qy - py, sx - rx, sy - ry
     nn1, nn2 = d1x * d1x + d1y * d1y, d2x * d2x + d2y * d2y
     len1, len2 = _sqrt(nn1), _sqrt(nn2)
-    den = d1x * d2y - d1y * d2x
-    abs_den = abs(den)
-    # The offset of each segment's ends from the other's line, times that
-    # one's length: r and s from p-q's (c_r, c_s), p and q from r-s's.
     ex, ey, fx, fy, hx, hy = rx - px, ry - py, sx - px, sy - py, qx - rx, qy - ry
-    c_r, c_s = d1x * ey - d1y * ex, d1x * fy - d1y * fx
-    c_p, c_q = ex * d2y - ey * d2x, d2x * hy - d2y * hx
-
-    # An end w in common (equal coordinates) is decided first and exactly:
-    # the legs from w overlap along the shorter when they leave w on the
-    # same side and the far end of the shorter lies within COINCIDENCE_EPS
-    # of the longer one's line; otherwise they meet only at w. The legs
-    # from w are d1 and d2 when w is p = r or q = s, else one is reversed.
+    d1, d2, e, f, h = (d1x, d1y), (d2x, d2y), (ex, ey), (fx, fy), (hx, hy)
     pr, ps = (px == rx) & (py == ry), (px == sx) & (py == sy)
     qr, qs = (qx == rx) & (qy == ry), (qx == sx) & (qy == sy)
     at_p = pr | ps
     shared = at_p | qr | qs
-    legs_dot = d1x * d2x + d1y * d2y
-    legs_overlap = (((pr | qs) & (legs_dot > 0.0) | (ps | qr) & (legs_dot < 0.0))
-                    & ((abs_den / len1 <= COINCIDENCE_EPS) | (abs_den / len2 <= COINCIDENCE_EPS)))
-
-    # Parallel segments may meet only when collinear: each one's ends lie
-    # within COINCIDENCE_EPS of the other's line. Other segments meet only
-    # where the solve of p + t*d1 = r + u*d2 puts t and u in [-PARAM_EPS,
-    # 1 + PARAM_EPS]. Any other pair without a common end is Disjoint.
-    parallel = abs_den <= _PARALLEL_EPS * (len1 * len2)
-    collinear = (parallel & (abs(c_r) / len1 <= COINCIDENCE_EPS) & (abs(c_s) / len1 <= COINCIDENCE_EPS)
-                 & (abs(c_p) / len2 <= COINCIDENCE_EPS) & (abs(c_q) / len2 <= COINCIDENCE_EPS))
-    den = _where(parallel, 1.0, den)
-    t, u = c_p / den, -c_r / den
-    left = legs_overlap | _not(shared) & _where(parallel, collinear, _not(_outside(t) | _outside(u)))
-    if isinstance(left, np.ndarray):
+    if isinstance(shared, np.ndarray):
+        left = (_legs_overlap(pr | qs, ps | qr, d1, d2, len1, len2)
+                | _not(shared) & _apart(d1, d2, e, f, h, len1, len2)[0])
         return np.where(left, _OPEN, np.where(shared, _SHARED, _DISJOINT))
     w = p if at_p else q
     if shared:
-        if not legs_overlap:
+        if not _legs_overlap(pr | qs, ps | qr, d1, d2, len1, len2):
             return _SHARED, w, w
         # the legs overlap from w to the far end of the shorter one
         return _OVERLAP, w, (q if at_p else p) if len1 < len2 else (s if pr | qr else r)
+    left, parallel, t, u = _apart(d1, d2, e, f, h, len1, len2)
     if not left:
         return _DISJOINT, w, w
 

@@ -216,6 +216,8 @@ def _class_tables(group: tuple, class_of: np.ndarray, bit: np.ndarray) -> list:
     rep = (cls[:, :, None] == cls[:, None, :]).argmax(axis=2)
     full = np.bincount(star[held.all(axis=1)], minlength=len(members)) > 0
     keep = ~((rep == 0).all(axis=1) & full)
+    if not keep.any():
+        return []
     rows = keep[star] & (held == np.take_along_axis(held, rep[star], axis=1)).all(axis=1)
     weight = bit[np.where(rep == np.arange(legs.shape[1]), cls, -1)]  # bit[-1] is 0
     tables: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(keep).tolist()}

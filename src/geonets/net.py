@@ -19,15 +19,15 @@ import numpy as np
 from . import _kernels
 from .geom import (
     _CONTACTS,
-    _OPEN,
     COINCIDENCE_EPS,
     CollinearOverlap,
     IntersectionKind,
     Point,
     Segment,
     Vec,
-    _classify,
+    _apart,
     _contact_pad,
+    _legs_overlap,
     _projected_param,
     intersect,
 )
@@ -468,18 +468,33 @@ def _segment_pairs(net: Net) -> Iterator[Tuple[Edge, Edge, IntersectionKind]]:
     meet only at a shared endpoint are left out.
 
     The candidates are the pairs whose bounding boxes overlap once each is
-    padded by geom._contact_pad. geom._classify's numpy stage settles those
-    that meet at a common vertex or not at all, and intersect decides each
-    pair it leaves open. Both read the ends p0 and p1 of each edge, which
-    are gathered once from pos: the numpy stage takes the four ends of the
-    candidates as rows of p0 and p1, and the segment of each edge in an
-    open pair is built once from its own rows.
+    padded by geom._contact_pad. The first stage of geom._classify
+    settles those that meet at a common vertex or not at all, keyed here
+    by end rows rather than coordinates: Net holds no two vertices within
+    COINCIDENCE_EPS, so two edges share an end exactly when they share a
+    row of ends. geom._legs_overlap runs on every candidate, from the
+    edge vectors and lengths that also size the pads, and geom._apart
+    only on the candidates with no end row in common. intersect decides
+    each pair they leave open. The segment of each edge in an open pair
+    is built once from its own rows of p0 and p1.
     """
     ends, pos = net.ends, net.pos
-    p0, p1 = pos[ends[:, 0]], pos[ends[:, 1]]
-    pad = _contact_pad(_kernels.norms(p1 - p0))[:, None]
+    # take gathers the rows of a two-column array in about a tenth of the
+    # time that indexing by an index array takes (numpy 2.4)
+    p0, p1 = pos.take(ends[:, 0], axis=0), pos.take(ends[:, 1], axis=0)
+    d = p1 - p0
+    length = _kernels.norms(d)
+    pad = _contact_pad(length)[:, None]
     i, j = _box_pairs(np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad)
-    left = _classify(p0[i].T, p1[i].T, p0[j].T, p1[j].T) == _OPEN
+    (a0, a1), (b0, b1) = ends.take(i, axis=0).T, ends.take(j, axis=0).T
+    same, flip = (a0 == b0) | (a1 == b1), (a0 == b1) | (a1 == b0)
+    left = _legs_overlap(same, flip, d.take(i, axis=0).T, d.take(j, axis=0).T, length[i], length[j])
+    apart = np.flatnonzero(~(same | flip))
+    if apart.size:
+        k, m = i[apart], j[apart]
+        p, q, r, s = p0.take(k, axis=0), p1.take(k, axis=0), p0.take(m, axis=0), p1.take(m, axis=0)
+        vectors = (q - p).T, (s - r).T, (r - p).T, (s - p).T, (q - r).T
+        left[apart] = _apart(*vectors, length[k], length[m])[0]
     i, j = i[left].tolist(), j[left].tolist()
     rows = list(dict.fromkeys(i + j))
     segs = {k: Segment(Point(*p0[k].tolist()), Point(*p1[k].tolist())) for k in rows}

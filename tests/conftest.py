@@ -4,6 +4,7 @@ import os
 import re
 from typing import Dict
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -69,12 +70,26 @@ def pytest_runtest_logreport(report):
         _criterion_outcomes[num] = ok
 
 
+def _numpy_build() -> str:
+    """numpy's BLAS build string and the SIMD extensions it found, each
+    "unknown" where numpy cannot report it as a dict."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # an older numpy has no mode and only prints it
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {}).get("openblas configuration", "unknown")
+    simd = ",".join(config.get("SIMD Extensions", {}).get("found", ["unknown"]))
+    return f"blas_build={blas!r} simd_found={simd}"
+
+
 def pytest_terminal_summary(terminalreporter):
     # The relax pins hash np.linalg.solve's bits, which depend on the BLAS
-    # thread count from about 100 rows up: every log says what it ran with
+    # thread count from about 100 rows up, and OpenBLAS's DYNAMIC_ARCH
+    # picks its kernels by CPU: every log says what it ran with
     threads = (f"{name}={os.environ.get(name, 'unset')}"
                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    terminalreporter.write_line(f"BLAS threads: {' '.join(threads)} cpu_count={os.cpu_count()}")
+    terminalreporter.write_line(
+        f"BLAS threads: {' '.join(threads)} cpu_count={os.cpu_count()} {_numpy_build()}")
     if not _criterion_outcomes:
         return
     terminalreporter.write_sep("-", "acceptance criteria")

@@ -22,6 +22,7 @@ from geonets import (
     Net,
     OverlayEdges,
     Point,
+    Segment,
     Vertex,
     build_overlay_net,
     build_paper_net,
@@ -32,10 +33,7 @@ from geonets import (
     verify,
 )
 from geonets.geom import (
-    _DISJOINT,
-    _OPEN,
     _PARALLEL_EPS,
-    _SHARED,
     COINCIDENCE_EPS,
     PARAM_EPS,
     AtSharedEndpoint,
@@ -392,29 +390,71 @@ def test_planarize_takes_its_pairs_from_one_segment_pairs_pass(monkeypatch):
     assert verify(out).passed
 
 
+def _count_first_stage(monkeypatch):
+    """Wrap each half of the first stage, in geom and as net imports it,
+    to record (rows, left open) for each call on arrays; returns the
+    records by half."""
+    calls = {"_legs_overlap": [], "_apart": []}
+
+    def counted(name, real):
+        def half(*args):
+            out = real(*args)
+            left = out if name == "_legs_overlap" else out[0]
+            if isinstance(left, np.ndarray):
+                calls[name].append((len(left), np.count_nonzero(left)))
+            return out
+        return half
+
+    for name in calls:
+        wrapped = counted(name, getattr(geonets.geom, name))
+        monkeypatch.setattr(geonets.geom, name, wrapped)
+        monkeypatch.setattr(geonets.net, name, wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("make, reported", [
     pytest.param(lambda: perturbed(build_paper_net(), 0, 0.014), 2, id="jittered-paper16"),
     pytest.param(lambda: raw_tripod_overlay(7, 0), 319, id="raw-tripod-overlay-7"),
 ])
 def test_segment_pairs_classify_each_open_pair_once_on_floats(monkeypatch, make, reported):
-    # the numpy stage settles or leaves open each candidate, and only
-    # intersect runs _classify on floats, once for each open pair
-    real, left, on_floats = geonets.geom._classify, [], []
+    # each half of the first stage runs on arrays at most once, and only
+    # intersect runs _classify, on floats, once for each pair the halves
+    # leave open
+    real, on_floats = geonets.geom._classify, []
 
     def counted(*ends):
-        out = real(*ends)
-        if isinstance(ends[0][0], np.ndarray):
-            assert isinstance(out, np.ndarray) and set(np.unique(out).tolist()) <= {_DISJOINT, _SHARED, _OPEN}
-            left.append(np.count_nonzero(out == _OPEN))
-        else:
-            on_floats.append(ends)
-        return out
+        assert not isinstance(ends[0][0], np.ndarray)
+        on_floats.append(ends)
+        return real(*ends)
 
     net = make()
+    calls = _count_first_stage(monkeypatch)
     monkeypatch.setattr(geonets.geom, "_classify", counted)
-    monkeypatch.setattr(geonets.net, "_classify", counted)
     pairs = list(_segment_pairs(net))
-    assert len(left) == 1 and len(on_floats) == left[0] >= len(pairs) == reported
+    assert len(calls["_legs_overlap"]) == 1 and len(calls["_apart"]) <= 1
+    left = sum(n for half in calls.values() for _, n in half)
+    assert len(on_floats) == left >= len(pairs) == reported
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, -2.5])
+def test_segment_pairs_settle_a_clean_honeycomb_by_end_rows(monkeypatch, angle):
+    # every box candidate on a honeycomb is a pair of edges at a common
+    # vertex: the common-end half receives each of them, the apart half
+    # none, and no pair is left open
+    net = _turned_net(honeycomb(20, 16), angle)
+    calls, boxes = _count_first_stage(monkeypatch), []
+    real = geonets.net._box_pairs
+
+    def box_pairs(lo, hi):
+        out = real(lo, hi)
+        boxes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(geonets.net, "_box_pairs", box_pairs)
+    assert list(_segment_pairs(net)) == []
+    assert boxes == [826]
+    assert calls["_legs_overlap"] == [(826, 0)]
+    assert sum(rows for rows, _ in calls["_apart"]) == 0
 
 
 def _turned_net(net, angle):
@@ -505,24 +545,66 @@ def _assert_callers_follow_intersect(net):
     return reported
 
 
+# The id of the common vertex w among the ids a < m < z of the net's three
+# vertices, by where w falls in the first stage's p-q, r-s: edges are
+# (min, max) row pairs in lexicographic order, so in a net the first edge
+# of a pair never ends where the second begins (p = s). intersect is also
+# asked with each segment either way round, which gives all four.
+_COMMON_END = {"a": "p=r", "m": "q=r", "z": "q=s"}
+
+
+@pytest.mark.parametrize("hub", list(_COMMON_END), ids=list(_COMMON_END.values()))
 @pytest.mark.parametrize("angle", [0.0, 0.7, -2.0])
 @pytest.mark.parametrize("short_first", [True, False])
 @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 3.0])
-def test_legs_from_one_vertex_about_coincidence_eps_from_one_line(factor, short_first, angle):
+def test_legs_from_one_vertex_about_coincidence_eps_from_one_line(factor, short_first, angle, hub):
     # Legs of length 1 and 2 leave w at an angle whose |cross| is factor *
     # COINCIDENCE_EPS * 2; below factor 1 intersect calls them an overlay.
+    # short_first puts the shorter leg at the lower of the other two ids.
     gap = math.asin(factor * COINCIDENCE_EPS)
     legs = [(1.0, angle), (2.0, angle + gap)]
     if not short_first:
         legs.reverse()
+    far = sorted({"a", "m", "z"} - {hub})
     net = Net(
-        [Vertex("w", Point(0.0, 0.0), U)]
-        + [Vertex(f"v{k}", Point(r * math.cos(a), r * math.sin(a)), U) for k, (r, a) in enumerate(legs)],
-        [("v0", "w"), ("v1", "w")],
+        [Vertex(hub, Point(0.0, 0.0), U)]
+        + [Vertex(v, Point(r * math.cos(a), r * math.sin(a)), U) for v, (r, a) in zip(far, legs)],
+        [(far[0], hub), (far[1], hub)],
     )
-    kind = intersect(edge_segment(net, ("v0", "w")), edge_segment(net, ("v1", "w")))
+    e1, e2 = net.edges
+    assert f"{'pq'[e1.index(hub)]}={'rs'[e2.index(hub)]}" == _COMMON_END[hub]
+    s1, s2 = edge_segment(net, e1), edge_segment(net, e2)
+    kind = intersect(s1, s2)
     assert isinstance(kind, CollinearOverlap if factor < 1 else AtSharedEndpoint)
-    assert _assert_callers_follow_intersect(net) == ([] if factor > 1 else [(("v0", "w"), ("v1", "w"), kind)])
+    ways = [(s, Segment(s.q, s.p)) for s in (s1, s2)]
+    assert {type(intersect(a, b)) for a in ways[0] for b in ways[1]} == {type(kind)}
+    assert _assert_callers_follow_intersect(net) == ([] if factor > 1 else [(e1, e2, kind)])
+
+
+@pytest.mark.parametrize("hub", list(_COMMON_END), ids=list(_COMMON_END.values()))
+@pytest.mark.parametrize("angle", [0.0, 0.7, -2.0])
+def test_legs_through_one_vertex_on_one_line_are_settled_by_end_rows(monkeypatch, angle, hub):
+    # Two edges that pass straight through w, as planarize leaves them at
+    # each cut: the common-end half settles the pair, and intersect agrees.
+    c, s = math.cos(angle), math.sin(angle)
+    far = sorted({"a", "m", "z"} - {hub})
+    net = Net([Vertex(hub, Point(0.0, 0.0), U), Vertex(far[0], Point(-c, -s), U),
+               Vertex(far[1], Point(2.0 * c, 2.0 * s), U)], [(far[0], hub), (far[1], hub)])
+    assert isinstance(intersect(*(edge_segment(net, e) for e in net.edges)), AtSharedEndpoint)
+    calls = _count_first_stage(monkeypatch)
+    assert list(_segment_pairs(net)) == []
+    assert calls == {"_legs_overlap": [(1, 0)], "_apart": []}
+
+
+@pytest.mark.parametrize("net", [
+    pytest.param(Net([], []), id="empty"),
+    pytest.param(_net([((0.0, 0.0), (1.0, 0.0))]), id="one-edge"),
+    pytest.param(Net([Vertex("a", Point(1.0, 0.0), U), Vertex("b", Point(0.0, 1.0), U),
+                      Vertex("w", Point(0.0, 0.0), U)], [("a", "w"), ("b", "w")]), id="two-edges-at-w"),
+])
+def test_callers_follow_intersect_with_no_pair_that_meets(net):
+    assert _assert_callers_follow_intersect(net) == []
+    assert verify(net).overlay_findings == [] and planarize(net) is net
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, 1.3, 2.9])
